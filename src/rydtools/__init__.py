@@ -1,9 +1,8 @@
 """Numerical toolkit for Rydberg-atom quantum information estimates.
 
-Subpackages cover single-atom structure (atoms), dipole-dipole pair
+Modules cover single-atom structure (atoms), dipole-dipole pair
 interactions (pair), excitation blockade (blockade), gate error budgets
-(gates), driven ensembles (ensemble) and cooperative photon emission
-(emission), tied together by a command line interface (cli).
+(gates) and driven ensembles (ensemble).
 """
 
 __version__ = "0.1.0"

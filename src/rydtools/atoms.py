@@ -148,9 +148,6 @@ class QuantumDefectTable:
                     j = float(parts[2])
                     self.series[(l, j)] = (float(parts[3]), float(parts[4]))
 
-    def series_known(self, l, j):
-        return (l, j) in self.series
-
     def defect(self, n, l, j):
         """Quantum defect delta(n, l, j), using an exact term when available."""
         if (n, l, j) in self.exact_terms:

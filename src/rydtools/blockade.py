@@ -6,11 +6,11 @@ contributes a level shift; the channel contributions are combined into a
 single effective shift operator over the initial Zeeman-pair manifold, whose
 eigenstates are the pair states entering the blockade average. The
 inverse-square overlap-weighted average of those shifts defines the blockade
-shift B; perturbation theory gives the double-excitation probability, and the
-truncated amplitude equations can be integrated exactly for small systems to
-validate it.
+shift B; perturbation theory gives the double-excitation probability, and
+exact propagation of the truncated amplitude equations validates it for small
+systems.
 
-Frequencies are linear (MHz); integration converts to angular units
+Frequencies are linear (MHz); propagation converts to angular units
 internally (rad/us = 2 pi x MHz).
 """
 
@@ -19,7 +19,9 @@ from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
 import numpy as np
+from scipy import linalg
 
+from .ensemble import propagate
 from .pair import FORSTER_ZERO_FLOOR, forster_eigensystem, pair_shift_mhz
 
 ANGLE_BUCKET_RAD = 1e-3
@@ -27,10 +29,6 @@ KAPPA_WEIGHT_FLOOR = 1e-12
 # pair-state shifts closer than this (relative to the largest shift) are
 # treated as one degenerate eigenspace
 DEGENERACY_RTOL = 1e-9
-
-
-class IntegrationError(RuntimeError):
-    """Adaptive step-size control failed to meet the local error target."""
 
 
 @dataclass(frozen=True)
@@ -366,47 +364,26 @@ def _build_hamiltonian(geometry, field, eig, decay_tau_us=None):
     return h
 
 
-def _midpoint_step(psi, h_matrix, dt):
-    a = np.eye(len(psi), dtype=complex) + 0.5j * dt * h_matrix
-    b = (np.eye(len(psi), dtype=complex) - 0.5j * dt * h_matrix) @ psi
-    return np.linalg.solve(a, b)
-
-
-def integrate_amplitudes(state, geometry, field, eig, t_us, decay_tau_us=None, tol=1e-9):
+def integrate_amplitudes(state, geometry, field, eig, t_us, decay_tau_us=None):
     """Evolve the truncated amplitude system for t_us microseconds.
 
-    Implicit-midpoint steps (exactly norm-preserving for the Hermitian case)
-    with adaptive step-size control on a Richardson local-error estimate.
-    Passing eig=None removes all doubly-excited states (fully blockaded
-    two-level limit).
+    Exact propagation under the constant Hamiltonian: one eigendecomposition
+    in the Hermitian case, and the matrix exponential of the non-Hermitian H
+    when decay_tau_us adds damping. Passing eig=None removes all
+    doubly-excited states (fully blockaded two-level limit).
     """
+    if t_us < 0:
+        raise ValueError("t_us must be nonnegative, got %r" % (t_us,))
     n_phi = pair_state_count(eig)
     pairs = list(geometry.pairs())
     if state.c_pairs.shape != (len(pairs), n_phi):
         raise ValueError("amplitude state shape does not match geometry/eigensystem")
     h_matrix = _build_hamiltonian(geometry, field, eig, decay_tau_us)
     psi = np.concatenate(([state.c_g, state.c_s], state.c_pairs.ravel()))
-    remaining = float(t_us)
-    scale = max(1.0, float(np.max(np.abs(h_matrix))) if h_matrix.size else 1.0)
-    dt = min(remaining, 0.1 / scale) if remaining > 0 else 0.0
-    while remaining > 1e-15:
-        dt = min(dt, remaining)
-        full = _midpoint_step(psi, h_matrix, dt)
-        half = _midpoint_step(
-            _midpoint_step(psi, h_matrix, dt / 2.0), h_matrix, dt / 2.0
-        )
-        err = float(np.linalg.norm(full - half))
-        if err <= tol:
-            psi = half
-            remaining -= dt
-            growth = (tol / err) ** (1.0 / 3.0) if err > 0 else 2.0
-            dt *= min(2.0, max(0.5, 0.9 * growth))
-        else:
-            dt *= max(0.1, 0.9 * (tol / err) ** (1.0 / 3.0))
-            if dt < 1e-12 * t_us:
-                raise IntegrationError(
-                    "step size underflow; local error estimate %.3e" % err
-                )
+    if decay_tau_us is None:
+        psi = propagate(h_matrix, psi, [t_us])[:, 0]
+    else:
+        psi = linalg.expm(-1j * t_us * h_matrix) @ psi
     return AmplitudeState(
         c_g=complex(psi[0]),
         c_s=complex(psi[1]),

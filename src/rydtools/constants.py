@@ -12,7 +12,6 @@ All conversions between these systems live here so they are written and
 tested exactly once.
 """
 
-import hashlib
 import math
 
 from scipy import constants as _const
@@ -81,10 +80,6 @@ def mhz_from_rad_per_s(w):
     return w / (2.0 * math.pi) / 1e6
 
 
-def mhz_from_ghz(f_ghz):
-    return f_ghz * 1e3
-
-
 def thermal_velocity(temperature_k, mass_u):
     """1-D rms thermal velocity sqrt(kB T / m) in m/s."""
     return math.sqrt(KB * temperature_k / (mass_u * U_AMU))
@@ -101,12 +96,3 @@ def blackbody_rate(n, temperature_k):
         * temperature_k
         / (3.0 * HBAR * n**2)
     )
-
-
-def file_sha256(path):
-    """Hex sha256 digest of a file, used in output metadata."""
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            digest.update(chunk)
-    return digest.hexdigest()

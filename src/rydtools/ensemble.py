@@ -390,6 +390,19 @@ def _build_dense_hamiltonian(model, basis):
     return h
 
 
+def propagate(h, psi0, times_us):
+    """Exact evolution of psi0 under a constant Hermitian h (rad/us).
+
+    One eigendecomposition serves every time; returns the (dim, T)
+    amplitudes modes @ (exp(-i E t) * coeffs).
+    """
+    energies, modes = np.linalg.eigh(h)
+    # conjugating the vector, not the matrix, avoids a dim^2 copy of modes
+    coeffs = (np.conj(psi0) @ modes).conj()
+    phases = np.exp(-1j * np.outer(energies, times_us))
+    return modes @ (phases * coeffs[:, None])
+
+
 @dataclass(frozen=True, eq=False)
 class ExactDynamics:
     """Unitary time series of the truncated driven ensemble."""
@@ -416,12 +429,10 @@ def simulate_exact(model, times_us, g2_bins_um=None, g2_window=0.5):
     basis = enumerate_basis(model)
     dim = len(basis)
     h = _build_dense_hamiltonian(model, basis)
-    energies, modes = np.linalg.eigh(h)
     # all population starts in the all-ground state, basis index 0
-    coeffs0 = modes[0, :].conj()
-    phases = np.exp(-1j * np.outer(energies, times))
-    amplitudes = modes @ (phases * coeffs0[:, None])  # (dim, T)
-    weights = np.abs(amplitudes) ** 2
+    psi0 = np.zeros(dim)
+    psi0[0] = 1.0
+    weights = np.abs(propagate(h, psi0, times)) ** 2
 
     sizes = np.array([len(subset) for subset in basis])
     norms = weights.sum(axis=0)
@@ -602,10 +613,9 @@ def simulate_triple_exchange(rabi_mhz, exchange_mhz, times_us):
     vmat = _as_exchange_matrix(exchange_mhz)
     times = np.asarray(times_us, dtype=float)
     h = _triple_exchange_hamiltonian(rabi_mhz, vmat)
-    energies, modes = np.linalg.eigh(h)
-    coeffs0 = modes[0, :].conj()
-    phases = np.exp(-1j * np.outer(energies, times))
-    weights = np.abs(modes @ (phases * coeffs0[:, None])) ** 2
+    psi0 = np.zeros(h.shape[0])
+    psi0[0] = 1.0
+    weights = np.abs(propagate(h, psi0, times)) ** 2
 
     counts = _excited_count_vector()
     probs = np.zeros((times.size, 4))

@@ -20,7 +20,7 @@ units internally.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -216,14 +216,8 @@ def minimize_blockade_gate(
         qubit_splitting_mhz=qubit_splitting_mhz,
         blockade_mhz=blockade_mhz,
     )
-    budget = blockade_gate_error(params)
-    return GateErrorBudget(
-        se_error=budget.se_error,
-        rotation_error=budget.rotation_error,
-        total_error=budget.total_error,
-        rabi_opt_mhz=omega_opt,
-        interior_optimum=interior,
-        regime_ok=budget.regime_ok,
+    return replace(
+        blockade_gate_error(params), rabi_opt_mhz=omega_opt, interior_optimum=interior
     )
 
 
@@ -326,14 +320,10 @@ def minimize_interaction_gate(
         qubit_splitting_mhz=qubit_splitting_mhz,
         interaction_mhz=interaction_mhz,
     )
-    budget = interaction_gate_error(params)
-    return GateErrorBudget(
-        se_error=budget.se_error,
-        rotation_error=budget.rotation_error,
-        total_error=budget.total_error,
+    return replace(
+        interaction_gate_error(params),
         rabi_opt_mhz=omega_opt,
         interior_optimum=interior,
-        regime_ok=budget.regime_ok,
         interaction_mhz=interaction_mhz,
     )
 
@@ -396,14 +386,8 @@ def optimize_interaction_gate(
     )
     interior = 0 < i0 < grid_points - 1
     budget, shift = budget_at(omega_opt)
-    return GateErrorBudget(
-        se_error=budget.se_error,
-        rotation_error=budget.rotation_error,
-        total_error=budget.total_error,
-        rabi_opt_mhz=omega_opt,
-        interior_optimum=interior,
-        regime_ok=budget.regime_ok,
-        interaction_mhz=shift,
+    return replace(
+        budget, rabi_opt_mhz=omega_opt, interior_optimum=interior, interaction_mhz=shift
     )
 
 
@@ -458,6 +442,19 @@ def _eigensystem_for(n, table, eigensystems):
     return forster_eigensystem(s_state_channels(n, table))
 
 
+def _landscape(
+    n_values, r_um_values, table, lifetimes_us, temperature_k, eigensystems, evaluate
+):
+    """(n, r_um, evaluate(eig, r_um, tau)) rows over the n x R grid."""
+    model = LifetimeModel(table) if table is not None else None
+    rows = []
+    for n in n_values:
+        eig = _eigensystem_for(n, table, eigensystems)
+        tau = _lifetime_for(n, lifetimes_us, temperature_k, model)
+        rows.extend((n, float(r), evaluate(eig, float(r), tau)) for r in r_um_values)
+    return rows
+
+
 def blockade_gate_landscape(
     n_values,
     r_um_values,
@@ -478,25 +475,16 @@ def blockade_gate_landscape(
     None when both overrides cover every n. Returns deterministic
     (n, r_um, GateErrorBudget) rows in grid order.
     """
-    model = LifetimeModel(table) if table is not None else None
     field = ExcitationField.uniform(2, 1.0)
-    rows = []
-    for n in n_values:
-        eig = _eigensystem_for(n, table, eigensystems)
-        tau = _lifetime_for(n, lifetimes_us, temperature_k, model)
-        for r in r_um_values:
-            geometry = EnsembleGeometry(
-                np.array([[0.0, 0.0, 0.0], [0.0, 0.0, float(r)]])
-            )
-            b_mhz = blockade_shift(geometry, field, eig).b_mhz
-            rows.append(
-                (
-                    n,
-                    float(r),
-                    minimize_blockade_gate(b_mhz, tau, qubit_splitting_mhz),
-                )
-            )
-    return rows
+
+    def evaluate(eig, r_um, tau):
+        geometry = EnsembleGeometry(np.array([[0.0, 0.0, 0.0], [0.0, 0.0, r_um]]))
+        b_mhz = blockade_shift(geometry, field, eig).b_mhz
+        return minimize_blockade_gate(b_mhz, tau, qubit_splitting_mhz)
+
+    return _landscape(
+        n_values, r_um_values, table, lifetimes_us, temperature_k, eigensystems, evaluate
+    )
 
 
 def interaction_gate_landscape(
@@ -513,22 +501,12 @@ def interaction_gate_landscape(
     Same conventions as blockade_gate_landscape, with the drive-shift
     self-consistency of optimize_interaction_gate at every grid point.
     """
-    model = LifetimeModel(table) if table is not None else None
-    rows = []
-    for n in n_values:
-        eig = _eigensystem_for(n, table, eigensystems)
-        tau = _lifetime_for(n, lifetimes_us, temperature_k, model)
-        for r in r_um_values:
-            rows.append(
-                (
-                    n,
-                    float(r),
-                    optimize_interaction_gate(
-                        eig, float(r), tau, qubit_splitting_mhz
-                    ),
-                )
-            )
-    return rows
+    def evaluate(eig, r_um, tau):
+        return optimize_interaction_gate(eig, r_um, tau, qubit_splitting_mhz)
+
+    return _landscape(
+        n_values, r_um_values, table, lifetimes_us, temperature_k, eigensystems, evaluate
+    )
 
 
 @dataclass(frozen=True)

@@ -323,14 +323,3 @@ def first_order_dipole_shift_mhz(dipole_ea0, theta, r_um):
         raise ValueError("pair separation must be positive")
     geom = 1.0 - 3.0 * math.cos(theta) ** 2
     return cst.EA0_SQ_MHZ_UM3 * dipole_ea0**2 * geom / r_um**3
-
-
-def strongest_channel_shift_mhz(eig, r_um):
-    """Largest-magnitude pair shift across all channels and eigenstates."""
-    best = 0.0
-    for idx in range(len(eig.channels)):
-        curve = potential_curves(eig, idx, np.atleast_1d(r_um))
-        extreme = curve.delta_mhz[np.argmax(np.abs(curve.delta_mhz[:, 0])), 0]
-        if abs(extreme) > abs(best):
-            best = float(extreme)
-    return best

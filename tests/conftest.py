@@ -20,19 +20,14 @@ def cs_table():
     return QuantumDefectTable("Cs133")
 
 
-def build_s_channels(n, table):
-    """The four fine-structure channels n s + n s -> n p_j + (n-1) p_j'."""
-    return s_state_channels(n, table)
-
-
 @pytest.fixture(scope="session")
 def rb_s60_channels(rb_table):
-    return build_s_channels(60, rb_table)
+    return s_state_channels(60, rb_table)
 
 
 @pytest.fixture(scope="session")
 def rb_s100_channels(rb_table):
-    return build_s_channels(100, rb_table)
+    return s_state_channels(100, rb_table)
 
 
 @pytest.fixture(scope="session")
@@ -55,7 +50,7 @@ def rb_43d_channels(rb_table):
 
 @pytest.fixture(scope="session")
 def rb_s55_channels(rb_table):
-    return build_s_channels(55, rb_table)
+    return s_state_channels(55, rb_table)
 
 
 @pytest.fixture(scope="session")

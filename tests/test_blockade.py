@@ -11,12 +11,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import linalg
 
 from rydtools.blockade import (
     AmplitudeState,
     EnsembleGeometry,
     ExcitationField,
-    IntegrationError,
     _build_hamiltonian,
     blockade_shift,
     double_excitation_probability,
@@ -418,16 +418,33 @@ class TestIntegration:
         assert np.all(np.diag(anti) <= 0)
         assert np.allclose(anti - np.diag(np.diag(anti)), 0, atol=1e-14)
 
-    def test_step_failure_raises(self, rb_s60_eigensystem):
-        f = ExcitationField.uniform(2, 0.05)
-        with pytest.raises(IntegrationError):
+    @pytest.mark.parametrize("decay_tau_us", [None, 10.0])
+    def test_matches_expm(self, rb_s60_eigensystem, decay_tau_us):
+        geo = xy_ring(3, 6.0)
+        f = ExcitationField.uniform(3, 0.3)
+        rng = np.random.default_rng(11)
+        vec = rng.normal(size=14) + 1j * rng.normal(size=14)
+        vec /= np.linalg.norm(vec)
+        state = AmplitudeState(
+            c_g=complex(vec[0]), c_s=complex(vec[1]), c_pairs=vec[2:].reshape(3, 4)
+        )
+        t = 0.7
+        out = integrate_amplitudes(
+            state, geo, f, rb_s60_eigensystem, t, decay_tau_us=decay_tau_us
+        )
+        h = _build_hamiltonian(geo, f, rb_s60_eigensystem, decay_tau_us)
+        expected = linalg.expm(-1j * t * h) @ vec
+        got = np.concatenate(([out.c_g, out.c_s], out.c_pairs.ravel()))
+        assert np.max(np.abs(got - expected)) < 1e-12
+
+    def test_negative_time_rejected(self, rb_s60_eigensystem):
+        with pytest.raises(ValueError):
             integrate_amplitudes(
                 AmplitudeState.ground(1, 4),
                 two_atoms(8.0),
-                f,
+                ExcitationField.uniform(2, 0.05),
                 rb_s60_eigensystem,
-                1.0,
-                tol=0.0,
+                -0.2,
             )
 
     def test_state_shape_validation(self, rb_s60_eigensystem):

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import linalg
 from scipy.optimize import curve_fit
 
 import rydtools.ensemble as ens
@@ -412,6 +413,29 @@ def kron_oracle_mean_excitations(positions, rabis, dets, c6, times):
 
 
 class TestExactDynamics:
+    @pytest.mark.parametrize("complex_h", [False, True])
+    def test_propagate_matches_expm(self, complex_h):
+        rng = np.random.default_rng(5)
+        model = ExcitationModel(
+            positions_um=rng.random((4, 3)) * 3.0,
+            rabi_mhz=[0.7, 1.1, 0.4, 0.9],
+            detuning_mhz=[0.2, -0.5, 0.0, 0.3],
+            c6_mhz_um6=4.0,
+            max_excitations=3,
+        )
+        h = ens._build_dense_hamiltonian(model, enumerate_basis(model))
+        dim = h.shape[0]
+        if complex_h:
+            a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            h = h + (a + a.conj().T) / 2.0
+        psi0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        times = np.array([0.0, 0.3, 1.1, 2.5])
+        out = ens.propagate(h, psi0, times)
+        assert out.shape == (dim, times.size)
+        for col, t in enumerate(times):
+            expected = linalg.expm(-1j * t * h) @ psi0
+            assert np.max(np.abs(out[:, col] - expected)) < 1e-12
+
     def test_single_atom_resonant_rabi(self):
         model = ExcitationModel(
             positions_um=[[0.0, 0.0, 0.0]],

@@ -24,9 +24,9 @@ from rydtools.pair import (
     make_channel,
     pair_shift_mhz,
     potential_curves,
+    s_state_channels,
     vdw_coefficient_mhz_um6,
 )
-from conftest import build_s_channels
 
 
 def angular_channel(i_nlj, a_nlj, b_nlj, defect=-100.0, c3=1.0):
@@ -406,7 +406,7 @@ class TestScalingLaw:
         for n in ns:
             best = max(
                 ch.c3_mhz_um3**2 / abs(ch.defect_mhz)
-                for ch in build_s_channels(n, rb_table)
+                for ch in s_state_channels(n, rb_table)
             )
             strength.append(best)
         log_s = np.log(strength)
