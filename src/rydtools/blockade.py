@@ -24,7 +24,6 @@ from scipy import linalg
 from .ensemble import propagate
 from .pair import FORSTER_ZERO_FLOOR, forster_eigensystem, pair_shift_mhz
 
-ANGLE_BUCKET_RAD = 1e-3
 KAPPA_WEIGHT_FLOOR = 1e-12
 # pair-state shifts closer than this (relative to the largest shift) are
 # treated as one degenerate eigenspace
@@ -62,9 +61,9 @@ class EnsembleGeometry:
     def axis_theta_rad(self, k, l):
         """Angle between the pair axis and the quantization axis z."""
         d = self.positions_um[l] - self.positions_um[k]
-        r = float(np.linalg.norm(d))
-        # +/- axis directions are equivalent for a rank-2 interaction
-        return math.acos(min(1.0, abs(d[2]) / r))
+        # +/- axis directions are equivalent for a rank-2 interaction; atan2
+        # keeps full relative precision near the axis, where acos does not
+        return math.atan2(math.hypot(d[0], d[1]), abs(d[2]))
 
 
 @dataclass(frozen=True)
@@ -128,16 +127,11 @@ def _channel_shifts_mhz(eig, c_idx, r_um):
 
     Eigenstates below the coupling floor are unshifted by this channel.
     """
-    ch = eig.channels[c_idx]
     d_vals = eig.d_values[c_idx]
-    defects = eig.defects_mhz[c_idx]
-    shifts = np.zeros_like(d_vals)
-    for p_idx, d_phi in enumerate(d_vals):
-        if d_phi >= FORSTER_ZERO_FLOOR:
-            shifts[p_idx] = pair_shift_mhz(
-                defects[p_idx], ch.c3_mhz_um3, d_phi, np.array([r_um])
-            )[0]
-    return shifts
+    shifts = pair_shift_mhz(
+        eig.defects_mhz[c_idx], eig.channels[c_idx].c3_mhz_um3, d_vals, r_um
+    )
+    return np.where(d_vals >= FORSTER_ZERO_FLOOR, shifts, 0.0)
 
 
 def pair_state_basis(eig, r_um=None):
@@ -167,15 +161,8 @@ def pair_state_basis(eig, r_um=None):
     return vals, vectors
 
 
-def overlap_kappa(eig, field, pair=None, r_um=None):
-    """Laser-overlap amplitudes kappa over the pair-state basis.
-
-    Projection of the doubly-driven Zeeman product state onto each pair
-    state, weighted by the two atoms' Rabi frequencies relative to the rms
-    value. The basis is orthonormal and complete over the initial manifold,
-    so the weights satisfy sum |kappa|^2 = |Omega_k Omega_l|^2 / Omega^4
-    (unity for uniform drive).
-    """
+def _shifts_and_kappas(eig, field, pair, r_um):
+    """Pair-state shifts and laser overlaps from one pair_state_basis call."""
     idx = _driven_index(eig, field.target_m)
     if pair is None:
         prefactor = 1.0
@@ -186,8 +173,32 @@ def overlap_kappa(eig, field, pair=None, r_um=None):
             prefactor = 0.0
         else:
             prefactor = (field.rabi_mhz[k] * field.rabi_mhz[l]) / omega**2
-    _, vectors = pair_state_basis(eig, r_um)
-    return vectors[idx, :].conj() * prefactor
+    shifts, vectors = pair_state_basis(eig, r_um)
+    return shifts, vectors[idx, :].conj() * prefactor
+
+
+def overlap_kappa(eig, field, pair=None, r_um=None):
+    """Laser-overlap amplitudes kappa over the pair-state basis.
+
+    Projection of the doubly-driven Zeeman product state onto each pair
+    state, weighted by the two atoms' Rabi frequencies relative to the rms
+    value. The basis is orthonormal and complete over the initial manifold,
+    so the weights satisfy sum |kappa|^2 = |Omega_k Omega_l|^2 / Omega^4
+    (unity for uniform drive).
+    """
+    return _shifts_and_kappas(eig, field, pair, r_um)[1]
+
+
+def _eigensystems_by_angle(eig):
+    """Eigensystem at each exact pair-axis angle, built once per angle."""
+    cache = {eig.theta: eig}
+
+    def at_angle(theta):
+        if theta not in cache:
+            cache[theta] = forster_eigensystem(eig.channels, theta, eig.b_field_t)
+        return cache[theta]
+
+    return at_angle
 
 
 @dataclass
@@ -203,37 +214,12 @@ class BlockadeResult:
     zero_term: Optional[tuple] = None
 
 
-def _eigensystem_cache(channels, b_field_t):
-    cache = {}
-
-    def at_angle(theta):
-        key = round(theta / ANGLE_BUCKET_RAD)
-        if key not in cache:
-            cache[key] = forster_eigensystem(
-                channels, key * ANGLE_BUCKET_RAD, b_field_t
-            )
-        return cache[key]
-
-    return at_angle
-
-
-def _pair_kappa_shifts(local, field, k, l, r_um):
-    """Pair-state shifts and laser overlaps for one atom pair."""
-    shifts, vectors = pair_state_basis(local, r_um)
-    idx = _driven_index(local, field.target_m)
-    omega = field.omega_rms_mhz
-    if omega == 0.0:
-        prefactor = 0.0
-    else:
-        prefactor = (field.rabi_mhz[k] * field.rabi_mhz[l]) / omega**2
-    return shifts, vectors[idx, :].conj() * prefactor
-
-
 def blockade_shift(geometry, field, eig):
     """Inverse-square laser-weighted average of pair interaction shifts.
 
-    Each atom pair uses its own interatomic-axis angle (eigensystems cached
-    in 1 mrad buckets) and separation. The contribution table is sorted so
+    Each atom pair uses its own separation and its exact interatomic-axis
+    angle: eig itself when the angle equals eig.theta, otherwise one
+    eigensystem per distinct angle. The contribution table is sorted so
     the weakest-blockade terms come first. A pair state with zero shift but
     nonzero laser overlap short-circuits the blockade: B = 0 is reported
     with the offending (pair-state, k, l) triple.
@@ -242,15 +228,14 @@ def blockade_shift(geometry, field, eig):
         raise ValueError("field and geometry atom counts differ")
     if geometry.n < 2:
         raise ValueError("blockade shift needs at least two atoms")
-    at_angle = _eigensystem_cache(eig.channels, eig.b_field_t)
+    at_angle = _eigensystems_by_angle(eig)
     total = 0.0
     contributions = []
     zero_term = None
     for k, l in geometry.pairs():
         local = at_angle(geometry.axis_theta_rad(k, l))
-        shifts, kappas = _pair_kappa_shifts(
-            local, field, k, l, geometry.separation_um(k, l)
-        )
+        r_um = geometry.separation_um(k, l)
+        shifts, kappas = _shifts_and_kappas(local, field, (k, l), r_um)
         zero_tol = 1e-12 * max(1.0, float(np.max(np.abs(shifts))))
         for p_idx, delta in enumerate(shifts):
             weight = abs(kappas[p_idx]) ** 2
@@ -342,12 +327,11 @@ def _build_hamiltonian(geometry, field, eig, decay_tau_us=None):
     h[1, 0] = omega_n / 2.0
     n = geometry.n
     if n_phi:
-        at_angle = _eigensystem_cache(eig.channels, eig.b_field_t)
+        at_angle = _eigensystems_by_angle(eig)
         for p_count, (k, l) in enumerate(pairs):
             local = at_angle(geometry.axis_theta_rad(k, l))
-            shifts, kappas = _pair_kappa_shifts(
-                local, field, k, l, geometry.separation_um(k, l)
-            )
+            r_um = geometry.separation_um(k, l)
+            shifts, kappas = _shifts_and_kappas(local, field, (k, l), r_um)
             col = 2 + p_count * n_phi
             for p_idx in range(n_phi):
                 row = col + p_idx
@@ -405,9 +389,8 @@ def effective_interaction_mhz(field, eig, r_um):
     omega = field.omega_rms_mhz
     if omega <= 0:
         raise ValueError("effective interaction needs a positive drive")
-    shifts, vectors = pair_state_basis(eig, r_um)
-    idx = _driven_index(eig, field.target_m)
-    weights = np.abs(vectors[idx, :]) ** 2
+    shifts, kappas = _shifts_and_kappas(eig, field, None, r_um)
+    weights = np.abs(kappas) ** 2
     tol = DEGENERACY_RTOL * max(1.0, float(np.max(np.abs(shifts))))
     total = 0.0
     start = 0

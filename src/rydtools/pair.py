@@ -11,6 +11,7 @@ eigenstate structure.
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -26,9 +27,13 @@ def _level_key(state):
     return (state.n, state.l, state.j)
 
 
+def _m_values(j):
+    two_j = round(2 * j)
+    return [m / 2.0 for m in range(-two_j, two_j + 1, 2)]
+
+
 def _zeeman_states(state):
-    two_j = round(2 * state.j)
-    return [state.with_m(m / 2.0) for m in range(-two_j, two_j + 1, 2)]
+    return [state.with_m(m) for m in _m_values(state.j)]
 
 
 @dataclass(frozen=True)
@@ -130,47 +135,39 @@ def _cg_11_2(mu, nu):
     return 1.0 / math.sqrt(6.0)
 
 
-def _ordering_block(initial, final_pair, theta):
-    """Coupling block <final Zeeman pair| a.b - 3(a.n)(n.b) |initial Zeeman pair>."""
-    i1, i2 = initial
-    f1, f2 = final_pair
-    rows_1 = _zeeman_states(f1)
-    rows_2 = _zeeman_states(f2)
-    cols_1 = _zeeman_states(i1)
-    cols_2 = _zeeman_states(i2)
-    block = np.zeros((len(rows_1) * len(rows_2), len(cols_1) * len(cols_2)))
-    for a_idx, fa in enumerate(rows_1):
-        for b_idx, fb in enumerate(rows_2):
-            row = a_idx * len(rows_2) + b_idx
-            for c_idx, ia in enumerate(cols_1):
-                mu = fa.m - ia.m
-                if abs(mu) > 1 or abs(mu - round(mu)) > 1e-9:
-                    continue
-                fac_a = dipole_angular_factor(
-                    fa.l, fa.j, fa.m, ia.l, ia.j, ia.m, int(round(mu))
-                )
-                if fac_a == 0.0:
-                    continue
-                for d_idx, ib in enumerate(cols_2):
-                    nu = fb.m - ib.m
-                    if abs(mu + nu) > 2 or abs(nu) > 1 or abs(nu - round(nu)) > 1e-9:
-                        continue
-                    fac_b = dipole_angular_factor(
-                        fb.l, fb.j, fb.m, ib.l, ib.j, ib.m, int(round(nu))
-                    )
-                    if fac_b == 0.0:
-                        continue
-                    q = int(round(mu + nu))
-                    col = c_idx * len(cols_2) + d_idx
-                    block[row, col] += (
-                        -math.sqrt(6.0)
-                        * (-1) ** q
-                        * _c2_component(-q, theta)
-                        * _cg_11_2(mu, nu)
-                        * fac_a
-                        * fac_b
-                    )
-    return block
+@lru_cache(maxsize=None)
+def _ordering_amplitudes(initial_lj, final_lj):
+    """Angle-independent factors of <final Zeeman pair| a.b - 3(a.n)(n.b) |initial>.
+
+    Every element couples Zeeman pairs whose m differ by mu on one atom and
+    nu on the other, so it carries the single direction factor C^2_{-q}(theta)
+    with q = mu + nu. Returns (amplitudes, qmap): the element's coefficient
+    of that factor, and q + 2. Both depend only on the (l, j) of the four
+    legs, so channels at every n share them; the arrays are read-only.
+    """
+    (li1, ji1), (li2, ji2) = initial_lj
+    (lf1, jf1), (lf2, jf2) = final_lj
+    rows = [(ma, mb) for ma in _m_values(jf1) for mb in _m_values(jf2)]
+    cols = [(ma, mb) for ma in _m_values(ji1) for mb in _m_values(ji2)]
+    amplitudes = np.zeros((len(rows), len(cols)))
+    qmap = np.full(amplitudes.shape, 2)
+    for row, (fa, fb) in enumerate(rows):
+        for col, (ia, ib) in enumerate(cols):
+            mu, nu = round(fa - ia), round(fb - ib)
+            if abs(mu) > 1 or abs(nu) > 1:
+                continue
+            q = mu + nu
+            amplitudes[row, col] = (
+                -math.sqrt(6.0)
+                * (-1) ** q
+                * _cg_11_2(mu, nu)
+                * dipole_angular_factor(lf1, jf1, fa, li1, ji1, ia, mu)
+                * dipole_angular_factor(lf2, jf2, fb, li2, ji2, ib, nu)
+            )
+            qmap[row, col] = q + 2
+    amplitudes.flags.writeable = False
+    qmap.flags.writeable = False
+    return amplitudes, qmap
 
 
 def build_vdd(channel, theta=0.0):
@@ -179,14 +176,24 @@ def build_vdd(channel, theta=0.0):
     Returns the matrix of angular factors such that the physical coupling is
     (C3 / R^3) times the returned matrix, rows indexing the coupled Zeeman
     pair space (both orderings stacked when the coupled levels differ) and
-    columns the initial Zeeman pair space.
+    columns the initial Zeeman pair space. Each element is a cached
+    angle-independent amplitude times one direction factor C^2_{-q}(theta),
+    so the matrix is exact at every angle.
     """
     c1, c2 = channel.coupled
     _require_dipole_allowed(channel.initial[0], c1)
     _require_dipole_allowed(channel.initial[1], c2)
-    blocks = [_ordering_block(channel.initial, (c1, c2), theta)]
+    c2_minus_q = np.array([_c2_component(-q, theta) for q in range(-2, 3)])
+    orderings = [(c1, c2)]
     if _level_key(c1) != _level_key(c2):
-        blocks.append(_ordering_block(channel.initial, (c2, c1), theta))
+        orderings.append((c2, c1))
+    initial_lj = tuple((s.l, s.j) for s in channel.initial)
+    blocks = []
+    for final_pair in orderings:
+        amplitudes, qmap = _ordering_amplitudes(
+            initial_lj, tuple((s.l, s.j) for s in final_pair)
+        )
+        blocks.append(amplitudes * c2_minus_q[qmap])
     return np.vstack(blocks)
 
 
@@ -274,12 +281,18 @@ class PotentialCurve:
 def pair_shift_mhz(defect_mhz, c3_mhz_um3, d_phi, r_um):
     """Eigenstate branch of the two-level pair Hamiltonian that connects to
     the initial pair: delta/2 - sign(delta) sqrt((delta/2)^2 + C3^2 D / R^6).
+
+    Defects, D values and separations broadcast against each other; a zero
+    defect takes the resonant branch -sqrt(C3^2 D / R^6).
     """
+    defect = np.asarray(defect_mhz, dtype=float)
     coupling_sq = (c3_mhz_um3**2) * d_phi / np.asarray(r_um, dtype=float) ** 6
-    if defect_mhz == 0.0:
-        return -np.sqrt(coupling_sq)
-    half = 0.5 * defect_mhz
-    return half - math.copysign(1.0, defect_mhz) * np.sqrt(half * half + coupling_sq)
+    half = 0.5 * defect
+    return np.where(
+        defect == 0.0,
+        -np.sqrt(coupling_sq),
+        half - np.sign(defect) * np.sqrt(half * half + coupling_sq),
+    )
 
 
 def potential_curves(eig, channel_index, r_um):
@@ -289,10 +302,9 @@ def potential_curves(eig, channel_index, r_um):
     if np.any(r <= 0):
         raise ValueError("pair separations must be positive")
     d_vals = eig.d_values[channel_index]
-    defects = eig.defects_mhz[channel_index]
-    curves = np.empty((len(d_vals), len(r)))
-    for k, (d_phi, defect) in enumerate(zip(d_vals, defects)):
-        curves[k] = pair_shift_mhz(defect, ch.c3_mhz_um3, d_phi, r)
+    curves = pair_shift_mhz(
+        eig.defects_mhz[channel_index][:, None], ch.c3_mhz_um3, d_vals[:, None], r
+    )
     return PotentialCurve(r_um=r, delta_mhz=curves, d_values=d_vals.copy(), channel=ch)
 
 

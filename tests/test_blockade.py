@@ -5,6 +5,7 @@ two-atom diagonalization oracle (full initial + coupled manifolds), or
 frozen from converged runs of the released implementation.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from rydtools.blockade import (
     EnsembleGeometry,
     ExcitationField,
     _build_hamiltonian,
+    _channel_shifts_mhz,
     blockade_shift,
     double_excitation_probability,
     effective_interaction_mhz,
@@ -26,7 +28,7 @@ from rydtools.blockade import (
     pair_state_basis,
     pair_state_count,
 )
-from rydtools.pair import build_vdd, forster_eigensystem
+from rydtools.pair import FORSTER_ZERO_FLOOR, build_vdd, forster_eigensystem
 
 
 def two_atoms(r_um, theta=0.0):
@@ -47,6 +49,16 @@ def xy_ring(n, spacing_um):
             [[rad * math.cos(i * ang), rad * math.sin(i * ang), 0.0] for i in range(n)]
         )
     )
+
+
+def random_cloud(rng, n, side_um=12.0, min_separation_um=3.0):
+    """n atoms uniform in a cube, redrawn until all pairs keep their distance."""
+    points = []
+    while len(points) < n:
+        p = (rng.random(3) - 0.5) * side_um
+        if all(np.linalg.norm(p - q) >= min_separation_um for q in points):
+            points.append(p)
+    return np.array(points)
 
 
 def exact_two_atom_inv_b2(channels, theta, r_um, target_m=0.5):
@@ -88,6 +100,13 @@ class TestGeometry:
         up = EnsembleGeometry(np.array([[0, 0, 0], [0, 0, 4.0]]))
         down = EnsembleGeometry(np.array([[0, 0, 4.0], [0, 0, 0]]))
         assert up.axis_theta_rad(0, 1) == down.axis_theta_rad(0, 1)
+
+    def test_axis_angle_near_z_axis(self):
+        # acos(|dz| / r) returned 1e-7 with 4e-4 relative error and 1e-9 as 0
+        for theta in (1e-7, 1e-9):
+            assert two_atoms(3.0, theta).axis_theta_rad(0, 1) == pytest.approx(
+                theta, rel=1e-12
+            )
 
     def test_coincident_atoms_rejected(self):
         with pytest.raises(ValueError):
@@ -147,6 +166,19 @@ class TestOverlapKappa:
         w90 = np.sort(np.abs(overlap_kappa(side, f, r_um=10.0)) ** 2)
         assert np.sum(np.abs(w0 - w90)) > 0.5
 
+    def test_channel_shifts_resonant_and_zero_floor(self, rb_s60_channels):
+        # a zero defect takes the resonant branch -C3 sqrt(D) / R^3, and
+        # eigenstates below the coupling floor are left unshifted
+        resonant = dataclasses.replace(rb_s60_channels[3], defect_mhz=0.0)
+        eig = forster_eigensystem(rb_s60_channels[:3] + [resonant], 0.4)
+        d_vals = eig.d_values[3]
+        live = d_vals >= FORSTER_ZERO_FLOOR
+        assert live.any() and not live.all()
+        shifts = _channel_shifts_mhz(eig, 3, 5.3)
+        assert np.all(shifts[~live] == 0.0)
+        expected = -resonant.c3_mhz_um3 * np.sqrt(d_vals[live]) / 5.3**3
+        assert np.allclose(shifts[live], expected, rtol=1e-14, atol=0.0)
+
 
 class TestBlockadeShift:
     def test_single_state_b_equals_delta(self, rb_s60_eigensystem):
@@ -172,7 +204,7 @@ class TestBlockadeShift:
         f = ExcitationField.uniform(2, 0.001)
         b_model = {}
         b_exact = {}
-        for theta in (0.0, math.pi / 2):
+        for theta in (0.0, math.pi / 2, 0.3 + 5e-4):
             b_exact[theta] = exact_two_atom_inv_b2(rb_43d_channels, theta, 10.0) ** -0.5
             b_model[theta] = blockade_shift(
                 two_atoms(10.0, theta), f, rb_43d_eigensystem
@@ -181,6 +213,48 @@ class TestBlockadeShift:
         ratio_model = b_model[0.0] / b_model[math.pi / 2]
         ratio_exact = b_exact[0.0] / b_exact[math.pi / 2]
         assert ratio_model == pytest.approx(ratio_exact, rel=0.02)
+
+    def test_exact_angle_matches_reference(self, rb_43d_channels, rb_43d_eigensystem):
+        # angles off the 1 mrad grid, where bucketed eigensystems were off
+        # by 4.0e-4 to 4.1e-3
+        f = ExcitationField.uniform(2, 0.001)
+        for theta in (0.3 + 5e-4, 1.0 + 4e-4):
+            local = forster_eigensystem(rb_43d_channels, theta)
+            for r in (5.0, 10.0):
+                shifts, _ = pair_state_basis(local, r)
+                w = np.abs(overlap_kappa(local, f, r_um=r)) ** 2
+                keep = w >= 1e-12
+                b_ref = float(np.sum(w[keep] / shifts[keep] ** 2)) ** -0.5
+                b = blockade_shift(two_atoms(r, theta), f, rb_43d_eigensystem).b_mhz
+                assert b == pytest.approx(b_ref, rel=1e-12)
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        phi=st.floats(min_value=0.0, max_value=2 * math.pi),
+    )
+    def test_rotation_about_z_invariance(self, rb_43d_eigensystem, seed, phi):
+        pos = random_cloud(np.random.default_rng(seed), 5)
+        f = ExcitationField.uniform(5, 0.001)
+        c, s = math.cos(phi), math.sin(phi)
+        turn = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+        b = blockade_shift(EnsembleGeometry(pos), f, rb_43d_eigensystem).b_mhz
+        b_turned = blockade_shift(
+            EnsembleGeometry(pos @ turn.T), f, rb_43d_eigensystem
+        ).b_mhz
+        assert b_turned == pytest.approx(b, rel=1e-12)
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
+    def test_atom_permutation_invariance(self, rb_43d_eigensystem, seed):
+        rng = np.random.default_rng(seed)
+        pos = random_cloud(rng, 5)
+        f = ExcitationField.uniform(5, 0.001)
+        b = blockade_shift(EnsembleGeometry(pos), f, rb_43d_eigensystem).b_mhz
+        b_permuted = blockade_shift(
+            EnsembleGeometry(pos[rng.permutation(5)]), f, rb_43d_eigensystem
+        ).b_mhz
+        assert b_permuted == pytest.approx(b, rel=1e-12)
 
     def test_angular_stability_s_vs_d(self, rb_s55_eigensystem, rb_43d_eigensystem):
         f = ExcitationField.uniform(2, 0.001)

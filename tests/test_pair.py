@@ -45,6 +45,11 @@ def gram_eigenvalues(channel, theta=0.0):
     return np.clip(np.linalg.eigvalsh(m.T @ m), 0.0, None)
 
 
+def zeeman(state):
+    two_j = round(2 * state.j)
+    return [state.with_m(m / 2.0) for m in range(-two_j, two_j + 1, 2)]
+
+
 S_FS_CHANNELS = [
     ((60, 1, ja), (59, 1, jb)) for ja in (1.5, 0.5) for jb in (1.5, 0.5)
 ]
@@ -73,10 +78,6 @@ class TestCouplingMatrix:
         # independent assembly: -(2 a0 b0 + a(+1) b(-1) + a(-1) b(+1))
         ch = angular_channel((60, 0, 0.5), (60, 1, 1.5), (59, 1, 0.5))
 
-        def zeeman(state):
-            two_j = round(2 * state.j)
-            return [state.with_m(m / 2.0) for m in range(-two_j, two_j + 1, 2)]
-
         def block(i1, i2, f1, f2):
             rows1, rows2 = zeeman(f1), zeeman(f2)
             cols1, cols2 = zeeman(i1), zeeman(i2)
@@ -100,6 +101,55 @@ class TestCouplingMatrix:
         c1, c2 = ch.coupled
         oracle = np.vstack([block(i1, i2, c1, c2), block(i1, i2, c2, c1)])
         assert np.allclose(build_vdd(ch, 0.0), oracle, atol=1e-12)
+
+    @settings(max_examples=25, deadline=None)
+    @given(theta=st.floats(min_value=0.0, max_value=math.pi))
+    def test_cartesian_oracle_at_any_angle(self, theta):
+        # independent assembly: d1.d2 - 3 (d1.n)(n.d2), n = (sin t, 0, cos t),
+        # from the Cartesian components of each atom's dipole matrix
+        n = np.array([math.sin(theta), 0.0, math.cos(theta)])
+        tensor = np.eye(3) - 3.0 * np.outer(n, n)
+
+        def cartesian(final, initial):
+            d = {
+                q: np.array(
+                    [
+                        [
+                            dipole_angular_factor(f.l, f.j, f.m, i.l, i.j, i.m, q)
+                            for i in zeeman(initial)
+                        ]
+                        for f in zeeman(final)
+                    ]
+                )
+                for q in (-1, 0, 1)
+            }
+            return [
+                (d[-1] - d[1]) / math.sqrt(2.0),
+                1j * (d[-1] + d[1]) / math.sqrt(2.0),
+                d[0],
+            ]
+
+        def block(i1, i2, f1, f2):
+            d1, d2 = cartesian(f1, i1), cartesian(f2, i2)
+            return sum(
+                tensor[a, b] * np.kron(d1[a], d2[b]) for a in range(3) for b in range(3)
+            )
+
+        for i_nlj, a, b in [
+            ((60, 0, 0.5), (60, 1, 1.5), (59, 1, 0.5)),
+            ((60, 0, 0.5), (60, 1, 1.5), (60, 1, 1.5)),
+            ((43, 2, 2.5), (45, 1, 1.5), (41, 3, 3.5)),
+            ((60, 2, 1.5), (60, 1, 0.5), (59, 3, 2.5)),
+        ]:
+            ch = angular_channel(i_nlj, a, b)
+            i1, i2 = ch.initial
+            c1, c2 = ch.coupled
+            blocks = [block(i1, i2, c1, c2)]
+            if (c1.n, c1.l, c1.j) != (c2.n, c2.l, c2.j):
+                blocks.append(block(i1, i2, c2, c1))
+            oracle = np.vstack(blocks)
+            assert np.max(np.abs(oracle.imag)) < 1e-12
+            assert np.allclose(build_vdd(ch, theta), oracle.real, rtol=0.0, atol=1e-12)
 
     @settings(max_examples=25, deadline=None)
     @given(theta=st.floats(min_value=0.0, max_value=math.pi))
