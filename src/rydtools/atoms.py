@@ -2,9 +2,11 @@
 
 Level energies come from modified Rydberg-Ritz quantum defect series read
 from versioned data files, with measured term energies overriding the series
-formula for low-lying states. Radial wavefunctions are bound Coulomb
-solutions at the defect-shifted energy, integrated inward with a Numerov
-scheme on a logarithmic grid; matrix elements carry an independent
+formula for low-lying states. Radial wavefunctions are bound solutions of a
+core-screened Coulomb potential at the defect-shifted energy, integrated
+inward with one Numerov pass on a logarithmic grid. Each solution's node
+count, taken in the allowed region outside the core (r > 5 r_c), is checked
+against the quantum defect; matrix elements carry an independent
 semiclassical cross-check.
 """
 
@@ -213,6 +215,10 @@ class LifetimeModel:
 
 R_MIN_DEFAULT = 0.05  # inner grid edge, a0
 R_MAX_FACTOR = 2.5  # leading outer-edge coefficient on nstar^2
+# nodes are counted only beyond this many core radii r_c. At 5 r_c the count
+# equals that of the pure Coulomb solution for all Rb87 and Cs133 states with
+# l <= 3 and n = 5-200; at 10 r_c every Rb87 s state loses one node
+NODE_WINDOW_CORE_RADII = 5.0
 
 
 def _outer_radius(n_star):
@@ -228,8 +234,6 @@ class RadialSolution:
     r: np.ndarray
     p: np.ndarray
     nodes: int
-    n_star: float
-    l: int
 
 
 def _grid_step(n_star, accuracy=1.0):
@@ -244,8 +248,7 @@ def _log_grid(r_min, r_max, h):
     return x, np.exp(x)
 
 
-def radial_solution(n_star, l, r_grid=None, r_min=R_MIN_DEFAULT, accuracy=1.0,
-                    core_charge=1.0, core_screening=0.0):
+def radial_solution(n_star, l, r_grid=None, core_charge=1.0, core_screening=0.0):
     """Integrate the radial equation inward at energy -1/(2 n_star^2).
 
     Returns a RadialSolution on the supplied (or self-chosen) logarithmic
@@ -254,38 +257,32 @@ def radial_solution(n_star, l, r_grid=None, r_min=R_MIN_DEFAULT, accuracy=1.0,
     core charge Z_eff(r) = 1 + (Z-1) exp(-r/r_c) sharpens the shape of
     low-lying wavefunctions inside the core without touching the Rydberg
     region; it is off (pure Coulomb) when core_screening is zero.
+
+    One Numerov pass gives both P(r) and its node count. Nodes are counted
+    where the solution is classically allowed and r > 5 r_c: the extra short
+    lobes inside a screened core are physical, not an integration failure.
+    For the Rb87 and Cs133 cores the count outside 5 r_c equals that of the
+    pure Coulomb solution at the same n_star.
     """
     if n_star <= l:
         raise ValueError("n_star must exceed l")
     r_max = _outer_radius(n_star)
     if r_grid is None:
-        h = _grid_step(n_star, accuracy)
-        _, r = _log_grid(r_min, r_max, h)
+        h = _grid_step(n_star)
+        _, r = _log_grid(R_MIN_DEFAULT, r_max, h)
     else:
         r = r_grid
         h = math.log(r[1]) - math.log(r[0])
 
     # y(x) = P(r) / sqrt(r) obeys y'' = g(x) y on the log grid
-    g_coulomb = (l + 0.5) ** 2 - 2.0 * r + (r / n_star) ** 2
-    screened = core_screening > 0.0 and core_charge > 1.0
-    if screened:
-        g = g_coulomb - 2.0 * r * (core_charge - 1.0) * np.exp(-r / core_screening)
-    else:
-        g = g_coulomb
+    g = (l + 0.5) ** 2 - 2.0 * r + (r / n_star) ** 2
+    if core_screening > 0.0 and core_charge > 1.0:
+        g = g - 2.0 * r * (core_charge - 1.0) * np.exp(-r / core_screening)
     i_max = int(np.searchsorted(r, r_max))
     i_max = min(i_max, len(r) - 1)
     if i_max < 3:
         raise ValueError("radial grid does not cover the classical region")
 
-    p, nodes = _integrate_inward(g, r, h, i_max, n_star)
-    # node validation always runs on the core-free reference: extra short
-    # lobes inside a screened core are physical, not an integration failure
-    if screened:
-        _, nodes = _integrate_inward(g_coulomb, r, h, i_max, n_star)
-    return RadialSolution(r=r, p=p, nodes=nodes, n_star=n_star, l=l)
-
-
-def _integrate_inward(g, r, h, i_max, n_star):
     t = g * (h * h / 12.0)
     y = np.zeros(len(r))
     y[i_max] = 1e-18
@@ -312,15 +309,16 @@ def _integrate_inward(g, r, h, i_max, n_star):
     if p[int(np.argmax(np.abs(p)))] < 0:
         p = -p
 
-    # count nodes in the classically allowed region only; the truncated
-    # divergent admixture near the cut can flip sign once unphysically
+    # count nodes in the classically allowed region outside the core only;
+    # the truncated divergent admixture near the cut can flip sign once
+    # unphysically
     allowed = np.zeros(len(r), dtype=bool)
     allowed[i_cut : i_max + 1] = True
-    allowed &= g < 0
+    allowed &= (g < 0) & (r > NODE_WINDOW_CORE_RADII * core_screening)
     body = p[allowed]
     signs = np.sign(body[np.abs(body) > 1e-12 * np.max(np.abs(p))])
     nodes = int(np.sum(signs[1:] * signs[:-1] < 0))
-    return p, nodes
+    return RadialSolution(r=r, p=p, nodes=nodes)
 
 
 def _expected_nodes(n, l, defect):
@@ -352,10 +350,7 @@ def radial_matrix_element(state_a, state_b, table, accuracy=1.0):
     h = min(_grid_step(ns_a, accuracy), _grid_step(ns_b, accuracy))
     r_max = _outer_radius(max(ns_a, ns_b))
     _, r = _log_grid(R_MIN_DEFAULT, r_max, h)
-    core = dict(
-        core_charge=getattr(table, "core_charge", 1.0),
-        core_screening=getattr(table, "core_screening", 0.0),
-    )
+    core = dict(core_charge=table.core_charge, core_screening=table.core_screening)
     sol_a = radial_solution(ns_a, state_a.l, r_grid=r, **core)
     sol_b = radial_solution(ns_b, state_b.l, r_grid=r, **core)
     _check_nodes(sol_a, state_a, table.defect(state_a.n, state_a.l, state_a.j))

@@ -76,8 +76,6 @@ class ExcitationField:
 
     rabi_mhz: np.ndarray
     polarization: int = 0
-    k0_um: float = 0.0
-    detuning_mhz: float = 0.0
     ground_m: float = 0.5
 
     def __post_init__(self):

@@ -605,13 +605,12 @@ def two_photon_budget(
     counterpropagating=True,
     q1=0,
     q2=0,
-    species="Rb87",
 ):
     """Error budget of two-photon excitation through an intermediate state.
 
     detuning_mhz is the first beam's detuning from the intermediate state
     (cyclic MHz, nonzero); two-photon resonance is assumed. Doppler
-    dephasing uses the 1-D rms thermal velocity of the species at
+    dephasing uses the 1-D rms thermal velocity of table.species at
     temperature_k and the wavevector sum or difference of the two beams.
     """
     if detuning_mhz == 0.0:
@@ -634,7 +633,7 @@ def two_photon_budget(
     else:
         dk = beam1.k_rad_m + beam2.k_rad_m
     if temperature_k > 0.0:
-        v_rms = cst.thermal_velocity(temperature_k, cst.SPECIES_MASS_U[species])
+        v_rms = cst.thermal_velocity(temperature_k, cst.SPECIES_MASS_U[table.species])
         p_doppler = (dk * v_rms / cst.rad_per_s_from_mhz(abs(rabi))) ** 2
     else:
         p_doppler = 0.0

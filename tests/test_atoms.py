@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rydtools import constants as cst
 from rydtools.atoms import (
@@ -228,6 +228,53 @@ class TestMatrixElements:
         v1 = radial_matrix_element(a, b, rb_table)
         v2 = radial_matrix_element(a, b, rb_table, accuracy=2.0)
         assert abs(v2 - v1) / abs(v1) < 0.01
+
+
+class TestNodeCheck:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        species=st.sampled_from(["Rb87", "Cs133"]),
+        n=st.integers(min_value=5, max_value=150),
+        l=st.integers(min_value=0, max_value=3),
+        upper_j=st.booleans(),
+    )
+    @example(species="Rb87", n=5, l=0, upper_j=True)
+    @example(species="Cs133", n=5, l=1, upper_j=False)
+    @example(species="Rb87", n=150, l=3, upper_j=False)
+    @example(species="Cs133", n=150, l=2, upper_j=True)
+    def test_screened_nodes_match_coulomb_reference(
+        self, rb_table, cs_table, species, n, l, upper_j
+    ):
+        # nodes counted outside the core on the screened solution equal those
+        # of the pure Coulomb solution at the same n_star on the same grid
+        table = rb_table if species == "Rb87" else cs_table
+        j = l + 0.5 if upper_j or l == 0 else l - 0.5
+        n_star = table.n_star(RydbergState(n, l, j, species=species))
+        screened = radial_solution(
+            n_star,
+            l,
+            core_charge=table.core_charge,
+            core_screening=table.core_screening,
+        )
+        reference = radial_solution(n_star, l, r_grid=screened.r)
+        assert screened.nodes == reference.nodes
+
+    @pytest.mark.parametrize("shift", [-2.0, 2.0])
+    @pytest.mark.parametrize("shifted_l", [0, 1])
+    def test_wrong_node_count_raises(self, monkeypatch, shift, shifted_l):
+        # a defect off by two puts either state two nodes away from its
+        # expected count, beyond the +-1 tolerance
+        table = QuantumDefectTable("Rb87")
+        true_n_star = table.n_star
+
+        def shifted_n_star(state):
+            return true_n_star(state) + (shift if state.l == shifted_l else 0.0)
+
+        monkeypatch.setattr(table, "n_star", shifted_n_star)
+        with pytest.raises(NumericsError):
+            radial_matrix_element(
+                RydbergState(60, 0, 0.5), RydbergState(60, 1, 1.5), table
+            )
 
 
 class TestSemiclassicalCrossCheck:

@@ -518,6 +518,25 @@ class TestTwoPhotonBudget:
         )
         assert abs(example.doppler_probability / 4e-4 - 1.0) < 0.10
 
+    def test_doppler_uses_the_table_species_mass(self, cs_table):
+        # Cs133 6s -> 6p3/2 -> 80d5/2 at 10 uK against the hand formula
+        # (dk v_rms / Omega)^2 with the Cs133 mass, not the Rb87 one
+        budget = two_photon_budget(
+            RydbergState(6, 0, 0.5, species="Cs133"),
+            RydbergState(6, 1, 1.5, species="Cs133"),
+            RydbergState(80, 2, 2.5, species="Cs133"),
+            GaussianBeam(1e-6, 3.0, 852.0),
+            GaussianBeam(0.3, 3.0, 509.0),
+            20000.0,
+            cs_table,
+            temperature_k=10e-6,
+        )
+        dk = 2.0 * math.pi / 852e-9 - 2.0 * math.pi / 509e-9
+        v_rms = math.sqrt(1.380649e-23 * 10e-6 / (132.905451931 * 1.66053906660e-27))
+        omega = 2.0 * math.pi * 1e6 * abs(budget.rabi_mhz)
+        expected = (dk * v_rms / omega) ** 2
+        assert budget.doppler_probability == pytest.approx(expected, rel=1e-6)
+
     def test_copropagating_is_worse_by_wavevector_ratio(self, rb_table, example):
         beam_lower = GaussianBeam(1e-6, 3.0, 780.0)
         beam_upper = GaussianBeam(0.3, 3.0, 480.0)
