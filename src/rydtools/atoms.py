@@ -169,11 +169,20 @@ class QuantumDefectTable:
             raise ValueError("n=%d below series limit for l=%d" % (n, l))
         return d0 + d2 / (n - d0) ** 2
 
+    def _check_species(self, state):
+        if state.species != self.species:
+            raise ValueError(
+                "state %s is labelled %s, the table is for %s"
+                % (state.label, state.species, self.species)
+            )
+
     def n_star(self, state):
+        self._check_species(state)
         return state.n - self.defect(state.n, state.l, state.j)
 
     def energy_ghz(self, state):
         """Binding energy of a level in GHz (negative, relative to threshold)."""
+        self._check_species(state)
         if (state.n, state.l, state.j) in self.exact_terms:
             return cst.ghz_from_cm(self.exact_terms[(state.n, state.l, state.j)])
         nstar = self.n_star(state)

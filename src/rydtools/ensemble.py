@@ -6,9 +6,11 @@ Four layers, from coarse to fine:
   dispersion coefficient and an atom density into a blockade radius, a
   saturated excited density, and power-law expressions for the excited
   fraction and the excitation rate;
-* truncated exact dynamics: unitary evolution of up to a few thousand
-  basis states obtained by capping the excitation number and the total
-  interaction energy of the many-atom Hamiltonian;
+* truncated exact dynamics: unitary evolution of the product-state basis
+  kept by capping the excitation number and the total interaction energy
+  of the many-atom Hamiltonian, built as a sparse matrix and propagated
+  by dense eigh or, when cheaper and on an evenly spaced time grid, by
+  the sparse truncated-Taylor action expm_multiply (see propagate);
 * a three-atom exchange model showing how degenerate pair flip-flop
   interactions admit unshifted triply-excited states, which break the
   pairwise suppression whenever the three couplings are not all equal;
@@ -27,6 +29,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
+from scipy.sparse.linalg import expm_multiply
 
 TWO_PI = 2.0 * math.pi
 
@@ -37,8 +41,23 @@ TWO_PI = 2.0 * math.pi
 # with fit slope 0.3997 and log residuals below 0.005.
 SATURATED_FRACTION_PREFACTOR = 1.4965
 
-# Default cap on the truncated many-atom basis.
+# Default cap on the truncated many-atom basis. The memory of a propagation
+# depends on the path propagate takes for dim states and T times:
+# * dense eigh: 32 dim^2 + 16 dim T bytes (H, its eigenvectors, their
+#   complex copy, the result); 1.3 TB at the full budget, so propagate
+#   never takes it beyond DENSE_MEMORY_CEILING_BYTES;
+# * expm_multiply: about 42 dim T + 60 nnz bytes (the result and its
+#   Taylor vectors, three CSR copies of H); measured 82 MB at dim 31 931,
+#   nnz 277 300, T = 60, and under 1 GB at the full budget for 30 atoms.
 DEFAULT_BASIS_BUDGET = 200_000
+
+# Largest dense propagation (bytes, see _dense_bytes): beyond it an evenly
+# spaced grid takes expm_multiply and any other grid raises TruncationError.
+DENSE_MEMORY_CEILING_BYTES = 2 * 1024**3
+
+# expm_multiply runs when its cost _taylor_cost is below this times dim^3,
+# the cost of dense eigh; measured on one BLAS thread (see propagate).
+SPARSE_COST_RATIO = 1e-2
 
 
 def _positive(value, name):
@@ -370,36 +389,136 @@ def enumerate_basis(model):
     return basis
 
 
-def _build_dense_hamiltonian(model, basis):
-    """Dense real-symmetric Hamiltonian in angular rad/us units."""
-    v = model.pair_shift_matrix_mhz()
-    index = {subset: i for i, subset in enumerate(basis)}
+def _membership(basis, n_atoms):
+    """(dim, n_atoms) float matrix: 1 where the atom is excited in the state."""
+    sizes = np.fromiter(map(len, basis), dtype=np.intp, count=len(basis))
+    rows = np.repeat(np.arange(len(basis)), sizes)
+    cols = np.fromiter(itertools.chain.from_iterable(basis), dtype=np.intp)
+    membership = np.zeros((len(basis), n_atoms))
+    membership[rows, cols] = 1.0
+    return membership
+
+
+def _build_hamiltonian(model, basis):
+    """Sparse real-symmetric CSR Hamiltonian in angular rad/us units.
+
+    Each subset is an integer bitmask (Python integers beyond 62 atoms);
+    the state one more excitation away on atom a is found by one
+    searchsorted of mask | 2^a among the sorted masks.
+    """
+    n = model.n_atoms
     dim = len(basis)
-    h = np.zeros((dim, dim))
-    for row, subset in enumerate(basis):
-        energy = -sum(model.detuning_mhz[i] for i in subset)
-        energy += sum(v[i, j] for i, j in itertools.combinations(subset, 2))
-        h[row, row] = TWO_PI * energy
-        for atom in range(model.n_atoms):
-            if atom in subset:
-                continue
-            grown = tuple(sorted(subset + (atom,)))
-            col = index.get(grown)
-            if col is not None:
-                h[row, col] = h[col, row] = TWO_PI * model.rabi_mhz[atom] / 2.0
+    membership = _membership(basis, n)
+    v = model.pair_shift_matrix_mhz()
+    energy = -(membership @ model.detuning_mhz)
+    # sum of v_ij over excited pairs i < j: m.v.m / 2, as v has a zero diagonal
+    energy += 0.5 * np.einsum("ri,ri->r", membership @ v, membership)
+    rows = [np.arange(dim)]
+    cols = [np.arange(dim)]
+    values = [TWO_PI * energy]
+    bits = [1 << atom for atom in range(n)]
+    bits = np.array(bits, dtype=np.int64 if n < 63 else object)
+    masks = membership.astype(np.int64).astype(bits.dtype, copy=False) @ bits
+    order = np.argsort(masks)
+    sorted_masks = masks[order]
+    for atom in range(n):
+        ground = np.flatnonzero(membership[:, atom] == 0.0)
+        grown = masks[ground] | bits[atom]
+        pos = np.minimum(np.searchsorted(sorted_masks, grown), dim - 1)
+        kept = sorted_masks[pos] == grown
+        row, col = ground[kept], order[pos[kept]]
+        coupling = np.full(row.size, TWO_PI * model.rabi_mhz[atom] / 2.0)
+        rows += [row, col]
+        cols += [col, row]
+        values += [coupling, coupling]
+    h = scipy.sparse.csr_array(
+        (np.concatenate(values), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(dim, dim),
+    )
+    h.eliminate_zeros()
     return h
+
+
+def _evenly_spaced(times):
+    """True for an increasing grid of two or more equal steps, to rounding."""
+    if times.size < 2 or not times[-1] > times[0]:
+        return False
+    grid = np.linspace(times[0], times[-1], times.size)
+    ulp = np.finfo(float).eps * np.max(np.abs(times))
+    return np.max(np.abs(times - grid)) <= 4 * ulp
+
+
+def _taylor_cost(h, times):
+    """||H - mu I||_1 * (|t_first| + t_last - t_first) * nnz, mu = tr H / dim.
+
+    The work of expm_multiply: its Taylor steps grow with the shifted
+    1-norm times the evolution time, and each step is one product with H.
+    """
+    diag = h.diagonal()
+    mu = diag.sum() / h.shape[0]
+    columns = np.asarray(abs(h).sum(axis=0)).ravel()
+    norm_1 = np.max(columns - np.abs(diag) + np.abs(diag - mu))
+    nnz = h.nnz if scipy.sparse.issparse(h) else np.count_nonzero(h)
+    span = abs(times[0]) + times[-1] - times[0]
+    return norm_1 * span * nnz
+
+
+def _dense_bytes(dim, n_times):
+    """Memory of the dense path: H, its eigenvectors, their complex copy
+    in the final product, and the (dim, T) result."""
+    return 32 * dim**2 + 16 * dim * n_times
 
 
 def propagate(h, psi0, times_us):
     """Exact evolution of psi0 under a constant Hermitian h (rad/us).
 
-    One eigendecomposition serves every time; returns the (dim, T)
-    amplitudes modes @ (exp(-i E t) * coeffs).
+    h may be a dense array or a scipy.sparse matrix. Returns the (dim, T)
+    amplitudes at times_us by one of two exact methods:
+
+    * dense eigh: one eigendecomposition serves every time, as
+      modes @ (exp(-i E t) * coeffs). Cost ~ dim^3.
+    * expm_multiply (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488
+      (2011)): truncated-Taylor action of exp(-i h t) on psi0 over an
+      evenly spaced grid of two or more times. Cost ~ ||H - mu I||_1 *
+      span * nnz (see _taylor_cost); no dim^2 array is formed.
+
+    The sparse method is taken on an evenly spaced grid when its cost is
+    below SPARSE_COST_RATIO * dim^3, and always when the dense path would
+    need more than DENSE_MEMORY_CEILING_BYTES; with that much memory and a
+    grid that is not evenly spaced, TruncationError is raised before any
+    allocation.
     """
+    times = np.asarray(times_us, dtype=float)
+    dim = h.shape[0]
+    uniform = _evenly_spaced(times)
+    if _dense_bytes(dim, times.size) > DENSE_MEMORY_CEILING_BYTES:
+        if not uniform:
+            raise TruncationError(
+                "dense propagation of dimension %d needs more than %d bytes; "
+                "an evenly spaced time grid takes the sparse path"
+                % (dim, DENSE_MEMORY_CEILING_BYTES)
+            )
+        use_sparse = True
+    else:
+        use_sparse = (
+            uniform and _taylor_cost(h, times) < SPARSE_COST_RATIO * dim**3
+        )
+    if use_sparse:
+        a = -1j * scipy.sparse.csr_array(h)
+        psi = np.asarray(psi0, dtype=complex)
+        if times[0] != 0.0:
+            psi = expm_multiply(times[0] * a, psi)
+        out = expm_multiply(
+            a, psi, start=0.0, stop=times[-1] - times[0], num=times.size,
+            endpoint=True,
+        )
+        return out.T
+    if scipy.sparse.issparse(h):
+        h = h.toarray()
     energies, modes = np.linalg.eigh(h)
     # conjugating the vector, not the matrix, avoids a dim^2 copy of modes
     coeffs = (np.conj(psi0) @ modes).conj()
-    phases = np.exp(-1j * np.outer(energies, times_us))
+    phases = np.exp(-1j * np.outer(energies, times))
     return modes @ (phases * coeffs[:, None])
 
 
@@ -428,13 +547,13 @@ def simulate_exact(model, times_us, g2_bins_um=None, g2_window=0.5):
     times = np.asarray(times_us, dtype=float)
     basis = enumerate_basis(model)
     dim = len(basis)
-    h = _build_dense_hamiltonian(model, basis)
+    h = _build_hamiltonian(model, basis)
     # all population starts in the all-ground state, basis index 0
     psi0 = np.zeros(dim)
     psi0[0] = 1.0
     weights = np.abs(propagate(h, psi0, times)) ** 2
 
-    sizes = np.array([len(subset) for subset in basis])
+    sizes = np.fromiter(map(len, basis), dtype=np.intp, count=dim)
     norms = weights.sum(axis=0)
     norm_drift = float(np.max(np.abs(norms - 1.0)))
     mean = sizes @ weights
@@ -446,28 +565,28 @@ def simulate_exact(model, times_us, g2_bins_um=None, g2_window=0.5):
 
     g2_r = g2_vals = None
     if g2_bins_um is not None:
-        membership = np.zeros((dim, model.n_atoms), dtype=bool)
-        for row, subset in enumerate(basis):
-            membership[row, list(subset)] = True
+        membership = _membership(basis, model.n_atoms)
         start = max(0, int(math.ceil(times.size * (1.0 - g2_window))))
         late = weights[:, start:].mean(axis=1)
         occupancy = late @ membership
-        delta = model.positions_um[:, None, :] - model.positions_um[None, :, :]
-        dists = np.sqrt(np.sum(delta**2, axis=-1))
+        joint = (membership * late[:, None]).T @ membership
+        i, j = np.triu_indices(model.n_atoms, 1)
+        dists = np.linalg.norm(
+            model.positions_um[i] - model.positions_um[j], axis=1
+        )
         edges = np.asarray(g2_bins_um, dtype=float)
         g2_r = 0.5 * (edges[1:] + edges[:-1])
+        # bin b holds edges[b] <= d < edges[b + 1]
+        bins = np.digitize(dists, edges) - 1
+        inside = (bins >= 0) & (bins < g2_r.size)
+        bins = bins[inside]
+        num = np.bincount(bins, joint[i, j][inside], g2_r.size)
+        den = np.bincount(
+            bins, (occupancy[i] * occupancy[j])[inside], g2_r.size
+        )
         g2_vals = np.full(g2_r.size, np.nan)
-        for b in range(g2_r.size):
-            num = den = 0.0
-            count = 0
-            for i, j in itertools.combinations(range(model.n_atoms), 2):
-                if edges[b] <= dists[i, j] < edges[b + 1]:
-                    both = late @ (membership[:, i] & membership[:, j])
-                    num += both
-                    den += occupancy[i] * occupancy[j]
-                    count += 1
-            if count and den > 0:
-                g2_vals[b] = num / den
+        filled = den > 0  # a bin with no pair or no occupancy stays nan
+        g2_vals[filled] = num[filled] / den[filled]
     return ExactDynamics(
         times_us=times,
         mean_excitations=mean,
@@ -704,13 +823,23 @@ class KineticResult:
     seed: int
 
 
-def _lorentzian_rates(model, excited, gamma_mhz, v):
-    """Per-atom transition rates (rad/us) given the current excited set."""
-    shifts = v @ excited  # interaction shift seen by each atom
-    detuning = TWO_PI * (model.detuning_mhz - shifts)
+def _lorentzian_rates(model, gamma_mhz, v):
+    """Per-atom transition rates (rad/us) as a function of the excited set.
+
+    The factors that do not depend on the excited set are formed once.
+    """
     gamma = TWO_PI * gamma_mhz
     omega = TWO_PI * model.rabi_mhz
-    return omega**2 * gamma / (gamma**2 + 4.0 * detuning**2)
+    numerator = omega**2 * gamma
+    gamma_sq = gamma**2
+    detuning_mhz = model.detuning_mhz
+
+    def rates(excited):
+        shifts = v @ excited  # interaction shift seen by each atom
+        detuning = TWO_PI * (detuning_mhz - shifts)
+        return numerator / (gamma_sq + 4.0 * detuning**2)
+
+    return rates
 
 
 def kinetic_monte_carlo(model, gamma_mhz, times_us, trials, seed):
@@ -730,31 +859,35 @@ def kinetic_monte_carlo(model, gamma_mhz, times_us, trials, seed):
     times = np.asarray(times_us, dtype=float)
     if times.size < 1 or np.any(np.diff(times) < 0) or times[0] < 0:
         raise ValueError("times_us must be nondecreasing and nonnegative")
-    v = model.pair_shift_matrix_mhz()
+    rates_of = _lorentzian_rates(model, gamma_mhz, model.pair_shift_matrix_mhz())
     n = model.n_atoms
     streams = np.random.SeedSequence(seed).spawn(trials)
     trajectories = np.zeros((trials, times.size), dtype=np.int64)
     for trial in range(trials):
         rng = np.random.default_rng(streams[trial])
         excited = np.zeros(n)
+        count = 0
         t = 0.0
         cursor = 0
         while cursor < times.size:
-            rates = _lorentzian_rates(model, excited, gamma_mhz, v)
+            rates = rates_of(excited)
             total = rates.sum()
             if total <= 0:
                 break
             wait = rng.exponential(1.0 / total)
             # record the state on every grid point passed by this step
             while cursor < times.size and times[cursor] < t + wait:
-                trajectories[trial, cursor] = int(excited.sum())
+                trajectories[trial, cursor] = count
                 cursor += 1
             t += wait
-            atom = rng.choice(n, p=rates / total)
+            # rng.choice(n, p=rates / total) without its checks: the same
+            # cdf, the same single draw, so the same random stream
+            cdf = np.cumsum(rates / total)
+            cdf /= cdf[-1]
+            atom = int(cdf.searchsorted(rng.random(), side="right"))
             excited[atom] = 1.0 - excited[atom]
-        while cursor < times.size:
-            trajectories[trial, cursor] = int(excited.sum())
-            cursor += 1
+            count += 1 if excited[atom] else -1
+        trajectories[trial, cursor:] = count
     stats = CountingStatistics.from_samples(trajectories[:, -1])
     return KineticResult(
         times_us=times,

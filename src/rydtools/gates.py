@@ -428,7 +428,8 @@ def _lifetime_for(n, lifetimes_us, temperature_k, model):
             "lifetime for n=%d needs a quantum-defect table or an entry "
             "in lifetimes_us" % n
         )
-    return model.tau_us(RydbergState(n, 0, 0.5), temperature_k)
+    state = RydbergState(n, 0, 0.5, species=model.table.species)
+    return model.tau_us(state, temperature_k)
 
 
 def _eigensystem_for(n, table, eigensystems):

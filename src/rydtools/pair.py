@@ -101,11 +101,15 @@ def s_state_channels(n, table):
     These are the dominant dipole-coupled channels for a pair of atoms in the
     same s-state and drive both the van der Waals shift and the blockade.
     """
-    s = RydbergState(n, 0, 0.5)
+    species = table.species
+    s = RydbergState(n, 0, 0.5, species=species)
     return [
         make_channel(
             (s, s),
-            (RydbergState(n, 1, ja), RydbergState(n - 1, 1, jb)),
+            (
+                RydbergState(n, 1, ja, species=species),
+                RydbergState(n - 1, 1, jb, species=species),
+            ),
             table,
         )
         for ja in (1.5, 0.5)

@@ -94,7 +94,7 @@ class TestEnergies:
 
     def test_cs_table_loads(self, cs_table):
         assert cs_table.defect(100, 0, 0.5) == pytest.approx(4.0493532, abs=1e-3)
-        assert cs_table.energy_ghz(RydbergState(60, 0, 0.5)) < 0
+        assert cs_table.energy_ghz(RydbergState(60, 0, 0.5, species="Cs133")) < 0
 
 
 class TestLifetimes:
@@ -222,6 +222,19 @@ class TestMatrixElements:
                 RydbergState(60, 1, 1.5, species="Cs133"),
                 rb_table,
             )
+
+    def test_table_species_mismatch_rejected(self, cs_table):
+        # two Rb87 states against the Cs133 table: no Cs defects for them
+        with pytest.raises(ValueError, match="Cs133"):
+            radial_matrix_element(
+                RydbergState(60, 0, 0.5),
+                RydbergState(60, 1, 1.5),
+                QuantumDefectTable("Cs133"),
+            )
+        with pytest.raises(ValueError, match="Rb87"):
+            cs_table.n_star(RydbergState(60, 0, 0.5))
+        cs_s = RydbergState(60, 0, 0.5, species="Cs133")
+        assert cs_table.n_star(cs_s) == 60 - cs_table.defect(60, 0, 0.5)
 
     def test_grid_refinement_stable(self, rb_table):
         a, b = RydbergState(60, 0, 0.5), RydbergState(60, 1, 1.5)

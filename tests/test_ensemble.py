@@ -6,13 +6,14 @@ statistics of synthetic samples, or frozen deterministic runs of the
 released implementation.
 """
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import linalg
+from scipy import linalg, sparse
 from scipy.optimize import curve_fit
 
 import rydtools.ensemble as ens
@@ -412,29 +413,151 @@ def kron_oracle_mean_excitations(positions, rabis, dets, c6, times):
     return out
 
 
+def propagation_problem(complex_h):
+    """A dense 15-state H (rad/us) and a random complex psi0."""
+    rng = np.random.default_rng(5)
+    model = ExcitationModel(
+        positions_um=rng.random((4, 3)) * 3.0,
+        rabi_mhz=[0.7, 1.1, 0.4, 0.9],
+        detuning_mhz=[0.2, -0.5, 0.0, 0.3],
+        c6_mhz_um6=4.0,
+        max_excitations=3,
+    )
+    h = ens._build_hamiltonian(model, enumerate_basis(model)).toarray()
+    dim = h.shape[0]
+    if complex_h:
+        a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        h = h + (a + a.conj().T) / 2.0
+    psi0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return h, psi0
+
+
+def choice_kmc_oracle(model, gamma_mhz, times, trials, seed):
+    """The event loop with rng.choice and a summed excited count."""
+    v = model.pair_shift_matrix_mhz()
+    n = model.n_atoms
+    streams = np.random.SeedSequence(seed).spawn(trials)
+    out = np.zeros((trials, times.size), dtype=np.int64)
+    for trial in range(trials):
+        rng = np.random.default_rng(streams[trial])
+        excited = np.zeros(n)
+        t = 0.0
+        cursor = 0
+        while cursor < times.size:
+            detuning = 2 * math.pi * (model.detuning_mhz - v @ excited)
+            gamma = 2 * math.pi * gamma_mhz
+            omega = 2 * math.pi * model.rabi_mhz
+            rates = omega**2 * gamma / (gamma**2 + 4.0 * detuning**2)
+            total = rates.sum()
+            wait = rng.exponential(1.0 / total)
+            while cursor < times.size and times[cursor] < t + wait:
+                out[trial, cursor] = int(excited.sum())
+                cursor += 1
+            t += wait
+            atom = rng.choice(n, p=rates / total)
+            excited[atom] = 1.0 - excited[atom]
+    return out
+
+
+def loop_hamiltonian(model, basis):
+    """Dense H from a per-subset loop over tuples: the _build_hamiltonian oracle."""
+    v = model.pair_shift_matrix_mhz()
+    index = {subset: i for i, subset in enumerate(basis)}
+    h = np.zeros((len(basis), len(basis)))
+    for row, subset in enumerate(basis):
+        energy = -sum(model.detuning_mhz[i] for i in subset)
+        energy += sum(v[i, j] for i, j in itertools.combinations(subset, 2))
+        h[row, row] = 2 * math.pi * energy
+        for atom in set(range(model.n_atoms)) - set(subset):
+            col = index.get(tuple(sorted(subset + (atom,))))
+            if col is not None:
+                h[row, col] = h[col, row] = math.pi * model.rabi_mhz[atom]
+    return h
+
+
 class TestExactDynamics:
+    @pytest.mark.parametrize(
+        "times",
+        [np.array([0.0, 0.3, 1.1, 2.5]), np.linspace(0.0, 2.5, 6)],
+        ids=["uneven", "even"],
+    )
+    @pytest.mark.parametrize("as_csr", [False, True], ids=["dense", "csr"])
     @pytest.mark.parametrize("complex_h", [False, True])
-    def test_propagate_matches_expm(self, complex_h):
-        rng = np.random.default_rng(5)
-        model = ExcitationModel(
-            positions_um=rng.random((4, 3)) * 3.0,
-            rabi_mhz=[0.7, 1.1, 0.4, 0.9],
-            detuning_mhz=[0.2, -0.5, 0.0, 0.3],
-            c6_mhz_um6=4.0,
-            max_excitations=3,
-        )
-        h = ens._build_dense_hamiltonian(model, enumerate_basis(model))
+    def test_propagate_matches_expm(self, complex_h, as_csr, times):
+        h, psi0 = propagation_problem(complex_h)
         dim = h.shape[0]
-        if complex_h:
-            a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-            h = h + (a + a.conj().T) / 2.0
-        psi0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        times = np.array([0.0, 0.3, 1.1, 2.5])
-        out = ens.propagate(h, psi0, times)
+        out = ens.propagate(sparse.csr_array(h) if as_csr else h, psi0, times)
         assert out.shape == (dim, times.size)
         for col, t in enumerate(times):
             expected = linalg.expm(-1j * t * h) @ psi0
             assert np.max(np.abs(out[:, col] - expected)) < 1e-12
+
+    @pytest.mark.parametrize("complex_h", [False, True])
+    def test_memory_ceiling_takes_sparse_path(self, monkeypatch, complex_h):
+        h, psi0 = propagation_problem(complex_h)
+        times = np.linspace(0.3, 2.5, 5)
+        dense = ens.propagate(h, psi0, times)
+        monkeypatch.setattr(ens, "DENSE_MEMORY_CEILING_BYTES", 1024)
+
+        def no_eigh(*args, **kwargs):
+            raise AssertionError("dense eigh above the memory ceiling")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        out = ens.propagate(sparse.csr_array(h), psi0, times)
+        assert np.max(np.abs(out - dense)) < 1e-12
+        with pytest.raises(TruncationError, match="bytes"):
+            ens.propagate(h, psi0, [0.0, 0.3, 1.1, 2.5])
+
+    def test_weak_interactions_take_sparse_path(self, monkeypatch):
+        # weak, sparse couplings: the Taylor cost is far below dim^3
+        model = ExcitationModel(
+            positions_um=uniform_box_positions(
+                10, (8.0, 8.0, 8.0), seed_or_rng=3, min_separation_um=2.0
+            ),
+            rabi_mhz=0.4,
+            c6_mhz_um6=20.0,
+            max_excitations=4,
+        )
+        times = np.linspace(0.0, 1.5, 31)
+        basis = enumerate_basis(model)
+        h = ens._build_hamiltonian(model, basis)
+        energies, modes = linalg.eigh(h.toarray())
+        coeffs = modes[0, :]  # psi0 is the all-ground state, index 0
+        psi = modes @ (np.exp(-1j * np.outer(energies, times)) * coeffs[:, None])
+        weights = np.abs(psi) ** 2
+        sizes = np.array([len(subset) for subset in basis])
+        oracle_probs = np.stack(
+            [weights[sizes == k].sum(axis=0) for k in range(11)], axis=1
+        )
+
+        def no_eigh(*args, **kwargs):
+            raise AssertionError("the cost rule should avoid dense eigh")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        dyn = simulate_exact(model, times)
+        assert dyn.dimension == len(basis) == 386
+        assert np.max(np.abs(dyn.mean_excitations - sizes @ weights)) < 1e-12
+        assert np.max(np.abs(dyn.number_probabilities - oracle_probs)) < 1e-12
+        assert dyn.norm_drift < 1e-8
+
+    @pytest.mark.parametrize("n_atoms", [9, 64])
+    def test_hamiltonian_matches_loop_oracle(self, n_atoms):
+        # 64 atoms overflow an int64 bitmask and use Python-integer masks
+        rng = np.random.default_rng(n_atoms)
+        model = ExcitationModel(
+            positions_um=rng.random((n_atoms, 3)) * 6.0,
+            rabi_mhz=rng.uniform(0.0, 2.0, n_atoms),
+            detuning_mhz=rng.normal(size=n_atoms),
+            c6_mhz_um6=3.0,
+            max_excitations=3 if n_atoms < 20 else 2,
+            energy_cutoff_mhz=5.0,
+        )
+        basis = enumerate_basis(model)
+        h = ens._build_hamiltonian(model, basis)
+        assert sparse.issparse(h) and h.format == "csr"
+        expected = loop_hamiltonian(model, basis)
+        assert np.allclose(h.toarray(), expected, rtol=1e-13, atol=1e-12)
+        assert h.nnz == np.count_nonzero(expected)
 
     def test_single_atom_resonant_rabi(self):
         model = ExcitationModel(
@@ -548,7 +671,7 @@ class TestExactDynamics:
             max_excitations=3,
         )
         basis = enumerate_basis(model)
-        h = ens._build_dense_hamiltonian(model, basis)
+        h = ens._build_hamiltonian(model, basis).toarray()
         assert np.array_equal(h, h.T)
         assert np.isrealobj(h)
         # diagonal of the pair (0, 1): interaction minus detunings, angular
@@ -887,8 +1010,8 @@ class TestKineticMonteCarlo:
             c6_mhz_um6=10.0,
         )
         v = model.pair_shift_matrix_mhz()
-        rates = ens._lorentzian_rates(
-            model, np.array([1.0, 0.0]), gamma_mhz=2.0, v=v
+        rates = ens._lorentzian_rates(model, gamma_mhz=2.0, v=v)(
+            np.array([1.0, 0.0])
         )
         two_pi = 2 * math.pi
         for i, shift in enumerate((0.0, 10.0)):
@@ -978,6 +1101,21 @@ class TestKineticMonteCarlo:
         assert np.array_equal(a.trajectories, b.trajectories)
         assert a.statistics.q == b.statistics.q
         assert not np.array_equal(a.trajectories, c.trajectories)
+
+    def test_draw_matches_rng_choice_oracle(self):
+        model = ExcitationModel(
+            positions_um=uniform_box_positions(
+                8, (3.0, 3.0, 3.0), seed_or_rng=4, min_separation_um=0.5
+            ),
+            rabi_mhz=np.linspace(0.3, 0.9, 8),
+            detuning_mhz=np.linspace(-0.5, 0.5, 8),
+            c6_mhz_um6=50.0,
+        )
+        times = np.linspace(0.0, 5.0, 11)
+        res = kinetic_monte_carlo(model, 2.0, times, trials=60, seed=21)
+        oracle = choice_kmc_oracle(model, 2.0, times, trials=60, seed=21)
+        assert np.array_equal(res.trajectories, oracle)
+        assert oracle[:, -1].std() > 0
 
     def test_per_trial_streams_independent_of_total(self):
         model = ExcitationModel(

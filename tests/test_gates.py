@@ -410,6 +410,18 @@ class TestOptimizeInteractionGate:
 
 
 class TestBlockadeGateLandscape:
+    def test_cs_table_lifetimes(self, cs_table):
+        # the lifetime state is labelled with the table species, so the
+        # Cs133 table accepts it and the Cs133 lifetime is used
+        tau = LifetimeModel(cs_table).tau_us(
+            RydbergState(60, 0, 0.5, species="Cs133"), 300.0
+        )
+        rows = blockade_gate_landscape([60], [5.0], cs_table)
+        pinned = blockade_gate_landscape(
+            [60], [5.0], cs_table, lifetimes_us={60: tau}
+        )
+        assert rows == pinned
+
     def test_low_excitation_crossing_near_one_micron(self, rb_table):
         radii = np.geomspace(0.5, 60.0, 49)
         rows = blockade_gate_landscape(
