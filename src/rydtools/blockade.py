@@ -25,8 +25,9 @@ from .ensemble import propagate
 from .pair import FORSTER_ZERO_FLOOR, forster_eigensystem, pair_shift_mhz
 
 KAPPA_WEIGHT_FLOOR = 1e-12
-# pair-state shifts closer than this (relative to the largest shift) are
-# treated as one degenerate eigenspace
+# pair-state shifts closer than DEGENERACY_RTOL x max(1 MHz, largest |shift|)
+# are treated as one degenerate eigenspace: an absolute 1e-9 MHz for spectra
+# below 1 MHz
 DEGENERACY_RTOL = 1e-9
 
 
@@ -132,31 +133,21 @@ def _channel_shifts_mhz(eig, c_idx, r_um):
     return np.where(d_vals >= FORSTER_ZERO_FLOOR, shifts, 0.0)
 
 
-def pair_state_basis(eig, r_um=None):
+def pair_state_basis(eig, r_um):
     """Doubly-excited pair states and their shifts at separation r_um.
 
     Every channel contributes its eigenstate shifts as a projector sum; the
     combined operator over the initial Zeeman-pair manifold is diagonalized
-    to give one orthonormal pair-state basis. With r_um=None the states are
-    taken in the long-range limit (eigenbasis of the summed inverse-detuning-
-    weighted coupling operator, separation-independent).
+    to give one orthonormal pair-state basis.
 
-    Returns (shifts, vectors): shifts[i] in MHz (zeros if r_um is None),
-    vectors[:, i] the pair states over the initial Zeeman-product basis.
+    Returns (shifts, vectors): shifts[i] in MHz, ascending, and vectors[:, i]
+    the pair states over the initial Zeeman-product basis.
     """
     dim = eig.vectors[0].shape[0]
     w = np.zeros((dim, dim))
-    for c_idx, ch in enumerate(eig.channels):
-        vecs = eig.vectors[c_idx]
-        if r_um is None:
-            weights = -(ch.c3_mhz_um3**2 / ch.defect_mhz) * eig.d_values[c_idx]
-        else:
-            weights = _channel_shifts_mhz(eig, c_idx, r_um)
-        w += (vecs * weights) @ vecs.T
-    vals, vectors = np.linalg.eigh(w)
-    if r_um is None:
-        vals = np.zeros_like(vals)
-    return vals, vectors
+    for c_idx, vecs in enumerate(eig.vectors):
+        w += (vecs * _channel_shifts_mhz(eig, c_idx, r_um)) @ vecs.T
+    return np.linalg.eigh(w)
 
 
 def _shifts_and_kappas(eig, field, pair, r_um):
@@ -175,8 +166,8 @@ def _shifts_and_kappas(eig, field, pair, r_um):
     return shifts, vectors[idx, :].conj() * prefactor
 
 
-def overlap_kappa(eig, field, pair=None, r_um=None):
-    """Laser-overlap amplitudes kappa over the pair-state basis.
+def overlap_kappa(eig, field, pair=None, *, r_um):
+    """Laser-overlap amplitudes kappa over the pair-state basis at r_um.
 
     Projection of the doubly-driven Zeeman product state onto each pair
     state, weighted by the two atoms' Rabi frequencies relative to the rms
@@ -187,16 +178,20 @@ def overlap_kappa(eig, field, pair=None, r_um=None):
     return _shifts_and_kappas(eig, field, pair, r_um)[1]
 
 
-def _eigensystems_by_angle(eig):
-    """Eigensystem at each exact pair-axis angle, built once per angle."""
-    cache = {eig.theta: eig}
+def _pair_spectra(geometry, field, eig):
+    """(k, l, shifts, kappas) of every atom pair in lexicographic order.
 
-    def at_angle(theta):
-        if theta not in cache:
-            cache[theta] = forster_eigensystem(eig.channels, theta, eig.b_field_t)
-        return cache[theta]
-
-    return at_angle
+    Each pair uses its own separation and its exact interatomic-axis angle:
+    eig itself when the angle equals eig.theta, otherwise one eigensystem
+    per distinct angle.
+    """
+    by_angle = {eig.theta: eig}
+    for k, l in geometry.pairs():
+        theta = geometry.axis_theta_rad(k, l)
+        if theta not in by_angle:
+            by_angle[theta] = forster_eigensystem(eig.channels, theta, eig.b_field_t)
+        r_um = geometry.separation_um(k, l)
+        yield (k, l) + _shifts_and_kappas(by_angle[theta], field, (k, l), r_um)
 
 
 @dataclass
@@ -216,24 +211,21 @@ def blockade_shift(geometry, field, eig):
     """Inverse-square laser-weighted average of pair interaction shifts.
 
     Each atom pair uses its own separation and its exact interatomic-axis
-    angle: eig itself when the angle equals eig.theta, otherwise one
-    eigensystem per distinct angle. The contribution table is sorted so
-    the weakest-blockade terms come first. A pair state with zero shift but
-    nonzero laser overlap short-circuits the blockade: B = 0 is reported
-    with the offending (pair-state, k, l) triple.
+    angle. The contribution table is sorted so the weakest-blockade terms
+    come first. A pair state with zero shift but nonzero laser overlap
+    short-circuits the blockade: B = 0 is reported with the offending
+    (pair-state, k, l) triple.
     """
     if geometry.n != field.n_atoms:
         raise ValueError("field and geometry atom counts differ")
     if geometry.n < 2:
         raise ValueError("blockade shift needs at least two atoms")
-    at_angle = _eigensystems_by_angle(eig)
     total = 0.0
     contributions = []
     zero_term = None
-    for k, l in geometry.pairs():
-        local = at_angle(geometry.axis_theta_rad(k, l))
-        r_um = geometry.separation_um(k, l)
-        shifts, kappas = _shifts_and_kappas(local, field, (k, l), r_um)
+    for k, l, shifts, kappas in _pair_spectra(geometry, field, eig):
+        # zero within 1e-12 x max(1 MHz, largest |shift| of the pair): an
+        # absolute 1e-12 MHz for spectra below 1 MHz
         zero_tol = 1e-12 * max(1.0, float(np.max(np.abs(shifts))))
         for p_idx, delta in enumerate(shifts):
             weight = abs(kappas[p_idx]) ** 2
@@ -325,11 +317,8 @@ def _build_hamiltonian(geometry, field, eig, decay_tau_us=None):
     h[1, 0] = omega_n / 2.0
     n = geometry.n
     if n_phi:
-        at_angle = _eigensystems_by_angle(eig)
-        for p_count, (k, l) in enumerate(pairs):
-            local = at_angle(geometry.axis_theta_rad(k, l))
-            r_um = geometry.separation_um(k, l)
-            shifts, kappas = _shifts_and_kappas(local, field, (k, l), r_um)
+        spectra = _pair_spectra(geometry, field, eig)
+        for p_count, (_, _, shifts, kappas) in enumerate(spectra):
             col = 2 + p_count * n_phi
             for p_idx in range(n_phi):
                 row = col + p_idx
@@ -373,35 +362,47 @@ def integrate_amplitudes(state, geometry, field, eig, t_us, decay_tau_us=None):
     )
 
 
+def _interaction_at_drive(field, eig, r_um):
+    """effective_interaction_mhz as a function shift_at(omega_mhz) of the rms
+    drive. The grouped pair spectrum is formed once; field sets only the
+    driven Zeeman component."""
+    shifts, kappas = _shifts_and_kappas(eig, field, None, r_um)
+    weights = np.abs(kappas) ** 2
+    tol = DEGENERACY_RTOL * max(1.0, float(np.max(np.abs(shifts))))
+    spectrum = []
+    start = 0
+    while start < len(shifts):
+        stop = start + 1
+        while stop < len(shifts) and shifts[stop] - shifts[start] <= tol:
+            stop += 1
+        weight = float(np.sum(weights[start:stop]))
+        if weight >= KAPPA_WEIGHT_FLOOR:
+            spectrum.append((float(np.mean(shifts[start:stop])), weight))
+        start = stop
+
+    def shift_at(omega_mhz):
+        total = 0.0
+        for delta, weight in spectrum:
+            coupling_sq = weight * omega_mhz**2
+            total += coupling_sq / (coupling_sq + delta**2) * delta
+        return total
+
+    return shift_at
+
+
 def effective_interaction_mhz(field, eig, r_um):
     """Two-atom effective interaction of the doubly-driven product state.
 
     Each distinct pair-state shift delta contributes delta weighted by the
     saturation factor w Omega^2 / (w Omega^2 + delta^2), with w the driven
-    state's total overlap on that shift's eigenspace. Shifts that agree to
-    DEGENERACY_RTOL are grouped first: eigenvectors inside a degenerate
-    subspace are an arbitrary rotation and only the summed overlap is
-    physical (the saturation factor is not invariant under splitting one
-    weight across equal shifts).
+    state's total overlap on that shift's eigenspace and Omega the rms drive.
+    Shifts that agree to DEGENERACY_RTOL are grouped first: eigenvectors
+    inside a degenerate subspace are an arbitrary rotation and only the
+    summed overlap is physical (the saturation factor is not invariant under
+    splitting one weight across equal shifts). Groups with w below
+    KAPPA_WEIGHT_FLOOR are dropped.
     """
     omega = field.omega_rms_mhz
     if omega <= 0:
         raise ValueError("effective interaction needs a positive drive")
-    shifts, kappas = _shifts_and_kappas(eig, field, None, r_um)
-    weights = np.abs(kappas) ** 2
-    tol = DEGENERACY_RTOL * max(1.0, float(np.max(np.abs(shifts))))
-    total = 0.0
-    start = 0
-    n_phi = len(shifts)
-    while start < n_phi:
-        stop = start + 1
-        while stop < n_phi and shifts[stop] - shifts[start] <= tol:
-            stop += 1
-        weight = float(np.sum(weights[start:stop]))
-        delta = float(np.mean(shifts[start:stop]))
-        start = stop
-        if weight < KAPPA_WEIGHT_FLOOR:
-            continue
-        coupling_sq = weight * omega**2
-        total += coupling_sq / (coupling_sq + delta**2) * delta
-    return total
+    return _interaction_at_drive(field, eig, r_um)(omega)

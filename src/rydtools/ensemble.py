@@ -542,8 +542,10 @@ def simulate_exact(model, times_us, g2_bins_um=None, g2_window=0.5):
     each requested time. When g2_bins_um (bin edges) is given, the
     normalized two-point correlation <n_i n_j> / (<n_i><n_j>) is
     averaged over the trailing g2_window fraction of the time grid and
-    over the pairs falling in each separation bin.
+    over the pairs falling in each separation bin; 0 < g2_window <= 1.
     """
+    if not 0.0 < g2_window <= 1.0:
+        raise ValueError("g2_window must be in (0, 1], got %r" % (g2_window,))
     times = np.asarray(times_us, dtype=float)
     basis = enumerate_basis(model)
     dim = len(basis)
@@ -649,22 +651,22 @@ def axial_exchange_couplings_mhz(positions_um, c3_mhz_um3, axis=(1.0, 0.0, 0.0))
 
 
 def _as_exchange_matrix(exchange_mhz):
-    """Normalize scalar or (3, 3) exchange input to a symmetric matrix."""
+    """Normalize scalar or (3, 3) exchange input to a symmetric matrix with
+    zero diagonal and at least one nonzero pair coupling."""
     arr = np.asarray(exchange_mhz, dtype=float)
     if arr.ndim == 0:
-        if arr == 0:
-            raise ValueError("exchange_mhz must be nonzero")
-        mat = np.full((3, 3), float(arr))
-        np.fill_diagonal(mat, 0.0)
-        return mat
-    if arr.shape != (3, 3):
+        arr = np.full((3, 3), float(arr))
+    elif arr.shape != (3, 3):
         raise ValueError(
             "exchange_mhz must be a scalar or a (3, 3) matrix, got shape %s"
             % (arr.shape,)
         )
-    if not np.allclose(arr, arr.T):
+    elif not np.allclose(arr, arr.T):
         raise ValueError("exchange_mhz matrix must be symmetric")
-    return arr
+    mat = np.where(np.eye(3, dtype=bool), 0.0, arr)
+    if not np.any(mat):
+        raise ValueError("exchange_mhz must couple at least one pair")
+    return mat
 
 
 def _triple_exchange_hamiltonian(rabi_mhz, exchange_matrix_mhz):
@@ -851,11 +853,11 @@ def kinetic_monte_carlo(model, gamma_mhz, times_us, trials, seed):
     Trials evolve independently from per-trial seeds spawned off the
     given seed, so results are reproducible and order-independent.
     Samples for the counting statistics are the excited numbers at the
-    final requested time.
+    final requested time, so at least two trials are needed.
     """
     _positive(gamma_mhz, "gamma_mhz")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    if trials < 2:
+        raise ValueError("trials must be >= 2")
     times = np.asarray(times_us, dtype=float)
     if times.size < 1 or np.any(np.diff(times) < 0) or times[0] < 0:
         raise ValueError("times_us must be nondecreasing and nonnegative")

@@ -32,8 +32,8 @@ from .atoms import LifetimeModel, RydbergState, radial_matrix_element
 from .blockade import (
     EnsembleGeometry,
     ExcitationField,
+    _interaction_at_drive,
     blockade_shift,
-    effective_interaction_mhz,
 )
 from .pair import forster_eigensystem, s_state_channels
 
@@ -192,14 +192,14 @@ def minimize_blockade_gate(
     _require_positive(qubit_splitting_mhz, "qubit_splitting_mhz")
     blockade_mhz = min(blockade_mhz, BLOCKADE_CAP_MHZ)
 
-    def objective(omega_mhz):
+    def budget_at(omega_mhz):
         params = GateParams(
             rabi_mhz=omega_mhz,
             lifetime_us=lifetime_us,
             qubit_splitting_mhz=qubit_splitting_mhz,
             blockade_mhz=blockade_mhz,
         )
-        return blockade_gate_error(params).total_error
+        return blockade_gate_error(params)
 
     guess, _ = optimal_blockade_gate(blockade_mhz, lifetime_us)
     if math.isfinite(qubit_splitting_mhz):
@@ -209,16 +209,10 @@ def minimize_blockade_gate(
         scale = min(guess, cap)
     else:
         scale = guess
-    omega_opt, interior = _minimize_log(objective, scale * 1e-3, max(guess, scale) * 1e3)
-    params = GateParams(
-        rabi_mhz=omega_opt,
-        lifetime_us=lifetime_us,
-        qubit_splitting_mhz=qubit_splitting_mhz,
-        blockade_mhz=blockade_mhz,
+    omega_opt, interior = _minimize_log(
+        lambda omega: budget_at(omega).total_error, scale * 1e-3, max(guess, scale) * 1e3
     )
-    return replace(
-        blockade_gate_error(params), rabi_opt_mhz=omega_opt, interior_optimum=interior
-    )
+    return replace(budget_at(omega_opt), rabi_opt_mhz=omega_opt, interior_optimum=interior)
 
 
 def interaction_gate_error(params):
@@ -302,26 +296,22 @@ def minimize_interaction_gate(
     w10 = 2.0 * math.pi * qubit_splitting_mhz
     alt = (math.pi * w10**2 / (2.0 * lifetime_us)) ** (1.0 / 3.0) / (2.0 * math.pi)
 
-    def objective(omega_mhz):
+    def budget_at(omega_mhz):
         params = GateParams(
             rabi_mhz=omega_mhz,
             lifetime_us=lifetime_us,
             qubit_splitting_mhz=qubit_splitting_mhz,
             interaction_mhz=interaction_mhz,
         )
-        return interaction_gate_error(params).total_error
+        return interaction_gate_error(params)
 
     omega_opt, interior = _minimize_log(
-        objective, min(guess, alt) * 1e-3, max(guess, alt) * 1e3
-    )
-    params = GateParams(
-        rabi_mhz=omega_opt,
-        lifetime_us=lifetime_us,
-        qubit_splitting_mhz=qubit_splitting_mhz,
-        interaction_mhz=interaction_mhz,
+        lambda omega: budget_at(omega).total_error,
+        min(guess, alt) * 1e-3,
+        max(guess, alt) * 1e3,
     )
     return replace(
-        interaction_gate_error(params),
+        budget_at(omega_opt),
         rabi_opt_mhz=omega_opt,
         interior_optimum=interior,
         interaction_mhz=interaction_mhz,
@@ -340,23 +330,25 @@ def optimize_interaction_gate(
 ):
     """Optimize the interaction gate with a drive-dependent pair shift.
 
-    The effective pair shift saturates with drive strength, so it is
-    re-evaluated from the coupling eigensystem at every trial drive and the
-    optimization is self-consistent. A deterministic log-spaced scan
-    brackets the minimum before local refinement; a boundary optimum is
-    returned with interior_optimum=False.
+    The effective pair shift saturates with drive strength. The pair
+    spectrum is built once for this separation; only its saturation factor
+    follows the trial drive, so the optimization is self-consistent. A
+    deterministic log-spaced scan brackets the minimum before local
+    refinement; a boundary optimum is returned with interior_optimum=False.
     """
     _require_positive(r_um, "r_um")
     _require_positive(lifetime_us, "lifetime_us")
-
-    def shift_at(omega_mhz):
-        field = ExcitationField.uniform(
-            2, omega_mhz, polarization=polarization, ground_m=ground_m
-        )
-        return abs(effective_interaction_mhz(field, eig, r_um))
+    lo, hi = rabi_bounds_mhz
+    if not 0.0 < lo < hi:
+        raise ValueError("rabi_bounds_mhz must be increasing and positive")
+    interaction_at = _interaction_at_drive(
+        ExcitationField.uniform(2, 1.0, polarization=polarization, ground_m=ground_m),
+        eig,
+        r_um,
+    )
 
     def budget_at(omega_mhz):
-        shift = shift_at(omega_mhz)
+        shift = abs(interaction_at(omega_mhz))
         if shift == 0.0:
             return None, 0.0
         params = GateParams(
@@ -371,9 +363,6 @@ def optimize_interaction_gate(
         budget, _ = budget_at(omega_mhz)
         return math.inf if budget is None else budget.total_error
 
-    lo, hi = rabi_bounds_mhz
-    if not 0.0 < lo < hi:
-        raise ValueError("rabi_bounds_mhz must be increasing and positive")
     grid_t = np.linspace(math.log(lo), math.log(hi), grid_points)
     totals = [objective(math.exp(t)) for t in grid_t]
     i0 = int(np.argmin(totals))

@@ -159,6 +159,15 @@ class TestOverlapKappa:
         with pytest.raises(ValueError):
             overlap_kappa(rb_s60_eigensystem, f, r_um=8.0)
 
+    def test_separation_is_required(self, rb_s60_eigensystem):
+        f = ExcitationField.uniform(2, 0.01)
+        with pytest.raises(TypeError):
+            pair_state_basis(rb_s60_eigensystem)
+        with pytest.raises(TypeError):
+            overlap_kappa(rb_s60_eigensystem, f)
+        with pytest.raises(TypeError):
+            overlap_kappa(rb_s60_eigensystem, f, None, 8.0)
+
     def test_angle_changes_weight_distribution(self, rb_43d_channels, rb_43d_eigensystem):
         f = ExcitationField.uniform(2, 0.01)
         w0 = np.sort(np.abs(overlap_kappa(rb_43d_eigensystem, f, r_um=10.0)) ** 2)

@@ -643,6 +643,21 @@ class TestExactDynamics:
         assert np.allclose(recomputed, dyn.mean_excitations, atol=1e-10)
         assert dyn.g2 is None and dyn.g2_r_um is None
 
+    def test_g2_window_must_be_a_fraction_of_the_grid(self):
+        model = ExcitationModel(
+            positions_um=cubic_lattice((3, 1, 1), 1.2),
+            rabi_mhz=0.7,
+            c6_mhz_um6=30.0,
+            max_excitations=3,
+        )
+        times = np.linspace(0.0, 2.0, 20)
+        bins = np.array([0.0, 2.0, 3.0])
+        for window in (0.0, -0.5, 1.5, math.nan):
+            with pytest.raises(ValueError, match="g2_window"):
+                simulate_exact(model, times, g2_bins_um=bins, g2_window=window)
+        whole = simulate_exact(model, times, g2_bins_um=bins, g2_window=1.0)
+        assert np.all(np.isfinite(whole.g2))
+
     def test_truncation_convergence_when_strongly_blockaded(self):
         # with every pair shift far above the drive, sectors beyond two
         # excitations carry negligible weight and the cutoff is harmless
@@ -834,6 +849,21 @@ class TestTripleExchange:
                                [2.5, 3.0, 0.0]]), times
             )
 
+    def test_all_zero_matrix_rejected(self):
+        # as for the scalar 0, no triple state would be shifted; the
+        # diagonal is ignored, so it cannot make the couplings nonzero
+        times = np.linspace(0.0, 1.0, 5)
+        with pytest.raises(ValueError, match="couple at least one pair"):
+            simulate_triple_exchange(1.0, np.zeros((3, 3)), times)
+        with pytest.raises(ValueError, match="couple at least one pair"):
+            simulate_triple_exchange(1.0, np.eye(3), times)
+        one_pair = np.zeros((3, 3))
+        one_pair[0, 1] = one_pair[1, 0] = 10.0
+        out = simulate_triple_exchange(1.0, one_pair, times)
+        assert np.array_equal(
+            out.pair_shifts_mhz, [math.sqrt(2.0) * 10.0, 0.0, 0.0]
+        )
+
     def test_scalar_matches_uniform_matrix(self):
         times = np.linspace(0.0, 5.0, 50)
         scalar = simulate_triple_exchange(0.4, 10.0, times)
@@ -998,6 +1028,8 @@ class TestKineticMonteCarlo:
         with pytest.raises(ValueError):
             kinetic_monte_carlo(model, 1.0, [1.0], trials=0, seed=1)
         with pytest.raises(ValueError):
+            kinetic_monte_carlo(model, 1.0, [1.0], trials=1, seed=1)
+        with pytest.raises(ValueError):
             kinetic_monte_carlo(model, 1.0, [2.0, 1.0], trials=2, seed=1)
         with pytest.raises(ValueError):
             kinetic_monte_carlo(model, 1.0, [-1.0], trials=2, seed=1)
@@ -1020,6 +1052,18 @@ class TestKineticMonteCarlo:
             det = two_pi * (model.detuning_mhz[i] - shift)
             expected = omega**2 * gamma / (gamma**2 + 4 * det**2)
             assert rates[i] == pytest.approx(expected, rel=1e-12)
+
+    def test_single_trial_rejected_before_simulating(self):
+        # one sample has no variance: this seed ends with no excitation
+        # and would report variance = q = nan, other seeds raise late
+        model = ExcitationModel(
+            positions_um=cubic_lattice((3, 1, 1), 1.0),
+            rabi_mhz=0.5,
+            c6_mhz_um6=10.0,
+            max_excitations=3,
+        )
+        with pytest.raises(ValueError, match="trials"):
+            kinetic_monte_carlo(model, 5.0, [0.0, 5.0], trials=1, seed=3)
 
     def test_independent_atoms_poissonian(self):
         pos = cubic_lattice((10, 1, 1), 1.0)

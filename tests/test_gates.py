@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rydtools import blockade, gates
 from rydtools.atoms import LifetimeModel, RydbergState
 from rydtools.gates import (
     CAPACITY_2D,
@@ -332,6 +333,42 @@ class TestOptimizeInteractionGate:
         )
         assert alt.rabi_opt_mhz == pytest.approx(budget.rabi_opt_mhz, rel=1e-6)
         assert alt.total_error == pytest.approx(budget.total_error, rel=1e-9)
+
+    def test_one_pair_spectrum_per_separation(self, rb_s100_eig, monkeypatch):
+        # the spectrum does not depend on the drive: the scan and the
+        # refinement score every trial drive from one pair_state_basis call
+        calls = []
+        original = blockade.pair_state_basis
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(blockade, "pair_state_basis", counting)
+        optimize_interaction_gate(rb_s100_eig, 17.0, 340.0)
+        assert len(calls) == 1
+
+    def test_optimum_shift_is_the_effective_interaction(self, rb_s100_eig):
+        budget = optimize_interaction_gate(rb_s100_eig, 17.0, 340.0)
+        field = ExcitationField.uniform(2, budget.rabi_opt_mhz)
+        assert budget.interaction_mhz == abs(
+            effective_interaction_mhz(field, rb_s100_eig, 17.0)
+        )
+
+    def test_driven_zeeman_component_sets_the_spectrum(self, rb_s100_eig, monkeypatch):
+        # only ground_m + polarization matters: both drive |1/2, 1/2>
+        default = optimize_interaction_gate(rb_s100_eig, 17.0, 340.0)
+        shifted = optimize_interaction_gate(
+            rb_s100_eig, 17.0, 340.0, polarization=1, ground_m=-0.5
+        )
+        assert shifted == default
+        scored = []
+        monkeypatch.setattr(
+            gates, "interaction_gate_error", lambda params: scored.append(params)
+        )
+        with pytest.raises(ValueError, match="outside the j=0.5"):
+            optimize_interaction_gate(rb_s100_eig, 17.0, 340.0, polarization=1)
+        assert scored == []
 
     def test_boundary_optimum_is_flagged(self, rb_s100_eig):
         budget = optimize_interaction_gate(
