@@ -3,8 +3,9 @@
 Level energies come from modified Rydberg-Ritz quantum defect series read
 from versioned data files, with measured term energies overriding the series
 formula for low-lying states. Radial wavefunctions are bound solutions of a
-core-screened Coulomb potential at the defect-shifted energy, integrated
-inward with one Numerov pass on a logarithmic grid. Each solution's node
+core-screened Coulomb potential at the defect-shifted energy on a
+logarithmic grid. The inward Numerov recurrence is solved as one banded
+upper-triangular system by LAPACK back-substitution. Each solution's node
 count, taken in the allowed region outside the core (r > 5 r_c), is checked
 against the quantum defect; matrix elements carry an independent
 semiclassical cross-check.
@@ -18,6 +19,7 @@ from importlib import resources
 from typing import Optional
 
 import numpy as np
+from scipy.linalg.lapack import dtbtrs
 
 from . import constants as cst
 
@@ -260,14 +262,19 @@ def _log_grid(r_min, r_max, h):
 def radial_solution(n_star, l, r_grid=None, core_charge=1.0, core_screening=0.0):
     """Integrate the radial equation inward at energy -1/(2 n_star^2).
 
-    Returns a RadialSolution on the supplied (or self-chosen) logarithmic
-    grid. The solution is truncated at the divergence onset inside the inner
+    Returns a RadialSolution on the supplied (or self-chosen) grid, which
+    must be uniform in ln r. The Numerov recurrence from two small values at
+    the outer edge is one banded triangular system, back-substituted by one
+    LAPACK ``dtbtrs`` call; a zero pivot, or an overflow through a high
+    centrifugal barrier, raises NumericsError.
+
+    The solution is truncated at the divergence onset inside the inner
     classically forbidden region and normalized to unit norm. A screened
     core charge Z_eff(r) = 1 + (Z-1) exp(-r/r_c) sharpens the shape of
     low-lying wavefunctions inside the core without touching the Rydberg
     region; it is off (pure Coulomb) when core_screening is zero.
 
-    One Numerov pass gives both P(r) and its node count. Nodes are counted
+    The one solve gives both P(r) and its node count. Nodes are counted
     where the solution is classically allowed and r > 5 r_c: the extra short
     lobes inside a screened core are physical, not an integration failure.
     For the Rb87 and Cs133 cores the count outside 5 r_c equals that of the
@@ -282,6 +289,8 @@ def radial_solution(n_star, l, r_grid=None, core_charge=1.0, core_screening=0.0)
     else:
         r = r_grid
         h = math.log(r[1]) - math.log(r[0])
+        if not np.ptp(r[1:] / r[:-1]) < 1e-8 * h:
+            raise ValueError("r_grid must be increasing and uniform in ln r")
 
     # y(x) = P(r) / sqrt(r) obeys y'' = g(x) y on the log grid
     g = (l + 0.5) ** 2 - 2.0 * r + (r / n_star) ** 2
@@ -292,13 +301,23 @@ def radial_solution(n_star, l, r_grid=None, core_charge=1.0, core_screening=0.0)
     if i_max < 3:
         raise ValueError("radial grid does not cover the classical region")
 
+    # (1 - t[k-1]) y[k-1] - 2 (1 + 5 t[k]) y[k] + (1 - t[k+1]) y[k+1] = 0 for
+    # k < i_max, with y[i_max - 1:i_max + 1] given, is upper banded in y[:m]
     t = g * (h * h / 12.0)
+    one_minus_t = 1.0 - t
+    m = i_max - 1
     y = np.zeros(len(r))
     y[i_max] = 1e-18
-    y[i_max - 1] = 1e-18 * math.exp(math.sqrt(max(g[i_max], 1e-12)) * h)
-    one_minus_t = 1.0 - t
-    for k in range(i_max - 1, 0, -1):
-        y[k - 1] = (2.0 * y[k] * (1.0 + 5.0 * t[k]) - y[k + 1] * one_minus_t[k + 1]) / one_minus_t[k - 1]
+    y[m] = 1e-18 * math.exp(math.sqrt(max(g[i_max], 1e-12)) * h)
+    ab = np.empty((3, m), order="F")
+    ab[0] = ab[2] = one_minus_t[:m]
+    ab[1] = -2.0 * (1.0 + 5.0 * t[:m])
+    rhs = np.zeros(m)
+    rhs[m - 1] = 2.0 * (1.0 + 5.0 * t[m]) * y[m] - one_minus_t[i_max] * y[i_max]
+    rhs[m - 2] = -one_minus_t[m] * y[m]
+    y[:m], info = dtbtrs(ab, rhs, uplo="U")
+    if info != 0:
+        raise NumericsError("Numerov back-substitution failed, LAPACK info %d" % info)
 
     # truncate below the divergence onset in the innermost forbidden region
     inner = np.where((g > 0) & (r < n_star**2))[0]
@@ -312,8 +331,8 @@ def radial_solution(n_star, l, r_grid=None, core_charge=1.0, core_screening=0.0)
 
     p = y * np.sqrt(r)
     norm_sq = np.sum(y * y * r * r) * h  # integral P^2 dr on the log grid
-    if norm_sq <= 0:
-        raise NumericsError("radial integration produced a null solution")
+    if not 0.0 < norm_sq < math.inf:
+        raise NumericsError("radial integration produced a null or non-finite solution")
     p /= math.sqrt(norm_sq)
     if p[int(np.argmax(np.abs(p)))] < 0:
         p = -p
@@ -354,6 +373,8 @@ def radial_matrix_element(state_a, state_b, table, accuracy=1.0):
         raise ValueError("matrix element between different species")
     if abs(state_a.l - state_b.l) != 1:
         raise ValueError("radial dipole integral needs |l_a - l_b| = 1")
+    if not 0.0 < accuracy < math.inf:
+        raise ValueError("accuracy must be finite and positive, got %r" % (accuracy,))
     ns_a = table.n_star(state_a)
     ns_b = table.n_star(state_b)
     h = min(_grid_step(ns_a, accuracy), _grid_step(ns_b, accuracy))

@@ -67,11 +67,12 @@ def _require_dipole_allowed(a, c):
         )
 
 
-def make_channel(initial_pair, coupled_pair, table):
+def make_channel(initial_pair, coupled_pair, table, *, _radial=None):
     """Assemble a ForsterChannel: defect from level energies, C3 from radials.
 
     C3 = e^2 <r>_a <r>_b expressed in MHz um^3; the energy defect is
-    E(coupled) - E(initial) in MHz, signed.
+    E(coupled) - E(initial) in MHz, signed. ``_radial`` stands in for
+    radial_matrix_element when a caller shares elements between channels.
     """
     i1, i2 = initial_pair
     c1, c2 = coupled_pair
@@ -85,8 +86,9 @@ def make_channel(initial_pair, coupled_pair, table):
     _require_dipole_allowed(i2, c2)
     energy = table.energy_ghz
     defect_mhz = 1e3 * (energy(c1) + energy(c2) - energy(i1) - energy(i2))
-    rad_1 = radial_matrix_element(i1, c1, table)
-    rad_2 = radial_matrix_element(i2, c2, table)
+    radial = _radial or radial_matrix_element
+    rad_1 = radial(i1, c1, table)
+    rad_2 = radial(i2, c2, table)
     c3 = cst.EA0_SQ_MHZ_UM3 * rad_1 * rad_2
     if c3 == 0.0:
         raise ValueError("channel %s has vanishing radial coupling" % (c1.label,))
@@ -103,6 +105,8 @@ def s_state_channels(n, table):
     """
     species = table.species
     s = RydbergState(n, 0, 0.5, species=species)
+    # the four channels need four distinct <ns|r|n'p_j>; solve each once
+    radial = lru_cache(maxsize=None)(radial_matrix_element)
     return [
         make_channel(
             (s, s),
@@ -111,6 +115,7 @@ def s_state_channels(n, table):
                 RydbergState(n - 1, 1, jb, species=species),
             ),
             table,
+            _radial=radial,
         )
         for ja in (1.5, 0.5)
         for jb in (1.5, 0.5)

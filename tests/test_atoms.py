@@ -13,11 +13,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rydtools import constants as cst
+from rydtools import atoms, constants as cst
 from rydtools.atoms import (
     LifetimeModel,
     NumericsError,
     QuantumDefectTable,
+    RadialSolution,
     RydbergState,
     hydrogenic_r_expectation,
     parse_level,
@@ -35,6 +36,44 @@ def r_expectation(sol):
 def norm(sol):
     h = math.log(sol.r[1] / sol.r[0])
     return float(np.sum(sol.p**2 * sol.r) * h)
+
+
+def numerov_loop_solution(n_star, l, r_grid, core_charge=1.0, core_screening=0.0):
+    """Reference radial solver: the inward Numerov recurrence as a Python loop.
+
+    Same grid, start values, truncation, normalization and node window as
+    radial_solution, which solves the recurrence as one banded triangular
+    system instead.
+    """
+    r = r_grid
+    h = math.log(r[1]) - math.log(r[0])
+    g = (l + 0.5) ** 2 - 2.0 * r + (r / n_star) ** 2
+    if core_screening > 0.0 and core_charge > 1.0:
+        g = g - 2.0 * r * (core_charge - 1.0) * np.exp(-r / core_screening)
+    i_max = min(int(np.searchsorted(r, atoms._outer_radius(n_star))), len(r) - 1)
+    t = g * (h * h / 12.0)
+    y = np.zeros(len(r))
+    y[i_max] = 1e-18
+    y[i_max - 1] = 1e-18 * math.exp(math.sqrt(max(g[i_max], 1e-12)) * h)
+    one_minus_t = 1.0 - t
+    for k in range(i_max - 1, 0, -1):
+        y[k - 1] = (
+            2.0 * y[k] * (1.0 + 5.0 * t[k]) - y[k + 1] * one_minus_t[k + 1]
+        ) / one_minus_t[k - 1]
+    inner = np.where((g > 0) & (r < n_star**2))[0]
+    i_cut = 0
+    if len(inner) > 0 and inner[-1] > 0:
+        i_cut = int(np.argmin(np.abs(y[: inner[-1] + 1])))
+    y[:i_cut] = 0.0
+    p = y * np.sqrt(r) / math.sqrt(np.sum(y * y * r * r) * h)
+    if p[int(np.argmax(np.abs(p)))] < 0:
+        p = -p
+    allowed = np.zeros(len(r), dtype=bool)
+    allowed[i_cut : i_max + 1] = True
+    allowed &= (g < 0) & (r > atoms.NODE_WINDOW_CORE_RADII * core_screening)
+    body = p[allowed]
+    signs = np.sign(body[np.abs(body) > 1e-12 * np.max(np.abs(p))])
+    return RadialSolution(r=r, p=p, nodes=int(np.sum(signs[1:] * signs[:-1] < 0)))
 
 
 class TestRydbergState:
@@ -166,6 +205,48 @@ class TestRadialSolver:
         exact = hydrogenic_r_expectation(n, l)
         assert abs(r_expectation(sol) - exact) / exact < 1e-3
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        species=st.sampled_from(["Rb87", "Cs133"]),
+        n=st.integers(min_value=5, max_value=200),
+        l=st.integers(min_value=0, max_value=3),
+        upper_j=st.booleans(),
+        screened=st.booleans(),
+    )
+    @example(species="Rb87", n=5, l=0, upper_j=True, screened=True)
+    @example(species="Cs133", n=200, l=3, upper_j=False, screened=False)
+    def test_banded_solve_matches_loop_oracle(
+        self, rb_table, cs_table, species, n, l, upper_j, screened
+    ):
+        table = rb_table if species == "Rb87" else cs_table
+        j = l + 0.5 if upper_j or l == 0 else l - 0.5
+        n_star = table.n_star(RydbergState(n, l, j, species=species))
+        core = dict(core_charge=table.core_charge, core_screening=table.core_screening)
+        if not screened:
+            core = dict(core_charge=1.0, core_screening=0.0)
+        sol = radial_solution(n_star, l, **core)
+        oracle = numerov_loop_solution(n_star, l, sol.r, **core)
+        assert sol.nodes == oracle.nodes
+        outside = sol.r > atoms.NODE_WINDOW_CORE_RADII * core["core_screening"]
+        peak = np.max(np.abs(oracle.p))
+        assert np.max(np.abs(sol.p - oracle.p)[outside]) <= 1e-10 * peak
+
+    def test_zero_pivot_raises(self, monkeypatch):
+        monkeypatch.setattr(atoms, "dtbtrs", lambda ab, rhs, uplo: (rhs, 7))
+        with pytest.raises(NumericsError, match="info 7"):
+            radial_solution(30.0, 1)
+
+    @pytest.mark.parametrize("n_star, l", [(120.0, 100), (200.0, 150)])
+    def test_overflow_raises(self, n_star, l):
+        # the inward solve through a high centrifugal barrier overflows
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericsError, match="non-finite"):
+                radial_solution(n_star, l)
+
+    def test_non_log_uniform_grid_rejected(self):
+        with pytest.raises(ValueError, match="uniform in ln r"):
+            radial_solution(50.0, 0, r_grid=np.linspace(0.05, 7500.0, 20000))
+
 
 class TestMatrixElements:
     def test_d_line_integral(self, rb_table):
@@ -241,6 +322,13 @@ class TestMatrixElements:
         v1 = radial_matrix_element(a, b, rb_table)
         v2 = radial_matrix_element(a, b, rb_table, accuracy=2.0)
         assert abs(v2 - v1) / abs(v1) < 0.01
+
+    @pytest.mark.parametrize("accuracy", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_accuracy_rejected(self, rb_table, accuracy):
+        with pytest.raises(ValueError, match="accuracy"):
+            radial_matrix_element(
+                RydbergState(60, 0, 0.5), RydbergState(60, 1, 1.5), rb_table, accuracy
+            )
 
 
 class TestNodeCheck:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rydtools import constants as cst
+from rydtools import constants as cst, pair
 from rydtools.angular import dipole_angular_factor
 from rydtools.atoms import RydbergState
 from rydtools.pair import (
@@ -276,6 +276,23 @@ class TestChannelConstruction:
         assert by_jf[3.5] < 0 and 4.15 < abs(by_jf[3.5]) < 16.6
         assert by_jf[2.5] == pytest.approx(-6.05, abs=0.4)
         assert by_jf[3.5] == pytest.approx(-8.33, abs=0.5)
+
+    def test_s_state_channels_solve_each_element_once(self, rb_table, monkeypatch):
+        # four channels share four distinct <ns|r|n'p_j>; the shared values
+        # are the ones make_channel computes on its own
+        calls = []
+        rme = pair.radial_matrix_element
+
+        def counted(a, b, table):
+            calls.append((a, b))
+            return rme(a, b, table)
+
+        monkeypatch.setattr(pair, "radial_matrix_element", counted)
+        channels = s_state_channels(50, rb_table)
+        assert len(calls) == len(set(calls)) == 4
+        s = RydbergState(50, 0, 0.5)
+        for ch in channels:
+            assert ch == make_channel((s, s), ch.coupled, rb_table)
 
     def test_forbidden_channel_rejected(self, rb_table):
         s = RydbergState(60, 0, 0.5)
