@@ -288,6 +288,8 @@ def radial_solution(n_star, l, r_grid=None, core_charge=1.0, core_screening=0.0)
         _, r = _log_grid(R_MIN_DEFAULT, r_max, h)
     else:
         r = r_grid
+        if len(r) < 2:
+            raise ValueError("r_grid needs at least two points")
         h = math.log(r[1]) - math.log(r[0])
         if not np.ptp(r[1:] / r[:-1]) < 1e-8 * h:
             raise ValueError("r_grid must be increasing and uniform in ln r")

@@ -319,6 +319,8 @@ class ExcitationModel:
         detuning = np.broadcast_to(
             np.asarray(self.detuning_mhz, dtype=float), (n,)
         ).copy()
+        if not np.all(np.isfinite(detuning)):
+            raise ValueError("detuning_mhz must be finite")
         object.__setattr__(self, "detuning_mhz", detuning)
         if (self.c6_mhz_um6 is None) == (self.interaction_mhz is None):
             raise ValueError(
@@ -486,9 +488,11 @@ def propagate(h, psi0, times_us):
     below SPARSE_COST_RATIO * dim^3, and always when the dense path would
     need more than DENSE_MEMORY_CEILING_BYTES; with that much memory and a
     grid that is not evenly spaced, TruncationError is raised before any
-    allocation.
+    allocation. A non-finite time raises ValueError.
     """
     times = np.asarray(times_us, dtype=float)
+    if not np.all(np.isfinite(times)):
+        raise ValueError("times_us must be finite")
     dim = h.shape[0]
     uniform = _evenly_spaced(times)
     if _dense_bytes(dim, times.size) > DENSE_MEMORY_CEILING_BYTES:
@@ -828,7 +832,9 @@ class KineticResult:
 def _lorentzian_rates(model, gamma_mhz, v):
     """Per-atom transition rates (rad/us) as a function of the excited set.
 
-    The factors that do not depend on the excited set are formed once.
+    excited is one (N,) occupation vector or a (B, N) stack of them; row b
+    of the result holds the rates of row b. The factors that do not depend
+    on the excited set are formed once.
     """
     gamma = TWO_PI * gamma_mhz
     omega = TWO_PI * model.rabi_mhz
@@ -837,7 +843,7 @@ def _lorentzian_rates(model, gamma_mhz, v):
     detuning_mhz = model.detuning_mhz
 
     def rates(excited):
-        shifts = v @ excited  # interaction shift seen by each atom
+        shifts = excited @ v.T  # interaction shift seen by each atom
         detuning = TWO_PI * (detuning_mhz - shifts)
         return numerator / (gamma_sq + 4.0 * detuning**2)
 
@@ -850,46 +856,60 @@ def kinetic_monte_carlo(model, gamma_mhz, times_us, trials, seed):
     Each atom flips between ground and excited with a Lorentzian rate
     Omega^2 Gamma / (Gamma^2 + 4 (delta - sum_j V_ij n_j)^2); excited
     atoms return at the rate evaluated with their own current shift.
-    Trials evolve independently from per-trial seeds spawned off the
-    given seed, so results are reproducible and order-independent.
-    Samples for the counting statistics are the excited numbers at the
-    final requested time, so at least two trials are needed.
+    Trials advance in lockstep, one event for every unfinished trial per
+    step, but each trial draws from its own generator, spawned off the
+    given seed, in the same order (waiting time, then atom) as if it ran
+    alone: results are reproducible and a trial's trajectory does not
+    depend on the trial count. Samples for the counting statistics are
+    the excited numbers at the final requested time, so at least two
+    trials are needed.
     """
     _positive(gamma_mhz, "gamma_mhz")
     if trials < 2:
         raise ValueError("trials must be >= 2")
     times = np.asarray(times_us, dtype=float)
+    if not np.all(np.isfinite(times)):
+        raise ValueError("times_us must be finite")
     if times.size < 1 or np.any(np.diff(times) < 0) or times[0] < 0:
         raise ValueError("times_us must be nondecreasing and nonnegative")
     rates_of = _lorentzian_rates(model, gamma_mhz, model.pair_shift_matrix_mhz())
-    n = model.n_atoms
     streams = np.random.SeedSequence(seed).spawn(trials)
+    rngs = [np.random.default_rng(stream) for stream in streams]
     trajectories = np.zeros((trials, times.size), dtype=np.int64)
-    for trial in range(trials):
-        rng = np.random.default_rng(streams[trial])
-        excited = np.zeros(n)
-        count = 0
-        t = 0.0
-        cursor = 0
-        while cursor < times.size:
-            rates = rates_of(excited)
-            total = rates.sum()
-            if total <= 0:
-                break
-            wait = rng.exponential(1.0 / total)
-            # record the state on every grid point passed by this step
-            while cursor < times.size and times[cursor] < t + wait:
-                trajectories[trial, cursor] = count
-                cursor += 1
-            t += wait
-            # rng.choice(n, p=rates / total) without its checks: the same
-            # cdf, the same single draw, so the same random stream
-            cdf = np.cumsum(rates / total)
-            cdf /= cdf[-1]
-            atom = int(cdf.searchsorted(rng.random(), side="right"))
-            excited[atom] = 1.0 - excited[atom]
-            count += 1 if excited[atom] else -1
-        trajectories[trial, cursor:] = count
+    excited = np.zeros((trials, model.n_atoms))
+    count = np.zeros(trials, dtype=np.int64)
+    t = np.zeros(trials)
+    cursor = np.zeros(trials, dtype=np.intp)
+    live = np.arange(trials)
+    while live.size:
+        rates = rates_of(excited[live])
+        total = rates.sum(axis=1)
+        # a trial with no allowed transition is finished
+        moving = total > 0
+        live, rates, total = live[moving], rates[moving], total[moving]
+        live_rngs = [rngs[i] for i in live.tolist()]
+        scale = (1.0 / total).tolist()
+        wait = np.array([r.exponential(s) for r, s in zip(live_rngs, scale)])
+        u = np.array([r.random() for r in live_rngs])
+        # record the state on every grid point passed by this step
+        new = np.searchsorted(times, t[live] + wait, side="left")
+        for k in np.flatnonzero(new > cursor[live]):
+            i = live[k]
+            trajectories[i, cursor[i]:new[k]] = count[i]
+        cursor[live] = new
+        t[live] += wait
+        # rng.choice(n, p=rates / total) without its checks: the same cdf
+        # and the same single draw; counting cdf <= u is searchsorted right
+        cdf = np.cumsum(rates / total[:, None], axis=1)
+        cdf /= cdf[:, -1:]
+        atom = (cdf <= u[:, None]).sum(axis=1)
+        flipped = 1.0 - excited[live, atom]
+        excited[live, atom] = flipped
+        count[live] += np.where(flipped > 0, 1, -1)
+        live = live[new < times.size]
+    # a trial that left early holds its last count on the rest of the grid
+    recorded = np.arange(times.size) < cursor[:, None]
+    trajectories = np.where(recorded, trajectories, count[:, None])
     stats = CountingStatistics.from_samples(trajectories[:, -1])
     return KineticResult(
         times_us=times,

@@ -246,6 +246,9 @@ class TestRadialSolver:
     def test_non_log_uniform_grid_rejected(self):
         with pytest.raises(ValueError, match="uniform in ln r"):
             radial_solution(50.0, 0, r_grid=np.linspace(0.05, 7500.0, 20000))
+        for short in (np.array([1.0]), np.array([])):
+            with pytest.raises(ValueError, match="two points"):
+                radial_solution(50.0, 0, r_grid=short)
 
 
 class TestMatrixElements:

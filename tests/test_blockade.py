@@ -530,6 +530,17 @@ class TestIntegration:
                 -0.2,
             )
 
+    @pytest.mark.parametrize("t_us", [np.nan, np.inf])
+    def test_non_finite_time_rejected(self, rb_s60_eigensystem, t_us):
+        with pytest.raises(ValueError, match="finite"):
+            integrate_amplitudes(
+                AmplitudeState.ground(1, 4),
+                two_atoms(8.0),
+                ExcitationField.uniform(2, 0.05),
+                rb_s60_eigensystem,
+                t_us,
+            )
+
     def test_state_shape_validation(self, rb_s60_eigensystem):
         f = ExcitationField.uniform(2, 0.05)
         with pytest.raises(ValueError):

@@ -292,6 +292,20 @@ class TestExcitationModel:
                 interaction_mhz=np.array([[0.0, 1.0], [2.0, 0.0]]),
             )
 
+    @pytest.mark.parametrize(
+        "detuning", [np.nan, np.inf, [0.0, np.nan]], ids=["nan", "inf", "per_atom"]
+    )
+    def test_non_finite_detuning_rejected(self, detuning):
+        # a nan detuning gives kinetic_monte_carlo a nan rate total, which
+        # never ends its event loop, and simulate_exact an eigh that fails
+        with pytest.raises(ValueError, match="detuning_mhz"):
+            ExcitationModel(
+                positions_um=[[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]],
+                rabi_mhz=1.0,
+                detuning_mhz=detuning,
+                c6_mhz_um6=10.0,
+            )
+
     def test_per_atom_arrays_broadcast(self):
         model = ExcitationModel(
             positions_um=np.zeros((3, 3)) + np.arange(3)[:, None],
@@ -459,6 +473,79 @@ def choice_kmc_oracle(model, gamma_mhz, times, trials, seed):
     return out
 
 
+def per_trial_kmc_oracle(model, gamma_mhz, times, trials, seed):
+    """The event loop one trial at a time, which the lockstep
+    kinetic_monte_carlo must reproduce bit for bit: one gemv, rate vector,
+    draw and flip per event, the grid cursor advanced point by point."""
+    v = model.pair_shift_matrix_mhz()
+    gamma = 2 * math.pi * gamma_mhz
+    numerator = (2 * math.pi * model.rabi_mhz) ** 2 * gamma
+    streams = np.random.SeedSequence(seed).spawn(trials)
+    out = np.zeros((trials, times.size), dtype=np.int64)
+    for trial in range(trials):
+        rng = np.random.default_rng(streams[trial])
+        excited = np.zeros(model.n_atoms)
+        count = 0
+        t = 0.0
+        cursor = 0
+        while cursor < times.size:
+            detuning = 2 * math.pi * (model.detuning_mhz - v @ excited)
+            rates = numerator / (gamma**2 + 4.0 * detuning**2)
+            total = rates.sum()
+            if total <= 0:
+                break
+            wait = rng.exponential(1.0 / total)
+            while cursor < times.size and times[cursor] < t + wait:
+                out[trial, cursor] = count
+                cursor += 1
+            t += wait
+            cdf = np.cumsum(rates / total)
+            cdf /= cdf[-1]
+            atom = int(cdf.searchsorted(rng.random(), side="right"))
+            excited[atom] = 1.0 - excited[atom]
+            count += 1 if excited[atom] else -1
+        out[trial, cursor:] = count
+    return out
+
+
+def lockstep_oracle_case(name, seed):
+    """(model, gamma_mhz, times, trials) for the lockstep-vs-oracle test."""
+    if name == "benchmark_shaped":
+        pos = uniform_box_positions(
+            150, (20.0, 20.0, 20.0), seed_or_rng=seed, min_separation_um=0.5
+        )
+        model = ExcitationModel(positions_um=pos, rabi_mhz=1.0, c6_mhz_um6=5000.0)
+        return model, 5.0, np.linspace(0.0, 20.0, 21), 40
+    if name == "facilitated_chain":
+        # the detuning equals the nearest-neighbour shift: a trial that
+        # excites one atom runs on resonant neighbours while one left in
+        # the ground state barely moves; trials need 1 to 119 events
+        model = ExcitationModel(
+            positions_um=cubic_lattice((8, 1, 1), 1.0),
+            rabi_mhz=0.5,
+            detuning_mhz=5.0,
+            c6_mhz_um6=5.0,
+        )
+        return model, 0.5, np.linspace(0.0, 10.0, 11), 40
+    if name == "zero_rabi":
+        model = ExcitationModel(
+            positions_um=cubic_lattice((3, 2, 1), 1.0),
+            rabi_mhz=0.0,
+            c6_mhz_um6=50.0,
+        )
+        return model, 2.0, np.linspace(0.0, 3.0, 4), 5
+    # near_symmetric: interaction_mhz passes the allclose symmetry check
+    # with v[i, j] - v[j, i] of order 1e-10
+    pos = uniform_box_positions(
+        30, (8.0, 8.0, 8.0), seed_or_rng=7, min_separation_um=0.5
+    )
+    v = ExcitationModel(positions_um=pos, rabi_mhz=0.5, c6_mhz_um6=200.0)
+    v = v.pair_shift_matrix_mhz()
+    v = v + 1e-10 * np.random.default_rng(seed).normal(size=v.shape)
+    model = ExcitationModel(positions_um=pos, rabi_mhz=0.5, interaction_mhz=v)
+    return model, 2.0, np.linspace(0.0, 6.0, 7), 60
+
+
 def loop_hamiltonian(model, basis):
     """Dense H from a per-subset loop over tuples: the _build_hamiltonian oracle."""
     v = model.pair_shift_matrix_mhz()
@@ -491,6 +578,22 @@ class TestExactDynamics:
         for col, t in enumerate(times):
             expected = linalg.expm(-1j * t * h) @ psi0
             assert np.max(np.abs(out[:, col] - expected)) < 1e-12
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_times_rejected(self, bad):
+        h, psi0 = propagation_problem(False)
+        for matrix in (h, sparse.csr_array(h)):
+            with pytest.raises(ValueError, match="finite"):
+                ens.propagate(matrix, psi0, [0.0, bad])
+        model = ExcitationModel(
+            positions_um=cubic_lattice((3, 1, 1), 1.0),
+            rabi_mhz=0.5,
+            c6_mhz_um6=10.0,
+        )
+        with pytest.raises(ValueError, match="finite"):
+            simulate_exact(model, [0.0, bad])
+        with pytest.raises(ValueError, match="finite"):
+            simulate_triple_exchange(1.0, 10.0, [0.0, bad])
 
     @pytest.mark.parametrize("complex_h", [False, True])
     def test_memory_ceiling_takes_sparse_path(self, monkeypatch, complex_h):
@@ -1034,6 +1137,18 @@ class TestKineticMonteCarlo:
         with pytest.raises(ValueError):
             kinetic_monte_carlo(model, 1.0, [-1.0], trials=2, seed=1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_times_rejected(self, bad):
+        # a non-finite grid point is never passed, so the event loop
+        # would never end
+        model = ExcitationModel(
+            positions_um=cubic_lattice((3, 1, 1), 1.0),
+            rabi_mhz=0.5,
+            c6_mhz_um6=10.0,
+        )
+        with pytest.raises(ValueError, match="finite"):
+            kinetic_monte_carlo(model, 2.0, [0.0, bad], trials=2, seed=1)
+
     def test_lorentzian_rate_arithmetic(self):
         model = ExcitationModel(
             positions_um=[[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]],
@@ -1052,6 +1167,26 @@ class TestKineticMonteCarlo:
             det = two_pi * (model.detuning_mhz[i] - shift)
             expected = omega**2 * gamma / (gamma**2 + 4 * det**2)
             assert rates[i] == pytest.approx(expected, rel=1e-12)
+
+    def test_stacked_rates_use_each_row_shift(self):
+        # interaction_mhz need only be allclose to symmetric: row b of the
+        # rates of a (B, N) stack must use v @ excited[b], not v.T @ it
+        rng = np.random.default_rng(8)
+        pos = cubic_lattice((3, 2, 2), 1.0)
+        v = ExcitationModel(positions_um=pos, rabi_mhz=0.5, c6_mhz_um6=50.0)
+        v = v.pair_shift_matrix_mhz() * (1.0 + 1e-6 * rng.random((12, 12)))
+        model = ExcitationModel(
+            positions_um=pos, rabi_mhz=0.5, detuning_mhz=0.3, interaction_mhz=v
+        )
+        excited = (rng.random((5, 12)) < 0.4).astype(float)
+        rates = ens._lorentzian_rates(model, 2.0, model.pair_shift_matrix_mhz())
+        two_pi = 2 * math.pi
+        for row, got in zip(excited, rates(excited)):
+            det = two_pi * (0.3 - model.pair_shift_matrix_mhz() @ row)
+            expected = (two_pi * 0.5) ** 2 * two_pi * 2.0 / (
+                (two_pi * 2.0) ** 2 + 4 * det**2
+            )
+            assert np.allclose(got, expected, rtol=1e-12, atol=0.0)
 
     def test_single_trial_rejected_before_simulating(self):
         # one sample has no variance: this seed ends with no excitation
@@ -1160,6 +1295,26 @@ class TestKineticMonteCarlo:
         oracle = choice_kmc_oracle(model, 2.0, times, trials=60, seed=21)
         assert np.array_equal(res.trajectories, oracle)
         assert oracle[:, -1].std() > 0
+
+    @pytest.mark.parametrize(
+        "name, seed",
+        [
+            ("benchmark_shaped", 1),
+            ("benchmark_shaped", 2),
+            ("facilitated_chain", 3),
+            ("zero_rabi", 4),
+            ("near_symmetric", 5),
+        ],
+    )
+    def test_lockstep_matches_per_trial_oracle(self, name, seed):
+        model, gamma, times, trials = lockstep_oracle_case(name, seed)
+        res = kinetic_monte_carlo(model, gamma, times, trials, seed)
+        oracle = per_trial_kmc_oracle(model, gamma, times, trials, seed)
+        assert np.array_equal(res.trajectories, oracle)
+        if name == "zero_rabi":
+            assert not oracle.any()
+        else:
+            assert oracle[:, -1].std() > 0
 
     def test_per_trial_streams_independent_of_total(self):
         model = ExcitationModel(
