@@ -287,7 +287,7 @@ def radial_solution(n_star, l, r_grid=None, core_charge=1.0, core_screening=0.0)
         h = _grid_step(n_star)
         _, r = _log_grid(R_MIN_DEFAULT, r_max, h)
     else:
-        r = r_grid
+        r = np.asarray(r_grid, dtype=float)
         if len(r) < 2:
             raise ValueError("r_grid needs at least two points")
         h = math.log(r[1]) - math.log(r[0])

@@ -9,8 +9,8 @@ Four layers, from coarse to fine:
 * truncated exact dynamics: unitary evolution of the product-state basis
   kept by capping the excitation number and the total interaction energy
   of the many-atom Hamiltonian, built as a sparse matrix and propagated
-  by dense eigh or, when cheaper and on an evenly spaced time grid, by
-  the sparse truncated-Taylor action expm_multiply (see propagate);
+  by dense eigh or, when cheaper, by one Chebyshev series whose real
+  three-term recurrence serves every requested time (see propagate);
 * a three-atom exchange model showing how degenerate pair flip-flop
   interactions admit unshifted triply-excited states, which break the
   pairwise suppression whenever the three couplings are not all equal;
@@ -30,7 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
-from scipy.sparse.linalg import expm_multiply
 
 TWO_PI = 2.0 * math.pi
 
@@ -42,22 +41,25 @@ TWO_PI = 2.0 * math.pi
 SATURATED_FRACTION_PREFACTOR = 1.4965
 
 # Default cap on the truncated many-atom basis. The memory of a propagation
-# depends on the path propagate takes for dim states and T times:
+# depends on the path propagate takes for dim states, T times and K terms:
 # * dense eigh: 32 dim^2 + 16 dim T bytes (H, its eigenvectors, their
 #   complex copy, the result); 1.3 TB at the full budget, so propagate
 #   never takes it beyond DENSE_MEMORY_CEILING_BYTES;
-# * expm_multiply: about 42 dim T + 60 nnz bytes (the result and its
-#   Taylor vectors, three CSR copies of H); measured 82 MB at dim 31 931,
-#   nnz 277 300, T = 60, and under 1 GB at the full budget for 30 atoms.
+# * Chebyshev series: 16 dim T bytes (the result), 8 K T (the Bessel
+#   coefficient table), 512 dim (64 real vectors), about 24 nnz (shifted
+#   copy of H) and 1 MB (gemm); measured 53 MB at dim 31 931, nnz 277 300,
+#   T = 60, K = 618, and about 0.45 GB by this count at the full budget
+#   for 30 atoms, T = 60 and K = 10 000.
 DEFAULT_BASIS_BUDGET = 200_000
 
-# Largest dense propagation (bytes, see _dense_bytes): beyond it an evenly
-# spaced grid takes expm_multiply and any other grid raises TruncationError.
+# Largest dense propagation in bytes: beyond it the Chebyshev series
+# always runs.
 DENSE_MEMORY_CEILING_BYTES = 2 * 1024**3
 
-# expm_multiply runs when its cost _taylor_cost is below this times dim^3,
-# the cost of dense eigh; measured on one BLAS thread (see propagate).
-SPARSE_COST_RATIO = 1e-2
+# The Chebyshev series runs when its cost K (nnz + dim T) is below this
+# times dim^3, the cost of dense eigh; measured on one BLAS thread (see
+# propagate).
+SPARSE_COST_RATIO = 0.5
 
 
 def _positive(value, name):
@@ -356,16 +358,20 @@ class ExcitationModel:
         return self.c6_mhz_um6 / r2**3
 
 
+def _subset_count(model):
+    """Excitation subsets within max_excitations, before the energy cutoff."""
+    return sum(
+        math.comb(model.n_atoms, k) for k in range(model.max_excitations + 1)
+    )
+
+
 def enumerate_basis(model):
     """Excitation subsets kept by the truncation, as index tuples.
 
     Ordered by excitation number then lexicographically; the empty
     subset (all atoms in the ground state) comes first.
     """
-    raw = sum(
-        math.comb(model.n_atoms, k)
-        for k in range(model.max_excitations + 1)
-    )
+    raw = _subset_count(model)
     if raw > max(50 * model.basis_budget, 5_000_000):
         raise TruncationError(
             "untruncated subset count %d is too large to filter; reduce "
@@ -441,89 +447,157 @@ def _build_hamiltonian(model, basis):
     return h
 
 
-def _evenly_spaced(times):
-    """True for an increasing grid of two or more equal steps, to rounding."""
-    if times.size < 2 or not times[-1] > times[0]:
-        return False
-    grid = np.linspace(times[0], times[-1], times.size)
-    ulp = np.finfo(float).eps * np.max(np.abs(times))
-    return np.max(np.abs(times - grid)) <= 4 * ulp
+def _series_length(x, tol):
+    """Smallest K > |x| with sum_{k >= K} 2 |J_k(x)| <= tol, for each x.
 
-
-def _taylor_cost(h, times):
-    """||H - mu I||_1 * (|t_first| + t_last - t_first) * nnz, mu = tr H / dim.
-
-    The work of expm_multiply: its Taylor steps grow with the shifted
-    1-norm times the evolution time, and each step is one product with H.
+    Kapteyn's inequality (DLMF 10.14.8) bounds |J_n(n sech u)| by
+    exp(-n (u - tanh u)). That exponent grows by at least u from n to
+    n + 1, so the tail from K is at most 2 exp(-K (u - tanh u)) /
+    (1 - exp(-u)) with u = arccosh(K / |x|). K ~ |x| + O(|x|^(1/3)).
     """
-    diag = h.diagonal()
-    mu = diag.sum() / h.shape[0]
-    columns = np.asarray(abs(h).sum(axis=0)).ravel()
-    norm_1 = np.max(columns - np.abs(diag) + np.abs(diag - mu))
-    nnz = h.nnz if scipy.sparse.issparse(h) else np.count_nonzero(h)
-    span = abs(times[0]) + times[-1] - times[0]
-    return norm_1 * span * nnz
+    x = np.abs(x)
+
+    def tail(k):
+        with np.errstate(divide="ignore"):
+            u = np.arccosh(k / x)
+        return -2.0 * np.exp(-k * (u - np.tanh(u))) / np.expm1(-u)
+
+    lo, hi = np.floor(x), np.floor(x) + 1.0  # the bound needs K > |x|
+    while np.any(short := tail(hi) > tol):
+        hi = np.where(short, 2.0 * hi - lo, hi)
+    while np.any(hi - lo > 1.0):
+        mid = np.ceil(0.5 * (lo + hi))
+        enough = tail(mid) <= tol
+        hi, lo = np.where(enough, mid, hi), np.where(enough, lo, mid)
+    return hi.astype(np.intp)
 
 
-def _dense_bytes(dim, n_times):
-    """Memory of the dense path: H, its eigenvectors, their complex copy
-    in the final product, and the (dim, T) result."""
-    return 32 * dim**2 + 16 * dim * n_times
+def _bessel_table(x, terms):
+    """(terms, T) table of J_k(x_j), k < terms, for real x_j of either sign.
 
-
-def propagate(h, psi0, times_us):
-    """Exact evolution of psi0 under a constant Hermitian h (rad/us).
-
-    h may be a dense array or a scipy.sparse matrix. Returns the (dim, T)
-    amplitudes at times_us by one of two exact methods:
-
-    * dense eigh: one eigendecomposition serves every time, as
-      modes @ (exp(-i E t) * coeffs). Cost ~ dim^3.
-    * expm_multiply (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488
-      (2011)): truncated-Taylor action of exp(-i h t) on psi0 over an
-      evenly spaced grid of two or more times. Cost ~ ||H - mu I||_1 *
-      span * nnz (see _taylor_cost); no dim^2 array is formed.
-
-    The sparse method is taken on an evenly spaced grid when its cost is
-    below SPARSE_COST_RATIO * dim^3, and always when the dense path would
-    need more than DENSE_MEMORY_CEILING_BYTES; with that much memory and a
-    grid that is not evenly spaced, TruncationError is raised before any
-    allocation. A non-finite time raises ValueError.
+    Miller's backward recurrence J_{k-1} = (2k / x) J_k - J_{k+1}, started
+    in each column where the Kapteyn tail falls below 1e-32 (so the start
+    error reaches no tabulated order above 1e-16) and normalized by
+    J_0 + 2 sum_k J_2k = 1. |x| < 1e-30 is raised to 1e-30, which moves
+    J_1 ~ x / 2 by a negligible 5e-31.
     """
+    x = np.copysign(np.maximum(np.abs(x), 1e-30), x)  # no division by 0
+    start = _series_length(x, 1e-32)
+    seeds = {}
+    for j, k in enumerate(start.tolist()):
+        seeds.setdefault(k, []).append(j)
+    table = np.zeros((terms, x.size))
+    ratio = 2.0 / x
+    upper, value, even = np.zeros((3, x.size))
+    for k in range(int(start.max(initial=0)), -1, -1):
+        if k in seeds:
+            # small enough that no column overflows on its way down
+            value[seeds[k]] = 1e-250
+        if k < terms:
+            table[k] = value
+        if k % 2 == 0:
+            even += value
+        upper, value = value, (k * ratio) * value - upper
+    table /= 2.0 * even - table[0]
+    return table
+
+
+def _chebyshev(h, psi0, times, lo, hi, need):
+    """exp(-i h t) psi0 for every t, with h's spectrum in [lo, hi].
+
+    Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984): with b, a the centre
+    and half-width of [lo, hi] and X = (h - b) / a, exp(-i h t) =
+    exp(-i b t) sum_k (2 - delta_k0) (-i)^k J_k(a t) T_k(X). The vectors
+    v_k = T_k(X) psi0 obey v_{k+1} = 2 X v_k - v_{k-1}, real when h and psi0
+    are, and are summed in blocks of 64 by gemm; time j takes need[j]
+    terms, past which the tail moves no amplitude by 1e-16 |psi0|.
+    """
+    dim = h.shape[0]
+    centre, half = 0.5 * (lo + hi), max(0.5 * (hi - lo), np.finfo(float).tiny)
+    dtype = np.result_type(h.dtype, psi0.dtype, float)
+    m = scipy.sparse.csr_array(h - centre * scipy.sparse.eye_array(dim), dtype=dtype)
+    m *= 2.0 / half  # m = 2 X
+    terms = int(need.max(initial=1))
+    table = _bessel_table(half * times, terms)  # J_k(-x) = (-1)^k J_k(x)
+    table[0] *= 0.5  # so that every term carries the weight 2 (-i)^k
+    width = 64  # a multiple of 4, the period of (-i)^k
+    weight = 2.0 * (-1j) ** np.arange(width)
+    order = np.argsort(need, kind="stable")
+    ascending = np.array_equal(order, np.arange(times.size))
+    sorted_need = need[order]
+    out = np.zeros((dim, times.size), complex)
+    span = max(1, 2**16 // max(times.size, 1))
+    block = np.empty((width, dim), dtype)
+    block[0] = psi0
+    block[1] = 0.5 * (m @ psi0)
+    for k0 in range(0, terms, width):
+        rows = min(width, terms - k0)
+        for i in range(2 if k0 == 0 else 0, rows):
+            # negative indices reach back into the previous block
+            np.subtract(m @ block[i - 1], block[i - 2], out=block[i])
+        first = np.searchsorted(sorted_need, k0, side="right")
+        cols = slice(first, None) if ascending else order[first:]
+        coef = table[k0:k0 + rows, cols] * weight[:rows, None]
+        # 2^16 / T rows per gemm keep its temporary within 1 MB
+        for r in range(0, dim, span):
+            part = slice(r, r + span)
+            if dtype.kind == "f":
+                # (-i)^k is real for even k and imaginary for odd k
+                out.real[part, cols] += block[:rows:2, part].T @ coef[::2].real
+                out.imag[part, cols] += block[1:rows:2, part].T @ coef[1::2].imag
+            else:
+                out[part, cols] += block[:rows, part].T @ coef
+    out *= np.exp(-1j * centre * times)
+    return out
+
+
+def _propagate(h, psi0, times_us):
+    """propagate, also returning the method that ran: "eigh" or "chebyshev"."""
     times = np.asarray(times_us, dtype=float)
     if not np.all(np.isfinite(times)):
         raise ValueError("times_us must be finite")
+    psi0 = np.asarray(psi0)
     dim = h.shape[0]
-    uniform = _evenly_spaced(times)
-    if _dense_bytes(dim, times.size) > DENSE_MEMORY_CEILING_BYTES:
-        if not uniform:
-            raise TruncationError(
-                "dense propagation of dimension %d needs more than %d bytes; "
-                "an evenly spaced time grid takes the sparse path"
-                % (dim, DENSE_MEMORY_CEILING_BYTES)
-            )
-        use_sparse = True
-    else:
-        use_sparse = (
-            uniform and _taylor_cost(h, times) < SPARSE_COST_RATIO * dim**3
-        )
-    if use_sparse:
-        a = -1j * scipy.sparse.csr_array(h)
-        psi = np.asarray(psi0, dtype=complex)
-        if times[0] != 0.0:
-            psi = expm_multiply(times[0] * a, psi)
-        out = expm_multiply(
-            a, psi, start=0.0, stop=times[-1] - times[0], num=times.size,
-            endpoint=True,
-        )
-        return out.T
+    # Gershgorin discs bound the spectrum exactly
+    diag = h.diagonal().real
+    radius = np.asarray(abs(h).sum(axis=1)).ravel() - np.abs(diag)
+    lo, hi = np.min(diag - radius), np.max(diag + radius)
+    need = _series_length(0.5 * (hi - lo) * times, 1e-16)
+    nnz = h.nnz if scipy.sparse.issparse(h) else np.count_nonzero(h)
+    series_cost = need.max(initial=1) * (nnz + dim * times.size)
+    # eigh holds H, its eigenvectors, their complex copy and the result
+    dense_bytes = 32 * dim**2 + 16 * dim * times.size
+    if (
+        dense_bytes > DENSE_MEMORY_CEILING_BYTES
+        or series_cost < SPARSE_COST_RATIO * dim**3
+    ):
+        return _chebyshev(h, psi0, times, lo, hi, need), "chebyshev"
     if scipy.sparse.issparse(h):
         h = h.toarray()
     energies, modes = np.linalg.eigh(h)
     # conjugating the vector, not the matrix, avoids a dim^2 copy of modes
     coeffs = (np.conj(psi0) @ modes).conj()
     phases = np.exp(-1j * np.outer(energies, times))
-    return modes @ (phases * coeffs[:, None])
+    return modes @ (phases * coeffs[:, None]), "eigh"
+
+
+def propagate(h, psi0, times_us):
+    """Exact evolution of psi0 under a constant Hermitian h (rad/us).
+
+    h may be a dense array or a scipy.sparse matrix. Returns the (dim, T)
+    amplitudes at times_us, any finite times in any order, by one of two
+    exact methods:
+
+    * dense eigh: one eigendecomposition serves every time. Cost ~ dim^3.
+    * Chebyshev series (see _chebyshev): one three-term recurrence serves
+      every time, with K ~ a max|t| terms for a the Gershgorin half-width
+      of h. Cost ~ K (nnz + dim T); no dim^2 array is formed.
+
+    The series runs when its cost is below SPARSE_COST_RATIO * dim^3, and
+    always when eigh would need more than DENSE_MEMORY_CEILING_BYTES. A
+    non-finite time raises ValueError.
+    """
+    return _propagate(h, psi0, times_us)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -535,6 +609,8 @@ class ExactDynamics:
     number_probabilities: np.ndarray  # (T, n_atoms + 1)
     dimension: int
     norm_drift: float
+    method: str  # the propagate method that ran: "eigh" or "chebyshev"
+    rejected_states: int  # subsets within max_excitations the cutoff dropped
     g2_r_um: np.ndarray = None
     g2: np.ndarray = None
 
@@ -557,7 +633,8 @@ def simulate_exact(model, times_us, g2_bins_um=None, g2_window=0.5):
     # all population starts in the all-ground state, basis index 0
     psi0 = np.zeros(dim)
     psi0[0] = 1.0
-    weights = np.abs(propagate(h, psi0, times)) ** 2
+    amplitudes, method = _propagate(h, psi0, times)
+    weights = np.abs(amplitudes) ** 2
 
     sizes = np.fromiter(map(len, basis), dtype=np.intp, count=dim)
     norms = weights.sum(axis=0)
@@ -599,6 +676,8 @@ def simulate_exact(model, times_us, g2_bins_um=None, g2_window=0.5):
         number_probabilities=probs,
         dimension=dim,
         norm_drift=norm_drift,
+        method=method,
+        rejected_states=_subset_count(model) - dim,
         g2_r_um=g2_r,
         g2=g2_vals,
     )
@@ -865,6 +944,8 @@ def kinetic_monte_carlo(model, gamma_mhz, times_us, trials, seed):
     trials are needed.
     """
     _positive(gamma_mhz, "gamma_mhz")
+    if not math.isfinite(gamma_mhz):
+        raise ValueError("gamma_mhz must be finite, got %r" % (gamma_mhz,))
     if trials < 2:
         raise ValueError("trials must be >= 2")
     times = np.asarray(times_us, dtype=float)
@@ -884,6 +965,9 @@ def kinetic_monte_carlo(model, gamma_mhz, times_us, trials, seed):
     while live.size:
         rates = rates_of(excited[live])
         total = rates.sum(axis=1)
+        if not np.all(np.isfinite(total)):
+            # an infinite total waits 0 forever, a nan one ends the trial
+            raise ValueError("transition rate total is not finite")
         # a trial with no allowed transition is finished
         moving = total > 0
         live, rates, total = live[moving], rates[moving], total[moving]

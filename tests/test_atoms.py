@@ -249,6 +249,9 @@ class TestRadialSolver:
         for short in (np.array([1.0]), np.array([])):
             with pytest.raises(ValueError, match="two points"):
                 radial_solution(50.0, 0, r_grid=short)
+        # a list is checked like an array (it used to raise TypeError)
+        with pytest.raises(ValueError, match="classical region"):
+            radial_solution(50.0, 0, r_grid=[1.0, 2.0, 4.0])
 
 
 class TestMatrixElements:

@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import linalg, sparse
+from scipy import linalg, sparse, special
 from scipy.optimize import curve_fit
+from scipy.sparse.linalg import expm_multiply
 
 import rydtools.ensemble as ens
 from rydtools.ensemble import (
@@ -599,7 +600,9 @@ class TestExactDynamics:
     def test_memory_ceiling_takes_sparse_path(self, monkeypatch, complex_h):
         h, psi0 = propagation_problem(complex_h)
         times = np.linspace(0.3, 2.5, 5)
+        uneven = np.array([0.0, 0.3, 1.1, 2.5])
         dense = ens.propagate(h, psi0, times)
+        dense_uneven = ens.propagate(h, psi0, uneven)
         monkeypatch.setattr(ens, "DENSE_MEMORY_CEILING_BYTES", 1024)
 
         def no_eigh(*args, **kwargs):
@@ -608,8 +611,9 @@ class TestExactDynamics:
         monkeypatch.setattr(np.linalg, "eigh", no_eigh)
         out = ens.propagate(sparse.csr_array(h), psi0, times)
         assert np.max(np.abs(out - dense)) < 1e-12
-        with pytest.raises(TruncationError, match="bytes"):
-            ens.propagate(h, psi0, [0.0, 0.3, 1.1, 2.5])
+        # any grid takes the series above the ceiling
+        out = ens.propagate(h, psi0, uneven)
+        assert np.max(np.abs(out - dense_uneven)) < 1e-12
 
     def test_weak_interactions_take_sparse_path(self, monkeypatch):
         # weak, sparse couplings: the Taylor cost is far below dim^3
@@ -639,9 +643,124 @@ class TestExactDynamics:
         monkeypatch.setattr(np.linalg, "eigh", no_eigh)
         dyn = simulate_exact(model, times)
         assert dyn.dimension == len(basis) == 386
+        assert dyn.method == "chebyshev"
         assert np.max(np.abs(dyn.mean_excitations - sizes @ weights)) < 1e-12
         assert np.max(np.abs(dyn.number_probabilities - oracle_probs)) < 1e-12
         assert dyn.norm_drift < 1e-8
+
+    def test_bessel_table_matches_scipy(self):
+        x = np.concatenate(
+            [[0.0, 1e-300, 1e-12, 1e-3, 0.5, 7.3], np.linspace(-5000.0, 5000.0, 41)]
+        )
+        need = ens._series_length(x, 1e-16)
+        assert np.all(need > np.abs(x))
+        table = ens._bessel_table(x, int(need.max()))
+        orders = np.arange(table.shape[0])[:, None]
+        assert np.max(np.abs(table - special.jv(orders, x))) < 1e-13
+        # the stated tail bound holds: sum_{k >= K} 2 |J_k(x)| <= 1e-16
+        for xj, kj in zip(x, need):
+            tail = 2.0 * np.abs(special.jv(np.arange(kj, kj + 400), xj)).sum()
+            assert tail <= 1e-16
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            [1.7, 0.0, 2.5, 0.3, 1.1],
+            [-2.5, -0.4, 0.0, 0.9],
+            np.linspace(0.7, 3.1, 7),
+            np.linspace(0.0, 2.5, 6),
+        ],
+        ids=["unsorted", "negative", "offset", "even"],
+    )
+    @pytest.mark.parametrize("as_csr", [False, True], ids=["dense", "csr"])
+    @pytest.mark.parametrize("kind", ["real", "complex_psi0", "complex_h"])
+    def test_series_matches_expm(self, monkeypatch, kind, as_csr, grid):
+        monkeypatch.setattr(ens, "SPARSE_COST_RATIO", math.inf)
+        h, psi0 = propagation_problem(kind == "complex_h")
+        if kind == "real":
+            psi0 = psi0.real.copy()
+        times = np.asarray(grid)
+        out, method = ens._propagate(
+            sparse.csr_array(h) if as_csr else h, psi0, times
+        )
+        assert method == "chebyshev"
+        assert out.shape == (h.shape[0], times.size)
+        for col, t in enumerate(times):
+            expected = linalg.expm(-1j * t * h) @ psi0
+            assert np.max(np.abs(out[:, col] - expected)) < 1e-12
+
+    @pytest.mark.parametrize(
+        "h",
+        [2.7 * np.eye(5), np.array([[-3.1]]), sparse.csr_array(0.4 * np.eye(4))],
+        ids=["scaled_identity", "one_by_one", "csr_identity"],
+    )
+    def test_series_zero_spectral_width(self, monkeypatch, h):
+        # Gershgorin width 0: the series is the phase exp(-i c t) alone
+        monkeypatch.setattr(ens, "SPARSE_COST_RATIO", math.inf)
+        dim = h.shape[0]
+        psi0 = np.arange(1.0, dim + 1.0) + 0.5j
+        times = np.array([0.0, -1.3, 2.0, 1e6])
+        out, method = ens._propagate(h, psi0, times)
+        assert method == "chebyshev"
+        c = h.diagonal()[0]
+        expected = psi0[:, None] * np.exp(-1j * c * times)
+        assert np.max(np.abs(out - expected)) < 1e-12
+
+    def test_stiff_ensemble_takes_series(self, monkeypatch):
+        # benchmark-sized: 16 atoms, C6 = 500, <= 4 excitations, dim 2517
+        model = ExcitationModel(
+            positions_um=uniform_box_positions(
+                16, (8.0, 8.0, 8.0), seed_or_rng=4, min_separation_um=1.0
+            ),
+            rabi_mhz=1.0,
+            c6_mhz_um6=500.0,
+            max_excitations=4,
+        )
+        basis = enumerate_basis(model)
+        h = ens._build_hamiltonian(model, basis)
+        psi0 = np.zeros(len(basis))
+        psi0[0] = 1.0
+        times = np.array([0.0, 0.35, 0.1])
+        expected = [expm_multiply(-1j * t * h, psi0) for t in times]
+
+        def no_eigh(*args, **kwargs):
+            raise AssertionError("dense eigh for a stiff sparse ensemble")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        out, method = ens._propagate(h, psi0, times)
+        assert method == "chebyshev"
+        for col in range(times.size):
+            assert np.max(np.abs(out[:, col] - expected[col])) < 1e-12
+        dyn = simulate_exact(model, np.linspace(0.0, 0.35, 8))
+        assert dyn.method == "chebyshev"
+        assert dyn.dimension == 2517
+        assert dyn.norm_drift < 1e-12
+
+    def test_reports_method_and_rejected_states(self, monkeypatch):
+        model = ExcitationModel(
+            positions_um=cubic_lattice((6, 1, 1), 1.0),
+            rabi_mhz=0.7,
+            c6_mhz_um6=10.0,
+            max_excitations=3,
+            energy_cutoff_mhz=5.0,
+        )
+        v = model.pair_shift_matrix_mhz()
+        rejected = sum(
+            abs(sum(v[i, j] for i, j in itertools.combinations(subset, 2))) > 5.0
+            for k in range(4)
+            for subset in itertools.combinations(range(6), k)
+        )
+        assert rejected > 0
+        times = np.linspace(0.0, 1.0, 11)
+        results = {}
+        for ratio, method in ((0.0, "eigh"), (math.inf, "chebyshev")):
+            monkeypatch.setattr(ens, "SPARSE_COST_RATIO", ratio)
+            dyn = simulate_exact(model, times)
+            assert dyn.method == method
+            assert dyn.rejected_states == rejected
+            assert dyn.dimension + rejected == 1 + 6 + 15 + 20
+            results[method] = dyn.mean_excitations
+        assert np.max(np.abs(results["eigh"] - results["chebyshev"])) < 1e-12
 
     @pytest.mark.parametrize("n_atoms", [9, 64])
     def test_hamiltonian_matches_loop_oracle(self, n_atoms):
@@ -1148,6 +1267,25 @@ class TestKineticMonteCarlo:
         )
         with pytest.raises(ValueError, match="finite"):
             kinetic_monte_carlo(model, 2.0, [0.0, bad], trials=2, seed=1)
+
+    def test_non_finite_rates_rejected(self):
+        # gamma = inf made every rate nan and returned all-zero
+        # trajectories; a drive of 1e160 MHz overflows the rate total to
+        # inf, every wait is 0 and the event loop never ended
+        model = ExcitationModel(
+            positions_um=cubic_lattice((3, 1, 1), 1.0),
+            rabi_mhz=1.0,
+            c6_mhz_um6=10.0,
+        )
+        with pytest.raises(ValueError, match="gamma_mhz"):
+            kinetic_monte_carlo(model, np.inf, [0.0, 1.0], trials=2, seed=1)
+        loud = ExcitationModel(
+            positions_um=cubic_lattice((3, 1, 1), 1.0),
+            rabi_mhz=1e160,
+            c6_mhz_um6=10.0,
+        )
+        with pytest.raises(ValueError, match="rate total"):
+            kinetic_monte_carlo(loud, 1.0, [0.0, 1.0], trials=2, seed=1)
 
     def test_lorentzian_rate_arithmetic(self):
         model = ExcitationModel(
