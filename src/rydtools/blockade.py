@@ -339,11 +339,10 @@ def integrate_amplitudes(state, geometry, field, eig, t_us, decay_tau_us=None):
     """Evolve the truncated amplitude system for t_us microseconds.
 
     Exact propagation under the constant Hamiltonian: ensemble.propagate
-    in the Hermitian case, which takes dense eigh or the Chebyshev series
-    by its cost rule (the series for the three-atom 43d system of
-    dimension 110 at 0.2 us), and the matrix exponential of the
-    non-Hermitian H when decay_tau_us adds damping. Passing eig=None
-    removes all doubly-excited states (fully blockaded two-level limit).
+    (dense eigh or the Chebyshev series, by its cost rule) in the Hermitian
+    case, and the matrix exponential of the non-Hermitian H when
+    decay_tau_us adds damping. Passing eig=None removes all
+    doubly-excited states (fully blockaded two-level limit).
     """
     if t_us < 0:
         raise ValueError("t_us must be nonnegative, got %r" % (t_us,))

@@ -46,10 +46,10 @@ SATURATED_FRACTION_PREFACTOR = 1.4965
 #   complex copy, the result); 1.3 TB at the full budget, so propagate
 #   never takes it beyond DENSE_MEMORY_CEILING_BYTES;
 # * Chebyshev series: 16 dim T bytes (the result), 8 K T (the Bessel
-#   coefficient table), 512 dim (64 real vectors), about 24 nnz (shifted
-#   copy of H) and 1 MB (gemm); measured 53 MB at dim 31 931, nnz 277 300,
-#   T = 60, K = 618, and about 0.45 GB by this count at the full budget
-#   for 30 atoms, T = 60 and K = 10 000.
+#   table), 512 dim (64 vectors), about 24 nnz (shifted copy of H) and
+#   1 MB (gemm); measured 53 MB at dim 31 931, nnz 277 300, T = 60,
+#   K = 618. Below the ceiling the cost rule keeps 8 K T under 4 dim^2;
+#   above it the table grows with max|t|, 0.5 GB at K = 10^6 and T = 60.
 DEFAULT_BASIS_BUDGET = 200_000
 
 # Largest dense propagation in bytes: beyond it the Chebyshev series
@@ -483,16 +483,11 @@ def _bessel_table(x, terms):
     """
     x = np.copysign(np.maximum(np.abs(x), 1e-30), x)  # no division by 0
     start = _series_length(x, 1e-32)
-    seeds = {}
-    for j, k in enumerate(start.tolist()):
-        seeds.setdefault(k, []).append(j)
     table = np.zeros((terms, x.size))
     ratio = 2.0 / x
     upper, value, even = np.zeros((3, x.size))
     for k in range(int(start.max(initial=0)), -1, -1):
-        if k in seeds:
-            # small enough that no column overflows on its way down
-            value[seeds[k]] = 1e-250
+        value[start == k] = 1e-250  # no column overflows on its way down
         if k < terms:
             table[k] = value
         if k % 2 == 0:
@@ -518,13 +513,12 @@ def _chebyshev(h, psi0, times, lo, hi, need):
     m = scipy.sparse.csr_array(h - centre * scipy.sparse.eye_array(dim), dtype=dtype)
     m *= 2.0 / half  # m = 2 X
     terms = int(need.max(initial=1))
+    order = np.argsort(need, kind="stable")  # so each block sums a suffix
+    need, times = need[order], times[order]
     table = _bessel_table(half * times, terms)  # J_k(-x) = (-1)^k J_k(x)
     table[0] *= 0.5  # so that every term carries the weight 2 (-i)^k
     width = 64  # a multiple of 4, the period of (-i)^k
     weight = 2.0 * (-1j) ** np.arange(width)
-    order = np.argsort(need, kind="stable")
-    ascending = np.array_equal(order, np.arange(times.size))
-    sorted_need = need[order]
     out = np.zeros((dim, times.size), complex)
     span = max(1, 2**16 // max(times.size, 1))
     block = np.empty((width, dim), dtype)
@@ -535,8 +529,7 @@ def _chebyshev(h, psi0, times, lo, hi, need):
         for i in range(2 if k0 == 0 else 0, rows):
             # negative indices reach back into the previous block
             np.subtract(m @ block[i - 1], block[i - 2], out=block[i])
-        first = np.searchsorted(sorted_need, k0, side="right")
-        cols = slice(first, None) if ascending else order[first:]
+        cols = slice(np.searchsorted(need, k0, side="right"), None)
         coef = table[k0:k0 + rows, cols] * weight[:rows, None]
         # 2^16 / T rows per gemm keep its temporary within 1 MB
         for r in range(0, dim, span):
@@ -548,6 +541,9 @@ def _chebyshev(h, psi0, times, lo, hi, need):
             else:
                 out[part, cols] += block[:rows, part].T @ coef
     out *= np.exp(-1j * centre * times)
+    inverse = np.argsort(order)
+    for r in range(0, dim, span):  # back to the given order, span rows at once
+        out[r:r + span] = out[r:r + span, inverse]
     return out
 
 
@@ -594,8 +590,9 @@ def propagate(h, psi0, times_us):
       of h. Cost ~ K (nnz + dim T); no dim^2 array is formed.
 
     The series runs when its cost is below SPARSE_COST_RATIO * dim^3, and
-    always when eigh would need more than DENSE_MEMORY_CEILING_BYTES. A
-    non-finite time raises ValueError.
+    always when eigh would need more than DENSE_MEMORY_CEILING_BYTES. Both
+    round to about what a relative change of eps in t gives, eps ||h|| |t|
+    per unit of |psi0|, whatever K. A non-finite time raises ValueError.
     """
     return _propagate(h, psi0, times_us)[0]
 

@@ -706,6 +706,26 @@ class TestExactDynamics:
         expected = psi0[:, None] * np.exp(-1j * c * times)
         assert np.max(np.abs(out - expected)) < 1e-12
 
+    @pytest.mark.parametrize("seed", [0, 3, 11])
+    def test_series_rounding_at_large_term_count(self, monkeypatch, seed):
+        # K ~ 46 800, the most the cost rule admits at the benchmark's
+        # dim 2517 and T = 60. A diagonal H puts eigenvalues on both
+        # Gershgorin edges, where recurrence rounding grows fastest;
+        # integer energies and half-integer times make every E t exact.
+        monkeypatch.setattr(ens, "SPARSE_COST_RATIO", math.inf)
+        rng = np.random.default_rng(seed)
+        energies = np.concatenate([[0.0, 3300.0], rng.integers(0, 3301, 38)])
+        psi0 = rng.standard_normal(40) + 1j * rng.standard_normal(40)
+        psi0 /= np.linalg.norm(psi0)
+        times = rng.permutation(np.linspace(0.0, 28.0, 57))
+        out, method = ens._propagate(sparse.diags_array(energies), psi0, times)
+        assert method == "chebyshev"
+        assert ens._series_length(1650.0 * times, 1e-16).max() > 46_000
+        expected = psi0[:, None] * np.exp(-1j * np.outer(energies, times))
+        # no worse than a relative change of eps in t: eps ||H|| |t| |psi0_i|
+        floor = np.finfo(float).eps * 3300.0 * np.outer(np.abs(psi0), np.abs(times))
+        assert np.all(np.abs(out - expected) <= floor + 1e-15)
+
     def test_stiff_ensemble_takes_series(self, monkeypatch):
         # benchmark-sized: 16 atoms, C6 = 500, <= 4 excitations, dim 2517
         model = ExcitationModel(
