@@ -8,7 +8,10 @@ convention
 """
 
 import math
+from fractions import Fraction
 from functools import lru_cache
+
+import numpy as np
 
 
 def _twice(j):
@@ -144,6 +147,34 @@ def clebsch_gordan(j1, m1, j2, m2, j, m):
         return 0.0
     phase = (-1) ** round(j1 - j2 + m)
     return phase * math.sqrt(2 * j + 1) * wigner_3j(j1, j2, j, m1, m2, -m)
+
+
+@lru_cache(maxsize=None)
+def _small_d_table(tj):
+    # Wigner's formula as d[m', m] = sum_p table[m', m, p] cos(theta/2)^(2j-p)
+    # sin(theta/2)^p, p = m' - m + 2s for its sum index s. Square roots of
+    # exact rationals make the p = 0 entries, all diagonal, exactly 1
+    table = np.zeros((tj + 1,) * 3)
+    for a, b in np.ndindex(tj + 1, tj + 1):  # a = j + m', b = j + m
+        norm = _fact(a) * _fact(tj - a) * _fact(b) * _fact(tj - b)
+        for s in range(max(0, b - a), min(b, tj - a) + 1):
+            den = _fact(b - s) * _fact(s) * _fact(a - b + s) * _fact(tj - a - s)
+            root = math.sqrt(Fraction(norm, den * den))
+            table[a, b, a - b + 2 * s] = (-1) ** (a - b + s) * root
+    table.flags.writeable = False
+    return table
+
+
+def wigner_small_d(j, theta):
+    """Wigner small-d matrix d^j(theta)[m', m] = <j m'| exp(-i theta J_y) |j m>.
+
+    Rows m' and columns m run over -j..j ascending. A rotation by theta
+    about y turns |j m> into sum_m' d[m', m] |j m'>. The matrix is real and
+    orthogonal, and exactly the identity at theta = 0.
+    """
+    table = _small_d_table(_twice(j))
+    p = np.arange(table.shape[0])
+    return table @ (math.cos(0.5 * theta) ** p[::-1] * math.sin(0.5 * theta) ** p)
 
 
 def reduced_c1_l(l1, l2):

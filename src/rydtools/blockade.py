@@ -22,7 +22,13 @@ import numpy as np
 from scipy import linalg
 
 from .ensemble import propagate
-from .pair import FORSTER_ZERO_FLOOR, forster_eigensystem, pair_shift_mhz
+from .pair import (
+    FORSTER_ZERO_FLOOR,
+    _at_angle,
+    _level_key,
+    forster_eigensystem,
+    pair_shift_mhz,
+)
 
 KAPPA_WEIGHT_FLOOR = 1e-12
 # pair-state shifts closer than DEGENERACY_RTOL x max(1 MHz, largest |shift|)
@@ -109,9 +115,16 @@ class ExcitationField:
 
 def _driven_index(eig, target_m):
     """Index of the driven Zeeman product |target_m, target_m> in the
-    initial pair basis shared by all channels of the eigensystem."""
-    state = eig.channels[0].initial[0]
-    j = state.j
+    initial pair basis shared by all channels of the eigensystem. Both
+    atoms are driven to the same level, so the pair's two initial levels
+    must be one."""
+    first, second = eig.channels[0].initial
+    if _level_key(first) != _level_key(second):
+        raise ValueError(
+            "the driven pair needs one initial level, got %s and %s"
+            % (first.label, second.label)
+        )
+    j = first.j
     if abs(target_m) > j or abs(2 * target_m - round(2 * target_m)) > 1e-9:
         raise ValueError(
             "drive targets m=%s outside the j=%s Zeeman manifold" % (target_m, j)
@@ -181,15 +194,20 @@ def overlap_kappa(eig, field, pair=None, *, r_um):
 def _pair_spectra(geometry, field, eig):
     """(k, l, shifts, kappas) of every atom pair in lexicographic order.
 
-    Each pair uses its own separation and its exact interatomic-axis angle:
-    eig itself when the angle equals eig.theta, otherwise one eigensystem
-    per distinct angle.
+    Each pair uses its own separation and its exact interatomic-axis angle.
+    One theta = 0 eigensystem (eig itself when eig.theta is 0) serves pairs
+    on the z axis and is turned to every other distinct angle by the Wigner
+    rotation of pair._at_angle, the same one forster_eigensystem applies, so
+    no pair diagonalizes a Gram matrix.
     """
-    by_angle = {eig.theta: eig}
+    base = eig
+    if eig.theta != 0:
+        base = forster_eigensystem(eig.channels, 0.0, eig.b_field_t)
+    by_angle = {0.0: base}
     for k, l in geometry.pairs():
         theta = geometry.axis_theta_rad(k, l)
         if theta not in by_angle:
-            by_angle[theta] = forster_eigensystem(eig.channels, theta, eig.b_field_t)
+            by_angle[theta] = _at_angle(base, theta)
         r_um = geometry.separation_um(k, l)
         yield (k, l) + _shifts_and_kappas(by_angle[theta], field, (k, l), r_um)
 
@@ -227,17 +245,17 @@ def blockade_shift(geometry, field, eig):
         # zero within 1e-12 x max(1 MHz, largest |shift| of the pair): an
         # absolute 1e-12 MHz for spectra below 1 MHz
         zero_tol = 1e-12 * max(1.0, float(np.max(np.abs(shifts))))
-        for p_idx, delta in enumerate(shifts):
-            weight = abs(kappas[p_idx]) ** 2
-            if weight < KAPPA_WEIGHT_FLOOR:
-                continue
-            if abs(delta) <= zero_tol:
-                zero_term = (p_idx, k, l)
-                contributions.append((k, l, p_idx, math.inf))
-                continue
-            term = weight / delta**2
-            contributions.append((k, l, p_idx, term))
-            total += term
+        weights = np.abs(kappas) ** 2
+        states = np.flatnonzero(weights >= KAPPA_WEIGHT_FLOOR)
+        delta = shifts[states]
+        zero = np.abs(delta) <= zero_tol
+        terms = weights[states] / np.where(zero, 1.0, delta) ** 2
+        terms[zero] = math.inf
+        if zero.any():
+            zero_term = (int(states[zero][-1]), k, l)
+        total += float(np.sum(terms[~zero]))
+        rows = zip(states.tolist(), terms.tolist())
+        contributions.extend((k, l, p_idx, term) for p_idx, term in rows)
     contributions.sort(key=lambda row: -row[-1])
     n = geometry.n
     if zero_term is not None:

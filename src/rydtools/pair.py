@@ -7,6 +7,11 @@ strengths D_phi; together with the channel energy defect and the radial
 coupling scale C3 these parameterize the R-dependent pair potential curves,
 their resonant-to-van-der-Waals crossover, and the blockade-relevant
 eigenstate structure.
+
+The squared coupling is diagonalized once, with the pair axis along z. At a
+pair axis tilted by theta from z it is the same matrix turned by the Wigner
+rotation d^{j1}(theta) (x) d^{j2}(theta) (Walker & Saffman, PRA 77, 032723
+(2008)), so its D_phi stay and its eigenvectors turn with it.
 """
 
 import math
@@ -17,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from . import constants as cst
-from .angular import dipole_angular_factor, lande_g
+from .angular import dipole_angular_factor, lande_g, wigner_small_d
 from .atoms import RydbergState, radial_matrix_element
 
 FORSTER_ZERO_FLOOR = 1e-8
@@ -208,12 +213,14 @@ def build_vdd(channel, theta=0.0):
 
 @dataclass
 class ForsterEigensystem:
-    """Eigen-decomposition of V_dd^dagger V_dd per channel.
+    """Eigen-decomposition of V_dd^dagger V_dd per channel at one pair angle.
 
     For each channel: dimensionless eigenvalues d_values (ascending),
     eigenvectors (columns, over the initial Zeeman product space) and the
     per-eigenstate energy defects (Zeeman-shifted when a magnetic field is
     present). forster_zero_count tallies eigenvalues below the zero floor.
+    The eigenvectors at theta are the theta = 0 ones turned by the Wigner
+    rotation of _at_angle; d_values do not depend on theta.
     """
 
     channels: list
@@ -237,23 +244,32 @@ def _zeeman_diagonal(pair_states):
     return diag
 
 
-def forster_eigensystem(channels, theta=0.0, b_field_t=0.0):
-    """Diagonalize each channel's squared coupling on the initial pair space."""
-    if not channels:
-        raise ValueError("need at least one channel")
-    key0 = tuple(_level_key(s) for s in channels[0].initial)
-    for ch in channels[1:]:
-        if tuple(_level_key(s) for s in ch.initial) != key0:
-            raise ValueError("all channels must share the same initial pair")
-    eig = ForsterEigensystem(channels=list(channels), theta=theta, b_field_t=b_field_t)
-    zeros = 0
-    for ch in channels:
-        m = build_vdd(ch, theta)
-        gram = m.T @ m
-        vals, vecs = np.linalg.eigh(gram)
-        vals = np.clip(vals, 0.0, None)
+def _at_angle(base, theta):
+    """The theta = 0 eigensystem base turned to pair angle theta.
+
+    build_vdd(ch, theta) = D_c build_vdd(ch, 0) D^T with D = d^{j1}(theta)
+    (x) d^{j2}(theta) on the initial pair space, so every Gram eigenvector
+    turns by the one D, and the Zeeman defects are evaluated on the turned
+    vectors. D(0) is exactly the identity; at theta = 0 the vectors are kept
+    as they are, so that no product flips the sign of a zero.
+    """
+    i1, i2 = base.channels[0].initial
+    d1 = wigner_small_d(i1.j, theta)
+    d2 = d1 if i2.j == i1.j else wigner_small_d(i2.j, theta)
+    turn = (d1[:, None, :, None] * d2[None, :, None, :]).reshape(len(d1) * len(d2), -1)
+    b_field_t = base.b_field_t
+    eig = ForsterEigensystem(
+        channels=base.channels,
+        theta=theta,
+        b_field_t=b_field_t,
+        d_values=list(base.d_values),
+        forster_zero_count=base.forster_zero_count,
+    )
+    for ch, vals, vecs in zip(base.channels, base.d_values, base.vectors):
+        vecs = turn @ vecs if theta != 0 else vecs
         defects = np.full(len(vals), ch.defect_mhz)
         if b_field_t != 0.0:
+            m = build_vdd(ch, theta)
             mu_b = cst.MU_B_MHZ_PER_T * b_field_t
             c1, c2 = ch.coupled
             coupled_diag = [_zeeman_diagonal((c1, c2))]
@@ -269,12 +285,33 @@ def forster_eigensystem(channels, theta=0.0, b_field_t=0.0):
                     chi /= np.linalg.norm(chi)
                     shift += float(coupled_diag @ (np.abs(chi) ** 2))
                 defects[k] = ch.defect_mhz + mu_b * shift
-        zeros += int(np.sum(vals < FORSTER_ZERO_FLOOR))
-        eig.d_values.append(vals)
         eig.vectors.append(vecs)
         eig.defects_mhz.append(defects)
-    eig.forster_zero_count = zeros
     return eig
+
+
+def forster_eigensystem(channels, theta=0.0, b_field_t=0.0):
+    """Diagonalize each channel's squared coupling on the initial pair space.
+
+    Each Gram matrix is diagonalized at theta = 0, which gives d_values and
+    the Forster-zero count; _at_angle turns the eigenvectors to theta and
+    evaluates the (Zeeman-shifted, along z) defects on them.
+    """
+    if not channels:
+        raise ValueError("need at least one channel")
+    key0 = tuple(_level_key(s) for s in channels[0].initial)
+    for ch in channels[1:]:
+        if tuple(_level_key(s) for s in ch.initial) != key0:
+            raise ValueError("all channels must share the same initial pair")
+    base = ForsterEigensystem(channels=list(channels), theta=0.0, b_field_t=b_field_t)
+    for ch in channels:
+        m = build_vdd(ch)
+        vals, vecs = np.linalg.eigh(m.T @ m)
+        vals = np.clip(vals, 0.0, None)
+        base.forster_zero_count += int(np.sum(vals < FORSTER_ZERO_FLOOR))
+        base.d_values.append(vals)
+        base.vectors.append(vecs)
+    return _at_angle(base, theta)
 
 
 @dataclass

@@ -14,12 +14,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import linalg
 
+import rydtools.blockade as blockade_module
+import rydtools.pair as pair_module
+from rydtools import constants as cst, ensemble
+from rydtools.atoms import RydbergState
 from rydtools.blockade import (
+    DEGENERACY_RTOL,
+    KAPPA_WEIGHT_FLOOR,
     AmplitudeState,
     EnsembleGeometry,
     ExcitationField,
     _build_hamiltonian,
     _channel_shifts_mhz,
+    _pair_spectra,
     blockade_shift,
     double_excitation_probability,
     effective_interaction_mhz,
@@ -28,7 +35,14 @@ from rydtools.blockade import (
     pair_state_basis,
     pair_state_count,
 )
-from rydtools.pair import FORSTER_ZERO_FLOOR, build_vdd, forster_eigensystem
+from rydtools.pair import (
+    FORSTER_ZERO_FLOOR,
+    ForsterChannel,
+    ForsterEigensystem,
+    _zeeman_diagonal,
+    build_vdd,
+    forster_eigensystem,
+)
 
 
 def two_atoms(r_um, theta=0.0):
@@ -82,6 +96,64 @@ def exact_two_atom_inv_b2(channels, theta, r_um, target_m=0.5):
     ov = np.abs(vecs[idx, :]) ** 2
     good = np.abs(vals) > 1e-12
     return float(np.sum(ov[good] / vals[good] ** 2))
+
+
+def per_angle_eigensystem(channels, theta, b_field_t=0.0):
+    """Oracle: each channel's Gram matrix diagonalized at theta itself, as
+    forster_eigensystem did before it turned one theta = 0 eigensystem."""
+    eig = ForsterEigensystem(channels=list(channels), theta=theta, b_field_t=b_field_t)
+    for ch in channels:
+        m = build_vdd(ch, theta)
+        vals, vecs = np.linalg.eigh(m.T @ m)
+        vals = np.clip(vals, 0.0, None)
+        eig.forster_zero_count += int(np.sum(vals < FORSTER_ZERO_FLOOR))
+        eig.d_values.append(vals)
+        eig.vectors.append(vecs)
+        defects = np.full(len(vals), ch.defect_mhz)
+        if b_field_t != 0.0:
+            c1, c2 = ch.coupled
+            coupled_diag = [_zeeman_diagonal((c1, c2))]
+            if (c1.n, c1.l, c1.j) != (c2.n, c2.l, c2.j):
+                coupled_diag.append(_zeeman_diagonal((c2, c1)))
+            coupled_diag = np.concatenate(coupled_diag)
+            initial_diag = _zeeman_diagonal(ch.initial)
+            for k in range(len(vals)):
+                shift = -float(initial_diag @ (vecs[:, k] ** 2))
+                if vals[k] > FORSTER_ZERO_FLOOR:
+                    chi = m @ vecs[:, k]
+                    shift += float(coupled_diag @ (chi / np.linalg.norm(chi)) ** 2)
+                defects[k] += cst.MU_B_MHZ_PER_T * b_field_t * shift
+        eig.defects_mhz.append(defects)
+    return eig
+
+
+def degenerate_groups(values, rtol):
+    """Index arrays of runs of ascending values closer than rtol x max(1, |max|)."""
+    tol = rtol * max(1.0, float(np.max(np.abs(values))))
+    return np.split(np.arange(len(values)), np.flatnonzero(np.diff(values) > tol) + 1)
+
+
+def loop_blockade_terms(geometry, field, eig):
+    """Oracle: blockade_shift's per-pair-state loop before it became array
+    arithmetic. Returns (total, contribution rows, zero_term)."""
+    total = 0.0
+    contributions = []
+    zero_term = None
+    for k, l, shifts, kappas in _pair_spectra(geometry, field, eig):
+        zero_tol = 1e-12 * max(1.0, float(np.max(np.abs(shifts))))
+        for p_idx, delta in enumerate(shifts):
+            weight = abs(kappas[p_idx]) ** 2
+            if weight < KAPPA_WEIGHT_FLOOR:
+                continue
+            if abs(delta) <= zero_tol:
+                zero_term = (p_idx, k, l)
+                contributions.append((k, l, p_idx, math.inf))
+                continue
+            term = weight / delta**2
+            contributions.append((k, l, p_idx, term))
+            total += term
+    contributions.sort(key=lambda row: -row[-1])
+    return total, contributions, zero_term
 
 
 class TestGeometry:
@@ -346,6 +418,143 @@ class TestBlockadeShift:
                 rb_s60_eigensystem,
             )
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_array_terms_match_loop_oracle(self, rb_43d_eigensystem, seed):
+        geo = EnsembleGeometry(random_cloud(np.random.default_rng(seed), 8))
+        f = ExcitationField(
+            rabi_mhz=np.random.default_rng(seed).uniform(0.5, 1.5, 8) * 0.001
+        )
+        total, rows, zero_term = loop_blockade_terms(geo, f, rb_43d_eigensystem)
+        res = blockade_shift(geo, f, rb_43d_eigensystem)
+        assert zero_term is None and res.zero_term is None
+        assert res.b_mhz == pytest.approx(math.sqrt(28.0 / total), rel=1e-12)
+        assert [r[:3] for r in res.contributions] == [r[:3] for r in rows]
+        got = np.array([r[-1] for r in res.contributions])
+        expected = np.array([r[-1] for r in rows])
+        assert np.max(np.abs(got / expected - 1.0)) < 1e-12
+
+    def test_zero_term_matches_loop_oracle(self, rb_43d_channels):
+        one = forster_eigensystem(rb_43d_channels[:1])
+        f = ExcitationField.uniform(3, 0.01, polarization=2)
+        geo = EnsembleGeometry(np.array([[0, 0, 0], [0, 0, 10.0], [0, 0, 17.0]]))
+        _, rows, zero_term = loop_blockade_terms(geo, f, one)
+        res = blockade_shift(geo, f, one)
+        assert zero_term is not None
+        assert res.zero_term == zero_term
+        assert res.b_mhz == 0.0
+        assert [r[:3] for r in res.contributions] == [r[:3] for r in rows]
+        assert [math.isinf(r[-1]) for r in res.contributions] == [
+            math.isinf(r[-1]) for r in rows
+        ]
+
+    @pytest.mark.parametrize("theta", [0.3 + 5e-4, 1.0 + 4e-4, math.pi / 2, 2.5])
+    def test_rotated_eigensystem_matches_per_angle_oracle(
+        self, rb_43d_channels, rb_43d_eigensystem, theta
+    ):
+        turned = forster_eigensystem(rb_43d_channels, theta)
+        oracle = per_angle_eigensystem(rb_43d_channels, theta)
+        assert turned.forster_zero_count == oracle.forster_zero_count
+        for ours, theirs in zip(turned.d_values, oracle.d_values):
+            assert np.max(np.abs(ours - theirs)) < 1e-12
+        f = ExcitationField.uniform(2, 0.001)
+        for r in (5.0, 10.0):
+            shifts, _ = pair_state_basis(turned, r)
+            expected, _ = pair_state_basis(oracle, r)
+            scale = max(1.0, float(np.max(np.abs(expected))))
+            assert np.max(np.abs(shifts - expected)) < 1e-12 * scale
+            # only the summed weight of a degenerate eigenspace is physical
+            w = np.abs(overlap_kappa(turned, f, r_um=r)) ** 2
+            w_oracle = np.abs(overlap_kappa(oracle, f, r_um=r)) ** 2
+            for group in degenerate_groups(expected, DEGENERACY_RTOL):
+                assert abs(w[group].sum() - w_oracle[group].sum()) < 1e-12
+            keep = w_oracle >= KAPPA_WEIGHT_FLOOR
+            b_oracle = float(np.sum(w_oracle[keep] / expected[keep] ** 2)) ** -0.5
+            b = blockade_shift(two_atoms(r, theta), f, rb_43d_eigensystem).b_mhz
+            assert b == pytest.approx(b_oracle, rel=1e-12)
+
+    def test_cloud_matches_per_angle_oracle(self, rb_43d_channels, rb_43d_eigensystem):
+        geo = EnsembleGeometry(random_cloud(np.random.default_rng(7), 6))
+        f = ExcitationField.uniform(6, 0.001)
+        total = 0.0
+        for k, l in geo.pairs():
+            local = per_angle_eigensystem(rb_43d_channels, geo.axis_theta_rad(k, l))
+            r = geo.separation_um(k, l)
+            shifts, _ = pair_state_basis(local, r)
+            w = np.abs(overlap_kappa(local, f, (k, l), r_um=r)) ** 2
+            keep = w >= KAPPA_WEIGHT_FLOOR
+            total += float(np.sum(w[keep] / shifts[keep] ** 2))
+        b = blockade_shift(geo, f, rb_43d_eigensystem).b_mhz
+        assert b == pytest.approx(math.sqrt(15.0 / total), rel=1e-12)
+
+    def test_no_gram_diagonalization_per_pair(self, rb_43d_eigensystem, monkeypatch):
+        # 12 atoms, 66 pairs: each pair turns the theta = 0 eigensystem and
+        # runs only pair_state_basis's one eigh
+        calls = {"forster_eigensystem": 0, "eigh": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for module in (blockade_module, pair_module):
+            monkeypatch.setattr(
+                module,
+                "forster_eigensystem",
+                counted("forster_eigensystem", module.forster_eigensystem),
+            )
+        monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+        geo = EnsembleGeometry(random_cloud(np.random.default_rng(12), 12))
+        res = blockade_shift(geo, ExcitationField.uniform(12, 0.001), rb_43d_eigensystem)
+        assert res.b_mhz > 0
+        assert calls == {"forster_eigensystem": 0, "eigh": 66}
+
+    def test_eigensystem_off_axis_is_turned_from_theta_zero(self, rb_43d_channels):
+        # eig at theta != 0: one theta = 0 eigensystem serves every pair, and
+        # a pair at eig.theta sees eig's own vectors bit for bit
+        theta = 0.7
+        eig = forster_eigensystem(rb_43d_channels, theta)
+        geo = two_atoms(8.0, theta)
+        f = ExcitationField.uniform(2, 0.001)
+        (_, _, shifts, kappas), = _pair_spectra(geo, f, eig)
+        expected_shifts, vectors = pair_state_basis(eig, 8.0)
+        assert np.array_equal(shifts, expected_shifts)
+        # the driven |1/2, 1/2> is index 3 * 6 + 3 of the j = 5/2 pair space
+        assert np.array_equal(kappas, vectors[21, :].conj())
+
+
+class TestFieldAtAngle:
+    @pytest.mark.parametrize("theta", [0.3, 1.1, 2.0])
+    def test_defect_sums_per_degenerate_group_match_oracle(self, rb_43d_channels, theta):
+        # a field along z breaks the rotation of the defects, not of the Gram
+        # eigenspaces: per-vector defects depend on the basis chosen inside a
+        # degenerate eigenspace (up to 1.6 GHz apart at 0.01 T), their sum
+        # over the eigenspace does not
+        b_field_t = 0.01
+        turned = forster_eigensystem(rb_43d_channels, theta, b_field_t)
+        oracle = per_angle_eigensystem(rb_43d_channels, theta, b_field_t)
+        zeeman_mhz = cst.MU_B_MHZ_PER_T * b_field_t
+        for c_idx in range(len(rb_43d_channels)):
+            ours, theirs = turned.defects_mhz[c_idx], oracle.defects_mhz[c_idx]
+            for group in degenerate_groups(oracle.d_values[c_idx], 1e-9):
+                assert abs(ours[group].sum() - theirs[group].sum()) < 1e-12 * zeeman_mhz
+            assert abs(ours.sum() - theirs.sum()) < 1e-12 * zeeman_mhz
+
+
+class TestDrivenLevel:
+    # 43d5/2 + 44s1/2 -> 44p3/2 + 44p3/2: a 12-dimensional initial space
+    # whose two atoms hold different j
+    @pytest.mark.parametrize("ground_m", [0.5, -1.5])
+    def test_distinct_initial_levels_rejected(self, ground_m):
+        d, s = RydbergState(43, 2, 2.5), RydbergState(44, 0, 0.5)
+        p = RydbergState(44, 1, 1.5)
+        eig = forster_eigensystem([ForsterChannel((d, s), (p, p), -100.0, 1.0)])
+        assert eig.vectors[0].shape == (12, 12)
+        f = ExcitationField.uniform(2, 1.0, ground_m=ground_m)
+        with pytest.raises(ValueError, match="one initial level"):
+            overlap_kappa(eig, f, r_um=5.0)
+
 
 class TestDoubleExcitation:
     def test_arithmetic(self):
@@ -519,6 +728,24 @@ class TestIntegration:
         expected = linalg.expm(-1j * t * h) @ vec
         got = np.concatenate(([out.c_g, out.c_s], out.c_pairs.ravel()))
         assert np.max(np.abs(got - expected)) < 1e-12
+
+    def test_cost_rule_on_the_angular_propagation(self, rb_43d_eigensystem):
+        # three 43d atoms, dim 110: the series' fixed cost per term makes
+        # eigh the faster method past about 100 terms (t = 1.2 us here)
+        side = 10.0
+        c, s = math.cos(0.7), math.sin(0.7)
+        tilt = np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+        triangle = side * np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.5, 0.866, 0.0]])
+        geo = EnsembleGeometry(triangle @ tilt.T)
+        h = _build_hamiltonian(geo, ExcitationField.uniform(3, 1.0), rb_43d_eigensystem)
+        assert h.shape == (110, 110)
+        psi0 = np.zeros(110, complex)
+        psi0[0] = 1.0
+        for t, method in ((0.2, "chebyshev"), (2.0, "eigh"), (8.0, "eigh"), (20.0, "eigh")):
+            out, ran = ensemble._propagate(h, psi0, [t])
+            assert ran == method
+            expected = linalg.expm(-1j * t * h) @ psi0
+            assert np.max(np.abs(out[:, 0] - expected)) < 1e-12
 
     def test_negative_time_rejected(self, rb_s60_eigensystem):
         with pytest.raises(ValueError):

@@ -11,9 +11,10 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import linalg
 
 from rydtools import constants as cst, pair
-from rydtools.angular import dipole_angular_factor
+from rydtools.angular import dipole_angular_factor, wigner_small_d
 from rydtools.atoms import RydbergState
 from rydtools.pair import (
     ForsterChannel,
@@ -43,6 +44,11 @@ def angular_channel(i_nlj, a_nlj, b_nlj, defect=-100.0, c3=1.0):
 def gram_eigenvalues(channel, theta=0.0):
     m = build_vdd(channel, theta)
     return np.clip(np.linalg.eigvalsh(m.T @ m), 0.0, None)
+
+
+def pair_rotation(first, second, theta):
+    """d^{j1}(theta) (x) d^{j2}(theta) on a Zeeman product space."""
+    return np.kron(wigner_small_d(first.j, theta), wigner_small_d(second.j, theta))
 
 
 def zeeman(state):
@@ -162,6 +168,29 @@ class TestCouplingMatrix:
             s0 = np.sort(np.linalg.svd(build_vdd(ch, 0.0), compute_uv=False))
             s1 = np.sort(np.linalg.svd(build_vdd(ch, theta), compute_uv=False))
             assert np.max(np.abs(s1 - s0)) < 1e-10
+
+    @settings(max_examples=25, deadline=None)
+    @given(theta=st.floats(min_value=-math.pi, max_value=math.pi))
+    def test_wigner_rotation_convention(self, rb_s60_channels, rb_43d_channels, theta):
+        # build_vdd(theta) = D_c(theta) build_vdd(0) D_i(theta)^T, with D the
+        # product of small-d matrices on each pair space and D_c stacking
+        # both orderings of two distinct coupled levels
+        swapped = [
+            ForsterChannel(ch.initial, ch.coupled[::-1], ch.defect_mhz, ch.c3_mhz_um3)
+            for ch in rb_43d_channels
+        ]
+        rules = [angular_channel(i, a, b) for i, a, b, _ in TestForsterZeros.RULE_MATRIX]
+        for ch in rb_s60_channels + rb_43d_channels + swapped + rules:
+            c1, c2 = ch.coupled
+            blocks = [pair_rotation(c1, c2, theta)]
+            if (c1.n, c1.l, c1.j) != (c2.n, c2.l, c2.j):
+                blocks.append(pair_rotation(c2, c1, theta))
+            turned = (
+                linalg.block_diag(*blocks)
+                @ build_vdd(ch, 0.0)
+                @ pair_rotation(*ch.initial, theta).T
+            )
+            assert np.max(np.abs(build_vdd(ch, theta) - turned)) < 1e-13
 
     def test_dipole_forbidden_channel_rejected(self):
         ch = angular_channel((60, 0, 0.5), (60, 2, 2.5), (59, 1, 1.5))
