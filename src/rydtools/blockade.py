@@ -381,32 +381,33 @@ def integrate_amplitudes(state, geometry, field, eig, t_us, decay_tau_us=None):
     )
 
 
-def _interaction_at_drive(field, eig, r_um):
-    """effective_interaction_mhz as a function shift_at(omega_mhz) of the rms
-    drive. The grouped pair spectrum is formed once; field sets only the
-    driven Zeeman component."""
+def _grouped_spectrum(field, eig, r_um):
+    """(delta, w) arrays of the distinct pair-state shifts at r_um and the
+    driven state's total overlap on each shift's eigenspace. field sets
+    only the driven Zeeman component."""
     shifts, kappas = _shifts_and_kappas(eig, field, None, r_um)
     weights = np.abs(kappas) ** 2
     tol = DEGENERACY_RTOL * max(1.0, float(np.max(np.abs(shifts))))
-    spectrum = []
-    start = 0
-    while start < len(shifts):
-        stop = start + 1
-        while stop < len(shifts) and shifts[stop] - shifts[start] <= tol:
-            stop += 1
-        weight = float(np.sum(weights[start:stop]))
-        if weight >= KAPPA_WEIGHT_FLOOR:
-            spectrum.append((float(np.mean(shifts[start:stop])), weight))
-        start = stop
+    starts = [0]
+    for i in range(1, len(shifts)):
+        if shifts[i] - shifts[starts[-1]] > tol:
+            starts.append(i)
+    w = np.add.reduceat(weights, starts)
+    delta = np.add.reduceat(shifts, starts) / np.diff(starts + [len(shifts)])
+    keep = w >= KAPPA_WEIGHT_FLOOR
+    return delta[keep], w[keep]
 
-    def shift_at(omega_mhz):
-        total = 0.0
-        for delta, weight in spectrum:
-            coupling_sq = weight * omega_mhz**2
-            total += coupling_sq / (coupling_sq + delta**2) * delta
-        return total
 
-    return shift_at
+def _saturated_shift(spectrum, omega_mhz):
+    """(s, s') at rms drive omega_mhz, which may be an array, for a grouped
+    spectrum (delta, w): s = sum delta w Omega^2 / (w Omega^2 + delta^2)
+    and its slope s' = sum 2 w Omega delta^3 / (w Omega^2 + delta^2)^2."""
+    delta, w = spectrum
+    omega = np.asarray(omega_mhz, dtype=float)[..., None]
+    coupling_sq = w * omega**2
+    denom = coupling_sq + delta**2
+    shift = np.sum(coupling_sq / denom * delta, axis=-1)
+    return shift, np.sum(2.0 * w * omega * delta**3 / denom**2, axis=-1)
 
 
 def effective_interaction_mhz(field, eig, r_um):
@@ -419,9 +420,11 @@ def effective_interaction_mhz(field, eig, r_um):
     inside a degenerate subspace are an arbitrary rotation and only the
     summed overlap is physical (the saturation factor is not invariant under
     splitting one weight across equal shifts). Groups with w below
-    KAPPA_WEIGHT_FLOOR are dropped.
+    KAPPA_WEIGHT_FLOOR are dropped. The sum is _saturated_shift on the
+    (delta, w) arrays of _grouped_spectrum, which optimize_interaction_gate
+    evaluates at every trial drive together with its analytic slope.
     """
     omega = field.omega_rms_mhz
     if omega <= 0:
         raise ValueError("effective interaction needs a positive drive")
-    return _interaction_at_drive(field, eig, r_um)(omega)
+    return float(_saturated_shift(_grouped_spectrum(field, eig, r_um), omega)[0])

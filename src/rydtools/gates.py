@@ -7,9 +7,10 @@ leakage and off-resonant qubit rotation. The interaction gate instead lets a
 weak pair shift accumulate a conditional phase; its error trades spontaneous
 emission against imperfect rotations at both the drive and qubit-splitting
 scales. On top of the per-operating-point budgets this module optimizes the
-drive strength (closed form and numerically), scans error landscapes over
-principal quantum number and atom separation using the pair-interaction and
-blockade machinery, and budgets the supporting hardware: two-photon
+drive strength (in leading-order closed form, and exactly as the budget's
+stationary point), scans error landscapes over principal quantum number and
+atom separation using the pair-interaction and blockade machinery, and
+budgets the supporting hardware: two-photon
 excitation (spontaneous emission from the intermediate state, Doppler
 dephasing, AC Stark shifts), Poisson-loading statistics, and the array size
 reachable within a total error budget.
@@ -24,7 +25,6 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy import optimize
 
 from . import constants as cst
 from .angular import dipole_angular_factor, reduced_c1_lsj
@@ -32,7 +32,8 @@ from .atoms import LifetimeModel, RydbergState, radial_matrix_element
 from .blockade import (
     EnsembleGeometry,
     ExcitationField,
-    _interaction_at_drive,
+    _grouped_spectrum,
+    _saturated_shift,
     blockade_shift,
 )
 from .pair import forster_eigensystem, s_state_channels
@@ -48,6 +49,10 @@ INTERMEDIATE_HYPERFINE_SPAN_MHZ = 500.0
 # Blockade shifts are capped here before optimization; beyond this the gate
 # error is set by the qubit splitting alone.
 BLOCKADE_CAP_MHZ = 1e9
+# Drives in the log-spaced scan of optimize_interaction_gate.
+INTERACTION_SCAN_POINTS = 61
+# Cap on its false-position steps; 4 to 10 usually reach rounding level.
+ROOT_STEPS = 100
 
 # Array-capacity prefactors, calibrated so a gate error budget of 0.001 at
 # n = 100 gives 470 qubits in 2D and 7600 in 3D.
@@ -108,9 +113,10 @@ class GateErrorBudget:
     """Additive gate-error decomposition.
 
     total_error is the exact sum of the spontaneous-emission and rotation
-    terms. Optimizer outputs (optimal drive, whether the optimum was
-    interior to the search bracket, the self-consistent pair shift) are
-    attached when a budget comes out of an optimization.
+    terms. Optimizer outputs (optimal drive, whether the optimum is
+    interior, the self-consistent pair shift) are attached when a budget
+    comes out of an optimization. interior_optimum is False only when
+    optimize_interaction_gate's best scanned drive is an end of its scan.
     """
 
     se_error: float
@@ -164,17 +170,14 @@ def optimal_blockade_gate(blockade_mhz, lifetime_us):
     return omega_opt / (2.0 * math.pi), e_min
 
 
-def _minimize_log(objective, lo_mhz, hi_mhz, xatol=1e-10):
-    """Bounded scalar minimization over log(drive); returns (argmin, interior)."""
-    lo_t, hi_t = math.log(lo_mhz), math.log(hi_mhz)
-    res = optimize.minimize_scalar(
-        lambda t: objective(math.exp(t)),
-        bounds=(lo_t, hi_t),
-        method="bounded",
-        options={"xatol": xatol},
-    )
-    interior = min(res.x - lo_t, hi_t - res.x) > 1e-3 * (hi_t - lo_t)
-    return math.exp(res.x), interior
+def _positive_root(coeffs):
+    """The one positive root of a polynomial (coefficients from the highest
+    power) whose coefficients change sign once (Descartes). For the gate
+    polynomials it is the root of largest real part, as all others have a
+    negative one; a Newton step takes np.roots' few ulps to rounding."""
+    roots = np.roots(coeffs)
+    x = float(roots[np.argmax(roots.real)].real)
+    return float(x - np.polyval(coeffs, x) / np.polyval(np.polyder(coeffs), x))
 
 
 def minimize_blockade_gate(
@@ -182,37 +185,33 @@ def minimize_blockade_gate(
     lifetime_us,
     qubit_splitting_mhz=cst.SPECIES_OMEGA10_MHZ["Rb87"],
 ):
-    """Numerically minimized blockade-gate error over the drive strength.
+    """Blockade-gate error minimized over the drive strength.
 
-    Uses the full budget including the finite qubit splitting; every term is
-    monotone in the drive, so the total is unimodal and a bounded search on
-    a generous log bracket around the closed-form guesses is exact.
+    Uses the full budget including the finite qubit splitting. In angular
+    units it is A/Omega + B Omega + C Omega^2 with A = 7 pi / (4 tau),
+    B = A (1/omega10^2 + 1/(7 b^2)) and C = (1 + 6 b^2/omega10^2) / (8 b^2),
+    so its one stationary point, the minimum, is the positive root of
+    2 C Omega^3 + B Omega^2 - A.
     """
     _require_positive(blockade_mhz, "blockade_mhz")
+    _require_positive(lifetime_us, "lifetime_us")
     _require_positive(qubit_splitting_mhz, "qubit_splitting_mhz")
     blockade_mhz = min(blockade_mhz, BLOCKADE_CAP_MHZ)
+    b = 2.0 * math.pi * blockade_mhz
+    w10 = 2.0 * math.pi * qubit_splitting_mhz
+    a = 7.0 * math.pi / (4.0 * lifetime_us)
+    c = (1.0 + 6.0 * b**2 / w10**2) / (8.0 * b**2)
+    omega = _positive_root([2.0 * c, a * (1.0 / w10**2 + 1.0 / (7.0 * b**2)), 0.0, -a])
+    rabi_mhz = omega / (2.0 * math.pi)
+    params = GateParams(rabi_mhz, lifetime_us, qubit_splitting_mhz, blockade_mhz=blockade_mhz)
+    return replace(blockade_gate_error(params), rabi_opt_mhz=rabi_mhz, interior_optimum=True)
 
-    def budget_at(omega_mhz):
-        params = GateParams(
-            rabi_mhz=omega_mhz,
-            lifetime_us=lifetime_us,
-            qubit_splitting_mhz=qubit_splitting_mhz,
-            blockade_mhz=blockade_mhz,
-        )
-        return blockade_gate_error(params)
 
-    guess, _ = optimal_blockade_gate(blockade_mhz, lifetime_us)
-    if math.isfinite(qubit_splitting_mhz):
-        # drive scale at which the qubit-splitting terms take over
-        w10 = 2.0 * math.pi * qubit_splitting_mhz
-        cap = (7.0 * math.pi * w10**2 / (6.0 * lifetime_us)) ** (1.0 / 3.0) / (2.0 * math.pi)
-        scale = min(guess, cap)
-    else:
-        scale = guess
-    omega_opt, interior = _minimize_log(
-        lambda omega: budget_at(omega).total_error, scale * 1e-3, max(guess, scale) * 1e3
-    )
-    return replace(budget_at(omega_opt), rabi_opt_mhz=omega_opt, interior_optimum=interior)
+def _interaction_terms(omega, d, w10, tau):
+    """Interaction-gate budget terms in angular units: wait-time and pulse
+    spontaneous emission, shift and splitting rotation. omega and d may be
+    arrays. The terms go as d^-1, omega^-1, d^2 omega^-2 and omega^2."""
+    return math.pi / (tau * d), math.pi / (tau * omega), 2.0 * d**2 / omega**2, omega**2 / w10**2
 
 
 def interaction_gate_error(params):
@@ -231,8 +230,8 @@ def interaction_gate_error(params):
     d = 2.0 * math.pi * params.interaction_mhz
     w10 = 2.0 * math.pi * params.qubit_splitting_mhz
     tau = params.lifetime_us
-    se = (math.pi / tau) * (1.0 / d + 1.0 / omega)
-    rot = 2.0 * d**2 / omega**2 + omega**2 / w10**2
+    wait, pulse, shift_rot, split_rot = _interaction_terms(omega, d, w10, tau)
+    se, rot = wait + pulse, shift_rot + split_rot
     phase_ok = d * tau >= MIN_PHASE_RAD
     return GateErrorBudget(
         se_error=se,
@@ -283,39 +282,55 @@ def minimize_interaction_gate(
     lifetime_us,
     qubit_splitting_mhz=cst.SPECIES_OMEGA10_MHZ["Rb87"],
 ):
-    """Numerically minimized fixed-shift interaction-gate error.
+    """Fixed-shift interaction-gate error minimized over the drive strength.
 
-    The budget is unimodal in the drive (falling spontaneous-emission and
-    shift-rotation terms against the rising splitting-rotation term), so a
-    bounded search on a log bracket around the closed-form guess is exact.
+    The budget (pi/tau)(1/d + 1/Omega) + 2 d^2/Omega^2 + Omega^2/omega10^2
+    (angular units) has one stationary point, the minimum: the positive
+    root of 2 Omega^4/omega10^2 - pi Omega/tau - 4 d^2. Without the
+    splitting term the error falls with the drive for ever, so a qubit
+    splitting too large for 1/omega10^2 to be nonzero raises ValueError.
     """
-    guess, _ = optimal_interaction_gate(
-        interaction_mhz, lifetime_us, qubit_splitting_mhz
-    )
-    # drive scale when the shift-rotation term is negligible instead
-    w10 = 2.0 * math.pi * qubit_splitting_mhz
-    alt = (math.pi * w10**2 / (2.0 * lifetime_us)) ** (1.0 / 3.0) / (2.0 * math.pi)
-
-    def budget_at(omega_mhz):
-        params = GateParams(
-            rabi_mhz=omega_mhz,
-            lifetime_us=lifetime_us,
-            qubit_splitting_mhz=qubit_splitting_mhz,
-            interaction_mhz=interaction_mhz,
+    _require_positive(interaction_mhz, "interaction_mhz")
+    _require_positive(lifetime_us, "lifetime_us")
+    _require_positive(qubit_splitting_mhz, "qubit_splitting_mhz")
+    d = 2.0 * math.pi * interaction_mhz
+    lead = 2.0 / (2.0 * math.pi * qubit_splitting_mhz) ** 2
+    if lead == 0.0:
+        raise ValueError(
+            "no finite optimum: without a finite qubit splitting the "
+            "interaction-gate error falls with the drive"
         )
-        return interaction_gate_error(params)
-
-    omega_opt, interior = _minimize_log(
-        lambda omega: budget_at(omega).total_error,
-        min(guess, alt) * 1e-3,
-        max(guess, alt) * 1e3,
+    omega = _positive_root([lead, 0.0, 0.0, -math.pi / lifetime_us, -4.0 * d**2])
+    rabi_mhz = omega / (2.0 * math.pi)
+    params = GateParams(
+        rabi_mhz, lifetime_us, qubit_splitting_mhz, interaction_mhz=interaction_mhz
     )
     return replace(
-        budget_at(omega_opt),
-        rabi_opt_mhz=omega_opt,
-        interior_optimum=interior,
+        interaction_gate_error(params),
+        rabi_opt_mhz=rabi_mhz,
+        interior_optimum=True,
         interaction_mhz=interaction_mhz,
     )
+
+
+def _slope_root(slope, a, ga, b, gb):
+    """Root of slope between a and b, where it takes the values ga and gb,
+    by Illinois false position: the root stays bracketed between the last
+    point b and a, and a has its value halved when a new point falls on b's
+    side, so that both ends close in. Stops when the next point is not
+    strictly inside the bracket (it has shrunk to rounding, or ga and gb do
+    not differ in sign) or after ROOT_STEPS steps; returns the last b."""
+    for _ in range(ROOT_STEPS):
+        t = b - gb * (b - a) / (gb - ga)
+        if not (t - a) * (t - b) < 0.0:
+            break
+        g = slope(t)
+        if g * gb < 0.0:
+            a, ga = b, gb
+        else:
+            ga *= 0.5
+        b, gb = t, g
+    return b
 
 
 def optimize_interaction_gate(
@@ -326,57 +341,59 @@ def optimize_interaction_gate(
     polarization=0,
     ground_m=0.5,
     rabi_bounds_mhz=(1e-3, 2e4),
-    grid_points=61,
 ):
     """Optimize the interaction gate with a drive-dependent pair shift.
 
-    The effective pair shift saturates with drive strength. The pair
-    spectrum is built once for this separation; only its saturation factor
-    follows the trial drive, so the optimization is self-consistent. A
-    deterministic log-spaced scan brackets the minimum before local
-    refinement; a boundary optimum is returned with interior_optimum=False.
+    The effective pair shift s saturates with drive strength. The grouped
+    pair spectrum is built once for this separation; only its saturation
+    follows the trial drive, so the optimization is self-consistent. The
+    budget and its slope in ln(drive), from the analytic s', are scored at
+    INTERACTION_SCAN_POINTS log-spaced drives over rabi_bounds_mhz in one
+    array expression. The slope at the best scanned drive points to the
+    neighbour that brackets the stationary point, which false position then
+    finds; when the slope points out of the scan, the bound itself is
+    returned. A best scanned drive at either end gives
+    interior_optimum=False.
     """
     _require_positive(r_um, "r_um")
     _require_positive(lifetime_us, "lifetime_us")
+    _require_positive(qubit_splitting_mhz, "qubit_splitting_mhz")
     lo, hi = rabi_bounds_mhz
-    if not 0.0 < lo < hi:
-        raise ValueError("rabi_bounds_mhz must be increasing and positive")
-    interaction_at = _interaction_at_drive(
-        ExcitationField.uniform(2, 1.0, polarization=polarization, ground_m=ground_m),
-        eig,
-        r_um,
-    )
-
-    def budget_at(omega_mhz):
-        shift = abs(interaction_at(omega_mhz))
-        if shift == 0.0:
-            return None, 0.0
-        params = GateParams(
-            rabi_mhz=omega_mhz,
-            lifetime_us=lifetime_us,
-            qubit_splitting_mhz=qubit_splitting_mhz,
-            interaction_mhz=shift,
-        )
-        return interaction_gate_error(params), shift
-
-    def objective(omega_mhz):
-        budget, _ = budget_at(omega_mhz)
-        return math.inf if budget is None else budget.total_error
-
-    grid_t = np.linspace(math.log(lo), math.log(hi), grid_points)
-    totals = [objective(math.exp(t)) for t in grid_t]
-    i0 = int(np.argmin(totals))
-    if not math.isfinite(totals[i0]):
+    if not 0.0 < lo < hi < math.inf:
+        raise ValueError("rabi_bounds_mhz must be finite, positive and increasing")
+    field = ExcitationField.uniform(2, 1.0, polarization=polarization, ground_m=ground_m)
+    spectrum = _grouped_spectrum(field, eig, r_um)
+    if not np.any(spectrum[0]):
         raise ValueError("no effective interaction at this separation")
-    lo_t = grid_t[max(i0 - 1, 0)]
-    hi_t = grid_t[min(i0 + 1, grid_points - 1)]
-    omega_opt, _ = _minimize_log(
-        objective, math.exp(lo_t), math.exp(hi_t), xatol=1e-9
-    )
-    interior = 0 < i0 < grid_points - 1
-    budget, shift = budget_at(omega_opt)
+    w10 = 2.0 * math.pi * qubit_splitting_mhz
+
+    def budget(t):
+        """Budget and its slope in ln(drive) at the drives exp(t)."""
+        omega_mhz = np.exp(t)
+        shift, shift_slope = _saturated_shift(spectrum, omega_mhz)
+        terms = _interaction_terms(
+            2.0 * math.pi * omega_mhz, 2.0 * math.pi * np.abs(shift), w10, lifetime_us
+        )
+        log_slope = omega_mhz * shift_slope / shift  # d ln|s| / d ln(drive)
+        powers = (-log_slope, -1.0, 2.0 * log_slope - 2.0, 2.0)
+        return sum(terms), sum(p * term for p, term in zip(powers, terms))
+
+    grid = np.linspace(math.log(lo), math.log(hi), INTERACTION_SCAN_POINTS)
+    totals, slopes = budget(grid)
+    i0 = int(np.argmin(totals))
+    j = i0 + (1 if slopes[i0] < 0.0 else -1)
+    if 0 <= j < INTERACTION_SCAN_POINTS:
+        t = _slope_root(lambda t: budget(t)[1], grid[j], slopes[j], grid[i0], slopes[i0])
+        omega_opt = math.exp(t)
+    else:
+        omega_opt = hi if j > 0 else lo
+    shift = abs(float(_saturated_shift(spectrum, omega_opt)[0]))
+    params = GateParams(omega_opt, lifetime_us, qubit_splitting_mhz, interaction_mhz=shift)
     return replace(
-        budget, rabi_opt_mhz=omega_opt, interior_optimum=interior, interaction_mhz=shift
+        interaction_gate_error(params),
+        rabi_opt_mhz=omega_opt,
+        interior_optimum=0 < i0 < INTERACTION_SCAN_POINTS - 1,
+        interaction_mhz=shift,
     )
 
 

@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from . import constants as cst
-from .angular import dipole_angular_factor, lande_g, wigner_small_d
+from .angular import clebsch_gordan, dipole_angular_factor, lande_g, wigner_small_d
 from .atoms import RydbergState, radial_matrix_element
 
 FORSTER_ZERO_FLOOR = 1e-8
@@ -127,37 +127,16 @@ def s_state_channels(n, table):
     ]
 
 
-def _c2_component(q, theta):
-    # rank-2 spherical harmonic direction factors C^2_q(theta, phi=0)
-    c, s = math.cos(theta), math.sin(theta)
-    if q == 0:
-        return 0.5 * (3.0 * c * c - 1.0)
-    if abs(q) == 1:
-        return -q * math.sqrt(1.5) * s * c
-    return math.sqrt(3.0 / 8.0) * s * s
-
-
-def _cg_11_2(mu, nu):
-    # <1 mu 1 nu | 2 mu+nu> Clebsch-Gordan coefficients
-    q = mu + nu
-    if abs(q) == 2:
-        return 1.0
-    if abs(q) == 1:
-        return 1.0 / math.sqrt(2.0)
-    if mu == 0 and nu == 0:
-        return math.sqrt(2.0 / 3.0)
-    return 1.0 / math.sqrt(6.0)
-
-
 @lru_cache(maxsize=None)
 def _ordering_amplitudes(initial_lj, final_lj):
     """Angle-independent factors of <final Zeeman pair| a.b - 3(a.n)(n.b) |initial>.
 
     Every element couples Zeeman pairs whose m differ by mu on one atom and
-    nu on the other, so it carries the single direction factor C^2_{-q}(theta)
-    with q = mu + nu. Returns (amplitudes, qmap): the element's coefficient
-    of that factor, and q + 2. Both depend only on the (l, j) of the four
-    legs, so channels at every n share them; the arrays are read-only.
+    nu on the other, so it carries the single direction factor
+    C^2_{-q}(theta, 0) = d^2_{-q,0}(theta) with q = mu + nu. Returns
+    (amplitudes, qmap): the element's coefficient of that factor, and q + 2.
+    Both depend only on the (l, j) of the four legs, so channels at every n
+    share them; the arrays are read-only.
     """
     (li1, ji1), (li2, ji2) = initial_lj
     (lf1, jf1), (lf2, jf2) = final_lj
@@ -174,7 +153,7 @@ def _ordering_amplitudes(initial_lj, final_lj):
             amplitudes[row, col] = (
                 -math.sqrt(6.0)
                 * (-1) ** q
-                * _cg_11_2(mu, nu)
+                * clebsch_gordan(1, mu, 1, nu, 2, q)
                 * dipole_angular_factor(lf1, jf1, fa, li1, ji1, ia, mu)
                 * dipole_angular_factor(lf2, jf2, fb, li2, ji2, ib, nu)
             )
@@ -197,7 +176,7 @@ def build_vdd(channel, theta=0.0):
     c1, c2 = channel.coupled
     _require_dipole_allowed(channel.initial[0], c1)
     _require_dipole_allowed(channel.initial[1], c2)
-    c2_minus_q = np.array([_c2_component(-q, theta) for q in range(-2, 3)])
+    c2_minus_q = wigner_small_d(2, theta)[::-1, 2]  # [q + 2] = d^2_{-q,0}
     orderings = [(c1, c2)]
     if _level_key(c1) != _level_key(c2):
         orderings.append((c2, c1))

@@ -92,3 +92,37 @@ def test_clebsch_gordan_series(theta):
                                 * big[big_j][round(m1p + m2p + big_j), round(m1 + m2 + big_j)]
                             )
                         assert d1[a, c] * d2[b, e] == pytest.approx(total, abs=1e-13)
+
+
+def test_rank_two_direction_factors():
+    # C^2_q(theta, phi = 0) = d^2_{q0}(theta): the direction factors of the
+    # dipole-dipole operator, in closed form at 37 angles
+    for theta in np.linspace(0.0, math.pi, 37):
+        c, s = math.cos(theta), math.sin(theta)
+        closed = {
+            0: 0.5 * (3.0 * c * c - 1.0),
+            1: -math.sqrt(1.5) * s * c,
+            -1: math.sqrt(1.5) * s * c,
+            2: math.sqrt(3.0 / 8.0) * s * s,
+            -2: math.sqrt(3.0 / 8.0) * s * s,
+        }
+        d = wigner_small_d(2, theta)
+        for q, value in closed.items():
+            assert d[q + 2, 2] == pytest.approx(value, abs=1e-15)
+
+
+def test_two_rank_one_clebsch_gordan():
+    # <1 mu 1 nu | 2 mu+nu> in closed form
+    for mu in (-1, 0, 1):
+        for nu in (-1, 0, 1):
+            if abs(mu + nu) == 2:
+                expected = 1.0
+            elif abs(mu + nu) == 1:
+                expected = 1.0 / math.sqrt(2.0)
+            elif mu == 0:
+                expected = math.sqrt(2.0 / 3.0)
+            else:
+                expected = 1.0 / math.sqrt(6.0)
+            assert clebsch_gordan(1, mu, 1, nu, 2, mu + nu) == pytest.approx(
+                expected, abs=1e-15
+            )

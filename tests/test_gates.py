@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize_scalar
 
 from rydtools import blockade, gates
 from rydtools.atoms import LifetimeModel, RydbergState
@@ -47,6 +48,32 @@ LANDSCAPE_TAU_US = {50: 70.0, 100: 340.0, 150: 860.0, 200: 1600.0}
 @pytest.fixture(scope="module")
 def rb_s100_eig(rb_s100_channels):
     return forster_eigensystem(rb_s100_channels)
+
+
+def oracle_minimum(error_at, rabi_mhz, bounds_mhz=(0.0, math.inf)):
+    """(drive, error) of bounded Brent on a +-0.1 bracket in ln(drive) around
+    rabi_mhz, clipped to bounds_mhz, with xatol 1e-12."""
+    lo, hi = np.clip(rabi_mhz * np.exp([-0.1, 0.1]), *bounds_mhz)
+    res = minimize_scalar(
+        lambda t: error_at(math.exp(t)),
+        bounds=(math.log(lo), math.log(hi)),
+        method="bounded",
+        options={"xatol": 1e-12},
+    )
+    return math.exp(res.x), res.fun
+
+
+def assert_exact_optimum(error_at, budget, bounds_mhz=(0.0, math.inf)):
+    """No lower error near the returned drive, and a stationary budget there
+    unless the drive is a bound."""
+    rabi = budget.rabi_opt_mhz
+    oracle_rabi, oracle_error = oracle_minimum(error_at, rabi, bounds_mhz)
+    assert budget.total_error <= oracle_error * (1.0 + 1e-12)
+    assert rabi == pytest.approx(oracle_rabi, rel=1e-5)
+    if rabi not in bounds_mhz:
+        h = 1e-5 * rabi
+        slope = (error_at(rabi + h) - error_at(rabi - h)) / (2.0 * h)
+        assert abs(slope) * rabi / budget.total_error <= 1e-8
 
 
 @pytest.fixture(scope="module")
@@ -167,6 +194,21 @@ class TestOptimalBlockadeGate:
         assert budget.interior_optimum
         assert abs(budget.total_error / e_cl - 1.0) < 0.01
         assert abs(budget.rabi_opt_mhz / rabi_cl - 1.0) < 0.05
+
+    def test_exact_optimum_against_oracle(self):
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            blockade_mhz = 10.0 ** rng.uniform(-1.0, 4.0)
+            tau = 10.0 ** rng.uniform(1.0, 4.0)
+            splitting = 10.0 ** rng.uniform(3.0, 5.0)
+            budget = minimize_blockade_gate(blockade_mhz, tau, splitting)
+            assert budget.interior_optimum
+
+            def error_at(rabi):
+                params = GateParams(rabi, tau, splitting, blockade_mhz=blockade_mhz)
+                return blockade_gate_error(params).total_error
+
+            assert_exact_optimum(error_at, budget)
 
     def test_closed_form_within_five_percent_on_grid(self):
         # Default qubit splitting, realistic blockade/lifetime ranges.
@@ -289,6 +331,26 @@ class TestOptimalInteractionGate:
             worst = max(worst, abs(e_num / e_cl - 1.0))
         assert worst < 0.02
 
+    def test_exact_optimum_against_oracle(self):
+        rng = np.random.default_rng(12)
+        for _ in range(300):
+            interaction = 10.0 ** rng.uniform(-2.0, 2.0)
+            tau = 10.0 ** rng.uniform(1.0, 4.0)
+            splitting = 10.0 ** rng.uniform(3.0, 5.0)
+            budget = minimize_interaction_gate(interaction, tau, splitting)
+            assert budget.interior_optimum
+            assert budget.interaction_mhz == interaction
+
+            def error_at(rabi):
+                params = GateParams(rabi, tau, splitting, interaction_mhz=interaction)
+                return interaction_gate_error(params).total_error
+
+            assert_exact_optimum(error_at, budget)
+
+    def test_infinite_splitting_has_no_finite_optimum(self):
+        with pytest.raises(ValueError, match="no finite optimum"):
+            minimize_interaction_gate(1.0, 340.0, math.inf)
+
     def test_minimum_dominates_floor_everywhere(self):
         # 30x30 log grid over interaction strength and lifetime: the
         # optimized error never undercuts the analytic floor.
@@ -370,11 +432,36 @@ class TestOptimizeInteractionGate:
             optimize_interaction_gate(rb_s100_eig, 17.0, 340.0, polarization=1)
         assert scored == []
 
+    @pytest.mark.parametrize("n", [50, 70, 100, 150])
+    def test_exact_optimum_against_oracle(self, rb_table, n):
+        eig = forster_eigensystem(s_state_channels(n, rb_table))
+        bounds = (1e-3, 2e4)
+        for r_um in np.geomspace(2.0, 20.0, 16):
+            for tau in (100.0, 300.0, 1000.0):
+                budget = optimize_interaction_gate(eig, r_um, tau)
+
+                def error_at(rabi):
+                    shift = effective_interaction_mhz(
+                        ExcitationField.uniform(2, rabi), eig, r_um
+                    )
+                    params = GateParams(rabi, tau, interaction_mhz=abs(shift))
+                    return interaction_gate_error(params).total_error
+
+                assert budget.total_error == error_at(budget.rabi_opt_mhz)
+                assert_exact_optimum(error_at, budget, bounds)
+
+    def test_rejects_non_finite_bounds(self, rb_s100_eig):
+        with pytest.raises(ValueError, match="rabi_bounds_mhz"):
+            optimize_interaction_gate(
+                rb_s100_eig, 17.0, 340.0, rabi_bounds_mhz=(1e-3, math.inf)
+            )
+
     def test_boundary_optimum_is_flagged(self, rb_s100_eig):
         budget = optimize_interaction_gate(
             rb_s100_eig, 17.0, 340.0, rabi_bounds_mhz=(1e-3, 1e-2)
         )
         assert not budget.interior_optimum
+        assert budget.rabi_opt_mhz == 1e-2
 
     def test_moderate_excitation_floor_blocks_millikelvin_error(self, rb_s100_eig):
         # At n=100 the spontaneous-emission floor sits above 1e-3, so no

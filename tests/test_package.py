@@ -1,8 +1,12 @@
 """Package metadata says what the code has: named modules import, console
-scripts resolve, and the version matches pyproject.toml."""
+scripts resolve, and the version matches pyproject.toml. Importing the
+package does not pull in scipy.optimize."""
 
 import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -37,3 +41,28 @@ def test_console_scripts_resolve():
 
 def test_version_matches_pyproject():
     assert rydtools.__version__ == _project()["version"]
+
+
+def test_no_module_imports_scipy_optimize():
+    # a fresh interpreter, because other tests import scipy.optimize into
+    # this one
+    code = (
+        "import importlib, pkgutil, sys, rydtools\n"
+        "names = [m.name for m in pkgutil.iter_modules(rydtools.__path__)]\n"
+        "for name in names:\n"
+        "    importlib.import_module('rydtools.' + name)\n"
+        "print(len(names), 'scipy.optimize' in sys.modules)\n"
+    )
+    src = str(Path(rydtools.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    count, imported = done.stdout.split()
+    assert int(count) >= 7
+    assert imported == "False"
