@@ -7,8 +7,7 @@ core-screened Coulomb potential at the defect-shifted energy on a
 logarithmic grid. The inward Numerov recurrence is solved as one banded
 upper-triangular system by LAPACK back-substitution. Each solution's node
 count, taken in the allowed region outside the core (r > 5 r_c), is checked
-against the quantum defect; matrix elements carry an independent
-semiclassical cross-check.
+against the quantum defect before a matrix element is formed.
 """
 
 import math
@@ -255,8 +254,7 @@ def _grid_step(n_star, accuracy=1.0):
 
 def _log_grid(r_min, r_max, h):
     n_points = int(math.ceil((math.log(r_max) - math.log(r_min)) / h)) + 1
-    x = math.log(r_min) + h * np.arange(n_points)
-    return x, np.exp(x)
+    return np.exp(math.log(r_min) + h * np.arange(n_points))
 
 
 def radial_solution(n_star, l, r_grid=None, core_charge=1.0, core_screening=0.0):
@@ -285,7 +283,7 @@ def radial_solution(n_star, l, r_grid=None, core_charge=1.0, core_screening=0.0)
     r_max = _outer_radius(n_star)
     if r_grid is None:
         h = _grid_step(n_star)
-        _, r = _log_grid(R_MIN_DEFAULT, r_max, h)
+        r = _log_grid(R_MIN_DEFAULT, r_max, h)
     else:
         r = np.asarray(r_grid, dtype=float)
         if len(r) < 2:
@@ -381,47 +379,10 @@ def radial_matrix_element(state_a, state_b, table, accuracy=1.0):
     ns_b = table.n_star(state_b)
     h = min(_grid_step(ns_a, accuracy), _grid_step(ns_b, accuracy))
     r_max = _outer_radius(max(ns_a, ns_b))
-    _, r = _log_grid(R_MIN_DEFAULT, r_max, h)
+    r = _log_grid(R_MIN_DEFAULT, r_max, h)
     core = dict(core_charge=table.core_charge, core_screening=table.core_screening)
     sol_a = radial_solution(ns_a, state_a.l, r_grid=r, **core)
     sol_b = radial_solution(ns_b, state_b.l, r_grid=r, **core)
     _check_nodes(sol_a, state_a, table.defect(state_a.n, state_a.l, state_a.j))
     _check_nodes(sol_b, state_b, table.defect(state_b.n, state_b.l, state_b.j))
     return float(np.sum(sol_a.p * sol_b.p * r * r) * h)
-
-
-def _anger(nu, z, n_points=40001):
-    # Anger function: (1/pi) * integral of cos(nu*theta - z*sin(theta))
-    theta = np.linspace(0.0, math.pi, n_points)
-    return np.trapezoid(np.cos(nu * theta - z * np.sin(theta)), theta) / math.pi
-
-
-def radial_matrix_element_semiclassical(state_a, state_b, table):
-    """Semiclassical estimate of <a| r |b> (a0), for cross-checking.
-
-    Correspondence-principle route: the dipole integral is built from Anger
-    functions of the effective-quantum-number difference, organized as a
-    power series in l_c/nu_c around the near-circular orbit limit. Valid for
-    any real non-zero difference; singular as n*_a -> n*_b.
-    """
-    if abs(state_a.l - state_b.l) != 1:
-        raise ValueError("semiclassical dipole integral needs |l_a - l_b| = 1")
-    ns_a = table.n_star(state_a)
-    ns_b = table.n_star(state_b)
-    d_nu = ns_a - ns_b
-    if abs(d_nu) < 0.05:
-        raise ValueError("semiclassical form is singular for near-degenerate states")
-    l_c = 0.5 * (state_a.l + state_b.l + 1)
-    nu_c = math.sqrt(ns_a * ns_b)
-    gamma = (state_b.l - state_a.l) * l_c / nu_c
-    g0 = (_anger(d_nu - 1.0, -d_nu) - _anger(d_nu + 1.0, -d_nu)) / (3.0 * d_nu)
-    g1 = -(_anger(d_nu - 1.0, -d_nu) + _anger(d_nu + 1.0, -d_nu)) / (3.0 * d_nu)
-    g2 = g0 - math.sin(math.pi * d_nu) / (math.pi * d_nu)
-    g3 = 0.5 * d_nu * g0 + g1
-    series = g0 + gamma * g1 + gamma**2 * g2 + gamma**3 * g3
-    return 1.5 * nu_c**2 * math.sqrt(max(1.0 - (l_c / nu_c) ** 2, 0.0)) * series
-
-
-def hydrogenic_r_expectation(n, l):
-    """Closed-form <n l| r |n l> = (3 n^2 - l(l+1))/2 for the Coulomb problem."""
-    return 0.5 * (3.0 * n**2 - l * (l + 1))

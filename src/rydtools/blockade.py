@@ -22,10 +22,11 @@ import numpy as np
 from scipy import linalg
 
 from .ensemble import propagate
-from .pair import (
+from .pair import (  # also re-exports forster_eigensystem
     FORSTER_ZERO_FLOOR,
     _at_angle,
     _level_key,
+    _pair_rotation,
     forster_eigensystem,
     pair_shift_mhz,
 )
@@ -134,15 +135,16 @@ def _driven_index(eig, target_m):
     return offset * dim + offset
 
 
-def _channel_shifts_mhz(eig, c_idx, r_um):
-    """Interaction shift of each channel eigenstate at separation r_um.
+def _channel_shifts_mhz(eig, r_um):
+    """Interaction shift of every channel eigenstate at separation r_um, the
+    channels' eigenstates concatenated in order.
 
-    Eigenstates below the coupling floor are unshifted by this channel.
+    Eigenstates below the coupling floor are unshifted by their channel.
     """
-    d_vals = eig.d_values[c_idx]
-    shifts = pair_shift_mhz(
-        eig.defects_mhz[c_idx], eig.channels[c_idx].c3_mhz_um3, d_vals, r_um
-    )
+    d_vals = np.concatenate(eig.d_values)
+    sizes = [len(d) for d in eig.d_values]
+    c3 = np.repeat([ch.c3_mhz_um3 for ch in eig.channels], sizes)
+    shifts = pair_shift_mhz(np.concatenate(eig.defects_mhz), c3, d_vals, r_um)
     return np.where(d_vals >= FORSTER_ZERO_FLOOR, shifts, 0.0)
 
 
@@ -150,17 +152,18 @@ def pair_state_basis(eig, r_um):
     """Doubly-excited pair states and their shifts at separation r_um.
 
     Every channel contributes its eigenstate shifts as a projector sum; the
-    combined operator over the initial Zeeman-pair manifold is diagonalized
-    to give one orthonormal pair-state basis.
+    combined operator W_0 = V diag(s) V^T over the initial Zeeman-pair
+    manifold, with V all channels' pair-frame vectors side by side, is
+    diagonalized once and its eigenvectors are turned to eig.theta by the
+    one Wigner rotation D(theta).
 
     Returns (shifts, vectors): shifts[i] in MHz, ascending, and vectors[:, i]
-    the pair states over the initial Zeeman-product basis.
+    the pair states over the initial (lab-frame) Zeeman-product basis.
     """
-    dim = eig.vectors[0].shape[0]
-    w = np.zeros((dim, dim))
-    for c_idx, vecs in enumerate(eig.vectors):
-        w += (vecs * _channel_shifts_mhz(eig, c_idx, r_um)) @ vecs.T
-    return np.linalg.eigh(w)
+    vectors = np.concatenate(eig.vectors, axis=1)
+    w = (vectors * _channel_shifts_mhz(eig, r_um)) @ vectors.T
+    shifts, states = np.linalg.eigh(w)
+    return shifts, _pair_rotation(eig.channels[0].initial, eig.theta) @ states
 
 
 def _shifts_and_kappas(eig, field, pair, r_um):
@@ -194,27 +197,26 @@ def overlap_kappa(eig, field, pair=None, *, r_um):
 def _pair_spectra(geometry, field, eig):
     """(k, l, shifts, kappas) of every atom pair in lexicographic order.
 
-    Each pair uses its own separation and its exact interatomic-axis angle.
-    One theta = 0 eigensystem (eig itself when eig.theta is 0) serves pairs
-    on the z axis and is turned to every other distinct angle by the Wigner
-    rotation of pair._at_angle, the same one forster_eigensystem applies, so
-    no pair diagonalizes a Gram matrix.
+    Each pair uses its own separation and its exact interatomic-axis angle:
+    eig's pair-frame vectors serve every angle, and pair._at_angle only
+    sets theta (and the defects in a field), so no pair diagonalizes a
+    Gram matrix.
     """
-    base = eig
-    if eig.theta != 0:
-        base = forster_eigensystem(eig.channels, 0.0, eig.b_field_t)
-    by_angle = {0.0: base}
+    by_angle = {}
     for k, l in geometry.pairs():
         theta = geometry.axis_theta_rad(k, l)
         if theta not in by_angle:
-            by_angle[theta] = _at_angle(base, theta)
+            by_angle[theta] = _at_angle(eig, theta)
         r_um = geometry.separation_um(k, l)
         yield (k, l) + _shifts_and_kappas(by_angle[theta], field, (k, l), r_um)
 
 
 @dataclass
 class BlockadeResult:
-    """Mean blockade shift with its per-state audit trail."""
+    """Mean blockade shift with its per-eigenspace audit trail: one row
+    (k, l, p_idx, term) of contributions per atom pair and degenerate
+    pair-state eigenspace of summed |kappa|^2 >= KAPPA_WEIGHT_FLOOR, p_idx
+    its first state and term its sum of |kappa|^2 / delta^2."""
 
     b_mhz: float
     p2: float
@@ -225,14 +227,29 @@ class BlockadeResult:
     zero_term: Optional[tuple] = None
 
 
+def _degenerate_starts(shifts):
+    """Start index of each degenerate eigenspace of ascending shifts: a shift
+    joins the open eigenspace while it lies within DEGENERACY_RTOL x max(1
+    MHz, largest |shift|) of the eigenspace's first shift."""
+    tol = DEGENERACY_RTOL * max(1.0, float(np.max(np.abs(shifts))))
+    values = shifts.tolist()
+    starts = [0]
+    for i, value in enumerate(values):
+        if value - values[starts[-1]] > tol:
+            starts.append(i)
+    return starts
+
+
 def blockade_shift(geometry, field, eig):
     """Inverse-square laser-weighted average of pair interaction shifts.
 
     Each atom pair uses its own separation and its exact interatomic-axis
-    angle. The contribution table is sorted so the weakest-blockade terms
-    come first. A pair state with zero shift but nonzero laser overlap
-    short-circuits the blockade: B = 0 is reported with the offending
-    (pair-state, k, l) triple.
+    angle. Terms are summed per degenerate pair-state eigenspace, so the
+    contribution table does not depend on the basis chosen inside one; it
+    is sorted so the weakest-blockade terms come first. An eigenspace with
+    zero shift but nonzero laser overlap short-circuits the blockade: B = 0
+    is reported with the offending (pair-state, k, l) triple, the
+    eigenspace's first state.
     """
     if geometry.n != field.n_atoms:
         raise ValueError("field and geometry atom counts differ")
@@ -246,15 +263,18 @@ def blockade_shift(geometry, field, eig):
         # absolute 1e-12 MHz for spectra below 1 MHz
         zero_tol = 1e-12 * max(1.0, float(np.max(np.abs(shifts))))
         weights = np.abs(kappas) ** 2
-        states = np.flatnonzero(weights >= KAPPA_WEIGHT_FLOOR)
-        delta = shifts[states]
-        zero = np.abs(delta) <= zero_tol
-        terms = weights[states] / np.where(zero, 1.0, delta) ** 2
+        zero_state = np.abs(shifts) <= zero_tol
+        starts = np.array(_degenerate_starts(shifts))
+        keep = np.add.reduceat(weights, starts) >= KAPPA_WEIGHT_FLOOR
+        inverse_sq = weights / np.where(zero_state, 1.0, shifts) ** 2
+        terms = np.add.reduceat(inverse_sq, starts)[keep]
+        zero = np.logical_or.reduceat(zero_state, starts)[keep]
+        first = starts[keep]
         terms[zero] = math.inf
         if zero.any():
-            zero_term = (int(states[zero][-1]), k, l)
+            zero_term = (int(first[zero][-1]), k, l)
         total += float(np.sum(terms[~zero]))
-        rows = zip(states.tolist(), terms.tolist())
+        rows = zip(first.tolist(), terms.tolist())
         contributions.extend((k, l, p_idx, term) for p_idx, term in rows)
     contributions.sort(key=lambda row: -row[-1])
     n = geometry.n
@@ -333,17 +353,13 @@ def _build_hamiltonian(geometry, field, eig, decay_tau_us=None):
     omega_n = 2.0 * math.pi * field.omega_n_mhz
     h[0, 1] = omega_n / 2.0
     h[1, 0] = omega_n / 2.0
-    n = geometry.n
-    if n_phi:
-        spectra = _pair_spectra(geometry, field, eig)
-        for p_count, (_, _, shifts, kappas) in enumerate(spectra):
-            col = 2 + p_count * n_phi
-            for p_idx in range(n_phi):
-                row = col + p_idx
-                coupling = omega_n * kappas[p_idx] / n
-                h[1, row] = np.conj(coupling)
-                h[row, 1] = coupling
-                h[row, row] = 2.0 * math.pi * shifts[p_idx]
+    if n_phi and pairs:
+        _, _, shifts, kappas = zip(*_pair_spectra(geometry, field, eig))
+        coupling = omega_n * np.concatenate(kappas) / geometry.n
+        h[1, 2:] = np.conj(coupling)
+        h[2:, 1] = coupling
+        diagonal = np.arange(2, dim)
+        h[diagonal, diagonal] = 2.0 * math.pi * np.concatenate(shifts)
     if decay_tau_us is not None:
         gamma = 1.0 / (2.0 * decay_tau_us)
         damping = np.zeros(dim)
@@ -386,13 +402,8 @@ def _grouped_spectrum(field, eig, r_um):
     driven state's total overlap on each shift's eigenspace. field sets
     only the driven Zeeman component."""
     shifts, kappas = _shifts_and_kappas(eig, field, None, r_um)
-    weights = np.abs(kappas) ** 2
-    tol = DEGENERACY_RTOL * max(1.0, float(np.max(np.abs(shifts))))
-    starts = [0]
-    for i in range(1, len(shifts)):
-        if shifts[i] - shifts[starts[-1]] > tol:
-            starts.append(i)
-    w = np.add.reduceat(weights, starts)
+    starts = _degenerate_starts(shifts)
+    w = np.add.reduceat(np.abs(kappas) ** 2, starts)
     delta = np.add.reduceat(shifts, starts) / np.diff(starts + [len(shifts)])
     keep = w >= KAPPA_WEIGHT_FLOOR
     return delta[keep], w[keep]

@@ -8,16 +8,18 @@ coupling scale C3 these parameterize the R-dependent pair potential curves,
 their resonant-to-van-der-Waals crossover, and the blockade-relevant
 eigenstate structure.
 
-The squared coupling is diagonalized once, with the pair axis along z. At a
-pair axis tilted by theta from z it is the same matrix turned by the Wigner
-rotation d^{j1}(theta) (x) d^{j2}(theta) (Walker & Saffman, PRA 77, 032723
-(2008)), so its D_phi stay and its eigenvectors turn with it.
+The squared coupling is diagonalized once, in the pair frame (pair axis
+along z). At a pair axis tilted by theta from z it is the same matrix turned
+by the Wigner rotation D(theta) = d^{j1}(theta) (x) d^{j2}(theta) (Walker &
+Saffman, PRA 77, 032723 (2008)), so its D_phi stay and its eigenvectors are
+the pair-frame ones turned by D(theta). An eigensystem keeps the pair-frame
+vectors at every theta; a magnetic field along z re-evaluates only the
+defects.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from typing import Optional
 
 import numpy as np
 
@@ -198,8 +200,10 @@ class ForsterEigensystem:
     eigenvectors (columns, over the initial Zeeman product space) and the
     per-eigenstate energy defects (Zeeman-shifted when a magnetic field is
     present). forster_zero_count tallies eigenvalues below the zero floor.
-    The eigenvectors at theta are the theta = 0 ones turned by the Wigner
-    rotation of _at_angle; d_values do not depend on theta.
+    vectors are the pair-frame (theta = 0) eigenvectors at every theta; the
+    eigenvectors at theta are D(theta) @ vectors, with D(theta) = d^{j1}(theta)
+    (x) d^{j2}(theta) on the initial pair space. d_values do not depend on
+    theta; the defects do in a field.
     """
 
     channels: list
@@ -223,58 +227,52 @@ def _zeeman_diagonal(pair_states):
     return diag
 
 
-def _at_angle(base, theta):
-    """The theta = 0 eigensystem base turned to pair angle theta.
+def _pair_rotation(initial, theta):
+    """D(theta) = d^{j1}(theta) (x) d^{j2}(theta) on the Zeeman product space
+    of the pair of levels initial; exactly the identity at theta = 0."""
+    d1 = wigner_small_d(initial[0].j, theta)
+    d2 = d1 if initial[1].j == initial[0].j else wigner_small_d(initial[1].j, theta)
+    return (d1[:, None, :, None] * d2[None, :, None, :]).reshape(len(d1) * len(d2), -1)
 
-    build_vdd(ch, theta) = D_c build_vdd(ch, 0) D^T with D = d^{j1}(theta)
-    (x) d^{j2}(theta) on the initial pair space, so every Gram eigenvector
-    turns by the one D, and the Zeeman defects are evaluated on the turned
-    vectors. D(0) is exactly the identity; at theta = 0 the vectors are kept
-    as they are, so that no product flips the sign of a zero.
+
+def _at_angle(base, theta):
+    """The eigensystem base at pair angle theta.
+
+    build_vdd(ch, theta) = D_c build_vdd(ch, 0) D^T with D =
+    _pair_rotation(initial, theta), so the pair-frame vectors and d_values
+    serve every angle. Only the defects change: a field along z is
+    evaluated on the turned vectors phi = D v, as the initial pair's
+    Zeeman moment on phi and the coupled pair's on build_vdd(ch, theta) phi.
     """
-    i1, i2 = base.channels[0].initial
-    d1 = wigner_small_d(i1.j, theta)
-    d2 = d1 if i2.j == i1.j else wigner_small_d(i2.j, theta)
-    turn = (d1[:, None, :, None] * d2[None, :, None, :]).reshape(len(d1) * len(d2), -1)
-    b_field_t = base.b_field_t
-    eig = ForsterEigensystem(
-        channels=base.channels,
-        theta=theta,
-        b_field_t=b_field_t,
-        d_values=list(base.d_values),
-        forster_zero_count=base.forster_zero_count,
-    )
-    for ch, vals, vecs in zip(base.channels, base.d_values, base.vectors):
-        vecs = turn @ vecs if theta != 0 else vecs
-        defects = np.full(len(vals), ch.defect_mhz)
-        if b_field_t != 0.0:
-            m = build_vdd(ch, theta)
-            mu_b = cst.MU_B_MHZ_PER_T * b_field_t
+    mu_b = cst.MU_B_MHZ_PER_T * base.b_field_t
+    defects = [
+        np.full(len(vals), ch.defect_mhz)
+        for ch, vals in zip(base.channels, base.d_values)
+    ]
+    if mu_b != 0.0:
+        turn = _pair_rotation(base.channels[0].initial, theta)
+        rows = zip(base.channels, base.d_values, base.vectors, defects)
+        for ch, vals, vecs, defect in rows:
+            phi = turn @ vecs
+            live = vals > FORSTER_ZERO_FLOOR
+            chi_sq = (build_vdd(ch, theta) @ phi[:, live]) ** 2
             c1, c2 = ch.coupled
             coupled_diag = [_zeeman_diagonal((c1, c2))]
             if _level_key(c1) != _level_key(c2):
                 coupled_diag.append(_zeeman_diagonal((c2, c1)))
-            coupled_diag = np.concatenate(coupled_diag)
-            initial_diag = _zeeman_diagonal(ch.initial)
-            for k in range(len(vals)):
-                phi = vecs[:, k]
-                shift = -float(initial_diag @ (np.abs(phi) ** 2))
-                if vals[k] > FORSTER_ZERO_FLOOR:
-                    chi = m @ phi
-                    chi /= np.linalg.norm(chi)
-                    shift += float(coupled_diag @ (np.abs(chi) ** 2))
-                defects[k] = ch.defect_mhz + mu_b * shift
-        eig.vectors.append(vecs)
-        eig.defects_mhz.append(defects)
-    return eig
+            shift = -(_zeeman_diagonal(ch.initial) @ phi**2)
+            shift[live] += np.concatenate(coupled_diag) @ chi_sq / chi_sq.sum(axis=0)
+            defect += mu_b * shift
+    return replace(base, theta=theta, defects_mhz=defects)
 
 
 def forster_eigensystem(channels, theta=0.0, b_field_t=0.0):
     """Diagonalize each channel's squared coupling on the initial pair space.
 
-    Each Gram matrix is diagonalized at theta = 0, which gives d_values and
-    the Forster-zero count; _at_angle turns the eigenvectors to theta and
-    evaluates the (Zeeman-shifted, along z) defects on them.
+    Each Gram matrix is diagonalized once, in the pair frame, which gives
+    d_values, the pair-frame vectors and the Forster-zero count at every
+    theta; _at_angle evaluates the (Zeeman-shifted, along z) defects at
+    theta.
     """
     if not channels:
         raise ValueError("need at least one channel")

@@ -20,12 +20,47 @@ from rydtools.atoms import (
     QuantumDefectTable,
     RadialSolution,
     RydbergState,
-    hydrogenic_r_expectation,
     parse_level,
     radial_matrix_element,
-    radial_matrix_element_semiclassical,
     radial_solution,
 )
+
+
+def _anger(nu, z, n_points=40001):
+    # Anger function: (1/pi) * integral of cos(nu*theta - z*sin(theta))
+    theta = np.linspace(0.0, math.pi, n_points)
+    return np.trapezoid(np.cos(nu * theta - z * np.sin(theta)), theta) / math.pi
+
+
+def radial_matrix_element_semiclassical(state_a, state_b, table):
+    """Semiclassical estimate of <a| r |b> (a0), for cross-checking.
+
+    Correspondence-principle route: the dipole integral is built from Anger
+    functions of the effective-quantum-number difference, organized as a
+    power series in l_c/nu_c around the near-circular orbit limit. Valid for
+    any real non-zero difference; singular as n*_a -> n*_b.
+    """
+    if abs(state_a.l - state_b.l) != 1:
+        raise ValueError("semiclassical dipole integral needs |l_a - l_b| = 1")
+    ns_a = table.n_star(state_a)
+    ns_b = table.n_star(state_b)
+    d_nu = ns_a - ns_b
+    if abs(d_nu) < 0.05:
+        raise ValueError("semiclassical form is singular for near-degenerate states")
+    l_c = 0.5 * (state_a.l + state_b.l + 1)
+    nu_c = math.sqrt(ns_a * ns_b)
+    gamma = (state_b.l - state_a.l) * l_c / nu_c
+    g0 = (_anger(d_nu - 1.0, -d_nu) - _anger(d_nu + 1.0, -d_nu)) / (3.0 * d_nu)
+    g1 = -(_anger(d_nu - 1.0, -d_nu) + _anger(d_nu + 1.0, -d_nu)) / (3.0 * d_nu)
+    g2 = g0 - math.sin(math.pi * d_nu) / (math.pi * d_nu)
+    g3 = 0.5 * d_nu * g0 + g1
+    series = g0 + gamma * g1 + gamma**2 * g2 + gamma**3 * g3
+    return 1.5 * nu_c**2 * math.sqrt(max(1.0 - (l_c / nu_c) ** 2, 0.0)) * series
+
+
+def hydrogenic_r_expectation(n, l):
+    """Closed-form <n l| r |n l> = (3 n^2 - l(l+1))/2 for the Coulomb problem."""
+    return 0.5 * (3.0 * n**2 - l * (l + 1))
 
 
 def r_expectation(sol):

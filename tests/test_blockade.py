@@ -17,6 +17,7 @@ from scipy import linalg
 import rydtools.blockade as blockade_module
 import rydtools.pair as pair_module
 from rydtools import constants as cst, ensemble
+from rydtools.angular import wigner_small_d
 from rydtools.atoms import RydbergState
 from rydtools.blockade import (
     DEGENERACY_RTOL,
@@ -98,10 +99,34 @@ def exact_two_atom_inv_b2(channels, theta, r_um, target_m=0.5):
     return float(np.sum(ov[good] / vals[good] ** 2))
 
 
+def loop_zeeman_defects(ch, theta, vals, vecs, b_field_t):
+    """Oracle: the per-vector Zeeman defects of a field along z, one Python
+    loop over the lab-frame Gram eigenvectors vecs at pair angle theta."""
+    defects = np.full(len(vals), ch.defect_mhz)
+    if b_field_t == 0.0:
+        return defects
+    m = build_vdd(ch, theta)
+    c1, c2 = ch.coupled
+    coupled_diag = [_zeeman_diagonal((c1, c2))]
+    if (c1.n, c1.l, c1.j) != (c2.n, c2.l, c2.j):
+        coupled_diag.append(_zeeman_diagonal((c2, c1)))
+    coupled_diag = np.concatenate(coupled_diag)
+    initial_diag = _zeeman_diagonal(ch.initial)
+    for k in range(len(vals)):
+        shift = -float(initial_diag @ (vecs[:, k] ** 2))
+        if vals[k] > FORSTER_ZERO_FLOOR:
+            chi = m @ vecs[:, k]
+            shift += float(coupled_diag @ (chi / np.linalg.norm(chi)) ** 2)
+        defects[k] += cst.MU_B_MHZ_PER_T * b_field_t * shift
+    return defects
+
+
 def per_angle_eigensystem(channels, theta, b_field_t=0.0):
     """Oracle: each channel's Gram matrix diagonalized at theta itself, as
-    forster_eigensystem did before it turned one theta = 0 eigensystem."""
-    eig = ForsterEigensystem(channels=list(channels), theta=theta, b_field_t=b_field_t)
+    forster_eigensystem did before it kept pair-frame vectors."""
+    # the vectors are diagonalized at theta, so they are already in the lab
+    # frame: theta = 0.0 keeps pair_state_basis from turning them again
+    eig = ForsterEigensystem(channels=list(channels), theta=0.0, b_field_t=b_field_t)
     for ch in channels:
         m = build_vdd(ch, theta)
         vals, vecs = np.linalg.eigh(m.T @ m)
@@ -109,21 +134,7 @@ def per_angle_eigensystem(channels, theta, b_field_t=0.0):
         eig.forster_zero_count += int(np.sum(vals < FORSTER_ZERO_FLOOR))
         eig.d_values.append(vals)
         eig.vectors.append(vecs)
-        defects = np.full(len(vals), ch.defect_mhz)
-        if b_field_t != 0.0:
-            c1, c2 = ch.coupled
-            coupled_diag = [_zeeman_diagonal((c1, c2))]
-            if (c1.n, c1.l, c1.j) != (c2.n, c2.l, c2.j):
-                coupled_diag.append(_zeeman_diagonal((c2, c1)))
-            coupled_diag = np.concatenate(coupled_diag)
-            initial_diag = _zeeman_diagonal(ch.initial)
-            for k in range(len(vals)):
-                shift = -float(initial_diag @ (vecs[:, k] ** 2))
-                if vals[k] > FORSTER_ZERO_FLOOR:
-                    chi = m @ vecs[:, k]
-                    shift += float(coupled_diag @ (chi / np.linalg.norm(chi)) ** 2)
-                defects[k] += cst.MU_B_MHZ_PER_T * b_field_t * shift
-        eig.defects_mhz.append(defects)
+        eig.defects_mhz.append(loop_zeeman_defects(ch, theta, vals, vecs, b_field_t))
     return eig
 
 
@@ -134,23 +145,32 @@ def degenerate_groups(values, rtol):
 
 
 def loop_blockade_terms(geometry, field, eig):
-    """Oracle: blockade_shift's per-pair-state loop before it became array
-    arithmetic. Returns (total, contribution rows, zero_term)."""
+    """Oracle: blockade_shift as a loop over each pair's degenerate
+    pair-state eigenspaces (a shift joins the open eigenspace while within
+    DEGENERACY_RTOL x max(1, |max|) of its first shift). Returns (total,
+    contribution rows, zero_term)."""
     total = 0.0
     contributions = []
     zero_term = None
     for k, l, shifts, kappas in _pair_spectra(geometry, field, eig):
         zero_tol = 1e-12 * max(1.0, float(np.max(np.abs(shifts))))
+        tol = DEGENERACY_RTOL * max(1.0, float(np.max(np.abs(shifts))))
+        groups = []
         for p_idx, delta in enumerate(shifts):
-            weight = abs(kappas[p_idx]) ** 2
+            if groups and delta - shifts[groups[-1][0]] <= tol:
+                groups[-1].append(p_idx)
+            else:
+                groups.append([p_idx])
+        for group in groups:
+            weight = sum(abs(kappas[i]) ** 2 for i in group)
             if weight < KAPPA_WEIGHT_FLOOR:
                 continue
-            if abs(delta) <= zero_tol:
-                zero_term = (p_idx, k, l)
-                contributions.append((k, l, p_idx, math.inf))
+            if any(abs(shifts[i]) <= zero_tol for i in group):
+                zero_term = (group[0], k, l)
+                contributions.append((k, l, group[0], math.inf))
                 continue
-            term = weight / delta**2
-            contributions.append((k, l, p_idx, term))
+            term = sum(abs(kappas[i]) ** 2 / shifts[i] ** 2 for i in group)
+            contributions.append((k, l, group[0], term))
             total += term
     contributions.sort(key=lambda row: -row[-1])
     return total, contributions, zero_term
@@ -255,7 +275,7 @@ class TestOverlapKappa:
         d_vals = eig.d_values[3]
         live = d_vals >= FORSTER_ZERO_FLOOR
         assert live.any() and not live.all()
-        shifts = _channel_shifts_mhz(eig, 3, 5.3)
+        shifts = _channel_shifts_mhz(eig, 5.3)[12:16]  # channel 3 of four, dim 4
         assert np.all(shifts[~live] == 0.0)
         expected = -resonant.c3_mhz_um3 * np.sqrt(d_vals[live]) / 5.3**3
         assert np.allclose(shifts[live], expected, rtol=1e-14, atol=0.0)
@@ -486,9 +506,12 @@ class TestBlockadeShift:
         b = blockade_shift(geo, f, rb_43d_eigensystem).b_mhz
         assert b == pytest.approx(math.sqrt(15.0 / total), rel=1e-12)
 
-    def test_no_gram_diagonalization_per_pair(self, rb_43d_eigensystem, monkeypatch):
-        # 12 atoms, 66 pairs: each pair turns the theta = 0 eigensystem and
-        # runs only pair_state_basis's one eigh
+    def test_no_gram_diagonalization_per_pair(
+        self, rb_43d_channels, rb_43d_eigensystem, monkeypatch
+    ):
+        # 12 atoms, 66 pairs: every pair uses eig's pair-frame vectors,
+        # whatever eig.theta is, and runs only pair_state_basis's one eigh
+        tilted = forster_eigensystem(rb_43d_channels, 0.7)
         calls = {"forster_eigensystem": 0, "eigh": 0}
 
         def counted(name, fn):
@@ -506,9 +529,53 @@ class TestBlockadeShift:
             )
         monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
         geo = EnsembleGeometry(random_cloud(np.random.default_rng(12), 12))
-        res = blockade_shift(geo, ExcitationField.uniform(12, 0.001), rb_43d_eigensystem)
-        assert res.b_mhz > 0
-        assert calls == {"forster_eigensystem": 0, "eigh": 66}
+        for eig in (rb_43d_eigensystem, tilted):
+            calls.update(forster_eigensystem=0, eigh=0)
+            res = blockade_shift(geo, ExcitationField.uniform(12, 0.001), eig)
+            assert res.b_mhz > 0
+            assert calls == {"forster_eigensystem": 0, "eigh": 66}
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_contributions_do_not_depend_on_degenerate_basis(
+        self, rb_43d_eigensystem, seed, monkeypatch
+    ):
+        # mixing every degenerate pair-state eigenspace by a random rotation
+        # leaves the rows and, to rounding, their terms
+        geo = EnsembleGeometry(random_cloud(np.random.default_rng(seed), 8))
+        f = ExcitationField.uniform(8, 0.001)
+        res = blockade_shift(geo, f, rb_43d_eigensystem)
+        rng = np.random.default_rng(seed)
+        original = blockade_module.pair_state_basis
+
+        def mixed(eig, r_um):
+            shifts, vectors = original(eig, r_um)
+            vectors = vectors.copy()
+            for group in degenerate_groups(shifts, DEGENERACY_RTOL):
+                q, _ = np.linalg.qr(rng.normal(size=(len(group), len(group))))
+                vectors[:, group] = vectors[:, group] @ q
+            return shifts, vectors
+
+        monkeypatch.setattr(blockade_module, "pair_state_basis", mixed)
+        res_mixed = blockade_shift(geo, f, rb_43d_eigensystem)
+        rows = {r[:3]: r[-1] for r in res.contributions}
+        rows_mixed = {r[:3]: r[-1] for r in res_mixed.contributions}
+        assert rows.keys() == rows_mixed.keys()
+        total = sum(rows.values())
+        assert max(abs(rows[key] - rows_mixed[key]) for key in rows) < 1e-12 * total
+        assert res_mixed.b_mhz == pytest.approx(res.b_mhz, rel=1e-12)
+
+    @pytest.mark.parametrize("r_um", [5.0, 10.0])
+    def test_basis_turns_as_a_whole(self, rb_43d_channels, rb_43d_eigensystem, r_um):
+        # in zero field the pair-state shifts do not depend on theta at all,
+        # and the states are the theta = 0 ones turned by D(theta)
+        shifts0, vectors0 = pair_state_basis(rb_43d_eigensystem, r_um)
+        for theta in (0.3, 1.0, math.pi / 2, 2.5):
+            shifts, vectors = pair_state_basis(
+                forster_eigensystem(rb_43d_channels, theta), r_um
+            )
+            assert np.array_equal(shifts, shifts0)
+            d = wigner_small_d(2.5, theta)
+            assert np.max(np.abs(vectors - np.kron(d, d) @ vectors0)) < 1e-15
 
     def test_eigensystem_off_axis_is_turned_from_theta_zero(self, rb_43d_channels):
         # eig at theta != 0: one theta = 0 eigensystem serves every pair, and
@@ -540,6 +607,30 @@ class TestFieldAtAngle:
             for group in degenerate_groups(oracle.d_values[c_idx], 1e-9):
                 assert abs(ours[group].sum() - theirs[group].sum()) < 1e-12 * zeeman_mhz
             assert abs(ours.sum() - theirs.sum()) < 1e-12 * zeeman_mhz
+
+
+class TestPairFrame:
+    @pytest.mark.parametrize("b_field_t", [0.0, 0.01])
+    def test_vectors_do_not_depend_on_theta(self, rb_43d_channels, b_field_t):
+        base = forster_eigensystem(rb_43d_channels, 0.0, b_field_t)
+        for theta in (0.3, 1.1, 2.0):
+            eig = forster_eigensystem(rb_43d_channels, theta, b_field_t)
+            for ours, theirs in zip(eig.vectors, base.vectors):
+                assert np.array_equal(ours, theirs)
+
+    @pytest.mark.parametrize("theta", [0.0, 0.3, 1.1, 2.0])
+    def test_defects_match_per_vector_loop(self, rb_s60_channels, rb_43d_channels, theta):
+        b_field_t = 0.01
+        zeeman_mhz = cst.MU_B_MHZ_PER_T * b_field_t
+        for channels in (rb_s60_channels, rb_43d_channels):
+            eig = forster_eigensystem(channels, theta, b_field_t)
+            i1, i2 = channels[0].initial
+            turn = np.kron(wigner_small_d(i1.j, theta), wigner_small_d(i2.j, theta))
+            for ch, vals, vecs, defects in zip(
+                channels, eig.d_values, eig.vectors, eig.defects_mhz
+            ):
+                expected = loop_zeeman_defects(ch, theta, vals, turn @ vecs, b_field_t)
+                assert np.max(np.abs(defects - expected)) < 1e-12 * zeeman_mhz
 
 
 class TestDrivenLevel:
