@@ -246,6 +246,14 @@ class RadialSolution:
     nodes: int
 
 
+def _inner_edge(n_star, l):
+    # inward from the inner turning point r_in of y'' = g y the growing
+    # solution rises as (r_in / r)^(l + 1/2): start where that reaches 1e100,
+    # well inside double range, or at R_MIN_DEFAULT for every low l
+    r_in = n_star**2 - n_star * math.sqrt(max(n_star**2 - (l + 0.5) ** 2, 0.0))
+    return max(R_MIN_DEFAULT, r_in * 10.0 ** (-100.0 / (l + 0.5)))
+
+
 def _grid_step(n_star, accuracy=1.0):
     # keep a fixed number of Numerov points per radial oscillation; the local
     # wavenumber in x = ln r peaks near n_star
@@ -261,7 +269,8 @@ def radial_solution(n_star, l, r_grid=None, core_charge=1.0, core_screening=0.0)
     """Integrate the radial equation inward at energy -1/(2 n_star^2).
 
     Returns a RadialSolution on the supplied (or self-chosen) grid, which
-    must be uniform in ln r. The Numerov recurrence from two small values at
+    must be uniform in ln r; the self-chosen one starts at _inner_edge, so
+    that no l overflows. The Numerov recurrence from two small values at
     the outer edge is one banded triangular system, back-substituted by one
     LAPACK ``dtbtrs`` call; a zero pivot, or an overflow through a high
     centrifugal barrier, raises NumericsError.
@@ -283,7 +292,7 @@ def radial_solution(n_star, l, r_grid=None, core_charge=1.0, core_screening=0.0)
     r_max = _outer_radius(n_star)
     if r_grid is None:
         h = _grid_step(n_star)
-        r = _log_grid(R_MIN_DEFAULT, r_max, h)
+        r = _log_grid(_inner_edge(n_star, l), r_max, h)
     else:
         r = np.asarray(r_grid, dtype=float)
         if len(r) < 2:
@@ -365,9 +374,9 @@ def _check_nodes(sol, state, defect):
 def radial_matrix_element(state_a, state_b, table, accuracy=1.0):
     """Radial dipole integral <a| r |b> in units of a0.
 
-    Both wavefunctions are integrated on a common logarithmic grid; the node
-    count of each solution is validated against the quantum defect before the
-    overlap is formed.
+    Both wavefunctions are integrated on a common logarithmic grid from the
+    smaller _inner_edge; the node count of each solution is validated
+    against the quantum defect before the overlap is formed.
     """
     if state_a.species != state_b.species:
         raise ValueError("matrix element between different species")
@@ -379,7 +388,7 @@ def radial_matrix_element(state_a, state_b, table, accuracy=1.0):
     ns_b = table.n_star(state_b)
     h = min(_grid_step(ns_a, accuracy), _grid_step(ns_b, accuracy))
     r_max = _outer_radius(max(ns_a, ns_b))
-    r = _log_grid(R_MIN_DEFAULT, r_max, h)
+    r = _log_grid(min(_inner_edge(ns_a, state_a.l), _inner_edge(ns_b, state_b.l)), r_max, h)
     core = dict(core_charge=table.core_charge, core_screening=table.core_screening)
     sol_a = radial_solution(ns_a, state_a.l, r_grid=r, **core)
     sol_b = radial_solution(ns_b, state_b.l, r_grid=r, **core)

@@ -32,9 +32,9 @@ from .pair import (  # also re-exports forster_eigensystem
 )
 
 KAPPA_WEIGHT_FLOOR = 1e-12
-# pair-state shifts closer than DEGENERACY_RTOL x max(1 MHz, largest |shift|)
-# are treated as one degenerate eigenspace: an absolute 1e-9 MHz for spectra
-# below 1 MHz
+# a gap above DEGENERACY_RTOL x max(1 MHz, largest |shift|) between neighbouring
+# ascending pair-state shifts opens a new degenerate eigenspace, so a chain of
+# close shifts is one: an absolute 1e-9 MHz gap for spectra below 1 MHz
 DEGENERACY_RTOL = 1e-9
 
 
@@ -211,12 +211,32 @@ def _pair_spectra(geometry, field, eig):
         yield (k, l) + _shifts_and_kappas(by_angle[theta], field, (k, l), r_um)
 
 
+def _eigenspaces(shifts, kappas):
+    """(first, delta, weight, inverse_sq) over the degenerate eigenspaces
+    (DEGENERACY_RTOL) of one pair's ascending shifts whose summed |kappa|^2
+    is at least KAPPA_WEIGHT_FLOOR: first state, mean shift, summed
+    |kappa|^2 and sum of |kappa|^2 / shift^2, inf when the eigenspace holds
+    a shift within 1e-12 x max(1 MHz, largest |shift|) of zero."""
+    scale = max(1.0, float(np.abs(shifts).max()))
+    gaps = shifts[1:] - shifts[:-1] > DEGENERACY_RTOL * scale
+    starts = np.concatenate(([0], gaps.nonzero()[0] + 1))
+    weights = np.abs(kappas) ** 2
+    zero_state = np.abs(shifts) <= 1e-12 * scale
+    weight = np.add.reduceat(weights, starts)
+    delta = np.add.reduceat(shifts, starts) / np.add.reduceat(np.ones(len(shifts)), starts)
+    inverse_sq = np.add.reduceat(weights / np.where(zero_state, 1.0, shifts) ** 2, starts)
+    inverse_sq[np.logical_or.reduceat(zero_state, starts)] = math.inf
+    keep = weight >= KAPPA_WEIGHT_FLOOR
+    return starts[keep], delta[keep], weight[keep], inverse_sq[keep]
+
+
 @dataclass
 class BlockadeResult:
     """Mean blockade shift with its per-eigenspace audit trail: one row
-    (k, l, p_idx, term) of contributions per atom pair and degenerate
-    pair-state eigenspace of summed |kappa|^2 >= KAPPA_WEIGHT_FLOOR, p_idx
-    its first state and term its sum of |kappa|^2 / delta^2."""
+    (k, l, p_idx, term) per atom pair and _eigenspaces entry, p_idx the
+    eigenspace's first state and term its sum of |kappa|^2 / delta^2 (inf
+    on a zero shift). zero_term is the (p_idx, k, l) of the last inf term;
+    B is then 0, p2 inf and blockade_valid False."""
 
     b_mhz: float
     p2: float
@@ -227,29 +247,14 @@ class BlockadeResult:
     zero_term: Optional[tuple] = None
 
 
-def _degenerate_starts(shifts):
-    """Start index of each degenerate eigenspace of ascending shifts: a shift
-    joins the open eigenspace while it lies within DEGENERACY_RTOL x max(1
-    MHz, largest |shift|) of the eigenspace's first shift."""
-    tol = DEGENERACY_RTOL * max(1.0, float(np.max(np.abs(shifts))))
-    values = shifts.tolist()
-    starts = [0]
-    for i, value in enumerate(values):
-        if value - values[starts[-1]] > tol:
-            starts.append(i)
-    return starts
-
-
 def blockade_shift(geometry, field, eig):
     """Inverse-square laser-weighted average of pair interaction shifts.
 
     Each atom pair uses its own separation and its exact interatomic-axis
-    angle. Terms are summed per degenerate pair-state eigenspace, so the
-    contribution table does not depend on the basis chosen inside one; it
-    is sorted so the weakest-blockade terms come first. An eigenspace with
-    zero shift but nonzero laser overlap short-circuits the blockade: B = 0
-    is reported with the offending (pair-state, k, l) triple, the
-    eigenspace's first state.
+    angle. Its terms are the _eigenspaces sums, so the contribution table,
+    sorted weakest blockade first, does not depend on the basis inside a
+    degenerate eigenspace. B = sqrt(N (N-1) / (2 sum of terms)): a zero
+    shift with laser overlap makes the sum inf and B = 0 (zero_term).
     """
     if geometry.n != field.n_atoms:
         raise ValueError("field and geometry atom counts differ")
@@ -259,35 +264,15 @@ def blockade_shift(geometry, field, eig):
     contributions = []
     zero_term = None
     for k, l, shifts, kappas in _pair_spectra(geometry, field, eig):
-        # zero within 1e-12 x max(1 MHz, largest |shift| of the pair): an
-        # absolute 1e-12 MHz for spectra below 1 MHz
-        zero_tol = 1e-12 * max(1.0, float(np.max(np.abs(shifts))))
-        weights = np.abs(kappas) ** 2
-        zero_state = np.abs(shifts) <= zero_tol
-        starts = np.array(_degenerate_starts(shifts))
-        keep = np.add.reduceat(weights, starts) >= KAPPA_WEIGHT_FLOOR
-        inverse_sq = weights / np.where(zero_state, 1.0, shifts) ** 2
-        terms = np.add.reduceat(inverse_sq, starts)[keep]
-        zero = np.logical_or.reduceat(zero_state, starts)[keep]
-        first = starts[keep]
-        terms[zero] = math.inf
+        first, _, _, terms = _eigenspaces(shifts, kappas)
+        zero = np.isinf(terms)
         if zero.any():
             zero_term = (int(first[zero][-1]), k, l)
-        total += float(np.sum(terms[~zero]))
+        total += float(np.sum(terms))
         rows = zip(first.tolist(), terms.tolist())
         contributions.extend((k, l, p_idx, term) for p_idx, term in rows)
     contributions.sort(key=lambda row: -row[-1])
     n = geometry.n
-    if zero_term is not None:
-        return BlockadeResult(
-            b_mhz=0.0,
-            p2=math.inf,
-            n_atoms=n,
-            omega_n_mhz=field.omega_n_mhz,
-            contributions=contributions,
-            blockade_valid=False,
-            zero_term=zero_term,
-        )
     b = math.sqrt(n * (n - 1) / (2.0 * total)) if total > 0 else math.inf
     p2 = double_excitation_probability(field, n, b)
     return BlockadeResult(
@@ -297,6 +282,7 @@ def blockade_shift(geometry, field, eig):
         omega_n_mhz=field.omega_n_mhz,
         contributions=contributions,
         blockade_valid=math.isfinite(p2) and p2 <= 1.0,
+        zero_term=zero_term,
     )
 
 
@@ -374,12 +360,14 @@ def integrate_amplitudes(state, geometry, field, eig, t_us, decay_tau_us=None):
 
     Exact propagation under the constant Hamiltonian: ensemble.propagate
     (dense eigh or the Chebyshev series, by its cost rule) in the Hermitian
-    case, and the matrix exponential of the non-Hermitian H when
-    decay_tau_us adds damping. Passing eig=None removes all
-    doubly-excited states (fully blockaded two-level limit).
+    case, and the matrix exponential of the non-Hermitian H when a positive
+    decay_tau_us adds damping. Passing eig=None removes all doubly-excited
+    states (fully blockaded two-level limit).
     """
     if t_us < 0:
         raise ValueError("t_us must be nonnegative, got %r" % (t_us,))
+    if decay_tau_us is not None and not decay_tau_us > 0:
+        raise ValueError("decay_tau_us must be positive, got %r" % (decay_tau_us,))
     n_phi = pair_state_count(eig)
     pairs = list(geometry.pairs())
     if state.c_pairs.shape != (len(pairs), n_phi):
@@ -398,15 +386,10 @@ def integrate_amplitudes(state, geometry, field, eig, t_us, decay_tau_us=None):
 
 
 def _grouped_spectrum(field, eig, r_um):
-    """(delta, w) arrays of the distinct pair-state shifts at r_um and the
-    driven state's total overlap on each shift's eigenspace. field sets
-    only the driven Zeeman component."""
-    shifts, kappas = _shifts_and_kappas(eig, field, None, r_um)
-    starts = _degenerate_starts(shifts)
-    w = np.add.reduceat(np.abs(kappas) ** 2, starts)
-    delta = np.add.reduceat(shifts, starts) / np.diff(starts + [len(shifts)])
-    keep = w >= KAPPA_WEIGHT_FLOOR
-    return delta[keep], w[keep]
+    """(delta, w): the _eigenspaces mean shifts at r_um and the driven
+    state's summed overlap on each. field sets only the driven Zeeman
+    component."""
+    return _eigenspaces(*_shifts_and_kappas(eig, field, None, r_um))[1:3]
 
 
 def _saturated_shift(spectrum, omega_mhz):
@@ -424,16 +407,17 @@ def _saturated_shift(spectrum, omega_mhz):
 def effective_interaction_mhz(field, eig, r_um):
     """Two-atom effective interaction of the doubly-driven product state.
 
-    Each distinct pair-state shift delta contributes delta weighted by the
-    saturation factor w Omega^2 / (w Omega^2 + delta^2), with w the driven
-    state's total overlap on that shift's eigenspace and Omega the rms drive.
-    Shifts that agree to DEGENERACY_RTOL are grouped first: eigenvectors
-    inside a degenerate subspace are an arbitrary rotation and only the
-    summed overlap is physical (the saturation factor is not invariant under
-    splitting one weight across equal shifts). Groups with w below
-    KAPPA_WEIGHT_FLOOR are dropped. The sum is _saturated_shift on the
-    (delta, w) arrays of _grouped_spectrum, which optimize_interaction_gate
-    evaluates at every trial drive together with its analytic slope.
+    Each degenerate pair-state eigenspace contributes its mean shift delta
+    weighted by the saturation factor w Omega^2 / (w Omega^2 + delta^2),
+    with w the driven state's summed overlap on it and Omega the rms drive.
+    The eigenspaces are those of _eigenspaces (neighbour gaps of at most
+    DEGENERACY_RTOL, w at least KAPPA_WEIGHT_FLOOR): eigenvectors inside a
+    degenerate subspace are an arbitrary rotation and only the summed
+    overlap is physical (the saturation factor is not invariant under
+    splitting one weight across equal shifts). The sum is _saturated_shift
+    on the (delta, w) arrays of _grouped_spectrum, which
+    optimize_interaction_gate evaluates at every trial drive together with
+    its analytic slope.
     """
     omega = field.omega_rms_mhz
     if omega <= 0:

@@ -624,7 +624,8 @@ def simulate_exact(model, times_us, g2_bins_um=None, g2_window=0.5):
     each requested time. When g2_bins_um (bin edges) is given, the
     normalized two-point correlation <n_i n_j> / (<n_i><n_j>) is
     averaged over the trailing g2_window fraction of the time grid and
-    over the pairs falling in each separation bin; 0 < g2_window <= 1.
+    over the pairs falling in each separation bin; 0 < g2_window <= 1,
+    and the window holds at least the last time.
     """
     if not 0.0 < g2_window <= 1.0:
         raise ValueError("g2_window must be in (0, 1], got %r" % (g2_window,))
@@ -651,7 +652,7 @@ def simulate_exact(model, times_us, g2_bins_um=None, g2_window=0.5):
     g2_r = g2_vals = None
     if g2_bins_um is not None:
         membership = _membership(basis, model.n_atoms)
-        start = max(0, int(math.ceil(times.size * (1.0 - g2_window))))
+        start = min(int(math.ceil(times.size * (1.0 - g2_window))), times.size - 1)
         late = weights[:, start:].mean(axis=1)
         occupancy = late @ membership
         joint = (membership * late[:, None]).T @ membership

@@ -36,7 +36,7 @@ from .blockade import (
     _saturated_shift,
     blockade_shift,
 )
-from .pair import forster_eigensystem, s_state_channels
+from .pair import _at_angle, forster_eigensystem, s_state_channels
 
 # Scale ratio treated as a clear separation by the advisory regime flags.
 REGIME_FACTOR = 3.0
@@ -46,9 +46,6 @@ MIN_PHASE_RAD = 10.0
 # Hyperfine span of the low-lying intermediate p state (MHz); the two-photon
 # detuning should clear it by a wide margin.
 INTERMEDIATE_HYPERFINE_SPAN_MHZ = 500.0
-# Blockade shifts are capped here before optimization; beyond this the gate
-# error is set by the qubit splitting alone.
-BLOCKADE_CAP_MHZ = 1e9
 # Drives in the log-spaced scan of optimize_interaction_gate.
 INTERACTION_SCAN_POINTS = 61
 # Cap on its false-position steps; 4 to 10 usually reach rounding level.
@@ -134,7 +131,7 @@ def blockade_gate_error(params):
     The spontaneous-emission term scales with the time spent in the excited
     state, 1/(drive * lifetime); the rotation term collects imperfect
     blockade (double-excitation leakage) and off-resonant excitation of the
-    other qubit level.
+    other qubit level. Both terms stay finite at blockade_mhz = inf.
     """
     if params.blockade_mhz is None:
         raise ValueError("blockade_mhz is required for the blockade gate")
@@ -145,7 +142,7 @@ def blockade_gate_error(params):
     se = (7.0 * math.pi / (4.0 * omega * tau)) * (
         1.0 + omega**2 / w10**2 + omega**2 / (7.0 * b**2)
     )
-    rot = (omega**2 / (8.0 * b**2)) * (1.0 + 6.0 * b**2 / w10**2)
+    rot = omega**2 / (8.0 * b**2) + 3.0 * omega**2 / (4.0 * w10**2)
     return GateErrorBudget(
         se_error=se,
         rotation_error=rot,
@@ -189,19 +186,22 @@ def minimize_blockade_gate(
 
     Uses the full budget including the finite qubit splitting. In angular
     units it is A/Omega + B Omega + C Omega^2 with A = 7 pi / (4 tau),
-    B = A (1/omega10^2 + 1/(7 b^2)) and C = (1 + 6 b^2/omega10^2) / (8 b^2),
+    B = A (1/omega10^2 + 1/(7 b^2)) and C = 1/(8 b^2) + 3/(4 omega10^2),
     so its one stationary point, the minimum, is the positive root of
-    2 C Omega^3 + B Omega^2 - A.
+    2 C Omega^3 + B Omega^2 - A, exact at b = inf; if omega10 = inf too,
+    B = C = 0 and there is no finite optimum (ValueError).
     """
     _require_positive(blockade_mhz, "blockade_mhz")
     _require_positive(lifetime_us, "lifetime_us")
     _require_positive(qubit_splitting_mhz, "qubit_splitting_mhz")
-    blockade_mhz = min(blockade_mhz, BLOCKADE_CAP_MHZ)
     b = 2.0 * math.pi * blockade_mhz
     w10 = 2.0 * math.pi * qubit_splitting_mhz
     a = 7.0 * math.pi / (4.0 * lifetime_us)
-    c = (1.0 + 6.0 * b**2 / w10**2) / (8.0 * b**2)
-    omega = _positive_root([2.0 * c, a * (1.0 / w10**2 + 1.0 / (7.0 * b**2)), 0.0, -a])
+    c = 1.0 / (8.0 * b**2) + 3.0 / (4.0 * w10**2)
+    linear = a * (1.0 / w10**2 + 1.0 / (7.0 * b**2))
+    if c == 0.0 and linear == 0.0:
+        raise ValueError("no finite optimum: the blockade-gate error falls with the drive")
+    omega = _positive_root([2.0 * c, linear, 0.0, -a])
     rabi_mhz = omega / (2.0 * math.pi)
     params = GateParams(rabi_mhz, lifetime_us, qubit_splitting_mhz, blockade_mhz=blockade_mhz)
     return replace(blockade_gate_error(params), rabi_opt_mhz=rabi_mhz, interior_optimum=True)
@@ -452,11 +452,12 @@ def _eigensystem_for(n, table, eigensystems):
 def _landscape(
     n_values, r_um_values, table, lifetimes_us, temperature_k, eigensystems, evaluate
 ):
-    """(n, r_um, evaluate(eig, r_um, tau)) rows over the n x R grid."""
+    """(n, r_um, evaluate(eig, r_um, tau)) rows over the n x R grid, each
+    n's eigensystem turned to theta = 0 once (pair axis along z)."""
     model = LifetimeModel(table) if table is not None else None
     rows = []
     for n in n_values:
-        eig = _eigensystem_for(n, table, eigensystems)
+        eig = _at_angle(_eigensystem_for(n, table, eigensystems), 0.0)
         tau = _lifetime_for(n, lifetimes_us, temperature_k, model)
         rows.extend((n, float(r), evaluate(eig, float(r), tau)) for r in r_um_values)
     return rows
@@ -474,8 +475,9 @@ def blockade_gate_landscape(
     """Optimized blockade-gate error versus separation for s-state pairs.
 
     For each principal quantum number the four dominant coupling channels
-    set the blockade shift of an axially-aligned pair; the gate drive is
-    then optimized at every separation. Lifetimes come from the
+    set the blockade shift of a pair on z (theta = 0, whatever a prebuilt
+    eigensystem's theta); minimize_blockade_gate optimizes the drive at
+    every separation, also at B = inf. Lifetimes come from the
     blackbody-corrected model at temperature_k unless overridden by the
     lifetimes_us mapping (n -> microseconds); prebuilt channel
     eigensystems (n -> value) skip the channel construction. table may be
@@ -505,8 +507,8 @@ def interaction_gate_landscape(
 ):
     """Optimized interaction-gate error versus separation for s-state pairs.
 
-    Same conventions as blockade_gate_landscape, with the drive-shift
-    self-consistency of optimize_interaction_gate at every grid point.
+    Same conventions as blockade_gate_landscape (pair on z), with the
+    drive-shift self-consistency of optimize_interaction_gate per point.
     """
     def evaluate(eig, r_um, tau):
         return optimize_interaction_gate(eig, r_um, tau, qubit_splitting_mhz)

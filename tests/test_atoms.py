@@ -8,6 +8,7 @@ regression pins computed once with this solver and recorded here.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -273,10 +274,34 @@ class TestRadialSolver:
 
     @pytest.mark.parametrize("n_star, l", [(120.0, 100), (200.0, 150)])
     def test_overflow_raises(self, n_star, l):
-        # the inward solve through a high centrifugal barrier overflows
+        # the inward solve through a high centrifugal barrier down to
+        # R_MIN_DEFAULT overflows: a supplied grid is used as given
+        r = atoms._log_grid(
+            atoms.R_MIN_DEFAULT, atoms._outer_radius(n_star), atoms._grid_step(n_star)
+        )
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericsError, match="non-finite"):
-                radial_solution(n_star, l)
+                radial_solution(n_star, l, r_grid=r)
+
+    @pytest.mark.parametrize("n_star, l", [(120.0, 100), (200.0, 150)])
+    def test_high_l_self_chosen_grid(self, n_star, l):
+        # the self-chosen grid starts where the inward growth below the
+        # inner turning point reaches 1e100, so nothing overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = radial_solution(n_star, l)
+        assert sol.r[0] > atoms.R_MIN_DEFAULT
+        assert sol.nodes == round(n_star) - l - 1
+        assert norm(sol) == pytest.approx(1.0, abs=1e-9)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n_star=st.floats(min_value=4.0, max_value=300.0), l=st.integers(0, 3))
+    def test_low_l_grid_starts_at_r_min(self, n_star, l):
+        sol = radial_solution(n_star, l)
+        r = atoms._log_grid(
+            atoms.R_MIN_DEFAULT, atoms._outer_radius(n_star), atoms._grid_step(n_star)
+        )
+        assert np.array_equal(sol.r, r)
 
     def test_non_log_uniform_grid_rejected(self):
         with pytest.raises(ValueError, match="uniform in ln r"):
@@ -357,6 +382,16 @@ class TestMatrixElements:
             cs_table.n_star(RydbergState(60, 0, 0.5))
         cs_s = RydbergState(60, 0, 0.5, species="Cs133")
         assert cs_table.n_star(cs_s) == 60 - cs_table.defect(60, 0, 0.5)
+
+    @pytest.mark.filterwarnings("ignore:no defect series")
+    @pytest.mark.parametrize("n, l", [(120, 100), (200, 150)])
+    def test_high_l_matches_hydrogen(self, rb_table, n, l):
+        # no defect series above l = 4, so the states are hydrogenic:
+        # <n l| r |n l-1> = (3/2) n sqrt(n^2 - l^2) a0
+        value = radial_matrix_element(
+            RydbergState(n, l, l + 0.5), RydbergState(n, l - 1, l - 0.5), rb_table
+        )
+        assert value == pytest.approx(1.5 * n * math.sqrt(n * n - l * l), rel=1e-6)
 
     def test_grid_refinement_stable(self, rb_table):
         a, b = RydbergState(60, 0, 0.5), RydbergState(60, 1, 1.5)

@@ -147,7 +147,7 @@ def degenerate_groups(values, rtol):
 def loop_blockade_terms(geometry, field, eig):
     """Oracle: blockade_shift as a loop over each pair's degenerate
     pair-state eigenspaces (a shift joins the open eigenspace while within
-    DEGENERACY_RTOL x max(1, |max|) of its first shift). Returns (total,
+    DEGENERACY_RTOL x max(1, |max|) of the shift before it). Returns (total,
     contribution rows, zero_term)."""
     total = 0.0
     contributions = []
@@ -157,7 +157,7 @@ def loop_blockade_terms(geometry, field, eig):
         tol = DEGENERACY_RTOL * max(1.0, float(np.max(np.abs(shifts))))
         groups = []
         for p_idx, delta in enumerate(shifts):
-            if groups and delta - shifts[groups[-1][0]] <= tol:
+            if groups and delta - shifts[groups[-1][-1]] <= tol:
                 groups[-1].append(p_idx)
             else:
                 groups.append([p_idx])
@@ -390,6 +390,32 @@ class TestBlockadeShift:
         res2 = blockade_shift(two_atoms(10.0), f, both)
         assert res2.b_mhz > 0
         assert res2.zero_term is None
+
+    def test_chain_of_close_shifts_is_one_eigenspace(
+        self, rb_s60_eigensystem, monkeypatch
+    ):
+        # each shift lies within tol = DEGENERACY_RTOL x 3 MHz of the one
+        # before it, but the chain spans 4e-9 MHz > tol: neighbour gaps keep
+        # it one eigenspace, where a first-shift rule would split it
+        shifts = np.array([-3.0, 1.0, 1.0 + 2e-9, 1.0 + 4e-9])
+        vectors, _ = np.linalg.qr(np.random.default_rng(5).normal(size=(4, 4)))
+        monkeypatch.setattr(
+            blockade_module, "pair_state_basis", lambda eig, r_um: (shifts, vectors)
+        )
+        omega = 2.0
+        geo, f = two_atoms(8.0), ExcitationField.uniform(2, omega)
+        res = blockade_shift(geo, f, rb_s60_eigensystem)
+        weights = vectors[3] ** 2  # the driven state |1/2, 1/2> is index 3
+        chain = float(np.sum(weights[1:] / shifts[1:] ** 2))
+        assert [r[:3] for r in res.contributions] == [(0, 1, 1), (0, 1, 0)]
+        assert res.contributions[0][-1] == pytest.approx(chain, rel=1e-14)
+        _, rows, _ = loop_blockade_terms(geo, f, rb_s60_eigensystem)
+        assert [r[:3] for r in rows] == [r[:3] for r in res.contributions]
+        delta = np.array([-3.0, np.mean(shifts[1:])])
+        w = np.array([weights[0], np.sum(weights[1:])])
+        expected = np.sum(delta * w * omega**2 / (w * omega**2 + delta**2))
+        got = effective_interaction_mhz(f, rb_s60_eigensystem, 8.0)
+        assert got == pytest.approx(expected, rel=1e-14)
 
     def test_removing_largest_term_increases_b(self, rb_43d_eigensystem):
         f = ExcitationField.uniform(2, 0.001)
@@ -857,6 +883,19 @@ class TestIntegration:
                 ExcitationField.uniform(2, 0.05),
                 rb_s60_eigensystem,
                 t_us,
+            )
+
+    @pytest.mark.parametrize("decay_tau_us", [0.0, -5.0, np.nan])
+    def test_non_positive_decay_time_rejected(self, rb_s60_eigensystem, decay_tau_us):
+        # a zero, negative or nan lifetime is no damping rate
+        with pytest.raises(ValueError, match="decay_tau_us"):
+            integrate_amplitudes(
+                AmplitudeState.ground(1, 4),
+                two_atoms(8.0),
+                ExcitationField.uniform(2, 0.3),
+                rb_s60_eigensystem,
+                1.0,
+                decay_tau_us=decay_tau_us,
             )
 
     def test_state_shape_validation(self, rb_s60_eigensystem):

@@ -8,6 +8,7 @@ released implementation.
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -899,6 +900,24 @@ class TestExactDynamics:
                 simulate_exact(model, times, g2_bins_um=bins, g2_window=window)
         whole = simulate_exact(model, times, g2_bins_um=bins, g2_window=1.0)
         assert np.all(np.isfinite(whole.g2))
+
+    def test_g2_window_shorter_than_one_time_keeps_the_last_time(self):
+        # ceil(4 x 0.9) = 4 would leave no time in the window: the window
+        # keeps at least the last time, as 0.25 does
+        model = ExcitationModel(
+            positions_um=cubic_lattice((3, 1, 1), 1.2),
+            rabi_mhz=0.7,
+            c6_mhz_um6=30.0,
+            max_excitations=3,
+        )
+        times = np.linspace(0.0, 2.0, 4)
+        bins = np.array([0.0, 2.0, 3.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            short = simulate_exact(model, times, g2_bins_um=bins, g2_window=0.1)
+        last = simulate_exact(model, times, g2_bins_um=bins, g2_window=0.25)
+        assert np.all(np.isfinite(short.g2))
+        assert np.array_equal(short.g2, last.g2)
 
     def test_truncation_convergence_when_strongly_blockaded(self):
         # with every pair shift far above the drive, sectors beyond two

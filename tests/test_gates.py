@@ -157,6 +157,19 @@ class TestBlockadeGateError:
         _, e_min = optimal_blockade_gate(blockade, tau)
         assert budget.total_error > e_min
 
+    def test_budget_is_finite_at_infinite_blockade(self):
+        rabi, tau, splitting = 5.0, 100.0, 6834.68
+        budget = blockade_gate_error(
+            GateParams(rabi, tau, splitting, blockade_mhz=math.inf)
+        )
+        omega, w10 = 2.0 * math.pi * rabi, 2.0 * math.pi * splitting
+        se = 7.0 * math.pi / (4.0 * omega * tau) * (1.0 + omega**2 / w10**2)
+        assert budget.se_error == pytest.approx(se, rel=1e-15)
+        assert budget.rotation_error == pytest.approx(
+            3.0 * omega**2 / (4.0 * w10**2), rel=1e-15
+        )
+        assert budget.total_error == budget.se_error + budget.rotation_error
+
 
 class TestOptimalBlockadeGate:
     def test_spot_value(self):
@@ -209,6 +222,26 @@ class TestOptimalBlockadeGate:
                 return blockade_gate_error(params).total_error
 
             assert_exact_optimum(error_at, budget)
+
+    def test_infinite_blockade_is_the_limiting_root(self):
+        # at b = inf, C = 3 / (4 w10^2) and B = A / w10^2: the optimum is the
+        # positive root of (3 / (2 w10^2)) Omega^3 + (A / w10^2) Omega^2 - A
+        tau, splitting = 100.0, 6834.68
+        w10 = 2.0 * math.pi * splitting
+        a = 7.0 * math.pi / (4.0 * tau)
+        roots = np.roots([1.5 / w10**2, a / w10**2, 0.0, -a])
+        positive = [r.real for r in roots if r.real > 0.0 and abs(r.imag) == 0.0]
+        assert len(positive) == 1
+        budget = minimize_blockade_gate(math.inf, tau, splitting)
+        assert budget.rabi_opt_mhz == pytest.approx(positive[0] / (2.0 * math.pi), rel=1e-12)
+        assert math.isfinite(budget.total_error)
+        near = minimize_blockade_gate(1e12, tau, splitting)
+        assert near.rabi_opt_mhz == pytest.approx(budget.rabi_opt_mhz, rel=1e-12)
+        assert near.total_error == pytest.approx(budget.total_error, rel=1e-12)
+
+    def test_no_finite_optimum_without_blockade_or_splitting(self):
+        with pytest.raises(ValueError, match="no finite optimum"):
+            minimize_blockade_gate(math.inf, 100.0, math.inf)
 
     def test_closed_form_within_five_percent_on_grid(self):
         # Default qubit splitting, realistic blockade/lifetime ranges.
@@ -577,6 +610,22 @@ class TestBlockadeGateLandscape:
             [60], [8.0], rb_table, lifetimes_us={60: tau}
         )
         assert rows[0][2].total_error == explicit[0][2].total_error
+
+
+class TestLandscapeAngle:
+    def test_both_families_put_the_pair_on_z(self, rb_s60_channels):
+        # a prebuilt eigensystem's theta does not reach either landscape
+        radii = [5.0, 8.0, 12.0]
+        common = dict(lifetimes_us={60: 100.0})
+        for landscape in (blockade_gate_landscape, interaction_gate_landscape):
+            rows = [
+                landscape([60], radii, None, eigensystems={60: eig}, **common)
+                for eig in (
+                    forster_eigensystem(rb_s60_channels),
+                    forster_eigensystem(rb_s60_channels, 0.7),
+                )
+            ]
+            assert rows[0] == rows[1], landscape.__name__
 
 
 class TestGaussianBeam:
