@@ -170,11 +170,15 @@ def wigner_small_d(j, theta):
 
     Rows m' and columns m run over -j..j ascending. A rotation by theta
     about y turns |j m> into sum_m' d[m', m] |j m'>. The matrix is real and
-    orthogonal, and exactly the identity at theta = 0.
+    orthogonal, and exactly the identity at theta = 0. An array of angles
+    gives one matrix per angle (shape theta.shape + (2j+1, 2j+1)), each the
+    same bits as its own scalar call.
     """
     table = _small_d_table(_twice(j))
     p = np.arange(table.shape[0])
-    return table @ (math.cos(0.5 * theta) ** p[::-1] * math.sin(0.5 * theta) ** p)
+    half = 0.5 * np.asarray(theta, dtype=float)[..., None]
+    powers = np.cos(half) ** p[::-1] * np.sin(half) ** p
+    return (table @ powers[..., None, :, None])[..., 0]
 
 
 def reduced_c1_l(l1, l2):

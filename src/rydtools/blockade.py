@@ -25,7 +25,9 @@ from .ensemble import propagate
 from .pair import (  # also re-exports forster_eigensystem
     FORSTER_ZERO_FLOOR,
     _at_angle,
+    _block_eigh,
     _level_key,
+    _m_blocks,
     _pair_rotation,
     forster_eigensystem,
     pair_shift_mhz,
@@ -36,6 +38,11 @@ KAPPA_WEIGHT_FLOOR = 1e-12
 # ascending pair-state shifts opens a new degenerate eigenspace, so a chain of
 # close shifts is one: an absolute 1e-9 MHz gap for spectra below 1 MHz
 DEGENERACY_RTOL = 1e-9
+
+
+def _pair_indices(n):
+    """(k, l) index arrays of the atom pairs k < l, lexicographic."""
+    return np.nonzero(np.arange(n)[:, None] < np.arange(n))
 
 
 @dataclass(frozen=True)
@@ -49,10 +56,10 @@ class EnsembleGeometry:
         if pos.ndim != 2 or pos.shape[1] != 3:
             raise ValueError("positions must be an (N, 3) array of microns")
         object.__setattr__(self, "positions_um", pos)
-        if self.n >= 2:
-            for k, l in self.pairs():
-                if self.separation_um(k, l) <= 0.0:
-                    raise ValueError("atoms %d and %d coincide" % (k, l))
+        k, l = _pair_indices(self.n)
+        coincide = np.flatnonzero(self._pair_axes(k, l)[0] <= 0.0)
+        if coincide.size:
+            raise ValueError("atoms %d and %d coincide" % (k[coincide[0]], l[coincide[0]]))
 
     @property
     def n(self):
@@ -63,15 +70,21 @@ class EnsembleGeometry:
             for l in range(k + 1, self.n):
                 yield k, l
 
-    def separation_um(self, k, l):
-        return float(np.linalg.norm(self.positions_um[l] - self.positions_um[k]))
-
-    def axis_theta_rad(self, k, l):
-        """Angle between the pair axis and the quantization axis z."""
+    def _pair_axes(self, k, l):
+        """(separations, axis angles to z) of the atom pairs (k, l), index
+        arrays; one formula for one pair or many, so both agree bit for bit."""
         d = self.positions_um[l] - self.positions_um[k]
         # +/- axis directions are equivalent for a rank-2 interaction; atan2
         # keeps full relative precision near the axis, where acos does not
-        return math.atan2(math.hypot(d[0], d[1]), abs(d[2]))
+        theta = np.arctan2(np.hypot(d[..., 0], d[..., 1]), np.abs(d[..., 2]))
+        return np.sqrt(np.sum(d * d, axis=-1)), theta
+
+    def separation_um(self, k, l):
+        return float(self._pair_axes(k, l)[0])
+
+    def axis_theta_rad(self, k, l):
+        """Angle between the pair axis and the quantization axis z."""
+        return float(self._pair_axes(k, l)[1])
 
 
 @dataclass(frozen=True)
@@ -118,7 +131,7 @@ def _driven_index(eig, target_m):
     """Index of the driven Zeeman product |target_m, target_m> in the
     initial pair basis shared by all channels of the eigensystem. Both
     atoms are driven to the same level, so the pair's two initial levels
-    must be one."""
+    must be one, and target_m must be one of its m (m + j an integer)."""
     first, second = eig.channels[0].initial
     if _level_key(first) != _level_key(second):
         raise ValueError(
@@ -126,18 +139,18 @@ def _driven_index(eig, target_m):
             % (first.label, second.label)
         )
     j = first.j
-    if abs(target_m) > j or abs(2 * target_m - round(2 * target_m)) > 1e-9:
+    offset = round(target_m + j)
+    if abs(target_m) > j or abs(target_m + j - offset) > 1e-9:
         raise ValueError(
             "drive targets m=%s outside the j=%s Zeeman manifold" % (target_m, j)
         )
-    dim = round(2 * j) + 1
-    offset = round(target_m + j)
-    return offset * dim + offset
+    return offset * (round(2 * j) + 1) + offset
 
 
 def _channel_shifts_mhz(eig, r_um):
     """Interaction shift of every channel eigenstate at separation r_um, the
-    channels' eigenstates concatenated in order.
+    channels' eigenstates concatenated in order (last axis; r_um may be an
+    array that broadcasts against it).
 
     Eigenstates below the coupling floor are unshifted by their channel.
     """
@@ -148,38 +161,86 @@ def _channel_shifts_mhz(eig, r_um):
     return np.where(d_vals >= FORSTER_ZERO_FLOOR, shifts, 0.0)
 
 
+def _pair_states(eig, r_um, theta, lab_rows):
+    """Pair states of P atom pairs at separations r_um and pair angles theta
+    (arrays of P), on eig's M-definite pair-frame vectors V.
+
+    W_0 = V diag(s) V^T (s the channels' shifts, _channel_shifts_mhz) is
+    M-block-diagonal: one batched matmul forms it for all pairs and one
+    _block_eigh solves their blocks, so a pair alone gets the bits it gets
+    in a batch. In zero field only blocks of M >= 0 are solved, that of -M
+    being the same matrix (_m_blocks), and the stable sort puts those equal
+    shifts in ascending M. Row i of the lab-frame states D(theta) phi is
+    d^{j1}(theta)[i1, :] (x) d^{j2}(theta)[i2, :] times the block vectors.
+    In a field the defects follow the pair angle unless it is eig.theta.
+
+    Returns (shifts, turned): shifts (P, N) ascending per pair and turned
+    (P, len(lab_rows), N) the rows lab_rows of each pair's lab-frame
+    states, columns in shift order.
+    """
+    first, second = eig.channels[0].initial
+    rows = _m_blocks(round(2 * first.j), round(2 * second.j))
+    n = pair_state_count(eig)
+    valid = rows >= 0
+    zero_field = eig.b_field_t == 0.0
+    if zero_field or np.all(theta == eig.theta):
+        s = _channel_shifts_mhz(eig, r_um[:, None])
+    else:
+        s = np.array([_channel_shifts_mhz(_at_angle(eig, t), r) for t, r in zip(theta, r_um)])
+    # W_0 of every pair; -1 reads the zero row and column appended
+    v = np.concatenate(eig.vectors, axis=1)
+    w = np.zeros((len(r_um), n + 1, n + 1))
+    w[:, :n, :n] = (v * s[:, None, :]) @ v.T
+    # in zero field the block of -M is the block of M: solve M >= 0 only
+    k = np.arange(len(rows))
+    solved, copies = np.unique(np.maximum(k, k[::-1]) if zero_field else k, return_inverse=True)
+    w = w[:, rows[solved, :, None], rows[solved, None, :]]
+    values, vectors = _block_eigh(w, valid[solved])
+    values, vectors = values[:, copies][:, valid], vectors[:, copies]
+    order = np.argsort(values, axis=1, kind="stable")
+    # padding rows of the vectors are zero, so the rows read there do not count
+    lab = _pair_rotation((first, second), theta, lab_rows)[:, :, rows, None]
+    turned = (lab * vectors[:, None]).sum(axis=-2)[:, :, valid]
+    pair = np.arange(len(r_um))[:, None]
+    row = np.arange(len(lab_rows))[:, None]
+    return values[pair, order], turned[pair[:, :, None], row, order[:, None, :]]
+
+
 def pair_state_basis(eig, r_um):
     """Doubly-excited pair states and their shifts at separation r_um.
 
     Every channel contributes its eigenstate shifts as a projector sum; the
-    combined operator W_0 = V diag(s) V^T over the initial Zeeman-pair
-    manifold, with V all channels' pair-frame vectors side by side, is
-    diagonalized once and its eigenvectors are turned to eig.theta by the
-    one Wigner rotation D(theta).
+    combined operator W_0 over the initial Zeeman-pair manifold is
+    diagonalized one M-block at a time and the block vectors are turned to
+    eig.theta by the one Wigner rotation D(theta). This is the one-pair
+    case of _pair_states, which blockade_shift and integrate_amplitudes run
+    for all pairs at once, so they agree bit for bit.
 
-    Returns (shifts, vectors): shifts[i] in MHz, ascending, and vectors[:, i]
-    the pair states over the initial (lab-frame) Zeeman-product basis.
+    Returns (shifts, vectors): shifts[i] in MHz, ascending (equal shifts of
+    +-M partners in ascending M), and vectors[:, i] the pair states over
+    the initial (lab-frame) Zeeman-product basis: D(theta) times pair-frame
+    states of definite M, each signed by _block_eigh's rule.
     """
-    vectors = np.concatenate(eig.vectors, axis=1)
-    w = (vectors * _channel_shifts_mhz(eig, r_um)) @ vectors.T
-    shifts, states = np.linalg.eigh(w)
-    return shifts, _pair_rotation(eig.channels[0].initial, eig.theta) @ states
+    shifts, turned = _pair_states(
+        eig, np.array([r_um], float), np.array([eig.theta]), np.arange(pair_state_count(eig))
+    )
+    return shifts[0], turned[0]
 
 
-def _shifts_and_kappas(eig, field, pair, r_um):
-    """Pair-state shifts and laser overlaps from one pair_state_basis call."""
-    idx = _driven_index(eig, field.target_m)
-    if pair is None:
-        prefactor = 1.0
-    else:
-        k, l = pair
-        omega = field.omega_rms_mhz
-        if omega == 0.0:
-            prefactor = 0.0
-        else:
-            prefactor = (field.rabi_mhz[k] * field.rabi_mhz[l]) / omega**2
-    shifts, vectors = pair_state_basis(eig, r_um)
-    return shifts, vectors[idx, :].conj() * prefactor
+def _laser_weights(field, k, l):
+    """Omega_k Omega_l / Omega^2 of the atom pairs (k, l), index arrays; 0
+    without drive."""
+    omega = field.omega_rms_mhz
+    if omega == 0.0:
+        return np.zeros(len(k))
+    return field.rabi_mhz[k] * field.rabi_mhz[l] / omega**2
+
+
+def _driven_states(eig, field, r_um, theta):
+    """(shifts, kappas) of _pair_states for pairs at r_um and theta, kappas
+    the driven product state's unweighted overlaps (the driven row)."""
+    shifts, turned = _pair_states(eig, r_um, theta, [_driven_index(eig, field.target_m)])
+    return shifts, turned[:, 0]
 
 
 def overlap_kappa(eig, field, pair=None, *, r_um):
@@ -191,43 +252,47 @@ def overlap_kappa(eig, field, pair=None, *, r_um):
     so the weights satisfy sum |kappa|^2 = |Omega_k Omega_l|^2 / Omega^4
     (unity for uniform drive).
     """
-    return _shifts_and_kappas(eig, field, pair, r_um)[1]
+    kappas = _driven_states(eig, field, np.array([r_um], float), np.array([eig.theta]))[1][0]
+    return kappas if pair is None else kappas * _laser_weights(field, [pair[0]], [pair[1]])[0]
 
 
 def _pair_spectra(geometry, field, eig):
-    """(k, l, shifts, kappas) of every atom pair in lexicographic order.
+    """(pairs, shifts, kappas) of every atom pair, lexicographic: the (k, l)
+    list and (P, N) arrays from one _pair_states call.
 
     Each pair uses its own separation and its exact interatomic-axis angle:
-    eig's pair-frame vectors serve every angle, and pair._at_angle only
-    sets theta (and the defects in a field), so no pair diagonalizes a
+    eig's pair-frame vectors serve every angle, so no pair diagonalizes a
     Gram matrix.
     """
-    by_angle = {}
-    for k, l in geometry.pairs():
-        theta = geometry.axis_theta_rad(k, l)
-        if theta not in by_angle:
-            by_angle[theta] = _at_angle(eig, theta)
-        r_um = geometry.separation_um(k, l)
-        yield (k, l) + _shifts_and_kappas(by_angle[theta], field, (k, l), r_um)
+    k, l = _pair_indices(geometry.n)
+    shifts, kappas = _driven_states(eig, field, *geometry._pair_axes(k, l))
+    pairs = list(zip(k.tolist(), l.tolist()))
+    return pairs, shifts, kappas * _laser_weights(field, k, l)[:, None]
 
 
 def _eigenspaces(shifts, kappas):
-    """(first, delta, weight, inverse_sq) over the degenerate eigenspaces
-    (DEGENERACY_RTOL) of one pair's ascending shifts whose summed |kappa|^2
-    is at least KAPPA_WEIGHT_FLOOR: first state, mean shift, summed
-    |kappa|^2 and sum of |kappa|^2 / shift^2, inf when the eigenspace holds
-    a shift within 1e-12 x max(1 MHz, largest |shift|) of zero."""
-    scale = max(1.0, float(np.abs(shifts).max()))
-    gaps = shifts[1:] - shifts[:-1] > DEGENERACY_RTOL * scale
-    starts = np.concatenate(([0], gaps.nonzero()[0] + 1))
-    weights = np.abs(kappas) ** 2
-    zero_state = np.abs(shifts) <= 1e-12 * scale
+    """(pair, first, delta, weight, inverse_sq) over the degenerate
+    eigenspaces (DEGENERACY_RTOL) of each row's ascending shifts, one row
+    per pair, whose summed |kappa|^2 is at least KAPPA_WEIGHT_FLOOR: row,
+    first state, mean shift, summed |kappa|^2 and sum of |kappa|^2 /
+    shift^2, inf when the eigenspace holds a shift within 1e-12 x max(1
+    MHz, the row's largest |shift|) of zero. One reduceat over the
+    flattened rows."""
+    n = shifts.shape[1]
+    scale = np.maximum(1.0, np.abs(shifts).max(axis=1, keepdims=True))
+    opens = np.ones(shifts.shape, bool)
+    opens[:, 1:] = shifts[:, 1:] - shifts[:, :-1] > DEGENERACY_RTOL * scale
+    starts = np.flatnonzero(opens)
+    flat = shifts.ravel()
+    weights = np.abs(kappas.ravel()) ** 2
+    zero_state = (np.abs(shifts) <= 1e-12 * scale).ravel()
     weight = np.add.reduceat(weights, starts)
-    delta = np.add.reduceat(shifts, starts) / np.add.reduceat(np.ones(len(shifts)), starts)
-    inverse_sq = np.add.reduceat(weights / np.where(zero_state, 1.0, shifts) ** 2, starts)
+    delta = np.add.reduceat(flat, starts) / np.add.reduceat(np.ones(flat.size), starts)
+    inverse_sq = np.add.reduceat(weights / np.where(zero_state, 1.0, flat) ** 2, starts)
     inverse_sq[np.logical_or.reduceat(zero_state, starts)] = math.inf
     keep = weight >= KAPPA_WEIGHT_FLOOR
-    return starts[keep], delta[keep], weight[keep], inverse_sq[keep]
+    pair, first = np.divmod(starts[keep], n)
+    return pair, first, delta[keep], weight[keep], inverse_sq[keep]
 
 
 @dataclass
@@ -251,27 +316,25 @@ def blockade_shift(geometry, field, eig):
     """Inverse-square laser-weighted average of pair interaction shifts.
 
     Each atom pair uses its own separation and its exact interatomic-axis
-    angle. Its terms are the _eigenspaces sums, so the contribution table,
-    sorted weakest blockade first, does not depend on the basis inside a
-    degenerate eigenspace. B = sqrt(N (N-1) / (2 sum of terms)): a zero
-    shift with laser overlap makes the sum inf and B = 0 (zero_term).
+    angle; all pairs' states come from one _pair_states call (one batched
+    M-block eigh) and their terms from one _eigenspaces call, so the
+    contribution table, sorted weakest blockade first (ties in pair order),
+    does not depend on the basis inside a degenerate eigenspace.
+    B = sqrt(N (N-1) / (2 sum of terms)): a zero shift with laser overlap
+    makes the sum inf and B = 0 (zero_term).
     """
     if geometry.n != field.n_atoms:
         raise ValueError("field and geometry atom counts differ")
     if geometry.n < 2:
         raise ValueError("blockade shift needs at least two atoms")
-    total = 0.0
-    contributions = []
-    zero_term = None
-    for k, l, shifts, kappas in _pair_spectra(geometry, field, eig):
-        first, _, _, terms = _eigenspaces(shifts, kappas)
-        zero = np.isinf(terms)
-        if zero.any():
-            zero_term = (int(first[zero][-1]), k, l)
-        total += float(np.sum(terms))
-        rows = zip(first.tolist(), terms.tolist())
-        contributions.extend((k, l, p_idx, term) for p_idx, term in rows)
-    contributions.sort(key=lambda row: -row[-1])
+    pairs, shifts, kappas = _pair_spectra(geometry, field, eig)
+    pair, first, _, _, terms = _eigenspaces(shifts, kappas)
+    zero = np.flatnonzero(np.isinf(terms))
+    zero_term = (int(first[zero[-1]]),) + pairs[pair[zero[-1]]] if zero.size else None
+    total = float(np.sum(terms))
+    rank = np.argsort(-terms, kind="stable")
+    rows = zip(pair[rank].tolist(), first[rank].tolist(), terms[rank].tolist())
+    contributions = [pairs[p] + (p_idx, term) for p, p_idx, term in rows]
     n = geometry.n
     b = math.sqrt(n * (n - 1) / (2.0 * total)) if total > 0 else math.inf
     p2 = double_excitation_probability(field, n, b)
@@ -305,7 +368,9 @@ class AmplitudeState:
     """Amplitudes over ground, symmetric singly-excited and pair states.
 
     c_pairs has one row per atom pair (lexicographic k<l) and one column per
-    pair state (shift-ascending order of that pair's basis).
+    pair state, in pair_state_basis order: ascending shift, +-M partners of
+    equal shift in ascending M. The states are canonical (definite M in the
+    pair frame, a fixed sign rule), so each amplitude is reproducible.
     """
 
     c_g: complex
@@ -340,12 +405,12 @@ def _build_hamiltonian(geometry, field, eig, decay_tau_us=None):
     h[0, 1] = omega_n / 2.0
     h[1, 0] = omega_n / 2.0
     if n_phi and pairs:
-        _, _, shifts, kappas = zip(*_pair_spectra(geometry, field, eig))
-        coupling = omega_n * np.concatenate(kappas) / geometry.n
+        _, shifts, kappas = _pair_spectra(geometry, field, eig)
+        coupling = omega_n * kappas.ravel() / geometry.n
         h[1, 2:] = np.conj(coupling)
         h[2:, 1] = coupling
         diagonal = np.arange(2, dim)
-        h[diagonal, diagonal] = 2.0 * math.pi * np.concatenate(shifts)
+        h[diagonal, diagonal] = 2.0 * math.pi * shifts.ravel()
     if decay_tau_us is not None:
         gamma = 1.0 / (2.0 * decay_tau_us)
         damping = np.zeros(dim)
@@ -385,11 +450,15 @@ def integrate_amplitudes(state, geometry, field, eig, t_us, decay_tau_us=None):
     )
 
 
-def _grouped_spectrum(field, eig, r_um):
-    """(delta, w): the _eigenspaces mean shifts at r_um and the driven
-    state's summed overlap on each. field sets only the driven Zeeman
-    component."""
-    return _eigenspaces(*_shifts_and_kappas(eig, field, None, r_um))[1:3]
+def _grouped_spectra(field, eig, r_um):
+    """[(delta, w)] per separation in r_um, at eig.theta, from one
+    _pair_states call: the _eigenspaces mean shifts and the driven state's
+    summed overlap on each. field sets only the driven Zeeman component."""
+    r_um = np.asarray(r_um, dtype=float)
+    spectra = _driven_states(eig, field, r_um, np.full(r_um.shape, eig.theta))
+    pair, _, delta, weight, _ = _eigenspaces(*spectra)
+    cuts = np.searchsorted(pair, np.arange(1, r_um.size))
+    return list(zip(np.split(delta, cuts), np.split(weight, cuts)))
 
 
 def _saturated_shift(spectrum, omega_mhz):
@@ -415,11 +484,11 @@ def effective_interaction_mhz(field, eig, r_um):
     degenerate subspace are an arbitrary rotation and only the summed
     overlap is physical (the saturation factor is not invariant under
     splitting one weight across equal shifts). The sum is _saturated_shift
-    on the (delta, w) arrays of _grouped_spectrum, which
+    on the (delta, w) arrays of _grouped_spectra, which
     optimize_interaction_gate evaluates at every trial drive together with
     its analytic slope.
     """
     omega = field.omega_rms_mhz
     if omega <= 0:
         raise ValueError("effective interaction needs a positive drive")
-    return float(_saturated_shift(_grouped_spectrum(field, eig, r_um), omega)[0])
+    return float(_saturated_shift(_grouped_spectra(field, eig, [r_um])[0], omega)[0])

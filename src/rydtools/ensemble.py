@@ -57,13 +57,18 @@ DEFAULT_BASIS_BUDGET = 200_000
 DENSE_MEMORY_CEILING_BYTES = 2 * 1024**3
 
 # The Chebyshev series runs when its cost K (nnz + dim T + SERIES_TERM_COST)
-# is below SPARSE_COST_RATIO times dim^3, the cost of dense eigh; measured
-# on one BLAS thread (see propagate). SERIES_TERM_COST is the fixed work of
-# one term (a sparse product call, the recurrence and the Bessel row, about
-# 15 us) in units of one stored element's product: with it the series and
-# eigh break even near K = 100 at dim 110, as measured.
+# + SERIES_CALL_COST is below SPARSE_COST_RATIO times dim^3, the cost of
+# dense eigh; measured on one BLAS thread (see propagate). SERIES_TERM_COST
+# is the fixed work of one term (a sparse product call, the recurrence and
+# the Bessel row, about 13-15 us) in units of one stored element's product
+# (about 2 ns): with it the series and eigh break even near K = 100 at dim
+# 110, as measured. SERIES_CALL_COST is the series' fixed work per call (the
+# CSR copy of h and the Bessel table, 0.3-0.5 ms before the first term) in
+# the same units, so that a dim-42 H at one time takes eigh (0.25-0.3 ms
+# against 0.35-0.5 ms).
 SPARSE_COST_RATIO = 0.5
 SERIES_TERM_COST = 6000
+SERIES_CALL_COST = 150_000
 
 
 def _positive(value, name):
@@ -564,7 +569,8 @@ def _propagate(h, psi0, times_us):
     lo, hi = np.min(diag - radius), np.max(diag + radius)
     need = _series_length(0.5 * (hi - lo) * times, 1e-16)
     nnz = h.nnz if scipy.sparse.issparse(h) else np.count_nonzero(h)
-    series_cost = need.max(initial=1) * (nnz + dim * times.size + SERIES_TERM_COST)
+    terms = need.max(initial=1)
+    series_cost = terms * (nnz + dim * times.size + SERIES_TERM_COST) + SERIES_CALL_COST
     # eigh holds H, its eigenvectors, their complex copy and the result
     dense_bytes = 32 * dim**2 + 16 * dim * times.size
     if (
@@ -591,8 +597,8 @@ def propagate(h, psi0, times_us):
     * dense eigh: one eigendecomposition serves every time. Cost ~ dim^3.
     * Chebyshev series (see _chebyshev): one three-term recurrence serves
       every time, with K ~ a max|t| terms for a the Gershgorin half-width
-      of h. Cost ~ K (nnz + dim T + SERIES_TERM_COST), the last the fixed
-      work of one term; no dim^2 array is formed.
+      of h. Cost ~ K (nnz + dim T + SERIES_TERM_COST) + SERIES_CALL_COST,
+      the fixed work of one term and of one call; no dim^2 array is formed.
 
     The series runs when its cost is below SPARSE_COST_RATIO * dim^3, and
     always when eigh would need more than DENSE_MEMORY_CEILING_BYTES. Both

@@ -30,11 +30,11 @@ from . import constants as cst
 from .angular import dipole_angular_factor, reduced_c1_lsj
 from .atoms import LifetimeModel, RydbergState, radial_matrix_element
 from .blockade import (
-    EnsembleGeometry,
     ExcitationField,
-    _grouped_spectrum,
+    _driven_states,
+    _eigenspaces,
+    _grouped_spectra,
     _saturated_shift,
-    blockade_shift,
 )
 from .pair import _at_angle, forster_eigensystem, s_state_channels
 
@@ -46,8 +46,10 @@ MIN_PHASE_RAD = 10.0
 # Hyperfine span of the low-lying intermediate p state (MHz); the two-photon
 # detuning should clear it by a wide margin.
 INTERMEDIATE_HYPERFINE_SPAN_MHZ = 500.0
-# Drives in the log-spaced scan of optimize_interaction_gate.
+# Drives in the log-spaced scan of optimize_interaction_gate, and its
+# default drive bounds (MHz).
 INTERACTION_SCAN_POINTS = 61
+RABI_BOUNDS_MHZ = (1e-3, 2e4)
 # Cap on its false-position steps; 4 to 10 usually reach rounding level.
 ROOT_STEPS = 100
 
@@ -340,7 +342,7 @@ def optimize_interaction_gate(
     qubit_splitting_mhz=cst.SPECIES_OMEGA10_MHZ["Rb87"],
     polarization=0,
     ground_m=0.5,
-    rabi_bounds_mhz=(1e-3, 2e4),
+    rabi_bounds_mhz=RABI_BOUNDS_MHZ,
 ):
     """Optimize the interaction gate with a drive-dependent pair shift.
 
@@ -356,13 +358,18 @@ def optimize_interaction_gate(
     interior_optimum=False.
     """
     _require_positive(r_um, "r_um")
+    field = ExcitationField.uniform(2, 1.0, polarization=polarization, ground_m=ground_m)
+    spectrum = _grouped_spectra(field, eig, [r_um])[0]
+    return _interaction_optimum(spectrum, lifetime_us, qubit_splitting_mhz, rabi_bounds_mhz)
+
+
+def _interaction_optimum(spectrum, lifetime_us, qubit_splitting_mhz, rabi_bounds_mhz):
+    """optimize_interaction_gate on one grouped spectrum (delta, w)."""
     _require_positive(lifetime_us, "lifetime_us")
     _require_positive(qubit_splitting_mhz, "qubit_splitting_mhz")
     lo, hi = rabi_bounds_mhz
     if not 0.0 < lo < hi < math.inf:
         raise ValueError("rabi_bounds_mhz must be finite, positive and increasing")
-    field = ExcitationField.uniform(2, 1.0, polarization=polarization, ground_m=ground_m)
-    spectrum = _grouped_spectrum(field, eig, r_um)
     if not np.any(spectrum[0]):
         raise ValueError("no effective interaction at this separation")
     w10 = 2.0 * math.pi * qubit_splitting_mhz
@@ -452,14 +459,19 @@ def _eigensystem_for(n, table, eigensystems):
 def _landscape(
     n_values, r_um_values, table, lifetimes_us, temperature_k, eigensystems, evaluate
 ):
-    """(n, r_um, evaluate(eig, r_um, tau)) rows over the n x R grid, each
-    n's eigensystem turned to theta = 0 once (pair axis along z)."""
+    """(n, r_um, budget) rows over the n x R grid, each n's eigensystem
+    turned to theta = 0 once (pair axis along z) and its budgets at every
+    R from one evaluate(eig, r_um array, tau) call."""
+    r_um = [float(r) for r in r_um_values]
+    for r in r_um:
+        _require_positive(r, "r_um")
     model = LifetimeModel(table) if table is not None else None
     rows = []
     for n in n_values:
         eig = _at_angle(_eigensystem_for(n, table, eigensystems), 0.0)
         tau = _lifetime_for(n, lifetimes_us, temperature_k, model)
-        rows.extend((n, float(r), evaluate(eig, float(r), tau)) for r in r_um_values)
+        budgets = evaluate(eig, np.array(r_um), tau) if r_um else []
+        rows.extend((n, r, budget) for r, budget in zip(r_um, budgets))
     return rows
 
 
@@ -476,7 +488,9 @@ def blockade_gate_landscape(
 
     For each principal quantum number the four dominant coupling channels
     set the blockade shift of a pair on z (theta = 0, whatever a prebuilt
-    eigensystem's theta); minimize_blockade_gate optimizes the drive at
+    eigensystem's theta): B = (sum of the pair's _eigenspaces terms)^-1/2,
+    as blockade_shift gives for two atoms, at every separation from one
+    batched pair-state call. minimize_blockade_gate optimizes the drive at
     every separation, also at B = inf. Lifetimes come from the
     blackbody-corrected model at temperature_k unless overridden by the
     lifetimes_us mapping (n -> microseconds); prebuilt channel
@@ -487,9 +501,11 @@ def blockade_gate_landscape(
     field = ExcitationField.uniform(2, 1.0)
 
     def evaluate(eig, r_um, tau):
-        geometry = EnsembleGeometry(np.array([[0.0, 0.0, 0.0], [0.0, 0.0, r_um]]))
-        b_mhz = blockade_shift(geometry, field, eig).b_mhz
-        return minimize_blockade_gate(b_mhz, tau, qubit_splitting_mhz)
+        spectra = _driven_states(eig, field, r_um, np.zeros(r_um.size))
+        pair, _, _, _, terms = _eigenspaces(*spectra)
+        with np.errstate(divide="ignore"):
+            b_mhz = np.sqrt(1.0 / np.bincount(pair, terms, r_um.size))
+        return [minimize_blockade_gate(float(b), tau, qubit_splitting_mhz) for b in b_mhz]
 
     return _landscape(
         n_values, r_um_values, table, lifetimes_us, temperature_k, eigensystems, evaluate
@@ -508,10 +524,16 @@ def interaction_gate_landscape(
     """Optimized interaction-gate error versus separation for s-state pairs.
 
     Same conventions as blockade_gate_landscape (pair on z), with the
-    drive-shift self-consistency of optimize_interaction_gate per point.
+    drive-shift self-consistency of optimize_interaction_gate per point;
+    one batched pair-state call gives every separation's grouped spectrum.
     """
+    field = ExcitationField.uniform(2, 1.0)
+
     def evaluate(eig, r_um, tau):
-        return optimize_interaction_gate(eig, r_um, tau, qubit_splitting_mhz)
+        return [
+            _interaction_optimum(spectrum, tau, qubit_splitting_mhz, RABI_BOUNDS_MHZ)
+            for spectrum in _grouped_spectra(field, eig, r_um)
+        ]
 
     return _landscape(
         n_values, r_um_values, table, lifetimes_us, temperature_k, eigensystems, evaluate

@@ -14,7 +14,10 @@ by the Wigner rotation D(theta) = d^{j1}(theta) (x) d^{j2}(theta) (Walker &
 Saffman, PRA 77, 032723 (2008)), so its D_phi stay and its eigenvectors are
 the pair-frame ones turned by D(theta). An eigensystem keeps the pair-frame
 vectors at every theta; a magnetic field along z re-evaluates only the
-defects.
+defects. In the pair frame the coupling conserves M = m1 + m2, so every
+pair-frame operator is diagonalized one M-block at a time (_m_blocks), as
+pairinteraction does per symmetry sector (Weber et al., J. Phys. B 50,
+133001 (2017)), and each eigenvector has a definite M.
 """
 
 import math
@@ -200,10 +203,11 @@ class ForsterEigensystem:
     eigenvectors (columns, over the initial Zeeman product space) and the
     per-eigenstate energy defects (Zeeman-shifted when a magnetic field is
     present). forster_zero_count tallies eigenvalues below the zero floor.
-    vectors are the pair-frame (theta = 0) eigenvectors at every theta; the
-    eigenvectors at theta are D(theta) @ vectors, with D(theta) = d^{j1}(theta)
-    (x) d^{j2}(theta) on the initial pair space. d_values do not depend on
-    theta; the defects do in a field.
+    vectors are the pair-frame (theta = 0) eigenvectors at every theta, each
+    with a definite M = m1 + m2 (exact zeros off its M-block), which the
+    pair-state layer relies on; the eigenvectors at theta are D(theta) @
+    vectors, with D(theta) = d^{j1}(theta) (x) d^{j2}(theta) on the initial
+    pair space. d_values do not depend on theta; the defects do in a field.
     """
 
     channels: list
@@ -227,12 +231,57 @@ def _zeeman_diagonal(pair_states):
     return diag
 
 
-def _pair_rotation(initial, theta):
-    """D(theta) = d^{j1}(theta) (x) d^{j2}(theta) on the Zeeman product space
-    of the pair of levels initial; exactly the identity at theta = 0."""
+@lru_cache(maxsize=None)
+def _m_blocks(tj1, tj2):
+    """M-blocks of the Zeeman product space of two levels with doubled
+    angular momenta tj1 and tj2 (state (m1, m2) at index (j1 + m1)(tj2 + 1)
+    + j2 + m2): rows[k, a] is the index of the a-th state of block k, the
+    blocks in ascending M = k - j1 - j2, padded with -1 to the largest
+    size. Block M >= 0 lists its states by ascending index, block -M their
+    mirror images (-m1, -m2), index N - 1 - i, in the same order: the
+    rotation by pi about y, which leaves the pair-frame coupling as it is,
+    maps one onto the other with one sign per block, so both blocks of a
+    pair-frame operator are the same matrix. Read-only."""
+    m = np.add.outer(np.arange(tj1 + 1), np.arange(tj2 + 1)).ravel()  # k of each state
+    count = tj1 + tj2 + 1
+    rows = np.full((count, min(tj1, tj2) + 1), -1)
+    for k in range(count):
+        states = np.flatnonzero(m == max(k, count - 1 - k))
+        rows[k, : len(states)] = states if 2 * k >= count - 1 else m.size - 1 - states
+    rows.flags.writeable = False
+    return rows
+
+
+def _block_eigh(blocks, valid):
+    """One eigh over a stack of M-blocks (..., K, L, L) whose padding rows
+    and columns (valid False) are zero. The padding diagonal is set above
+    every eigenvalue (1 + L max|element|), so each block's own eigenpairs
+    come first, ascending, exactly zero on the padding. Each eigenvector v
+    is signed so that sum_a v_a / 2^a > 0: "largest component positive"
+    would be left to rounding, as exchanging the atoms reverses each block
+    and so gives half of the vectors equal and opposite components.
+    Returns (values (..., K, L), vectors (..., K, L, L)); overwrites
+    blocks."""
+    pad_k, pad_a = np.nonzero(~valid)
+    top = np.abs(blocks).max(axis=(-3, -2, -1))[..., None]
+    blocks[..., pad_k, pad_a, pad_a] = 1.0 + blocks.shape[-1] * top
+    values, vectors = np.linalg.eigh(blocks)
+    leading = 0.5 ** np.arange(blocks.shape[-1]) @ vectors
+    vectors *= np.where(leading < 0.0, -1.0, 1.0)[..., None, :]
+    return values, vectors
+
+
+def _pair_rotation(initial, theta, rows):
+    """Rows (an index array) of D(theta) = d^{j1}(theta) (x) d^{j2}(theta)
+    on the Zeeman product space of the pair of levels initial, exactly the
+    identity at theta = 0: element [i, (a, b)] is d^{j1}[i1, a] d^{j2}[i2, b]
+    for row i = (i1, i2). An array of angles gives one block of rows per
+    angle, shape theta.shape + (len(rows), N)."""
     d1 = wigner_small_d(initial[0].j, theta)
     d2 = d1 if initial[1].j == initial[0].j else wigner_small_d(initial[1].j, theta)
-    return (d1[:, None, :, None] * d2[None, :, None, :]).reshape(len(d1) * len(d2), -1)
+    i1, i2 = np.divmod(rows, d2.shape[-1])
+    turn = d1[..., i1, :, None] * d2[..., i2, None, :]
+    return turn.reshape(turn.shape[:-2] + (-1,))
 
 
 def _at_angle(base, theta):
@@ -250,7 +299,7 @@ def _at_angle(base, theta):
         for ch, vals in zip(base.channels, base.d_values)
     ]
     if mu_b != 0.0:
-        turn = _pair_rotation(base.channels[0].initial, theta)
+        turn = _pair_rotation(base.channels[0].initial, theta, np.arange(len(base.vectors[0])))
         rows = zip(base.channels, base.d_values, base.vectors, defects)
         for ch, vals, vecs, defect in rows:
             phi = turn @ vecs
@@ -269,10 +318,13 @@ def _at_angle(base, theta):
 def forster_eigensystem(channels, theta=0.0, b_field_t=0.0):
     """Diagonalize each channel's squared coupling on the initial pair space.
 
-    Each Gram matrix is diagonalized once, in the pair frame, which gives
-    d_values, the pair-frame vectors and the Forster-zero count at every
-    theta; _at_angle evaluates the (Zeeman-shifted, along z) defects at
-    theta.
+    Each Gram matrix is diagonalized once, in the pair frame, where its
+    elements between different M are exactly zero: one _block_eigh over
+    its M-blocks (_m_blocks), the block of -M taking the eigenpairs of the
+    block of M, which is the same matrix. That gives d_values, M-definite
+    pair-frame vectors and the Forster-zero count at every theta; equal
+    d_values keep ascending M. _at_angle evaluates the (Zeeman-shifted,
+    along z) defects at theta.
     """
     if not channels:
         raise ValueError("need at least one channel")
@@ -280,14 +332,27 @@ def forster_eigensystem(channels, theta=0.0, b_field_t=0.0):
     for ch in channels[1:]:
         if tuple(_level_key(s) for s in ch.initial) != key0:
             raise ValueError("all channels must share the same initial pair")
+    first, second = channels[0].initial
+    rows = _m_blocks(round(2 * first.j), round(2 * second.j))
+    valid = rows >= 0
+    k = np.arange(len(rows))
+    mirrored = rows[np.maximum(k, k[::-1])]  # the block of -M reads that of M
+    columns = np.arange(rows.size).reshape(rows.shape)
     base = ForsterEigensystem(channels=list(channels), theta=0.0, b_field_t=b_field_t)
     for ch in channels:
         m = build_vdd(ch)
-        vals, vecs = np.linalg.eigh(m.T @ m)
-        vals = np.clip(vals, 0.0, None)
+        n = m.shape[1]
+        gram = np.zeros((n + 1, n + 1))  # -1 reads the zero row and column
+        gram[:n, :n] = m.T @ m
+        vals, blocks = _block_eigh(gram[mirrored[:, :, None], mirrored[:, None, :]], valid)
+        vecs = np.zeros((n + 1, rows.size))
+        vecs[rows[:, :, None], columns[:, None, :]] = blocks
+        vals = np.clip(vals[valid], 0.0, None)
+        order = np.argsort(vals, kind="stable")
+        vals = vals[order]
         base.forster_zero_count += int(np.sum(vals < FORSTER_ZERO_FLOOR))
         base.d_values.append(vals)
-        base.vectors.append(vecs)
+        base.vectors.append(vecs[:n, valid.ravel()][:, order])
     return _at_angle(base, theta)
 
 

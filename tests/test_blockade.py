@@ -27,6 +27,8 @@ from rydtools.blockade import (
     ExcitationField,
     _build_hamiltonian,
     _channel_shifts_mhz,
+    _driven_index,
+    _driven_states,
     _pair_spectra,
     blockade_shift,
     double_excitation_probability,
@@ -138,6 +140,15 @@ def per_angle_eigensystem(channels, theta, b_field_t=0.0):
     return eig
 
 
+def full_matrix_states(eig, field, r_um):
+    """Oracle for a per_angle_eigensystem, whose lab-frame vectors have no
+    definite M: (shifts, weights) from one eigh of the whole combined shift
+    operator W = V diag(s) V^T, weights the driven state's |overlap|^2."""
+    vectors = np.concatenate(eig.vectors, axis=1)
+    shifts, states = np.linalg.eigh((vectors * _channel_shifts_mhz(eig, r_um)) @ vectors.T)
+    return shifts, states[_driven_index(eig, field.target_m)] ** 2
+
+
 def degenerate_groups(values, rtol):
     """Index arrays of runs of ascending values closer than rtol x max(1, |max|)."""
     tol = rtol * max(1.0, float(np.max(np.abs(values))))
@@ -152,7 +163,7 @@ def loop_blockade_terms(geometry, field, eig):
     total = 0.0
     contributions = []
     zero_term = None
-    for k, l, shifts, kappas in _pair_spectra(geometry, field, eig):
+    for (k, l), shifts, kappas in zip(*_pair_spectra(geometry, field, eig)):
         zero_tol = 1e-12 * max(1.0, float(np.max(np.abs(shifts))))
         tol = DEGENERACY_RTOL * max(1.0, float(np.max(np.abs(shifts))))
         groups = []
@@ -400,7 +411,9 @@ class TestBlockadeShift:
         shifts = np.array([-3.0, 1.0, 1.0 + 2e-9, 1.0 + 4e-9])
         vectors, _ = np.linalg.qr(np.random.default_rng(5).normal(size=(4, 4)))
         monkeypatch.setattr(
-            blockade_module, "pair_state_basis", lambda eig, r_um: (shifts, vectors)
+            blockade_module,
+            "_pair_states",
+            lambda eig, r_um, theta, lab_rows: (shifts[None], vectors[lab_rows][None]),
         )
         omega = 2.0
         geo, f = two_atoms(8.0), ExcitationField.uniform(2, omega)
@@ -505,12 +518,11 @@ class TestBlockadeShift:
         f = ExcitationField.uniform(2, 0.001)
         for r in (5.0, 10.0):
             shifts, _ = pair_state_basis(turned, r)
-            expected, _ = pair_state_basis(oracle, r)
+            expected, w_oracle = full_matrix_states(oracle, f, r)
             scale = max(1.0, float(np.max(np.abs(expected))))
             assert np.max(np.abs(shifts - expected)) < 1e-12 * scale
             # only the summed weight of a degenerate eigenspace is physical
             w = np.abs(overlap_kappa(turned, f, r_um=r)) ** 2
-            w_oracle = np.abs(overlap_kappa(oracle, f, r_um=r)) ** 2
             for group in degenerate_groups(expected, DEGENERACY_RTOL):
                 assert abs(w[group].sum() - w_oracle[group].sum()) < 1e-12
             keep = w_oracle >= KAPPA_WEIGHT_FLOOR
@@ -525,8 +537,7 @@ class TestBlockadeShift:
         for k, l in geo.pairs():
             local = per_angle_eigensystem(rb_43d_channels, geo.axis_theta_rad(k, l))
             r = geo.separation_um(k, l)
-            shifts, _ = pair_state_basis(local, r)
-            w = np.abs(overlap_kappa(local, f, (k, l), r_um=r)) ** 2
+            shifts, w = full_matrix_states(local, f, r)  # uniform drive: weight 1
             keep = w >= KAPPA_WEIGHT_FLOOR
             total += float(np.sum(w[keep] / shifts[keep] ** 2))
         b = blockade_shift(geo, f, rb_43d_eigensystem).b_mhz
@@ -536,9 +547,10 @@ class TestBlockadeShift:
         self, rb_43d_channels, rb_43d_eigensystem, monkeypatch
     ):
         # 12 atoms, 66 pairs: every pair uses eig's pair-frame vectors,
-        # whatever eig.theta is, and runs only pair_state_basis's one eigh
+        # whatever eig.theta is, and all pairs share one _pair_states call
+        # with its one batched M-block eigh
         tilted = forster_eigensystem(rb_43d_channels, 0.7)
-        calls = {"forster_eigensystem": 0, "eigh": 0}
+        calls = {"forster_eigensystem": 0, "eigh": 0, "_pair_states": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -554,12 +566,17 @@ class TestBlockadeShift:
                 counted("forster_eigensystem", module.forster_eigensystem),
             )
         monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+        monkeypatch.setattr(
+            blockade_module,
+            "_pair_states",
+            counted("_pair_states", blockade_module._pair_states),
+        )
         geo = EnsembleGeometry(random_cloud(np.random.default_rng(12), 12))
         for eig in (rb_43d_eigensystem, tilted):
-            calls.update(forster_eigensystem=0, eigh=0)
+            calls.update(forster_eigensystem=0, eigh=0, _pair_states=0)
             res = blockade_shift(geo, ExcitationField.uniform(12, 0.001), eig)
             assert res.b_mhz > 0
-            assert calls == {"forster_eigensystem": 0, "eigh": 66}
+            assert calls == {"forster_eigensystem": 0, "eigh": 1, "_pair_states": 1}
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_contributions_do_not_depend_on_degenerate_basis(
@@ -571,17 +588,17 @@ class TestBlockadeShift:
         f = ExcitationField.uniform(8, 0.001)
         res = blockade_shift(geo, f, rb_43d_eigensystem)
         rng = np.random.default_rng(seed)
-        original = blockade_module.pair_state_basis
+        original = blockade_module._pair_states
 
-        def mixed(eig, r_um):
-            shifts, vectors = original(eig, r_um)
-            vectors = vectors.copy()
-            for group in degenerate_groups(shifts, DEGENERACY_RTOL):
-                q, _ = np.linalg.qr(rng.normal(size=(len(group), len(group))))
-                vectors[:, group] = vectors[:, group] @ q
-            return shifts, vectors
+        def mixed(eig, r_um, theta, lab_rows):
+            shifts, turned = original(eig, r_um, theta, lab_rows)
+            for row, rows in zip(shifts, turned):
+                for group in degenerate_groups(row, DEGENERACY_RTOL):
+                    q, _ = np.linalg.qr(rng.normal(size=(len(group), len(group))))
+                    rows[:, group] = rows[:, group] @ q
+            return shifts, turned
 
-        monkeypatch.setattr(blockade_module, "pair_state_basis", mixed)
+        monkeypatch.setattr(blockade_module, "_pair_states", mixed)
         res_mixed = blockade_shift(geo, f, rb_43d_eigensystem)
         rows = {r[:3]: r[-1] for r in res.contributions}
         rows_mixed = {r[:3]: r[-1] for r in res_mixed.contributions}
@@ -610,11 +627,35 @@ class TestBlockadeShift:
         eig = forster_eigensystem(rb_43d_channels, theta)
         geo = two_atoms(8.0, theta)
         f = ExcitationField.uniform(2, 0.001)
-        (_, _, shifts, kappas), = _pair_spectra(geo, f, eig)
+        _, (shifts,), (kappas,) = _pair_spectra(geo, f, eig)
         expected_shifts, vectors = pair_state_basis(eig, 8.0)
         assert np.array_equal(shifts, expected_shifts)
         # the driven |1/2, 1/2> is index 3 * 6 + 3 of the j = 5/2 pair space
         assert np.array_equal(kappas, vectors[21, :].conj())
+
+
+def zeeman_group_operator(ch, theta, vecs, live):
+    """Oracle: first-order Zeeman operator (units of mu_B B) of a field along
+    z inside one degenerate Gram eigenspace, pair-frame columns vecs at pair
+    angle theta; basis-free through its eigenvalues."""
+    i1, i2 = ch.initial
+    phi = np.kron(wigner_small_d(i1.j, theta), wigner_small_d(i2.j, theta)) @ vecs
+    op = -(phi.T * _zeeman_diagonal(ch.initial)) @ phi
+    if live:
+        c1, c2 = ch.coupled
+        coupled = [_zeeman_diagonal((c1, c2))]
+        if (c1.n, c1.l, c1.j) != (c2.n, c2.l, c2.j):
+            coupled.append(_zeeman_diagonal((c2, c1)))
+        chi = build_vdd(ch, theta) @ phi
+        chi /= np.linalg.norm(chi, axis=0)
+        op += (chi.T * np.concatenate(coupled)) @ chi
+    return op
+
+
+def block_of_columns(vecs, j1, j2):
+    """M = m1 + m2 of each column's largest component."""
+    m1, m2 = np.meshgrid(np.arange(-j1, j1 + 1), np.arange(-j2, j2 + 1), indexing="ij")
+    return (m1 + m2).ravel()[np.abs(vecs).argmax(axis=0)]
 
 
 class TestFieldAtAngle:
@@ -633,6 +674,31 @@ class TestFieldAtAngle:
             for group in degenerate_groups(oracle.d_values[c_idx], 1e-9):
                 assert abs(ours[group].sum() - theirs[group].sum()) < 1e-12 * zeeman_mhz
             assert abs(ours.sum() - theirs.sum()) < 1e-12 * zeeman_mhz
+
+    @pytest.mark.parametrize("theta", [0.3, 1.1, 2.0])
+    def test_per_vector_defects_are_the_group_zeeman_eigenvalues(
+        self, rb_43d_channels, theta
+    ):
+        # M-definite Gram vectors: the turned field changes M by at most 1,
+        # so inside a degenerate group whose M values never differ by 1 the
+        # per-vector defects are the first-order degenerate values. At 43d
+        # every group is a +-M pair or a Forster-zero group of M values
+        # {-5, 0, 0, 5} or {0, 0}: none holds two M differing by 1
+        b_field_t = 0.01
+        zeeman_mhz = cst.MU_B_MHZ_PER_T * b_field_t
+        eig = forster_eigensystem(rb_43d_channels, theta, b_field_t)
+        for ch, vals, vecs, defects in zip(
+            rb_43d_channels, eig.d_values, eig.vectors, eig.defects_mhz
+        ):
+            m = block_of_columns(vecs, 2.5, 2.5)
+            groups = degenerate_groups(vals, 1e-9)
+            assert sum(len(g) == 2 for g in groups) >= 14
+            for group in groups:
+                assert not np.any(np.abs(m[group][:, None] - m[group]) == 1)
+                live = vals[group[0]] > FORSTER_ZERO_FLOOR
+                op = zeeman_group_operator(ch, theta, vecs[:, group], live)
+                ours = np.sort(defects[group] - ch.defect_mhz) / zeeman_mhz
+                assert np.max(np.abs(ours - np.linalg.eigvalsh(op))) < 1e-12
 
 
 class TestPairFrame:
@@ -659,6 +725,147 @@ class TestPairFrame:
                 assert np.max(np.abs(defects - expected)) < 1e-12 * zeeman_mhz
 
 
+def tilted_triangle(turn_rad):
+    """Three atoms 10 um apart, tilted by 0.3 rad about z then 0.7 rad
+    about x, then turned about z by turn_rad: no pair on or across z."""
+    def about(axis, angle):
+        c, s = math.cos(angle), math.sin(angle)
+        i, j = [k for k in range(3) if k != axis]
+        m = np.eye(3)
+        m[i, i] = m[j, j] = c
+        m[i, j], m[j, i] = -s, s
+        return m
+
+    triangle = 10.0 * np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.5, math.sqrt(3) / 2, 0.0]])
+    return EnsembleGeometry(triangle @ (about(2, turn_rad) @ about(0, 0.7) @ about(2, 0.3)).T)
+
+
+def public_pair_hamiltonian(geometry, field, channels):
+    """Oracle: H (rad/us) of the amplitude equations, each pair's states
+    from its own public forster_eigensystem / pair_state_basis /
+    overlap_kappa calls at its angle."""
+    pairs = list(geometry.pairs())
+    n_phi = 36
+    h = np.zeros((2 + len(pairs) * n_phi,) * 2, complex)
+    omega_n = 2.0 * math.pi * field.omega_n_mhz
+    h[0, 1] = h[1, 0] = omega_n / 2.0
+    for p, (k, l) in enumerate(pairs):
+        local = forster_eigensystem(channels, geometry.axis_theta_rad(k, l))
+        r = geometry.separation_um(k, l)
+        shifts, _ = pair_state_basis(local, r)
+        coupling = omega_n * overlap_kappa(local, field, (k, l), r_um=r) / geometry.n
+        rows = slice(2 + p * n_phi, 2 + (p + 1) * n_phi)
+        h[1, rows] = np.conj(coupling)
+        h[rows, 1] = coupling
+        h[rows, rows] = np.diag(2.0 * math.pi * shifts)
+    return h
+
+
+class TestMBlocks:
+    @pytest.mark.parametrize("r_um", [5.0, 10.0])
+    def test_pair_frame_states_have_definite_m(self, rb_43d_eigensystem, r_um):
+        # at theta = 0, D = 1: every pair state is exactly zero off its block
+        _, vectors = pair_state_basis(rb_43d_eigensystem, r_um)
+        m = block_of_columns(vectors, 2.5, 2.5)
+        m1, m2 = np.meshgrid(np.arange(-2.5, 3.0), np.arange(-2.5, 3.0), indexing="ij")
+        off_block = (m1 + m2).ravel()[:, None] != m
+        assert np.all(vectors[off_block] == 0.0)
+        # the sign rule: sum_a v_a / 2^a > 0 over the block's states, listed
+        # by ascending index for M >= 0 and as mirror images for -M
+        for col, big in zip(vectors.T, m):
+            states = np.flatnonzero((m1 + m2).ravel() == abs(big))
+            local = col[states if big >= 0 else 35 - states]
+            assert local @ 0.5 ** np.arange(len(local)) > 0.0
+        for vecs in rb_43d_eigensystem.vectors:
+            gram_m = block_of_columns(vecs, 2.5, 2.5)
+            assert np.all(vecs[(m1 + m2).ravel()[:, None] != gram_m] == 0.0)
+
+    def test_gram_blocks_of_plus_minus_m_are_mirror_images(self, rb_43d_eigensystem):
+        # the block of -M takes the eigenpairs of the block of M: d_values
+        # tie exactly (stable order: -M first) and the vectors are mirrored
+        for vals, vecs in zip(rb_43d_eigensystem.d_values, rb_43d_eigensystem.vectors):
+            m = block_of_columns(vecs, 2.5, 2.5)
+            for big in range(1, 6):
+                assert np.array_equal(vals[m == -big], vals[m == big])
+                mirror = np.abs(vecs[::-1][:, m == -big])
+                assert np.array_equal(mirror, np.abs(vecs[:, m == big]))
+            ties = np.flatnonzero(vals[1:] == vals[:-1])
+            assert np.all(m[ties] <= m[ties + 1])
+
+    @pytest.mark.parametrize("theta", [0.0, 0.7])
+    def test_plus_minus_m_partners_tie_exactly_in_ascending_m(
+        self, rb_43d_channels, theta
+    ):
+        # the blocks of M and -M are one matrix in zero field: their shifts
+        # are the same bits, and the stable order puts -M first
+        shifts, vectors = pair_state_basis(forster_eigensystem(rb_43d_channels, theta), 7.0)
+        _, pair_frame = pair_state_basis(forster_eigensystem(rb_43d_channels), 7.0)
+        m = block_of_columns(pair_frame, 2.5, 2.5)
+        for big in range(1, 6):
+            assert np.array_equal(shifts[m == -big], shifts[m == big])
+        ties = np.flatnonzero(shifts[1:] == shifts[:-1])
+        assert len(ties) == 15
+        assert np.all(m[ties] == -m[ties + 1]) and np.all(m[ties] < 0)
+        turn = np.kron(wigner_small_d(2.5, theta), wigner_small_d(2.5, theta))
+        assert np.max(np.abs(vectors - turn @ pair_frame)) < 1e-15
+
+    def test_states_follow_the_separation_continuously(self, rb_43d_channels):
+        # a canonical basis: a relative change of 1e-12 in R moves no state
+        # by more than rounding, although 30 of the 36 states come in
+        # degenerate +-M pairs whose basis eigh alone would leave open
+        eig = forster_eigensystem(rb_43d_channels, 0.7)
+        for r in (4.0, 7.0, 12.0):
+            shifts, vectors = pair_state_basis(eig, r)
+            shifts_near, vectors_near = pair_state_basis(eig, r * (1.0 + 1e-12))
+            assert np.max(np.abs(shifts_near / shifts - 1.0)) < 1e-10
+            assert np.max(np.abs(vectors_near - vectors)) < 1e-9
+
+    def test_one_pair_matches_the_batch_bit_for_bit(self, rb_43d_eigensystem):
+        geo = EnsembleGeometry(random_cloud(np.random.default_rng(4), 12))
+        f = ExcitationField(rabi_mhz=np.random.default_rng(4).uniform(0.5, 1.5, 12))
+        pairs, shifts, kappas = _pair_spectra(geo, f, rb_43d_eigensystem)
+        for (k, l), row_shifts, row_kappas in zip(pairs, shifts, kappas):
+            theta, r = geo.axis_theta_rad(k, l), geo.separation_um(k, l)
+            one = _driven_states(rb_43d_eigensystem, f, np.array([r]), np.array([theta]))
+            assert np.array_equal(one[0][0], row_shifts)
+            local = blockade_module._at_angle(rb_43d_eigensystem, theta)
+            assert np.array_equal(pair_state_basis(local, r)[0], row_shifts)
+            assert np.array_equal(overlap_kappa(local, f, (k, l), r_um=r), row_kappas)
+
+    @pytest.mark.parametrize("turn_rad", [0.0, 1.9])
+    def test_propagation_matches_public_per_pair_hamiltonian(
+        self, rb_43d_channels, rb_43d_eigensystem, turn_rad
+    ):
+        # c_pairs are amplitudes on the canonical pair states, so they match
+        # element for element an H built pair by pair from the public calls
+        geo = tilted_triangle(turn_rad)
+        f = ExcitationField.uniform(3, 1.0)
+        out = integrate_amplitudes(
+            AmplitudeState.ground(3, 36), geo, f, rb_43d_eigensystem, 0.2
+        )
+        psi0 = np.zeros(2 + 3 * 36, complex)
+        psi0[0] = 1.0
+        h = public_pair_hamiltonian(geo, f, rb_43d_channels)
+        expected = linalg.expm(-0.2j * h) @ psi0
+        assert abs(out.c_g - expected[0]) < 1e-12
+        assert abs(out.c_s - expected[1]) < 1e-12
+        assert np.max(np.abs(out.c_pairs.ravel() - expected[2:])) < 1e-12
+        assert np.max(np.abs(out.c_pairs)) > 1e-3
+
+    def test_distinct_levels_match_full_matrix(self):
+        # 43d5/2 + 44s1/2: blocks of sizes 1, 2, 2, 2, 2, 2, 1
+        d, s = RydbergState(43, 2, 2.5), RydbergState(44, 0, 0.5)
+        p = RydbergState(44, 1, 1.5)
+        eig = forster_eigensystem([ForsterChannel((d, s), (p, p), -100.0, 1.0)], 0.4)
+        shifts, vectors = pair_state_basis(eig, 0.5)
+        turn = np.kron(wigner_small_d(2.5, 0.4), wigner_small_d(0.5, 0.4))
+        full = turn @ np.concatenate(eig.vectors, axis=1)
+        w = (full * _channel_shifts_mhz(eig, 0.5)) @ full.T
+        assert np.max(np.abs(shifts - np.linalg.eigvalsh(w))) < 1e-12 * np.abs(shifts).max()
+        assert np.max(np.abs(vectors.T @ vectors - np.eye(12))) < 1e-14
+        assert np.max(np.abs(w @ vectors - vectors * shifts)) < 1e-12 * np.abs(shifts).max()
+
+
 class TestDrivenLevel:
     # 43d5/2 + 44s1/2 -> 44p3/2 + 44p3/2: a 12-dimensional initial space
     # whose two atoms hold different j
@@ -671,6 +878,20 @@ class TestDrivenLevel:
         f = ExcitationField.uniform(2, 1.0, ground_m=ground_m)
         with pytest.raises(ValueError, match="one initial level"):
             overlap_kappa(eig, f, r_um=5.0)
+
+    def test_m_outside_the_manifold_rejected(self, rb_s60_eigensystem, rb_43d_eigensystem):
+        # m = 0 has no state at j = 1/2, and m = 1 or 2 none at j = 5/2
+        # (they rounded to |-1/2, -1/2> and |3/2, 3/2>)
+        with pytest.raises(ValueError, match="outside"):
+            _driven_index(rb_s60_eigensystem, 0.0)
+        with pytest.raises(ValueError, match="outside"):
+            overlap_kappa(
+                rb_s60_eigensystem, ExcitationField.uniform(2, 1.0, ground_m=0.0), r_um=8.0
+            )
+        for target_m in (1.0, 2.0):
+            with pytest.raises(ValueError, match="outside"):
+                _driven_index(rb_43d_eigensystem, target_m)
+        assert _driven_index(rb_43d_eigensystem, 1.5) == 4 * 6 + 4
 
 
 class TestDoubleExcitation:

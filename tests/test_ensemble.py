@@ -757,6 +757,41 @@ class TestExactDynamics:
         assert dyn.dimension == 2517
         assert dyn.norm_drift < 1e-12
 
+    def test_small_single_time_problem_takes_eigh(self):
+        # dim 42 at t = 0: one term, but the series' fixed cost per call
+        # (SERIES_CALL_COST) exceeds eigh's whole cost there
+        model = ExcitationModel(
+            positions_um=np.random.default_rng(0).uniform(0.0, 6.0, (6, 3)),
+            rabi_mhz=1.0,
+            c6_mhz_um6=500.0,
+            max_excitations=3,
+        )
+        h = ens._build_hamiltonian(model, enumerate_basis(model))
+        psi0 = np.zeros(42)
+        psi0[0] = 1.0
+        out, method = ens._propagate(h, psi0, [0.0])
+        assert h.shape == (42, 42) and method == "eigh"
+        assert np.max(np.abs(out[:, 0] - psi0)) < 1e-14
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_benchmark_ensembles_keep_the_series(self, monkeypatch, seed):
+        # the driven ensembles of the benchmark (16 atoms in an 8 um box, at
+        # least 1 um apart, <= 4 excitations, 60 times over 2 us): the call
+        # cost leaves them on the series; the series itself is stubbed out
+        rng = np.random.default_rng(seed)
+        points = []
+        while len(points) < 16:
+            p = (rng.random(3) - 0.5) * 8.0
+            if all(np.linalg.norm(p - q) >= 1.0 for q in points):
+                points.append(p)
+        model = ExcitationModel(
+            positions_um=np.array(points), rabi_mhz=1.0, c6_mhz_um6=500.0, max_excitations=4
+        )
+        h = ens._build_hamiltonian(model, enumerate_basis(model))
+        monkeypatch.setattr(ens, "_chebyshev", lambda *args: None)
+        _, method = ens._propagate(h, np.eye(h.shape[0])[0], np.linspace(0.0, 2.0, 60))
+        assert h.shape == (2517, 2517) and method == "chebyshev"
+
     def test_reports_method_and_rejected_states(self, monkeypatch):
         model = ExcitationModel(
             positions_um=cubic_lattice((6, 1, 1), 1.0),

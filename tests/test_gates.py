@@ -431,15 +431,15 @@ class TestOptimizeInteractionGate:
 
     def test_one_pair_spectrum_per_separation(self, rb_s100_eig, monkeypatch):
         # the spectrum does not depend on the drive: the scan and the
-        # refinement score every trial drive from one pair_state_basis call
+        # refinement score every trial drive from one _pair_states call
         calls = []
-        original = blockade.pair_state_basis
+        original = blockade._pair_states
 
         def counting(*args, **kwargs):
             calls.append(args)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(blockade, "pair_state_basis", counting)
+        monkeypatch.setattr(blockade, "_pair_states", counting)
         optimize_interaction_gate(rb_s100_eig, 17.0, 340.0)
         assert len(calls) == 1
 

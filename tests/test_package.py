@@ -1,6 +1,6 @@
 """Package metadata says what the code has: named modules import, console
 scripts resolve, and the version matches pyproject.toml. Importing the
-package does not pull in scipy.optimize."""
+package loads no scipy subpackage beyond constants, linalg and sparse."""
 
 import importlib
 import os
@@ -45,13 +45,23 @@ def test_version_matches_pyproject():
 
 def test_no_module_imports_scipy_optimize():
     # a fresh interpreter, because other tests import scipy.optimize into
-    # this one
+    # this one. Every public scipy subpackage costs set-up time (0.05-0.35 s
+    # for special, integrate, interpolate or optimize after rydtools), so
+    # the set that importing rydtools adds to a bare "import scipy" is
+    # pinned to today's
     code = (
-        "import importlib, pkgutil, sys, rydtools\n"
+        "import importlib, pkgutil, sys\n"
+        "import scipy\n"
+        "def public():\n"
+        "    return {n.split('.')[1] for n in sys.modules\n"
+        "            if n.startswith('scipy.') and not n.split('.')[1].startswith('_')}\n"
+        "bare = public()\n"
+        "import rydtools\n"
         "names = [m.name for m in pkgutil.iter_modules(rydtools.__path__)]\n"
         "for name in names:\n"
         "    importlib.import_module('rydtools.' + name)\n"
-        "print(len(names), 'scipy.optimize' in sys.modules)\n"
+        "added = ','.join(sorted(public() - bare)) or '-'\n"
+        "print(len(names), 'scipy.optimize' in sys.modules, added)\n"
     )
     src = str(Path(rydtools.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -63,6 +73,7 @@ def test_no_module_imports_scipy_optimize():
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    count, imported = done.stdout.split()
+    count, imported, added = done.stdout.split()
     assert int(count) >= 7
     assert imported == "False"
+    assert set(added.split(",")) <= {"-", "constants", "linalg", "sparse"}
