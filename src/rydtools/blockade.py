@@ -24,8 +24,8 @@ from scipy import linalg
 from .ensemble import propagate
 from .pair import (  # also re-exports forster_eigensystem
     FORSTER_ZERO_FLOOR,
-    _at_angle,
     _block_eigh,
+    _defects_mhz,
     _level_key,
     _m_blocks,
     _pair_rotation,
@@ -55,6 +55,8 @@ class EnsembleGeometry:
         pos = np.atleast_2d(np.asarray(self.positions_um, dtype=float))
         if pos.ndim != 2 or pos.shape[1] != 3:
             raise ValueError("positions must be an (N, 3) array of microns")
+        if not np.isfinite(pos).all():
+            raise ValueError("positions must be finite")
         object.__setattr__(self, "positions_um", pos)
         k, l = _pair_indices(self.n)
         coincide = np.flatnonzero(self._pair_axes(k, l)[0] <= 0.0)
@@ -66,9 +68,8 @@ class EnsembleGeometry:
         return self.positions_um.shape[0]
 
     def pairs(self):
-        for k in range(self.n):
-            for l in range(k + 1, self.n):
-                yield k, l
+        k, l = _pair_indices(self.n)
+        yield from zip(k.tolist(), l.tolist())
 
     def _pair_axes(self, k, l):
         """(separations, axis angles to z) of the atom pairs (k, l), index
@@ -147,46 +148,46 @@ def _driven_index(eig, target_m):
     return offset * (round(2 * j) + 1) + offset
 
 
-def _channel_shifts_mhz(eig, r_um):
-    """Interaction shift of every channel eigenstate at separation r_um, the
-    channels' eigenstates concatenated in order (last axis; r_um may be an
-    array that broadcasts against it).
+def _channel_shifts_mhz(eig, r_um, defects_mhz):
+    """Interaction shift of every channel eigenstate at separation r_um and
+    defects defects_mhz, the channels' eigenstates concatenated in order
+    (last axis; r_um and defects_mhz may be arrays that broadcast to it).
 
     Eigenstates below the coupling floor are unshifted by their channel.
     """
     d_vals = np.concatenate(eig.d_values)
     sizes = [len(d) for d in eig.d_values]
     c3 = np.repeat([ch.c3_mhz_um3 for ch in eig.channels], sizes)
-    shifts = pair_shift_mhz(np.concatenate(eig.defects_mhz), c3, d_vals, r_um)
+    shifts = pair_shift_mhz(defects_mhz, c3, d_vals, r_um)
     return np.where(d_vals >= FORSTER_ZERO_FLOOR, shifts, 0.0)
 
 
 def _pair_states(eig, r_um, theta, lab_rows):
-    """Pair states of P atom pairs at separations r_um and pair angles theta
-    (arrays of P), on eig's M-definite pair-frame vectors V.
+    """Pair states of P atom pairs at positive separations r_um and pair
+    angles theta (arrays of P), on eig's M-definite pair-frame vectors V.
 
-    W_0 = V diag(s) V^T (s the channels' shifts, _channel_shifts_mhz) is
+    W_0 = V diag(s) V^T (s the channels' shifts, _channel_shifts_mhz, at
+    the defects _defects_mhz gives at each pair's angle) is
     M-block-diagonal: one batched matmul forms it for all pairs and one
     _block_eigh solves their blocks, so a pair alone gets the bits it gets
-    in a batch. In zero field only blocks of M >= 0 are solved, that of -M
-    being the same matrix (_m_blocks), and the stable sort puts those equal
-    shifts in ascending M. Row i of the lab-frame states D(theta) phi is
-    d^{j1}(theta)[i1, :] (x) d^{j2}(theta)[i2, :] times the block vectors.
-    In a field the defects follow the pair angle unless it is eig.theta.
+    in a batch, in a field too. In zero field only blocks of M >= 0 are
+    solved, that of -M being the same matrix (_m_blocks), and the stable
+    sort puts those equal shifts in ascending M. Row i of the lab-frame
+    states D(theta) phi is d^{j1}(theta)[i1, :] (x) d^{j2}(theta)[i2, :]
+    times the block vectors.
 
     Returns (shifts, turned): shifts (P, N) ascending per pair and turned
     (P, len(lab_rows), N) the rows lab_rows of each pair's lab-frame
     states, columns in shift order.
     """
+    if not (r_um > 0).all():
+        raise ValueError("pair separations must be positive")
     first, second = eig.channels[0].initial
     rows = _m_blocks(round(2 * first.j), round(2 * second.j))
     n = pair_state_count(eig)
     valid = rows >= 0
     zero_field = eig.b_field_t == 0.0
-    if zero_field or np.all(theta == eig.theta):
-        s = _channel_shifts_mhz(eig, r_um[:, None])
-    else:
-        s = np.array([_channel_shifts_mhz(_at_angle(eig, t), r) for t, r in zip(theta, r_um)])
+    s = _channel_shifts_mhz(eig, r_um[:, None], _defects_mhz(eig, theta))
     # W_0 of every pair; -1 reads the zero row and column appended
     v = np.concatenate(eig.vectors, axis=1)
     w = np.zeros((len(r_um), n + 1, n + 1))
@@ -397,14 +398,14 @@ def pair_state_count(eig):
 
 def _build_hamiltonian(geometry, field, eig, decay_tau_us=None):
     """Dense (angular, rad/us) Hamiltonian of the truncated amplitude system."""
-    pairs = list(geometry.pairs())
+    n_pairs = geometry.n * (geometry.n - 1) // 2
     n_phi = pair_state_count(eig)
-    dim = 2 + len(pairs) * n_phi
+    dim = 2 + n_pairs * n_phi
     h = np.zeros((dim, dim), complex)
     omega_n = 2.0 * math.pi * field.omega_n_mhz
     h[0, 1] = omega_n / 2.0
     h[1, 0] = omega_n / 2.0
-    if n_phi and pairs:
+    if n_phi and n_pairs:
         _, shifts, kappas = _pair_spectra(geometry, field, eig)
         coupling = omega_n * kappas.ravel() / geometry.n
         h[1, 2:] = np.conj(coupling)
@@ -434,8 +435,8 @@ def integrate_amplitudes(state, geometry, field, eig, t_us, decay_tau_us=None):
     if decay_tau_us is not None and not decay_tau_us > 0:
         raise ValueError("decay_tau_us must be positive, got %r" % (decay_tau_us,))
     n_phi = pair_state_count(eig)
-    pairs = list(geometry.pairs())
-    if state.c_pairs.shape != (len(pairs), n_phi):
+    n_pairs = geometry.n * (geometry.n - 1) // 2
+    if state.c_pairs.shape != (n_pairs, n_phi):
         raise ValueError("amplitude state shape does not match geometry/eigensystem")
     h_matrix = _build_hamiltonian(geometry, field, eig, decay_tau_us)
     psi = np.concatenate(([state.c_g, state.c_s], state.c_pairs.ravel()))
@@ -446,16 +447,17 @@ def integrate_amplitudes(state, geometry, field, eig, t_us, decay_tau_us=None):
     return AmplitudeState(
         c_g=complex(psi[0]),
         c_s=complex(psi[1]),
-        c_pairs=psi[2:].reshape(len(pairs), n_phi),
+        c_pairs=psi[2:].reshape(n_pairs, n_phi),
     )
 
 
-def _grouped_spectra(field, eig, r_um):
-    """[(delta, w)] per separation in r_um, at eig.theta, from one
-    _pair_states call: the _eigenspaces mean shifts and the driven state's
-    summed overlap on each. field sets only the driven Zeeman component."""
+def _grouped_spectra(field, eig, r_um, theta):
+    """[(delta, w)] per pair at separations r_um and angles theta (arrays)
+    from one _pair_states call: the _eigenspaces mean shifts and the driven
+    state's summed overlap on each. field sets only the driven Zeeman
+    component."""
     r_um = np.asarray(r_um, dtype=float)
-    spectra = _driven_states(eig, field, r_um, np.full(r_um.shape, eig.theta))
+    spectra = _driven_states(eig, field, r_um, np.asarray(theta, dtype=float))
     pair, _, delta, weight, _ = _eigenspaces(*spectra)
     cuts = np.searchsorted(pair, np.arange(1, r_um.size))
     return list(zip(np.split(delta, cuts), np.split(weight, cuts)))
@@ -491,4 +493,4 @@ def effective_interaction_mhz(field, eig, r_um):
     omega = field.omega_rms_mhz
     if omega <= 0:
         raise ValueError("effective interaction needs a positive drive")
-    return float(_saturated_shift(_grouped_spectra(field, eig, [r_um])[0], omega)[0])
+    return float(_saturated_shift(_grouped_spectra(field, eig, [r_um], [eig.theta])[0], omega)[0])

@@ -319,6 +319,8 @@ class ExcitationModel:
         positions = np.atleast_2d(np.asarray(self.positions_um, dtype=float))
         if positions.ndim != 2 or positions.shape[1] != 3:
             raise ValueError("positions_um must be an (N, 3) array")
+        if not np.isfinite(positions).all():
+            raise ValueError("positions_um must be finite")
         object.__setattr__(self, "positions_um", positions)
         n = positions.shape[0]
         rabi = np.broadcast_to(
@@ -793,10 +795,7 @@ def _triple_exchange_hamiltonian(rabi_mhz, exchange_matrix_mhz):
 def _excited_count_vector():
     """Number of excited atoms for each of the 64 product states."""
     excited = np.array([0, 1, 1, 1])  # g carries 0, p/s/s' carry 1
-    counts = np.zeros(64, dtype=int)
-    for idx, levels in enumerate(itertools.product(range(4), repeat=3)):
-        counts[idx] = sum(excited[level] for level in levels)
-    return counts
+    return np.add.outer(np.add.outer(excited, excited), excited).ravel()
 
 
 def triple_exchange_pair_shift_mhz(exchange_mhz):

@@ -36,7 +36,7 @@ from .blockade import (
     _grouped_spectra,
     _saturated_shift,
 )
-from .pair import _at_angle, forster_eigensystem, s_state_channels
+from .pair import forster_eigensystem, s_state_channels
 
 # Scale ratio treated as a clear separation by the advisory regime flags.
 REGIME_FACTOR = 3.0
@@ -359,7 +359,7 @@ def optimize_interaction_gate(
     """
     _require_positive(r_um, "r_um")
     field = ExcitationField.uniform(2, 1.0, polarization=polarization, ground_m=ground_m)
-    spectrum = _grouped_spectra(field, eig, [r_um])[0]
+    spectrum = _grouped_spectra(field, eig, [r_um], [eig.theta])[0]
     return _interaction_optimum(spectrum, lifetime_us, qubit_splitting_mhz, rabi_bounds_mhz)
 
 
@@ -459,16 +459,16 @@ def _eigensystem_for(n, table, eigensystems):
 def _landscape(
     n_values, r_um_values, table, lifetimes_us, temperature_k, eigensystems, evaluate
 ):
-    """(n, r_um, budget) rows over the n x R grid, each n's eigensystem
-    turned to theta = 0 once (pair axis along z) and its budgets at every
-    R from one evaluate(eig, r_um array, tau) call."""
+    """(n, r_um, budget) rows over the n x R grid, each n's budgets at
+    every R from one evaluate(eig, r_um array, tau) call, which puts the
+    pair axis along z (theta = 0) whatever eig.theta is."""
     r_um = [float(r) for r in r_um_values]
     for r in r_um:
         _require_positive(r, "r_um")
     model = LifetimeModel(table) if table is not None else None
     rows = []
     for n in n_values:
-        eig = _at_angle(_eigensystem_for(n, table, eigensystems), 0.0)
+        eig = _eigensystem_for(n, table, eigensystems)
         tau = _lifetime_for(n, lifetimes_us, temperature_k, model)
         budgets = evaluate(eig, np.array(r_um), tau) if r_um else []
         rows.extend((n, r, budget) for r, budget in zip(r_um, budgets))
@@ -532,7 +532,7 @@ def interaction_gate_landscape(
     def evaluate(eig, r_um, tau):
         return [
             _interaction_optimum(spectrum, tau, qubit_splitting_mhz, RABI_BOUNDS_MHZ)
-            for spectrum in _grouped_spectra(field, eig, r_um)
+            for spectrum in _grouped_spectra(field, eig, r_um, np.zeros(r_um.size))
         ]
 
     return _landscape(

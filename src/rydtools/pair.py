@@ -13,15 +13,16 @@ along z). At a pair axis tilted by theta from z it is the same matrix turned
 by the Wigner rotation D(theta) = d^{j1}(theta) (x) d^{j2}(theta) (Walker &
 Saffman, PRA 77, 032723 (2008)), so its D_phi stay and its eigenvectors are
 the pair-frame ones turned by D(theta). An eigensystem keeps the pair-frame
-vectors at every theta; a magnetic field along z re-evaluates only the
-defects. In the pair frame the coupling conserves M = m1 + m2, so every
-pair-frame operator is diagonalized one M-block at a time (_m_blocks), as
-pairinteraction does per symmetry sector (Weber et al., J. Phys. B 50,
-133001 (2017)), and each eigenvector has a definite M.
+vectors at every theta; a magnetic field along z changes only the
+defects (_defects_mhz, at any array of angles). In the pair frame the
+coupling conserves M = m1 + m2, so every pair-frame operator is
+diagonalized one M-block at a time (_m_blocks), as pairinteraction does
+per symmetry sector (Weber et al., J. Phys. B 50, 133001 (2017)), and
+each eigenvector has a definite M.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -40,10 +41,6 @@ def _level_key(state):
 def _m_values(j):
     two_j = round(2 * j)
     return [m / 2.0 for m in range(-two_j, two_j + 1, 2)]
-
-
-def _zeeman_states(state):
-    return [state.with_m(m) for m in _m_values(state.j)]
 
 
 @dataclass(frozen=True)
@@ -68,6 +65,12 @@ class ForsterChannel:
             self.coupled[0].label,
             self.coupled[1].label,
         )
+
+
+def _orderings(channel):
+    """Physical orderings of the coupled pair: both when its levels differ."""
+    c1, c2 = channel.coupled
+    return [(c1, c2)] if _level_key(c1) == _level_key(c2) else [(c1, c2), (c2, c1)]
 
 
 def _require_dipole_allowed(a, c):
@@ -176,23 +179,21 @@ def build_vdd(channel, theta=0.0):
     pair space (both orderings stacked when the coupled levels differ) and
     columns the initial Zeeman pair space. Each element is a cached
     angle-independent amplitude times one direction factor C^2_{-q}(theta),
-    so the matrix is exact at every angle.
+    so the matrix is exact at every angle. An array of angles gives one
+    matrix per angle, shape theta.shape + (rows, columns).
     """
     c1, c2 = channel.coupled
     _require_dipole_allowed(channel.initial[0], c1)
     _require_dipole_allowed(channel.initial[1], c2)
-    c2_minus_q = wigner_small_d(2, theta)[::-1, 2]  # [q + 2] = d^2_{-q,0}
-    orderings = [(c1, c2)]
-    if _level_key(c1) != _level_key(c2):
-        orderings.append((c2, c1))
+    c2_minus_q = wigner_small_d(2, theta)[..., ::-1, 2]  # [q + 2] = d^2_{-q,0}
     initial_lj = tuple((s.l, s.j) for s in channel.initial)
     blocks = []
-    for final_pair in orderings:
+    for final_pair in _orderings(channel):
         amplitudes, qmap = _ordering_amplitudes(
             initial_lj, tuple((s.l, s.j) for s in final_pair)
         )
-        blocks.append(amplitudes * c2_minus_q[qmap])
-    return np.vstack(blocks)
+        blocks.append(amplitudes * c2_minus_q[..., qmap])
+    return np.concatenate(blocks, axis=-2)
 
 
 @dataclass
@@ -201,13 +202,14 @@ class ForsterEigensystem:
 
     For each channel: dimensionless eigenvalues d_values (ascending),
     eigenvectors (columns, over the initial Zeeman product space) and the
-    per-eigenstate energy defects (Zeeman-shifted when a magnetic field is
-    present). forster_zero_count tallies eigenvalues below the zero floor.
-    vectors are the pair-frame (theta = 0) eigenvectors at every theta, each
-    with a definite M = m1 + m2 (exact zeros off its M-block), which the
-    pair-state layer relies on; the eigenvectors at theta are D(theta) @
-    vectors, with D(theta) = d^{j1}(theta) (x) d^{j2}(theta) on the initial
-    pair space. d_values do not depend on theta; the defects do in a field.
+    per-eigenstate energy defects at theta (Zeeman-shifted when a magnetic
+    field is present). forster_zero_count tallies eigenvalues below the
+    zero floor. vectors are the pair-frame (theta = 0) eigenvectors at every
+    theta, each with a definite M = m1 + m2 (exact zeros off its M-block);
+    the eigenvectors at theta are D(theta) @ vectors, with D(theta) =
+    d^{j1}(theta) (x) d^{j2}(theta) on the initial pair space. Only the
+    defects depend on theta (in a field); the pair-state layer takes them
+    from _defects_mhz at each pair's own angle, not from defects_mhz.
     """
 
     channels: list
@@ -220,15 +222,9 @@ class ForsterEigensystem:
 
 
 def _zeeman_diagonal(pair_states):
-    s1_list = _zeeman_states(pair_states[0])
-    s2_list = _zeeman_states(pair_states[1])
-    diag = np.zeros(len(s1_list) * len(s2_list))
-    for a_idx, sa in enumerate(s1_list):
-        ga = lande_g(sa.l, sa.j)
-        for b_idx, sb in enumerate(s2_list):
-            gb = lande_g(sb.l, sb.j)
-            diag[a_idx * len(s2_list) + b_idx] = ga * sa.m + gb * sb.m
-    return diag
+    """g1 m1 + g2 m2 over the Zeeman product space of a pair of levels."""
+    gm = [lande_g(s.l, s.j) * np.array(_m_values(s.j)) for s in pair_states]
+    return np.add.outer(*gm).ravel()
 
 
 @lru_cache(maxsize=None)
@@ -284,8 +280,10 @@ def _pair_rotation(initial, theta, rows):
     return turn.reshape(turn.shape[:-2] + (-1,))
 
 
-def _at_angle(base, theta):
-    """The eigensystem base at pair angle theta.
+def _defects_mhz(eig, theta):
+    """Defects of eig's Gram eigenstates, channels concatenated, at every
+    pair angle of the array theta: shape theta.shape + (N,), or (N,) in
+    zero field, where they are the channel defects at every angle.
 
     build_vdd(ch, theta) = D_c build_vdd(ch, 0) D^T with D =
     _pair_rotation(initial, theta), so the pair-frame vectors and d_values
@@ -293,26 +291,21 @@ def _at_angle(base, theta):
     evaluated on the turned vectors phi = D v, as the initial pair's
     Zeeman moment on phi and the coupled pair's on build_vdd(ch, theta) phi.
     """
-    mu_b = cst.MU_B_MHZ_PER_T * base.b_field_t
-    defects = [
-        np.full(len(vals), ch.defect_mhz)
-        for ch, vals in zip(base.channels, base.d_values)
-    ]
-    if mu_b != 0.0:
-        turn = _pair_rotation(base.channels[0].initial, theta, np.arange(len(base.vectors[0])))
-        rows = zip(base.channels, base.d_values, base.vectors, defects)
-        for ch, vals, vecs, defect in rows:
-            phi = turn @ vecs
-            live = vals > FORSTER_ZERO_FLOOR
-            chi_sq = (build_vdd(ch, theta) @ phi[:, live]) ** 2
-            c1, c2 = ch.coupled
-            coupled_diag = [_zeeman_diagonal((c1, c2))]
-            if _level_key(c1) != _level_key(c2):
-                coupled_diag.append(_zeeman_diagonal((c2, c1)))
-            shift = -(_zeeman_diagonal(ch.initial) @ phi**2)
-            shift[live] += np.concatenate(coupled_diag) @ chi_sq / chi_sq.sum(axis=0)
-            defect += mu_b * shift
-    return replace(base, theta=theta, defects_mhz=defects)
+    defects = np.repeat([ch.defect_mhz for ch in eig.channels], [len(v) for v in eig.d_values])
+    if eig.b_field_t == 0.0:
+        return defects
+    theta = np.asarray(theta, dtype=float)
+    turn = _pair_rotation(eig.channels[0].initial, theta, np.arange(len(eig.vectors[0])))
+    shifts = []
+    for ch, vals, vecs in zip(eig.channels, eig.d_values, eig.vectors):
+        phi = turn @ vecs
+        live = vals > FORSTER_ZERO_FLOOR
+        chi_sq = (build_vdd(ch, theta) @ phi[..., live]) ** 2
+        coupled_diag = np.concatenate([_zeeman_diagonal(o) for o in _orderings(ch)])
+        shift = -(_zeeman_diagonal(ch.initial) @ phi**2)
+        shift[..., live] += coupled_diag @ chi_sq / chi_sq.sum(axis=-2)
+        shifts.append(shift)
+    return defects + cst.MU_B_MHZ_PER_T * eig.b_field_t * np.concatenate(shifts, axis=-1)
 
 
 def forster_eigensystem(channels, theta=0.0, b_field_t=0.0):
@@ -323,7 +316,7 @@ def forster_eigensystem(channels, theta=0.0, b_field_t=0.0):
     its M-blocks (_m_blocks), the block of -M taking the eigenpairs of the
     block of M, which is the same matrix. That gives d_values, M-definite
     pair-frame vectors and the Forster-zero count at every theta; equal
-    d_values keep ascending M. _at_angle evaluates the (Zeeman-shifted,
+    d_values keep ascending M. _defects_mhz evaluates the (Zeeman-shifted,
     along z) defects at theta.
     """
     if not channels:
@@ -338,7 +331,7 @@ def forster_eigensystem(channels, theta=0.0, b_field_t=0.0):
     k = np.arange(len(rows))
     mirrored = rows[np.maximum(k, k[::-1])]  # the block of -M reads that of M
     columns = np.arange(rows.size).reshape(rows.shape)
-    base = ForsterEigensystem(channels=list(channels), theta=0.0, b_field_t=b_field_t)
+    eig = ForsterEigensystem(channels=list(channels), theta=theta, b_field_t=b_field_t)
     for ch in channels:
         m = build_vdd(ch)
         n = m.shape[1]
@@ -350,10 +343,11 @@ def forster_eigensystem(channels, theta=0.0, b_field_t=0.0):
         vals = np.clip(vals[valid], 0.0, None)
         order = np.argsort(vals, kind="stable")
         vals = vals[order]
-        base.forster_zero_count += int(np.sum(vals < FORSTER_ZERO_FLOOR))
-        base.d_values.append(vals)
-        base.vectors.append(vecs[:n, valid.ravel()][:, order])
-    return _at_angle(base, theta)
+        eig.forster_zero_count += int(np.sum(vals < FORSTER_ZERO_FLOOR))
+        eig.d_values.append(vals)
+        eig.vectors.append(vecs[:n, valid.ravel()][:, order])
+    eig.defects_mhz = np.split(_defects_mhz(eig, theta), len(channels))
+    return eig
 
 
 @dataclass
@@ -387,7 +381,7 @@ def potential_curves(eig, channel_index, r_um):
     """Evaluate Delta_phi(R) for every eigenstate of one channel."""
     ch = eig.channels[channel_index]
     r = np.asarray(r_um, dtype=float)
-    if np.any(r <= 0):
+    if not np.all(r > 0):
         raise ValueError("pair separations must be positive")
     d_vals = eig.d_values[channel_index]
     curves = pair_shift_mhz(

@@ -145,7 +145,8 @@ def full_matrix_states(eig, field, r_um):
     definite M: (shifts, weights) from one eigh of the whole combined shift
     operator W = V diag(s) V^T, weights the driven state's |overlap|^2."""
     vectors = np.concatenate(eig.vectors, axis=1)
-    shifts, states = np.linalg.eigh((vectors * _channel_shifts_mhz(eig, r_um)) @ vectors.T)
+    s = _channel_shifts_mhz(eig, r_um, np.concatenate(eig.defects_mhz))
+    shifts, states = np.linalg.eigh((vectors * s) @ vectors.T)
     return shifts, states[_driven_index(eig, field.target_m)] ** 2
 
 
@@ -155,15 +156,16 @@ def degenerate_groups(values, rtol):
     return np.split(np.arange(len(values)), np.flatnonzero(np.diff(values) > tol) + 1)
 
 
-def loop_blockade_terms(geometry, field, eig):
+def loop_blockade_terms(spectra):
     """Oracle: blockade_shift as a loop over each pair's degenerate
     pair-state eigenspaces (a shift joins the open eigenspace while within
-    DEGENERACY_RTOL x max(1, |max|) of the shift before it). Returns (total,
-    contribution rows, zero_term)."""
+    DEGENERACY_RTOL x max(1, |max|) of the shift before it), spectra the
+    ((k, l), shifts, kappas) of every pair. Returns (total, contribution
+    rows, zero_term)."""
     total = 0.0
     contributions = []
     zero_term = None
-    for (k, l), shifts, kappas in zip(*_pair_spectra(geometry, field, eig)):
+    for (k, l), shifts, kappas in spectra:
         zero_tol = 1e-12 * max(1.0, float(np.max(np.abs(shifts))))
         tol = DEGENERACY_RTOL * max(1.0, float(np.max(np.abs(shifts))))
         groups = []
@@ -219,6 +221,12 @@ class TestGeometry:
         with pytest.raises(ValueError):
             EnsembleGeometry(np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_positions_rejected(self, bad):
+        # a nan coordinate gave B = 15.36 MHz with blockade_valid True
+        with pytest.raises(ValueError, match="finite"):
+            EnsembleGeometry(np.array([[0.0, 0.0, 0.0], [0.0, bad, 5.0], [3.0, 0.0, 0.0]]))
+
 
 class TestField:
     def test_collective_rabi_invariant(self):
@@ -271,6 +279,17 @@ class TestOverlapKappa:
         with pytest.raises(TypeError):
             overlap_kappa(rb_s60_eigensystem, f, None, 8.0)
 
+    @pytest.mark.parametrize("r_um", [0.0, -5.0, np.nan])
+    def test_invalid_separation_rejected(self, rb_s60_eigensystem, r_um):
+        # 0 and nan gave nan with RuntimeWarnings, -5 the answer at +5 um
+        f = ExcitationField.uniform(2, 1.0)
+        with pytest.raises(ValueError, match="positive"):
+            pair_state_basis(rb_s60_eigensystem, r_um)
+        with pytest.raises(ValueError, match="positive"):
+            overlap_kappa(rb_s60_eigensystem, f, r_um=r_um)
+        with pytest.raises(ValueError, match="positive"):
+            effective_interaction_mhz(f, rb_s60_eigensystem, r_um)
+
     def test_angle_changes_weight_distribution(self, rb_43d_channels, rb_43d_eigensystem):
         f = ExcitationField.uniform(2, 0.01)
         w0 = np.sort(np.abs(overlap_kappa(rb_43d_eigensystem, f, r_um=10.0)) ** 2)
@@ -286,7 +305,8 @@ class TestOverlapKappa:
         d_vals = eig.d_values[3]
         live = d_vals >= FORSTER_ZERO_FLOOR
         assert live.any() and not live.all()
-        shifts = _channel_shifts_mhz(eig, 5.3)[12:16]  # channel 3 of four, dim 4
+        # channel 3 of four, dim 4
+        shifts = _channel_shifts_mhz(eig, 5.3, np.concatenate(eig.defects_mhz))[12:16]
         assert np.all(shifts[~live] == 0.0)
         expected = -resonant.c3_mhz_um3 * np.sqrt(d_vals[live]) / 5.3**3
         assert np.allclose(shifts[live], expected, rtol=1e-14, atol=0.0)
@@ -422,7 +442,7 @@ class TestBlockadeShift:
         chain = float(np.sum(weights[1:] / shifts[1:] ** 2))
         assert [r[:3] for r in res.contributions] == [(0, 1, 1), (0, 1, 0)]
         assert res.contributions[0][-1] == pytest.approx(chain, rel=1e-14)
-        _, rows, _ = loop_blockade_terms(geo, f, rb_s60_eigensystem)
+        _, rows, _ = loop_blockade_terms(zip(*_pair_spectra(geo, f, rb_s60_eigensystem)))
         assert [r[:3] for r in rows] == [r[:3] for r in res.contributions]
         delta = np.array([-3.0, np.mean(shifts[1:])])
         w = np.array([weights[0], np.sum(weights[1:])])
@@ -483,7 +503,8 @@ class TestBlockadeShift:
         f = ExcitationField(
             rabi_mhz=np.random.default_rng(seed).uniform(0.5, 1.5, 8) * 0.001
         )
-        total, rows, zero_term = loop_blockade_terms(geo, f, rb_43d_eigensystem)
+        spectra = zip(*_pair_spectra(geo, f, rb_43d_eigensystem))
+        total, rows, zero_term = loop_blockade_terms(spectra)
         res = blockade_shift(geo, f, rb_43d_eigensystem)
         assert zero_term is None and res.zero_term is None
         assert res.b_mhz == pytest.approx(math.sqrt(28.0 / total), rel=1e-12)
@@ -496,7 +517,7 @@ class TestBlockadeShift:
         one = forster_eigensystem(rb_43d_channels[:1])
         f = ExcitationField.uniform(3, 0.01, polarization=2)
         geo = EnsembleGeometry(np.array([[0, 0, 0], [0, 0, 10.0], [0, 0, 17.0]]))
-        _, rows, zero_term = loop_blockade_terms(geo, f, one)
+        _, rows, zero_term = loop_blockade_terms(zip(*_pair_spectra(geo, f, one)))
         res = blockade_shift(geo, f, one)
         assert zero_term is not None
         assert res.zero_term == zero_term
@@ -543,14 +564,44 @@ class TestBlockadeShift:
         b = blockade_shift(geo, f, rb_43d_eigensystem).b_mhz
         assert b == pytest.approx(math.sqrt(15.0 / total), rel=1e-12)
 
+    @pytest.mark.parametrize("n_atoms", [5, 6])
+    def test_field_cloud_matches_per_pair_public_calls(self, rb_43d_channels, n_atoms):
+        # at 0.01 T every pair's defects follow its own axis: B and the rows
+        # match each pair's own public forster_eigensystem at its angle
+        b_field_t = 0.01
+        geo = EnsembleGeometry(random_cloud(np.random.default_rng(n_atoms), n_atoms))
+        f = ExcitationField(rabi_mhz=np.random.default_rng(n_atoms).uniform(0.5, 1.5, n_atoms))
+
+        def public_spectra():
+            for k, l in geo.pairs():
+                local = forster_eigensystem(
+                    rb_43d_channels, geo.axis_theta_rad(k, l), b_field_t
+                )
+                r = geo.separation_um(k, l)
+                kappas = overlap_kappa(local, f, (k, l), r_um=r)
+                yield (k, l), pair_state_basis(local, r)[0], kappas
+
+        eig = forster_eigensystem(rb_43d_channels, 0.0, b_field_t)
+        total, rows, zero_term = loop_blockade_terms(public_spectra())
+        res = blockade_shift(geo, f, eig)
+        assert zero_term is None and res.zero_term is None
+        n_pairs = n_atoms * (n_atoms - 1) // 2
+        assert res.b_mhz == pytest.approx(math.sqrt(n_pairs / total), rel=1e-12)
+        assert [r[:3] for r in res.contributions] == [r[:3] for r in rows]
+        # the field moves B: the oracle is not the zero-field answer
+        zero_field = blockade_shift(geo, f, forster_eigensystem(rb_43d_channels))
+        assert abs(res.b_mhz / zero_field.b_mhz - 1.0) > 1e-6
+
     def test_no_gram_diagonalization_per_pair(
         self, rb_43d_channels, rb_43d_eigensystem, monkeypatch
     ):
         # 12 atoms, 66 pairs: every pair uses eig's pair-frame vectors,
         # whatever eig.theta is, and all pairs share one _pair_states call
-        # with its one batched M-block eigh
+        # with its one batched M-block eigh; in a field one build_vdd per
+        # channel gives every pair's defects
         tilted = forster_eigensystem(rb_43d_channels, 0.7)
-        calls = {"forster_eigensystem": 0, "eigh": 0, "_pair_states": 0}
+        in_field = forster_eigensystem(rb_43d_channels, 0.7, 0.01)
+        calls = {"forster_eigensystem": 0, "eigh": 0, "_pair_states": 0, "build_vdd": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -571,12 +622,18 @@ class TestBlockadeShift:
             "_pair_states",
             counted("_pair_states", blockade_module._pair_states),
         )
+        monkeypatch.setattr(pair_module, "build_vdd", counted("build_vdd", pair_module.build_vdd))
         geo = EnsembleGeometry(random_cloud(np.random.default_rng(12), 12))
-        for eig in (rb_43d_eigensystem, tilted):
-            calls.update(forster_eigensystem=0, eigh=0, _pair_states=0)
+        for eig, build_vdd_calls in ((rb_43d_eigensystem, 0), (tilted, 0), (in_field, 2)):
+            calls.update(forster_eigensystem=0, eigh=0, _pair_states=0, build_vdd=0)
             res = blockade_shift(geo, ExcitationField.uniform(12, 0.001), eig)
             assert res.b_mhz > 0
-            assert calls == {"forster_eigensystem": 0, "eigh": 1, "_pair_states": 1}
+            assert calls == {
+                "forster_eigensystem": 0,
+                "eigh": 1,
+                "_pair_states": 1,
+                "build_vdd": build_vdd_calls,
+            }
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_contributions_do_not_depend_on_degenerate_basis(
@@ -820,15 +877,19 @@ class TestMBlocks:
             assert np.max(np.abs(shifts_near / shifts - 1.0)) < 1e-10
             assert np.max(np.abs(vectors_near - vectors)) < 1e-9
 
-    def test_one_pair_matches_the_batch_bit_for_bit(self, rb_43d_eigensystem):
+    @pytest.mark.parametrize("b_field_t", [0.0, 0.01])
+    def test_one_pair_matches_the_batch_bit_for_bit(self, rb_43d_channels, b_field_t):
+        # in a field too: one pair's defects at its angle are the bits of its
+        # row in the batch, and those of its own public eigensystem
+        eig = forster_eigensystem(rb_43d_channels, 0.0, b_field_t)
         geo = EnsembleGeometry(random_cloud(np.random.default_rng(4), 12))
         f = ExcitationField(rabi_mhz=np.random.default_rng(4).uniform(0.5, 1.5, 12))
-        pairs, shifts, kappas = _pair_spectra(geo, f, rb_43d_eigensystem)
+        pairs, shifts, kappas = _pair_spectra(geo, f, eig)
         for (k, l), row_shifts, row_kappas in zip(pairs, shifts, kappas):
             theta, r = geo.axis_theta_rad(k, l), geo.separation_um(k, l)
-            one = _driven_states(rb_43d_eigensystem, f, np.array([r]), np.array([theta]))
+            one = _driven_states(eig, f, np.array([r]), np.array([theta]))
             assert np.array_equal(one[0][0], row_shifts)
-            local = blockade_module._at_angle(rb_43d_eigensystem, theta)
+            local = forster_eigensystem(rb_43d_channels, theta, b_field_t)
             assert np.array_equal(pair_state_basis(local, r)[0], row_shifts)
             assert np.array_equal(overlap_kappa(local, f, (k, l), r_um=r), row_kappas)
 
@@ -860,7 +921,7 @@ class TestMBlocks:
         shifts, vectors = pair_state_basis(eig, 0.5)
         turn = np.kron(wigner_small_d(2.5, 0.4), wigner_small_d(0.5, 0.4))
         full = turn @ np.concatenate(eig.vectors, axis=1)
-        w = (full * _channel_shifts_mhz(eig, 0.5)) @ full.T
+        w = (full * _channel_shifts_mhz(eig, 0.5, np.concatenate(eig.defects_mhz))) @ full.T
         assert np.max(np.abs(shifts - np.linalg.eigvalsh(w))) < 1e-12 * np.abs(shifts).max()
         assert np.max(np.abs(vectors.T @ vectors - np.eye(12))) < 1e-14
         assert np.max(np.abs(w @ vectors - vectors * shifts)) < 1e-12 * np.abs(shifts).max()

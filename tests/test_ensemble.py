@@ -308,6 +308,17 @@ class TestExcitationModel:
                 c6_mhz_um6=10.0,
             )
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_positions_rejected(self, bad):
+        # an inf coordinate gave 3 excitations at 0.5 us, a nan one a
+        # LinAlgError from the propagation
+        with pytest.raises(ValueError, match="positions_um"):
+            ExcitationModel(
+                positions_um=[[0.0, 0.0, 0.0], [1.0, 0.0, bad]],
+                rabi_mhz=1.0,
+                c6_mhz_um6=10.0,
+            )
+
     def test_per_atom_arrays_broadcast(self):
         model = ExcitationModel(
             positions_um=np.zeros((3, 3)) + np.arange(3)[:, None],
@@ -1097,6 +1108,13 @@ def effective_kernel_p3(rabi_mhz, vmat, times):
 
 
 class TestTripleExchange:
+    def test_excited_counts_match_product_loop(self):
+        # state index l0 * 16 + l1 * 4 + l2 over levels (g, p, s, s')
+        levels = itertools.product(range(4), repeat=3)
+        expected = [sum(level > 0 for level in state) for state in levels]
+        counts = ens._excited_count_vector()
+        assert counts.dtype.kind == "i" and counts.tolist() == expected
+
     def test_angular_coupling_values(self):
         vmat = axial_exchange_couplings_mhz(
             triangle_positions(1.0), c3_mhz_um3=5.0, axis=(1.0, 0.0, 0.0)

@@ -430,8 +430,10 @@ class TestPotentialCurves:
         assert eig.channels[0].defect_mhz < 0 and strong > 0
 
     def test_positive_separation_required(self, rb_s60_eigensystem):
-        with pytest.raises(ValueError):
-            potential_curves(rb_s60_eigensystem, 0, np.array([0.0, 1.0]))
+        # nan fails r > 0 as well as r <= 0, so only the first test rejects it
+        for bad in (0.0, -5.0, np.nan):
+            with pytest.raises(ValueError, match="positive"):
+                potential_curves(rb_s60_eigensystem, 0, np.array([bad, 1.0]))
 
 
 class TestCrossover:
