@@ -24,10 +24,9 @@ from scipy import linalg
 from .ensemble import propagate
 from .pair import (  # also re-exports forster_eigensystem
     FORSTER_ZERO_FLOOR,
-    _block_eigh,
     _defects_mhz,
     _level_key,
-    _m_blocks,
+    _m_block_states,
     _pair_rotation,
     forster_eigensystem,
     pair_shift_mhz,
@@ -104,6 +103,8 @@ class ExcitationField:
         rabi = np.atleast_1d(np.asarray(self.rabi_mhz, dtype=complex))
         if rabi.ndim != 1 or rabi.size < 1:
             raise ValueError("need at least one single-atom Rabi frequency")
+        if not np.isfinite(rabi).all():
+            raise ValueError("Rabi frequencies must be finite")
         object.__setattr__(self, "rabi_mhz", rabi)
 
     @classmethod
@@ -167,44 +168,24 @@ def _pair_states(eig, r_um, theta, lab_rows):
     angles theta (arrays of P), on eig's M-definite pair-frame vectors V.
 
     W_0 = V diag(s) V^T (s the channels' shifts, _channel_shifts_mhz, at
-    the defects _defects_mhz gives at each pair's angle) is
-    M-block-diagonal: one batched matmul forms it for all pairs and one
-    _block_eigh solves their blocks, so a pair alone gets the bits it gets
-    in a batch, in a field too. In zero field only blocks of M >= 0 are
-    solved, that of -M being the same matrix (_m_blocks), and the stable
-    sort puts those equal shifts in ascending M. Row i of the lab-frame
-    states D(theta) phi is d^{j1}(theta)[i1, :] (x) d^{j2}(theta)[i2, :]
-    times the block vectors.
+    the defects _defects_mhz gives at each pair's angle) of every pair is
+    solved by one _m_block_states call, mirrored in zero field, with the
+    rows lab_rows of D(theta) (_pair_rotation) as the turn, so a pair alone
+    gets the bits it gets in a batch, in a field too.
 
-    Returns (shifts, turned): shifts (P, N) ascending per pair and turned
-    (P, len(lab_rows), N) the rows lab_rows of each pair's lab-frame
-    states, columns in shift order.
+    Returns (shifts, turned): shifts (P, N) in stable ascending order per
+    pair and turned (P, len(lab_rows), N) the rows lab_rows of each pair's
+    lab-frame states, columns in shift order.
     """
     if not (r_um > 0).all():
         raise ValueError("pair separations must be positive")
-    first, second = eig.channels[0].initial
-    rows = _m_blocks(round(2 * first.j), round(2 * second.j))
-    n = pair_state_count(eig)
-    valid = rows >= 0
-    zero_field = eig.b_field_t == 0.0
+    initial = eig.channels[0].initial
     s = _channel_shifts_mhz(eig, r_um[:, None], _defects_mhz(eig, theta))
-    # W_0 of every pair; -1 reads the zero row and column appended
     v = np.concatenate(eig.vectors, axis=1)
-    w = np.zeros((len(r_um), n + 1, n + 1))
-    w[:, :n, :n] = (v * s[:, None, :]) @ v.T
-    # in zero field the block of -M is the block of M: solve M >= 0 only
-    k = np.arange(len(rows))
-    solved, copies = np.unique(np.maximum(k, k[::-1]) if zero_field else k, return_inverse=True)
-    w = w[:, rows[solved, :, None], rows[solved, None, :]]
-    values, vectors = _block_eigh(w, valid[solved])
-    values, vectors = values[:, copies][:, valid], vectors[:, copies]
-    order = np.argsort(values, axis=1, kind="stable")
-    # padding rows of the vectors are zero, so the rows read there do not count
-    lab = _pair_rotation((first, second), theta, lab_rows)[:, :, rows, None]
-    turned = (lab * vectors[:, None]).sum(axis=-2)[:, :, valid]
-    pair = np.arange(len(r_um))[:, None]
-    row = np.arange(len(lab_rows))[:, None]
-    return values[pair, order], turned[pair[:, :, None], row, order[:, None, :]]
+    turn = _pair_rotation(initial, theta, lab_rows)
+    values, turned = _m_block_states((v * s[:, None, :]) @ v.T, turn, initial, eig.b_field_t == 0.0)
+    order = np.argsort(values, axis=-1, kind="stable")
+    return np.take_along_axis(values, order, -1), np.take_along_axis(turned, order[:, None, :], -1)
 
 
 def pair_state_basis(eig, r_um):
@@ -212,15 +193,15 @@ def pair_state_basis(eig, r_um):
 
     Every channel contributes its eigenstate shifts as a projector sum; the
     combined operator W_0 over the initial Zeeman-pair manifold is
-    diagonalized one M-block at a time and the block vectors are turned to
-    eig.theta by the one Wigner rotation D(theta). This is the one-pair
-    case of _pair_states, which blockade_shift and integrate_amplitudes run
-    for all pairs at once, so they agree bit for bit.
+    diagonalized by _m_block_states and turned to eig.theta by D(theta).
+    This is the one-pair case of _pair_states, which blockade_shift and
+    integrate_amplitudes run for all pairs at once, so they agree bit for
+    bit.
 
     Returns (shifts, vectors): shifts[i] in MHz, ascending (equal shifts of
     +-M partners in ascending M), and vectors[:, i] the pair states over
     the initial (lab-frame) Zeeman-product basis: D(theta) times pair-frame
-    states of definite M, each signed by _block_eigh's rule.
+    states of definite M, each signed by _m_block_states's rule.
     """
     shifts, turned = _pair_states(
         eig, np.array([r_um], float), np.array([eig.theta]), np.arange(pair_state_count(eig))

@@ -52,6 +52,10 @@ SATURATED_FRACTION_PREFACTOR = 1.4965
 #   above it the table grows with max|t|, 0.5 GB at K = 10^6 and T = 60.
 DEFAULT_BASIS_BUDGET = 200_000
 
+# Excitation subsets of k atoms screened per (SUBSET_CHUNK, k) index array
+# in enumerate_basis: 0.5 MB per excited atom.
+SUBSET_CHUNK = 1 << 16
+
 # Largest dense propagation in bytes: beyond it the Chebyshev series
 # always runs.
 DENSE_MEMORY_CEILING_BYTES = 2 * 1024**3
@@ -380,7 +384,10 @@ def enumerate_basis(model):
     """Excitation subsets kept by the truncation, as index tuples.
 
     Ordered by excitation number then lexicographically; the empty
-    subset (all atoms in the ground state) comes first.
+    subset (all atoms in the ground state) comes first. The subsets of k
+    atoms are screened SUBSET_CHUNK at a time as a (chunk, k) index array,
+    their pair energies summed column pair by column pair in
+    combinations(range(k), 2) order, as a sum over each subset's pairs.
     """
     raw = _subset_count(model)
     if raw > max(50 * model.basis_budget, 5_000_000):
@@ -391,17 +398,18 @@ def enumerate_basis(model):
     v = model.pair_shift_matrix_mhz()
     basis = []
     for k in range(model.max_excitations + 1):
-        for subset in itertools.combinations(range(model.n_atoms), k):
-            if k >= 2:
-                energy = sum(
-                    v[i, j] for i, j in itertools.combinations(subset, 2)
-                )
-                if abs(energy) > model.energy_cutoff_mhz:
-                    continue
-            basis.append(subset)
+        subsets = itertools.combinations(range(model.n_atoms), k)
+        while chunk := list(itertools.islice(subsets, SUBSET_CHUNK)):
+            flat = itertools.chain.from_iterable(chunk)
+            index = np.fromiter(flat, np.intp, len(chunk) * k).reshape(len(chunk), k)
+            energy = np.zeros(len(chunk))
+            for a, b in itertools.combinations(range(k), 2):
+                energy += v[index[:, a], index[:, b]]
+            keep = ~(np.abs(energy) > model.energy_cutoff_mhz)
+            basis.extend(itertools.compress(chunk, keep.tolist()))
             if len(basis) > model.basis_budget:
                 raise TruncationError(
-                    "truncated basis needs more than %d states, over the "
+                    "truncated basis needs at least %d states, over the "
                     "budget of %d (raise basis_budget or tighten the "
                     "cutoffs)" % (len(basis), model.basis_budget)
                 )

@@ -15,10 +15,10 @@ Saffman, PRA 77, 032723 (2008)), so its D_phi stay and its eigenvectors are
 the pair-frame ones turned by D(theta). An eigensystem keeps the pair-frame
 vectors at every theta; a magnetic field along z changes only the
 defects (_defects_mhz, at any array of angles). In the pair frame the
-coupling conserves M = m1 + m2, so every pair-frame operator is
-diagonalized one M-block at a time (_m_blocks), as pairinteraction does
-per symmetry sector (Weber et al., J. Phys. B 50, 133001 (2017)), and
-each eigenvector has a definite M.
+coupling conserves M = m1 + m2: the Gram matrices and the pair-state
+operators are all diagonalized by _m_block_states, per M-block as
+pairinteraction does per symmetry sector (Weber et al., J. Phys. B 50,
+133001 (2017)), so each eigenvector has a definite M.
 """
 
 import math
@@ -248,23 +248,40 @@ def _m_blocks(tj1, tj2):
     return rows
 
 
-def _block_eigh(blocks, valid):
-    """One eigh over a stack of M-blocks (..., K, L, L) whose padding rows
-    and columns (valid False) are zero. The padding diagonal is set above
-    every eigenvalue (1 + L max|element|), so each block's own eigenpairs
-    come first, ascending, exactly zero on the padding. Each eigenvector v
-    is signed so that sum_a v_a / 2^a > 0: "largest component positive"
-    would be left to rounding, as exchanging the atoms reverses each block
-    and so gives half of the vectors equal and opposite components.
-    Returns (values (..., K, L), vectors (..., K, L, L)); overwrites
-    blocks."""
-    pad_k, pad_a = np.nonzero(~valid)
+def _m_block_states(ops, turn, initial, mirrored):
+    """Eigenpairs of a stack ops (..., N, N) of pair-frame operators on the
+    Zeeman product space of the pair of levels initial, each conserving M,
+    from one eigh over their M-blocks (_m_blocks); with mirrored set only
+    blocks of M >= 0 are solved, that of -M taking their eigenpairs.
+    Padding has a diagonal above every eigenvalue (1 + L max|element|), so
+    each block's eigenpairs come first, ascending, and exactly zero there.
+    Each block vector v is signed so that sum_a v_a / 2^a > 0: "largest
+    component positive" would be left to rounding, as exchanging the atoms
+    reverses each block and so gives half of the vectors equal and opposite
+    components. Row i of a state turned by turn (..., R, N) is sum_a
+    turn[i, rows[a]] v_a, so its bits depend neither on the other rows nor
+    on the other operators.
+
+    Returns (values (..., N), turned (..., R, N)), columns by ascending M,
+    then ascending within a block.
+    """
+    first, second = initial
+    rows = _m_blocks(round(2 * first.j), round(2 * second.j))
+    k = np.arange(len(rows))
+    low = len(rows) // 2 if mirrored else 0  # blocks M >= 0 are rows[low:]
+    copies = (np.maximum(k, k[::-1]) if mirrored else k) - low
+    index, valid = rows[low:], rows >= 0
+    live = valid[low:, :, None] & valid[low:, None, :]
+    blocks = np.where(live, ops[..., index[:, :, None], index[:, None, :]], 0.0)
     top = np.abs(blocks).max(axis=(-3, -2, -1))[..., None]
-    blocks[..., pad_k, pad_a, pad_a] = 1.0 + blocks.shape[-1] * top
+    pad_k, pad_a = np.nonzero(~valid[low:])
+    blocks[..., pad_k, pad_a, pad_a] = 1.0 + rows.shape[1] * top
     values, vectors = np.linalg.eigh(blocks)
-    leading = 0.5 ** np.arange(blocks.shape[-1]) @ vectors
+    leading = 0.5 ** np.arange(rows.shape[1]) @ vectors
     vectors *= np.where(leading < 0.0, -1.0, 1.0)[..., None, :]
-    return values, vectors
+    # padding rows of the vectors are zero, so the turn rows read there do not count
+    turned = (turn[..., rows, None] * vectors[..., None, copies, :, :]).sum(axis=-2)
+    return values[..., copies, :][..., valid], turned[..., valid]
 
 
 def _pair_rotation(initial, theta, rows):
@@ -311,41 +328,32 @@ def _defects_mhz(eig, theta):
 def forster_eigensystem(channels, theta=0.0, b_field_t=0.0):
     """Diagonalize each channel's squared coupling on the initial pair space.
 
-    Each Gram matrix is diagonalized once, in the pair frame, where its
-    elements between different M are exactly zero: one _block_eigh over
-    its M-blocks (_m_blocks), the block of -M taking the eigenpairs of the
-    block of M, which is the same matrix. That gives d_values, M-definite
-    pair-frame vectors and the Forster-zero count at every theta; equal
-    d_values keep ascending M. _defects_mhz evaluates the (Zeeman-shifted,
-    along z) defects at theta.
+    The Gram matrices of all channels are diagonalized once, in the pair
+    frame, by one mirrored _m_block_states call: d_values (clipped at 0,
+    then in stable ascending order, so equal d_values keep ascending M),
+    M-definite pair-frame vectors and the Forster-zero count serve every
+    theta. _defects_mhz evaluates the (Zeeman-shifted, along z) defects at
+    theta.
     """
     if not channels:
         raise ValueError("need at least one channel")
+    if not (math.isfinite(theta) and math.isfinite(b_field_t)):
+        raise ValueError("theta and b_field_t must be finite, got %r and %r" % (theta, b_field_t))
     key0 = tuple(_level_key(s) for s in channels[0].initial)
     for ch in channels[1:]:
         if tuple(_level_key(s) for s in ch.initial) != key0:
             raise ValueError("all channels must share the same initial pair")
-    first, second = channels[0].initial
-    rows = _m_blocks(round(2 * first.j), round(2 * second.j))
-    valid = rows >= 0
-    k = np.arange(len(rows))
-    mirrored = rows[np.maximum(k, k[::-1])]  # the block of -M reads that of M
-    columns = np.arange(rows.size).reshape(rows.shape)
+    grams = np.stack([m.T @ m for m in map(build_vdd, channels)])
+    vals, vecs = _m_block_states(grams, np.eye(grams.shape[-1]), channels[0].initial, True)
+    vals = np.clip(vals, 0.0, None)
+    order = np.argsort(vals, axis=-1, kind="stable")
+    vals = np.take_along_axis(vals, order, -1)
+    vecs = np.take_along_axis(vecs, order[:, None, :], -1)
     eig = ForsterEigensystem(channels=list(channels), theta=theta, b_field_t=b_field_t)
-    for ch in channels:
-        m = build_vdd(ch)
-        n = m.shape[1]
-        gram = np.zeros((n + 1, n + 1))  # -1 reads the zero row and column
-        gram[:n, :n] = m.T @ m
-        vals, blocks = _block_eigh(gram[mirrored[:, :, None], mirrored[:, None, :]], valid)
-        vecs = np.zeros((n + 1, rows.size))
-        vecs[rows[:, :, None], columns[:, None, :]] = blocks
-        vals = np.clip(vals[valid], 0.0, None)
-        order = np.argsort(vals, kind="stable")
-        vals = vals[order]
-        eig.forster_zero_count += int(np.sum(vals < FORSTER_ZERO_FLOOR))
-        eig.d_values.append(vals)
-        eig.vectors.append(vecs[:n, valid.ravel()][:, order])
+    eig.d_values = list(vals)
+    # column-major: BLAS rounds _defects_mhz's products by operand layout
+    eig.vectors = [np.asfortranarray(v) for v in vecs]
+    eig.forster_zero_count = int(np.sum(vals < FORSTER_ZERO_FLOOR))
     eig.defects_mhz = np.split(_defects_mhz(eig, theta), len(channels))
     return eig
 

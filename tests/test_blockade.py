@@ -245,6 +245,11 @@ class TestField:
         with pytest.raises(ValueError):
             ExcitationField(rabi_mhz=np.zeros((0,)))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(1.0, math.inf)])
+    def test_non_finite_rabi_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            ExcitationField(rabi_mhz=[bad, 1.0])
+
 
 class TestOverlapKappa:
     def test_parseval_uniform(self, rb_43d_eigensystem):

@@ -6,6 +6,7 @@ statistics of synthetic samples, or frozen deterministic runs of the
 released implementation.
 """
 
+import dataclasses
 import itertools
 import math
 import warnings
@@ -351,7 +352,47 @@ class TestExcitationModel:
             model.pair_shift_matrix_mhz()
 
 
+def loop_basis(model):
+    """enumerate_basis as a Python loop over subsets: the oracle for its
+    kept set, order and pair-energy sums."""
+    v = model.pair_shift_matrix_mhz()
+    basis = []
+    for k in range(model.max_excitations + 1):
+        for subset in itertools.combinations(range(model.n_atoms), k):
+            if k >= 2:
+                energy = sum(v[i, j] for i, j in itertools.combinations(subset, 2))
+                if abs(energy) > model.energy_cutoff_mhz:
+                    continue
+            basis.append(subset)
+    return basis
+
+
 class TestBasisEnumeration:
+    @pytest.mark.parametrize(
+        "n_atoms, max_excitations, signed",
+        [(9, 9, False), (9, 9, True), (40, 4, False), (64, 3, True)],
+    )
+    def test_matches_the_subset_loop(self, n_atoms, max_excitations, signed):
+        # the cutoff is one subset's own loop-summed energy, so a sum in
+        # another order would keep or drop it by rounding
+        rng = np.random.default_rng(n_atoms)
+        positions = rng.uniform(0.0, 3.0 * n_atoms ** (1 / 3), size=(n_atoms, 3))
+        v = rng.normal(size=(n_atoms, n_atoms))
+        kwargs = dict(interaction_mhz=v + v.T) if signed else dict(c6_mhz_um6=50.0)
+        model = ExcitationModel(
+            positions_um=positions, rabi_mhz=1.0, max_excitations=max_excitations, **kwargs
+        )
+        w = model.pair_shift_matrix_mhz()
+        subset = sorted(rng.choice(n_atoms, size=min(max_excitations, 4), replace=False))
+        cutoff = abs(sum(w[i, j] for i, j in itertools.combinations(subset, 2)))
+        model = dataclasses.replace(model, energy_cutoff_mhz=cutoff)
+        expected = loop_basis(model)
+        assert tuple(subset) in expected
+        assert len(expected) < ens._subset_count(model)
+        basis = enumerate_basis(model)
+        assert basis == expected
+        assert all(type(s) is tuple for s in basis)
+
     def test_counts_and_ordering(self):
         model = ExcitationModel(
             positions_um=cubic_lattice((6, 1, 1), 1.0),

@@ -343,6 +343,34 @@ class TestEigensystem:
         with pytest.raises(ValueError):
             forster_eigensystem([rb_s60_channels[0], rb_43d_channels[0]])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angle_or_field_rejected(self, rb_s60_channels, bad):
+        with pytest.raises(ValueError, match="finite"):
+            forster_eigensystem(rb_s60_channels, bad)
+        with pytest.raises(ValueError, match="finite"):
+            forster_eigensystem(rb_s60_channels, 0.3, bad)
+
+    @pytest.mark.parametrize("channel_set", ["60s", "43d", "43d5/2+44s1/2"])
+    def test_channel_stack_does_not_change_the_bits(
+        self, rb_table, rb_s60_channels, rb_43d_channels, channel_set
+    ):
+        # all channels' Gram matrices are solved in one stack: each channel
+        # gets the bits of its own single-channel eigensystem
+        d, s = RydbergState(43, 2, 2.5), RydbergState(44, 0, 0.5)
+        channels = {
+            "60s": rb_s60_channels,
+            "43d": rb_43d_channels,
+            "43d5/2+44s1/2": [
+                make_channel((d, s), (RydbergState(n, 1, 1.5),) * 2, rb_table)
+                for n in (43, 44, 45)
+            ],
+        }[channel_set]
+        eig = forster_eigensystem(channels)
+        for ch, vals, vecs in zip(channels, eig.d_values, eig.vectors):
+            one = forster_eigensystem([ch])
+            assert np.array_equal(one.d_values[0], vals)
+            assert np.array_equal(one.vectors[0], vecs)
+
     def test_zeeman_stretched_state_oracle(self, rb_table):
         # stretched pair state: coupled moment 4/3*1, initial moment 2*1,
         # so the defect shifts by -(2/3) muB B exactly
