@@ -98,38 +98,18 @@ def _wigner_6j_cached(tj1, tj2, tj3, tj4, tj5, tj6):
         (tj4, tj2, tj6),
         (tj4, tj5, tj3),
     )
-    for t in triads:
-        if not _triangle_ok(*t):
-            return 0.0
-
-    def f(ta, tb, tc):
-        return _tri_coeff(ta, tb, tc)
-
-    prefactor = (
-        f(tj1, tj2, tj3) * f(tj1, tj5, tj6) * f(tj4, tj2, tj6) * f(tj4, tj5, tj3)
-    )
-    kmin = max(
-        (tj1 + tj2 + tj3) // 2,
-        (tj1 + tj5 + tj6) // 2,
-        (tj4 + tj2 + tj6) // 2,
-        (tj4 + tj5 + tj3) // 2,
-    )
-    kmax = min(
+    if not all(_triangle_ok(*t) for t in triads):
+        return 0.0
+    prefactor = math.prod(_tri_coeff(*t) for t in triads)
+    sums = [sum(t) // 2 for t in triads]
+    quads = [
         (tj1 + tj2 + tj4 + tj5) // 2,
         (tj2 + tj3 + tj5 + tj6) // 2,
         (tj3 + tj1 + tj6 + tj4) // 2,
-    )
+    ]
     total = 0.0
-    for k in range(kmin, kmax + 1):
-        denom = (
-            _fact(k - (tj1 + tj2 + tj3) // 2)
-            * _fact(k - (tj1 + tj5 + tj6) // 2)
-            * _fact(k - (tj4 + tj2 + tj6) // 2)
-            * _fact(k - (tj4 + tj5 + tj3) // 2)
-            * _fact((tj1 + tj2 + tj4 + tj5) // 2 - k)
-            * _fact((tj2 + tj3 + tj5 + tj6) // 2 - k)
-            * _fact((tj3 + tj1 + tj6 + tj4) // 2 - k)
-        )
+    for k in range(max(sums), min(quads) + 1):
+        denom = math.prod(_fact(k - s) for s in sums) * math.prod(_fact(q - k) for q in quads)
         total += (-1) ** k * _fact(k + 1) / denom
     return prefactor * total
 

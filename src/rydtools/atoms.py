@@ -111,6 +111,16 @@ def data_file_path(species, kind):
     return str(resources.files("rydtools.data").joinpath(name))
 
 
+def _data_rows(species, kind):
+    """Whitespace-split fields of each data-file line, "#" comments and
+    blank lines dropped."""
+    with open(data_file_path(species, kind)) as fh:
+        for raw in fh:
+            parts = raw.split("#", 1)[0].split()
+            if parts:
+                yield parts
+
+
 class QuantumDefectTable:
     """Quantum defect series and level energies for one species.
 
@@ -132,24 +142,18 @@ class QuantumDefectTable:
     def _load(self):
         self.core_charge = 1.0
         self.core_screening = 0.0
-        path = data_file_path(self.species, "defects")
-        with open(path) as fh:
-            for raw in fh:
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                parts = line.split()
-                if parts[1] == "exact":
-                    n, l = int(parts[2]), int(parts[3])
-                    j = float(parts[4])
-                    self.exact_terms[(n, l, j)] = float(parts[5])
-                elif parts[1] == "core":
-                    self.core_charge = float(parts[2])
-                    self.core_screening = float(parts[3])
-                else:
-                    l = int(parts[1])
-                    j = float(parts[2])
-                    self.series[(l, j)] = (float(parts[3]), float(parts[4]))
+        for parts in _data_rows(self.species, "defects"):
+            if parts[1] == "exact":
+                n, l = int(parts[2]), int(parts[3])
+                j = float(parts[4])
+                self.exact_terms[(n, l, j)] = float(parts[5])
+            elif parts[1] == "core":
+                self.core_charge = float(parts[2])
+                self.core_screening = float(parts[3])
+            else:
+                l = int(parts[1])
+                j = float(parts[2])
+                self.series[(l, j)] = (float(parts[3]), float(parts[4]))
 
     def defect(self, n, l, j):
         """Quantum defect delta(n, l, j), using an exact term when available."""
@@ -195,15 +199,10 @@ class LifetimeModel:
 
     def __init__(self, table):
         self.table = table
-        self.coeffs = {}
-        path = data_file_path(table.species, "lifetimes")
-        with open(path) as fh:
-            for raw in fh:
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                parts = line.split()
-                self.coeffs[int(parts[1])] = (float(parts[2]), float(parts[3]))
+        self.coeffs = {
+            int(parts[1]): (float(parts[2]), float(parts[3]))
+            for parts in _data_rows(table.species, "lifetimes")
+        }
 
     def tau0_us(self, state):
         """Zero-temperature lifetime in microseconds."""

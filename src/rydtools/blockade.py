@@ -411,8 +411,8 @@ def integrate_amplitudes(state, geometry, field, eig, t_us, decay_tau_us=None):
     decay_tau_us adds damping. Passing eig=None removes all doubly-excited
     states (fully blockaded two-level limit).
     """
-    if t_us < 0:
-        raise ValueError("t_us must be nonnegative, got %r" % (t_us,))
+    if not 0 <= t_us < math.inf:
+        raise ValueError("t_us must be finite and nonnegative, got %r" % (t_us,))
     if decay_tau_us is not None and not decay_tau_us > 0:
         raise ValueError("decay_tau_us must be positive, got %r" % (decay_tau_us,))
     n_phi = pair_state_count(eig)
@@ -433,21 +433,26 @@ def integrate_amplitudes(state, geometry, field, eig, t_us, decay_tau_us=None):
 
 
 def _grouped_spectra(field, eig, r_um, theta):
-    """[(delta, w)] per pair at separations r_um and angles theta (arrays)
-    from one _pair_states call: the _eigenspaces mean shifts and the driven
-    state's summed overlap on each. field sets only the driven Zeeman
-    component."""
+    """(delta, w), (R, G) arrays over R pairs at separations r_um and angles
+    theta (arrays), from one _pair_states call: each row holds its pair's
+    _eigenspaces mean shifts and the driven state's summed overlap on each,
+    padded to the longest row with delta = 1, w = 0, which adds exact zeros
+    in _saturated_shift. field sets only the driven Zeeman component."""
     r_um = np.asarray(r_um, dtype=float)
     spectra = _driven_states(eig, field, r_um, np.asarray(theta, dtype=float))
     pair, _, delta, weight, _ = _eigenspaces(*spectra)
-    cuts = np.searchsorted(pair, np.arange(1, r_um.size))
-    return list(zip(np.split(delta, cuts), np.split(weight, cuts)))
+    column = np.arange(pair.size) - np.searchsorted(pair, pair)
+    shape = (r_um.size, column.max(initial=-1) + 1)
+    padded = np.ones(shape), np.zeros(shape)
+    padded[0][pair, column], padded[1][pair, column] = delta, weight
+    return padded
 
 
 def _saturated_shift(spectrum, omega_mhz):
-    """(s, s') at rms drive omega_mhz, which may be an array, for a grouped
-    spectrum (delta, w): s = sum delta w Omega^2 / (w Omega^2 + delta^2)
-    and its slope s' = sum 2 w Omega delta^3 / (w Omega^2 + delta^2)^2."""
+    """(s, s') of every row of a grouped spectrum (delta, w) at rms drives
+    omega_mhz, an array whose last axis runs over (or broadcasts to) the
+    rows: s = sum delta w Omega^2 / (w Omega^2 + delta^2) and its slope
+    s' = sum 2 w Omega delta^3 / (w Omega^2 + delta^2)^2."""
     delta, w = spectrum
     omega = np.asarray(omega_mhz, dtype=float)[..., None]
     coupling_sq = w * omega**2
@@ -467,11 +472,11 @@ def effective_interaction_mhz(field, eig, r_um):
     degenerate subspace are an arbitrary rotation and only the summed
     overlap is physical (the saturation factor is not invariant under
     splitting one weight across equal shifts). The sum is _saturated_shift
-    on the (delta, w) arrays of _grouped_spectra, which
-    optimize_interaction_gate evaluates at every trial drive together with
-    its analytic slope.
+    on row 0 of the one-row _grouped_spectra, the same arrays that
+    optimize_interaction_gate scores at every trial drive together with
+    their analytic slope.
     """
     omega = field.omega_rms_mhz
     if omega <= 0:
         raise ValueError("effective interaction needs a positive drive")
-    return float(_saturated_shift(_grouped_spectra(field, eig, [r_um], [eig.theta])[0], omega)[0])
+    return float(_saturated_shift(_grouped_spectra(field, eig, [r_um], [eig.theta]), omega)[0][0])

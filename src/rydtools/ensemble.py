@@ -646,6 +646,8 @@ def simulate_exact(model, times_us, g2_bins_um=None, g2_window=0.5):
     if not 0.0 < g2_window <= 1.0:
         raise ValueError("g2_window must be in (0, 1], got %r" % (g2_window,))
     times = np.asarray(times_us, dtype=float)
+    if times.size == 0:
+        raise ValueError("times_us must hold at least one time")
     basis = enumerate_basis(model)
     dim = len(basis)
     h = _build_hamiltonian(model, basis)
@@ -932,8 +934,11 @@ def _lorentzian_rates(model, gamma_mhz, v):
     on the excited set are formed once.
     """
     gamma = TWO_PI * gamma_mhz
-    omega = TWO_PI * model.rabi_mhz
-    numerator = omega**2 * gamma
+    with np.errstate(over="ignore"):
+        numerator = (TWO_PI * model.rabi_mhz) ** 2 * gamma
+    if not np.all(np.isfinite(numerator)):
+        # an atom's rate is then inf or nan whatever its shift
+        raise ValueError("transition rate total is not finite")
     gamma_sq = gamma**2
     detuning_mhz = model.detuning_mhz
 

@@ -8,9 +8,10 @@ weak pair shift accumulate a conditional phase; its error trades spontaneous
 emission against imperfect rotations at both the drive and qubit-splitting
 scales. On top of the per-operating-point budgets this module optimizes the
 drive strength (in leading-order closed form, and exactly as the budget's
-stationary point), scans error landscapes over principal quantum number and
-atom separation using the pair-interaction and blockade machinery, and
-budgets the supporting hardware: two-photon
+stationary point: a polynomial root, or for a saturating shift a scan and a
+bisection to adjacent floats), scans error landscapes over principal quantum
+number and atom separation using the pair-interaction and blockade
+machinery, and budgets the supporting hardware: two-photon
 excitation (spontaneous emission from the intermediate state, Doppler
 dephasing, AC Stark shifts), Poisson-loading statistics, and the array size
 reachable within a total error budget.
@@ -50,8 +51,6 @@ INTERMEDIATE_HYPERFINE_SPAN_MHZ = 500.0
 # default drive bounds (MHz).
 INTERACTION_SCAN_POINTS = 61
 RABI_BOUNDS_MHZ = (1e-3, 2e4)
-# Cap on its false-position steps; 4 to 10 usually reach rounding level.
-ROOT_STEPS = 100
 
 # Array-capacity prefactors, calibrated so a gate error budget of 0.001 at
 # n = 100 gives 470 qubits in 2D and 7600 in 3D.
@@ -315,26 +314,6 @@ def minimize_interaction_gate(
     )
 
 
-def _slope_root(slope, a, ga, b, gb):
-    """Root of slope between a and b, where it takes the values ga and gb,
-    by Illinois false position: the root stays bracketed between the last
-    point b and a, and a has its value halved when a new point falls on b's
-    side, so that both ends close in. Stops when the next point is not
-    strictly inside the bracket (it has shrunk to rounding, or ga and gb do
-    not differ in sign) or after ROOT_STEPS steps; returns the last b."""
-    for _ in range(ROOT_STEPS):
-        t = b - gb * (b - a) / (gb - ga)
-        if not (t - a) * (t - b) < 0.0:
-            break
-        g = slope(t)
-        if g * gb < 0.0:
-            a, ga = b, gb
-        else:
-            ga *= 0.5
-        b, gb = t, g
-    return b
-
-
 def optimize_interaction_gate(
     eig,
     r_um,
@@ -352,32 +331,36 @@ def optimize_interaction_gate(
     budget and its slope in ln(drive), from the analytic s', are scored at
     INTERACTION_SCAN_POINTS log-spaced drives over rabi_bounds_mhz in one
     array expression. The slope at the best scanned drive points to the
-    neighbour that brackets the stationary point, which false position then
-    finds; when the slope points out of the scan, the bound itself is
-    returned. A best scanned drive at either end gives
-    interior_optimum=False.
+    neighbour that brackets the stationary point, and bisection in the drive
+    closes the bracket to adjacent floats; a slope pointing out of the scan
+    returns the bound, and neighbour slopes of one sign the scanned drive. A
+    best scanned drive at either end gives interior_optimum=False. This is
+    the one-row case of interaction_gate_landscape's pass, bit for bit.
     """
     _require_positive(r_um, "r_um")
     field = ExcitationField.uniform(2, 1.0, polarization=polarization, ground_m=ground_m)
-    spectrum = _grouped_spectra(field, eig, [r_um], [eig.theta])[0]
-    return _interaction_optimum(spectrum, lifetime_us, qubit_splitting_mhz, rabi_bounds_mhz)
+    spectra = _grouped_spectra(field, eig, [r_um], [eig.theta])
+    return _interaction_optima(spectra, lifetime_us, qubit_splitting_mhz, rabi_bounds_mhz)[0]
 
 
-def _interaction_optimum(spectrum, lifetime_us, qubit_splitting_mhz, rabi_bounds_mhz):
-    """optimize_interaction_gate on one grouped spectrum (delta, w)."""
+def _interaction_optima(spectra, lifetime_us, qubit_splitting_mhz, rabi_bounds_mhz):
+    """optimize_interaction_gate on every row of a grouped spectrum
+    (delta, w) of _grouped_spectra: a list of one budget per row, each
+    row's bits independent of the others."""
     _require_positive(lifetime_us, "lifetime_us")
     _require_positive(qubit_splitting_mhz, "qubit_splitting_mhz")
     lo, hi = rabi_bounds_mhz
     if not 0.0 < lo < hi < math.inf:
         raise ValueError("rabi_bounds_mhz must be finite, positive and increasing")
-    if not np.any(spectrum[0]):
+    delta, w = spectra
+    if not np.any((delta != 0.0) & (w > 0.0), axis=-1).all():
         raise ValueError("no effective interaction at this separation")
     w10 = 2.0 * math.pi * qubit_splitting_mhz
 
-    def budget(t):
-        """Budget and its slope in ln(drive) at the drives exp(t)."""
-        omega_mhz = np.exp(t)
-        shift, shift_slope = _saturated_shift(spectrum, omega_mhz)
+    def budget(omega_mhz):
+        """Budgets and their slopes in ln(drive) at the drives omega_mhz,
+        whose last axis runs over the rows."""
+        shift, shift_slope = _saturated_shift(spectra, omega_mhz)
         terms = _interaction_terms(
             2.0 * math.pi * omega_mhz, 2.0 * math.pi * np.abs(shift), w10, lifetime_us
         )
@@ -385,23 +368,31 @@ def _interaction_optimum(spectrum, lifetime_us, qubit_splitting_mhz, rabi_bounds
         powers = (-log_slope, -1.0, 2.0 * log_slope - 2.0, 2.0)
         return sum(terms), sum(p * term for p, term in zip(powers, terms))
 
-    grid = np.linspace(math.log(lo), math.log(hi), INTERACTION_SCAN_POINTS)
-    totals, slopes = budget(grid)
-    i0 = int(np.argmin(totals))
-    j = i0 + (1 if slopes[i0] < 0.0 else -1)
-    if 0 <= j < INTERACTION_SCAN_POINTS:
-        t = _slope_root(lambda t: budget(t)[1], grid[j], slopes[j], grid[i0], slopes[i0])
-        omega_opt = math.exp(t)
-    else:
-        omega_opt = hi if j > 0 else lo
-    shift = abs(float(_saturated_shift(spectrum, omega_opt)[0]))
-    params = GateParams(omega_opt, lifetime_us, qubit_splitting_mhz, interaction_mhz=shift)
-    return replace(
-        interaction_gate_error(params),
-        rabi_opt_mhz=omega_opt,
-        interior_optimum=0 < i0 < INTERACTION_SCAN_POINTS - 1,
-        interaction_mhz=shift,
-    )
+    rows = np.arange(delta.shape[0])
+    scan = np.exp(np.linspace(math.log(lo), math.log(hi), INTERACTION_SCAN_POINTS))
+    scan[[0, -1]] = lo, hi  # a bound is returned as given
+    totals, slopes = budget(scan[:, None])
+    i0 = np.argmin(totals, axis=0)
+    # the neighbour j the slope at i0 points to (i0 itself off the scan)
+    # brackets the optimum when their slopes differ in sign; a row without a
+    # bracket keeps its scanned drive, the others bisect to adjacent floats
+    g0 = slopes[i0, rows]
+    j = np.clip(np.where(g0 < 0.0, i0 + 1, i0 - 1), 0, INTERACTION_SCAN_POINTS - 1)
+    ends = np.sort([i0, np.where(g0 * slopes[j, rows] < 0.0, j, i0)], axis=0)
+    a, ga, b = scan[ends[0]], slopes[ends[0], rows], scan[ends[1]]
+    while np.any((a < (mid := 0.5 * (a + b))) & (mid < b)):
+        up = budget(mid)[1] * ga > 0.0  # the slope at a keeps the sign ga
+        a, b = np.where(up, mid, a), np.where(up, b, mid)
+    shifts = np.abs(_saturated_shift(spectra, b)[0])
+    interior = (0 < i0) & (i0 < INTERACTION_SCAN_POINTS - 1)
+    budgets = []
+    for omega, shift, inside in zip(b.tolist(), shifts.tolist(), interior.tolist()):
+        params = GateParams(omega, lifetime_us, qubit_splitting_mhz, interaction_mhz=shift)
+        budgets.append(replace(
+            interaction_gate_error(params),
+            rabi_opt_mhz=omega, interior_optimum=inside, interaction_mhz=shift,
+        ))
+    return budgets
 
 
 def position_phase_error(r0_um, delta_r_um):
@@ -525,15 +516,14 @@ def interaction_gate_landscape(
 
     Same conventions as blockade_gate_landscape (pair on z), with the
     drive-shift self-consistency of optimize_interaction_gate per point;
-    one batched pair-state call gives every separation's grouped spectrum.
+    one batched pair-state call gives every separation's padded grouped
+    spectrum, and one array scan and bisection every optimum.
     """
     field = ExcitationField.uniform(2, 1.0)
 
     def evaluate(eig, r_um, tau):
-        return [
-            _interaction_optimum(spectrum, tau, qubit_splitting_mhz, RABI_BOUNDS_MHZ)
-            for spectrum in _grouped_spectra(field, eig, r_um, np.zeros(r_um.size))
-        ]
+        spectra = _grouped_spectra(field, eig, r_um, np.zeros(r_um.size))
+        return _interaction_optima(spectra, tau, qubit_splitting_mhz, RABI_BOUNDS_MHZ)
 
     return _landscape(
         n_values, r_um_values, table, lifetimes_us, temperature_k, eigensystems, evaluate

@@ -1151,6 +1151,20 @@ class TestIntegration:
             expected = linalg.expm(-1j * t * h) @ psi0
             assert np.max(np.abs(out[:, 0] - expected)) < 1e-12
 
+    @pytest.mark.parametrize("decay_tau_us", [None, 10.0])
+    @pytest.mark.parametrize("t_us", [np.nan, np.inf, -1.0])
+    def test_bad_time_rejected_on_both_paths(self, rb_s60_eigensystem, t_us, decay_tau_us):
+        # the damped path returned nan amplitudes at nan and inf
+        with pytest.raises(ValueError, match="t_us"):
+            integrate_amplitudes(
+                AmplitudeState.ground(1, 4),
+                two_atoms(8.0),
+                ExcitationField.uniform(2, 0.05),
+                rb_s60_eigensystem,
+                t_us,
+                decay_tau_us=decay_tau_us,
+            )
+
     def test_negative_time_rejected(self, rb_s60_eigensystem):
         with pytest.raises(ValueError):
             integrate_amplitudes(

@@ -649,6 +649,16 @@ class TestExactDynamics:
         with pytest.raises(ValueError, match="finite"):
             simulate_triple_exchange(1.0, 10.0, [0.0, bad])
 
+    def test_no_times_rejected(self):
+        # an empty time grid used to fail inside numpy's max of norm_drift
+        model = ExcitationModel(
+            positions_um=cubic_lattice((3, 1, 1), 1.0),
+            rabi_mhz=0.5,
+            c6_mhz_um6=10.0,
+        )
+        with pytest.raises(ValueError, match="times_us"):
+            simulate_exact(model, [])
+
     @pytest.mark.parametrize("complex_h", [False, True])
     def test_memory_ceiling_takes_sparse_path(self, monkeypatch, complex_h):
         h, psi0 = propagation_problem(complex_h)
@@ -1417,8 +1427,12 @@ class TestKineticMonteCarlo:
             rabi_mhz=1e160,
             c6_mhz_um6=10.0,
         )
-        with pytest.raises(ValueError, match="rate total"):
-            kinetic_monte_carlo(loud, 1.0, [0.0, 1.0], trials=2, seed=1)
+        # the ValueError comes before any overflow warning of the rates
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="rate total"):
+                kinetic_monte_carlo(loud, 1.0, [0.0, 1.0], trials=2, seed=1)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_lorentzian_rate_arithmetic(self):
         model = ExcitationModel(

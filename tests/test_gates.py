@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 from rydtools import blockade, gates
+from rydtools import constants as cst
 from rydtools.atoms import LifetimeModel, RydbergState
 from rydtools.gates import (
     CAPACITY_2D,
@@ -564,6 +565,83 @@ class TestOptimizeInteractionGate:
             eigensystems={100: rb_s100_eig},
         )
         assert [(n, r) for n, r, _ in rows] == [(100, 10.0), (100, 20.0)]
+
+    def test_landscape_rows_are_the_one_pair_optima(self, rb_s100_eig):
+        # one array pass over every separation gives each row the bits of
+        # its own optimize_interaction_gate call (pair on z: theta = 0)
+        assert rb_s100_eig.theta == 0.0
+        radii = np.geomspace(3.0, 40.0, 10)
+        tau = LANDSCAPE_TAU_US[100]
+        rows = interaction_gate_landscape(
+            [100], radii, None, lifetimes_us=LANDSCAPE_TAU_US, eigensystems={100: rb_s100_eig}
+        )
+        for (_, r_um, budget), r in zip(rows, radii):
+            assert budget == optimize_interaction_gate(rb_s100_eig, r, tau)
+
+
+class TestInteractionOptimaRows:
+    # synthetic grouped spectra (delta in MHz, w), one per search outcome at
+    # the lifetime TAU and the Rb87 qubit splitting with the default bounds
+    TAU = 340.0
+    ROWS = {
+        "interior": ([1.0], [1.0]),
+        "near 1 MHz": ([0.02, -0.01], [3e-3, 5e-5]),
+        "lower bound": ([1e-5, -3e-6], [0.2, 8e-5]),
+        "upper bound": ([1e7], [1e-6]),
+        "same-sign bracket": ([30.0, -10.0], [0.05, 0.07]),
+    }
+
+    def stack(self, rows):
+        """(delta, w) of rows padded as _grouped_spectra pads: delta 1, w 0."""
+        width = max(len(d) for d, _ in rows)
+        delta, w = np.ones((len(rows), width)), np.zeros((len(rows), width))
+        for i, (d, weight) in enumerate(rows):
+            delta[i, : len(d)], w[i, : len(d)] = d, weight
+        return delta, w
+
+    def optima(self, rows):
+        return gates._interaction_optima(
+            self.stack(rows), self.TAU, cst.SPECIES_OMEGA10_MHZ["Rb87"], gates.RABI_BOUNDS_MHZ
+        )
+
+    def error_at(self, row):
+        def error(rabi):
+            shift = blockade._saturated_shift(self.stack([row]), [rabi])[0][0]
+            return interaction_gate_error(
+                GateParams(rabi, self.TAU, interaction_mhz=abs(shift))
+            ).total_error
+
+        return error
+
+    def test_each_row_is_its_own_one_row_call(self):
+        budgets = self.optima(list(self.ROWS.values()))
+        for budget, row in zip(budgets, self.ROWS.values()):
+            assert budget == self.optima([row])[0]
+
+    def test_every_edge_rule_fires(self):
+        budgets = dict(zip(self.ROWS, self.optima(list(self.ROWS.values()))))
+        lo, hi = gates.RABI_BOUNDS_MHZ
+        scan = np.exp(np.linspace(math.log(lo), math.log(hi), gates.INTERACTION_SCAN_POINTS))
+        assert budgets["lower bound"].rabi_opt_mhz == lo
+        assert budgets["upper bound"].rabi_opt_mhz == hi
+        assert not budgets["lower bound"].interior_optimum
+        assert not budgets["upper bound"].interior_optimum
+        # neighbour slopes of one sign: the best scanned drive is returned
+        same = budgets["same-sign bracket"]
+        assert same.interior_optimum and same.rabi_opt_mhz in scan
+        assert abs(math.log(budgets["near 1 MHz"].rabi_opt_mhz)) < 0.01
+        for name in ("interior", "near 1 MHz"):
+            budget = budgets[name]
+            assert budget.interior_optimum and budget.rabi_opt_mhz not in scan
+            error_at = self.error_at(self.ROWS[name])
+            assert budget.total_error == error_at(budget.rabi_opt_mhz)
+            assert_exact_optimum(error_at, budget, gates.RABI_BOUNDS_MHZ)
+
+    def test_a_row_without_interaction_is_rejected(self):
+        with pytest.raises(ValueError, match="no effective interaction"):
+            self.optima([([0.0], [1.0])])
+        with pytest.raises(ValueError, match="no effective interaction"):
+            self.optima([self.ROWS["interior"], ([0.0, 0.0], [0.5, 0.5])])
 
 
 class TestBlockadeGateLandscape:
