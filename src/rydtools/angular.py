@@ -33,13 +33,13 @@ def _fact(n):
     return math.factorial(n)
 
 
-def _tri_coeff(tj1, tj2, tj3):
-    # sqrt of Delta(j1 j2 j3); arguments are doubled
-    return math.sqrt(
+def _delta(tj1, tj2, tj3):
+    # Delta(j1 j2 j3) as an exact rational; arguments are doubled
+    return Fraction(
         _fact((tj1 + tj2 - tj3) // 2)
         * _fact((tj1 - tj2 + tj3) // 2)
-        * _fact((-tj1 + tj2 + tj3) // 2)
-        / _fact((tj1 + tj2 + tj3) // 2 + 1)
+        * _fact((-tj1 + tj2 + tj3) // 2),
+        _fact((tj1 + tj2 + tj3) // 2 + 1),
     )
 
 
@@ -53,34 +53,32 @@ def _wigner_3j_cached(tj1, tj2, tj3, tm1, tm2, tm3):
         if abs(tm) > tj or (tj - tm) % 2 != 0:
             return 0.0
 
-    # Racah sum
+    # Racah sum in exact rationals: the symbol's square is formed exactly and
+    # rounded once, so large j cannot overflow and a vanishing sum is exactly 0
     kmin = max(0, (tj2 - tj3 - tm1) // 2, (tj1 - tj3 + tm2) // 2)
     kmax = min(
         (tj1 + tj2 - tj3) // 2,
         (tj1 - tm1) // 2,
         (tj2 + tm2) // 2,
     )
-    total = 0.0
-    for k in range(kmin, kmax + 1):
-        denom = (
+    total = sum(
+        Fraction(
+            (-1) ** k,
             _fact(k)
             * _fact((tj1 + tj2 - tj3) // 2 - k)
             * _fact((tj1 - tm1) // 2 - k)
             * _fact((tj2 + tm2) // 2 - k)
             * _fact((tj3 - tj2 + tm1) // 2 + k)
-            * _fact((tj3 - tj1 - tm2) // 2 + k)
+            * _fact((tj3 - tj1 - tm2) // 2 + k),
         )
-        total += (-1) ** k / denom
-    norm = _tri_coeff(tj1, tj2, tj3) * math.sqrt(
-        _fact((tj1 + tm1) // 2)
-        * _fact((tj1 - tm1) // 2)
-        * _fact((tj2 + tm2) // 2)
-        * _fact((tj2 - tm2) // 2)
-        * _fact((tj3 + tm3) // 2)
-        * _fact((tj3 - tm3) // 2)
+        for k in range(kmin, kmax + 1)
     )
-    phase = (-1) ** ((tj1 - tj2 - tm3) // 2)
-    return phase * norm * total
+    norm = math.prod(
+        _fact((tj + tm) // 2) * _fact((tj - tm) // 2)
+        for tj, tm in ((tj1, tm1), (tj2, tm2), (tj3, tm3))
+    )
+    phase = (-1) ** ((tj1 - tj2 - tm3) // 2) * (1 if total > 0 else -1)
+    return phase * math.sqrt(_delta(tj1, tj2, tj3) * norm * total**2) if total else 0.0
 
 
 def wigner_3j(j1, j2, j3, m1, m2, m3):
@@ -100,7 +98,7 @@ def _wigner_6j_cached(tj1, tj2, tj3, tj4, tj5, tj6):
     )
     if not all(_triangle_ok(*t) for t in triads):
         return 0.0
-    prefactor = math.prod(_tri_coeff(*t) for t in triads)
+    prefactor = math.prod(math.sqrt(_delta(*t)) for t in triads)
     sums = [sum(t) // 2 for t in triads]
     quads = [
         (tj1 + tj2 + tj4 + tj5) // 2,

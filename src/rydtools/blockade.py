@@ -8,7 +8,8 @@ eigenstates are the pair states entering the blockade average. The
 inverse-square overlap-weighted average of those shifts defines the blockade
 shift B; perturbation theory gives the double-excitation probability, and
 exact propagation of the truncated amplitude equations validates it for small
-systems.
+systems. The pair states come from pair._pair_states as (pairs, states)
+arrays; of the eigensystem this module reads only the state count.
 
 Frequencies are linear (MHz); propagation converts to angular units
 internally (rad/us = 2 pi x MHz).
@@ -22,26 +23,13 @@ import numpy as np
 from scipy import linalg
 
 from .ensemble import propagate
-from .pair import (  # also re-exports forster_eigensystem
-    FORSTER_ZERO_FLOOR,
-    _defects_mhz,
-    _level_key,
-    _m_block_states,
-    _pair_rotation,
-    forster_eigensystem,
-    pair_shift_mhz,
-)
+from .pair import _driven_index, _pair_states, forster_eigensystem  # re-exports the last
 
 KAPPA_WEIGHT_FLOOR = 1e-12
 # a gap above DEGENERACY_RTOL x max(1 MHz, largest |shift|) between neighbouring
 # ascending pair-state shifts opens a new degenerate eigenspace, so a chain of
 # close shifts is one: an absolute 1e-9 MHz gap for spectra below 1 MHz
 DEGENERACY_RTOL = 1e-9
-
-
-def _pair_indices(n):
-    """(k, l) index arrays of the atom pairs k < l, lexicographic."""
-    return np.nonzero(np.arange(n)[:, None] < np.arange(n))
 
 
 @dataclass(frozen=True)
@@ -57,7 +45,7 @@ class EnsembleGeometry:
         if not np.isfinite(pos).all():
             raise ValueError("positions must be finite")
         object.__setattr__(self, "positions_um", pos)
-        k, l = _pair_indices(self.n)
+        k, l = np.triu_indices(self.n, 1)
         coincide = np.flatnonzero(self._pair_axes(k, l)[0] <= 0.0)
         if coincide.size:
             raise ValueError("atoms %d and %d coincide" % (k[coincide[0]], l[coincide[0]]))
@@ -67,7 +55,7 @@ class EnsembleGeometry:
         return self.positions_um.shape[0]
 
     def pairs(self):
-        k, l = _pair_indices(self.n)
+        k, l = np.triu_indices(self.n, 1)
         yield from zip(k.tolist(), l.tolist())
 
     def _pair_axes(self, k, l):
@@ -129,65 +117,6 @@ class ExcitationField:
         return self.ground_m + self.polarization
 
 
-def _driven_index(eig, target_m):
-    """Index of the driven Zeeman product |target_m, target_m> in the
-    initial pair basis shared by all channels of the eigensystem. Both
-    atoms are driven to the same level, so the pair's two initial levels
-    must be one, and target_m must be one of its m (m + j an integer)."""
-    first, second = eig.channels[0].initial
-    if _level_key(first) != _level_key(second):
-        raise ValueError(
-            "the driven pair needs one initial level, got %s and %s"
-            % (first.label, second.label)
-        )
-    j = first.j
-    offset = round(target_m + j)
-    if abs(target_m) > j or abs(target_m + j - offset) > 1e-9:
-        raise ValueError(
-            "drive targets m=%s outside the j=%s Zeeman manifold" % (target_m, j)
-        )
-    return offset * (round(2 * j) + 1) + offset
-
-
-def _channel_shifts_mhz(eig, r_um, defects_mhz):
-    """Interaction shift of every channel eigenstate at separation r_um and
-    defects defects_mhz, the channels' eigenstates concatenated in order
-    (last axis; r_um and defects_mhz may be arrays that broadcast to it).
-
-    Eigenstates below the coupling floor are unshifted by their channel.
-    """
-    d_vals = np.concatenate(eig.d_values)
-    sizes = [len(d) for d in eig.d_values]
-    c3 = np.repeat([ch.c3_mhz_um3 for ch in eig.channels], sizes)
-    shifts = pair_shift_mhz(defects_mhz, c3, d_vals, r_um)
-    return np.where(d_vals >= FORSTER_ZERO_FLOOR, shifts, 0.0)
-
-
-def _pair_states(eig, r_um, theta, lab_rows):
-    """Pair states of P atom pairs at positive separations r_um and pair
-    angles theta (arrays of P), on eig's M-definite pair-frame vectors V.
-
-    W_0 = V diag(s) V^T (s the channels' shifts, _channel_shifts_mhz, at
-    the defects _defects_mhz gives at each pair's angle) of every pair is
-    solved by one _m_block_states call, mirrored in zero field, with the
-    rows lab_rows of D(theta) (_pair_rotation) as the turn, so a pair alone
-    gets the bits it gets in a batch, in a field too.
-
-    Returns (shifts, turned): shifts (P, N) in stable ascending order per
-    pair and turned (P, len(lab_rows), N) the rows lab_rows of each pair's
-    lab-frame states, columns in shift order.
-    """
-    if not (r_um > 0).all():
-        raise ValueError("pair separations must be positive")
-    initial = eig.channels[0].initial
-    s = _channel_shifts_mhz(eig, r_um[:, None], _defects_mhz(eig, theta))
-    v = np.concatenate(eig.vectors, axis=1)
-    turn = _pair_rotation(initial, theta, lab_rows)
-    values, turned = _m_block_states((v * s[:, None, :]) @ v.T, turn, initial, eig.b_field_t == 0.0)
-    order = np.argsort(values, axis=-1, kind="stable")
-    return np.take_along_axis(values, order, -1), np.take_along_axis(turned, order[:, None, :], -1)
-
-
 def pair_state_basis(eig, r_um):
     """Doubly-excited pair states and their shifts at separation r_um.
 
@@ -246,7 +175,7 @@ def _pair_spectra(geometry, field, eig):
     eig's pair-frame vectors serve every angle, so no pair diagonalizes a
     Gram matrix.
     """
-    k, l = _pair_indices(geometry.n)
+    k, l = np.triu_indices(geometry.n, 1)
     shifts, kappas = _driven_states(eig, field, *geometry._pair_axes(k, l))
     pairs = list(zip(k.tolist(), l.tolist()))
     return pairs, shifts, kappas * _laser_weights(field, k, l)[:, None]

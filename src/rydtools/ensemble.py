@@ -936,10 +936,11 @@ def _lorentzian_rates(model, gamma_mhz, v):
     gamma = TWO_PI * gamma_mhz
     with np.errstate(over="ignore"):
         numerator = (TWO_PI * model.rabi_mhz) ** 2 * gamma
+        # inf for a huge linewidth: every rate, about Omega^2 / Gamma, is then 0
+        gamma_sq = np.float64(gamma) ** 2
     if not np.all(np.isfinite(numerator)):
         # an atom's rate is then inf or nan whatever its shift
         raise ValueError("transition rate total is not finite")
-    gamma_sq = gamma**2
     detuning_mhz = model.detuning_mhz
 
     def rates(excited):

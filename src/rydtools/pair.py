@@ -19,10 +19,14 @@ coupling conserves M = m1 + m2: the Gram matrices and the pair-state
 operators are all diagonalized by _m_block_states, per M-block as
 pairinteraction does per symmetry sector (Weber et al., J. Phys. B 50,
 133001 (2017)), so each eigenvector has a definite M.
+
+This module owns that layout: the solver's stacked arrays
+(ForsterEigensystem), the Zeeman-product index (_m_blocks, _pair_rotation,
+_driven_index) and the pair-state solve (_pair_states).
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -200,25 +204,26 @@ def build_vdd(channel, theta=0.0):
 class ForsterEigensystem:
     """Eigen-decomposition of V_dd^dagger V_dd per channel at one pair angle.
 
-    For each channel: dimensionless eigenvalues d_values (ascending),
-    eigenvectors (columns, over the initial Zeeman product space) and the
-    per-eigenstate energy defects at theta (Zeeman-shifted when a magnetic
-    field is present). forster_zero_count tallies eigenvalues below the
-    zero floor. vectors are the pair-frame (theta = 0) eigenvectors at every
-    theta, each with a definite M = m1 + m2 (exact zeros off its M-block);
-    the eigenvectors at theta are D(theta) @ vectors, with D(theta) =
-    d^{j1}(theta) (x) d^{j2}(theta) on the initial pair space. Only the
-    defects depend on theta (in a field); the pair-state layer takes them
-    from _defects_mhz at each pair's own angle, not from defects_mhz.
+    The arrays _m_block_states returns, one row per channel c: d_values
+    (C, N), dimensionless, ascending; vectors (C, N, N), vectors[c] the
+    eigenvectors (columns, over the initial Zeeman product space),
+    column-major; defects_mhz (C, N), the energy defects at theta
+    (Zeeman-shifted in a magnetic field). forster_zero_count tallies
+    eigenvalues below the zero floor. vectors are the pair-frame (theta =
+    0) eigenvectors at every theta, each with a definite M = m1 + m2 (exact
+    zeros off its M-block); the eigenvectors at theta are D(theta) @
+    vectors, D(theta) = d^{j1}(theta) (x) d^{j2}(theta). Only the defects
+    depend on theta (in a field); _pair_states takes them from _defects_mhz
+    at each pair's own angle, not from defects_mhz.
     """
 
     channels: list
     theta: float
     b_field_t: float
-    d_values: list = field(default_factory=list)
-    vectors: list = field(default_factory=list)
-    defects_mhz: list = field(default_factory=list)
-    forster_zero_count: int = 0
+    d_values: np.ndarray
+    vectors: np.ndarray
+    forster_zero_count: int
+    defects_mhz: np.ndarray = None
 
 
 def _zeeman_diagonal(pair_states):
@@ -298,9 +303,9 @@ def _pair_rotation(initial, theta, rows):
 
 
 def _defects_mhz(eig, theta):
-    """Defects of eig's Gram eigenstates, channels concatenated, at every
-    pair angle of the array theta: shape theta.shape + (N,), or (N,) in
-    zero field, where they are the channel defects at every angle.
+    """Defects of eig's Gram eigenstates at every pair angle of the array
+    theta: shape theta.shape + (C, N), or (C, N) in zero field, where they
+    are the channel defects at every angle.
 
     build_vdd(ch, theta) = D_c build_vdd(ch, 0) D^T with D =
     _pair_rotation(initial, theta), so the pair-frame vectors and d_values
@@ -308,11 +313,11 @@ def _defects_mhz(eig, theta):
     evaluated on the turned vectors phi = D v, as the initial pair's
     Zeeman moment on phi and the coupled pair's on build_vdd(ch, theta) phi.
     """
-    defects = np.repeat([ch.defect_mhz for ch in eig.channels], [len(v) for v in eig.d_values])
+    defects = np.array([[ch.defect_mhz] for ch in eig.channels]) * np.ones(eig.d_values.shape)
     if eig.b_field_t == 0.0:
         return defects
     theta = np.asarray(theta, dtype=float)
-    turn = _pair_rotation(eig.channels[0].initial, theta, np.arange(len(eig.vectors[0])))
+    turn = _pair_rotation(eig.channels[0].initial, theta, np.arange(eig.vectors.shape[1]))
     shifts = []
     for ch, vals, vecs in zip(eig.channels, eig.d_values, eig.vectors):
         phi = turn @ vecs
@@ -322,7 +327,7 @@ def _defects_mhz(eig, theta):
         shift = -(_zeeman_diagonal(ch.initial) @ phi**2)
         shift[..., live] += coupled_diag @ chi_sq / chi_sq.sum(axis=-2)
         shifts.append(shift)
-    return defects + cst.MU_B_MHZ_PER_T * eig.b_field_t * np.concatenate(shifts, axis=-1)
+    return defects + cst.MU_B_MHZ_PER_T * eig.b_field_t * np.stack(shifts, axis=-2)
 
 
 def forster_eigensystem(channels, theta=0.0, b_field_t=0.0):
@@ -349,13 +354,68 @@ def forster_eigensystem(channels, theta=0.0, b_field_t=0.0):
     order = np.argsort(vals, axis=-1, kind="stable")
     vals = np.take_along_axis(vals, order, -1)
     vecs = np.take_along_axis(vecs, order[:, None, :], -1)
-    eig = ForsterEigensystem(channels=list(channels), theta=theta, b_field_t=b_field_t)
-    eig.d_values = list(vals)
-    # column-major: BLAS rounds _defects_mhz's products by operand layout
-    eig.vectors = [np.asfortranarray(v) for v in vecs]
-    eig.forster_zero_count = int(np.sum(vals < FORSTER_ZERO_FLOOR))
-    eig.defects_mhz = np.split(_defects_mhz(eig, theta), len(channels))
+    # each vectors[c] column-major: BLAS rounds _defects_mhz's products by operand layout
+    vecs = np.ascontiguousarray(vecs.swapaxes(1, 2)).swapaxes(1, 2)
+    zeros = int(np.sum(vals < FORSTER_ZERO_FLOOR))
+    eig = ForsterEigensystem(list(channels), theta, b_field_t, vals, vecs, zeros)
+    eig.defects_mhz = _defects_mhz(eig, theta)
     return eig
+
+
+def _driven_index(eig, target_m):
+    """Index (j + m)(2 j + 1) + j + m, as in _m_blocks, of the driven
+    Zeeman product |target_m, target_m> in eig's initial pair basis. Both
+    atoms are driven to the same level, so the pair's two initial levels
+    must be one, and target_m must be one of its m (m + j an integer)."""
+    first, second = eig.channels[0].initial
+    if _level_key(first) != _level_key(second):
+        raise ValueError(
+            "the driven pair needs one initial level, got %s and %s"
+            % (first.label, second.label)
+        )
+    j = first.j
+    offset = round(target_m + j)
+    if abs(target_m) > j or abs(target_m + j - offset) > 1e-9:
+        raise ValueError(
+            "drive targets m=%s outside the j=%s Zeeman manifold" % (target_m, j)
+        )
+    return offset * (round(2 * j) + 1) + offset
+
+
+def _channel_shifts_mhz(eig, r_um, defects_mhz):
+    """Interaction shift of every channel eigenstate, (..., C, N) like
+    eig.d_values, at separations r_um and defects defects_mhz (arrays that
+    broadcast to it). Eigenstates below the coupling floor are unshifted
+    by their channel."""
+    c3 = np.array([[ch.c3_mhz_um3] for ch in eig.channels])
+    shifts = pair_shift_mhz(defects_mhz, c3, eig.d_values, r_um)
+    return np.where(eig.d_values >= FORSTER_ZERO_FLOOR, shifts, 0.0)
+
+
+def _pair_states(eig, r_um, theta, lab_rows):
+    """Pair states of P atom pairs at positive separations r_um and pair
+    angles theta (arrays of P), on eig's M-definite pair-frame vectors V.
+
+    W_0 = V diag(s) V^T (s the channels' shifts, _channel_shifts_mhz, at
+    the defects _defects_mhz gives at each pair's angle) of every pair is
+    solved by one _m_block_states call, mirrored in zero field, with the
+    rows lab_rows of D(theta) (_pair_rotation) as the turn, so a pair alone
+    gets the bits it gets in a batch, in a field too.
+
+    Returns (shifts, turned): shifts (P, N) in stable ascending order per
+    pair and turned (P, len(lab_rows), N) the rows lab_rows of each pair's
+    lab-frame states, columns in shift order.
+    """
+    if not (r_um > 0).all():
+        raise ValueError("pair separations must be positive")
+    initial = eig.channels[0].initial
+    s = _channel_shifts_mhz(eig, r_um[:, None, None], _defects_mhz(eig, theta))
+    v = eig.vectors.swapaxes(0, 1).reshape(eig.vectors.shape[1], -1)  # channels side by side
+    turn = _pair_rotation(initial, theta, lab_rows)
+    w0 = (v * s.reshape(len(s), 1, -1)) @ v.T
+    values, turned = _m_block_states(w0, turn, initial, eig.b_field_t == 0.0)
+    order = np.argsort(values, axis=-1, kind="stable")
+    return np.take_along_axis(values, order, -1), np.take_along_axis(turned, order[:, None, :], -1)
 
 
 @dataclass

@@ -1,6 +1,6 @@
 """Wigner small-d rotation matrices: orthogonality, the group law, the
 exponential of J_y, the closed form at j = 1/2 and the Clebsch-Gordan
-series that couples two of them."""
+series that couples two of them; 3j symbols against exact closed forms."""
 
 import math
 
@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import linalg
 
-from rydtools.angular import clebsch_gordan, wigner_small_d
+from fractions import Fraction
+
+from rydtools.angular import clebsch_gordan, reduced_c1_lsj, wigner_3j, wigner_small_d
 
 J_VALUES = [k / 2.0 for k in range(8)]  # 0 .. 7/2
 ANGLES = st.floats(min_value=-2 * math.pi, max_value=2 * math.pi)
@@ -126,3 +128,52 @@ def test_two_rank_one_clebsch_gordan():
             assert clebsch_gordan(1, mu, 1, nu, 2, mu + nu) == pytest.approx(
                 expected, abs=1e-15
             )
+
+
+def closed_3j_m0(l1, l2, l3):
+    """Oracle: (l1 l2 l3; 0 0 0) from its closed form, squared in exact
+    rationals and rounded once; 0 when l1 + l2 + l3 is odd."""
+    big_j = l1 + l2 + l3
+    if big_j % 2:
+        return 0.0
+    f, g = math.factorial, big_j // 2
+    square = Fraction(
+        f(big_j - 2 * l1) * f(big_j - 2 * l2) * f(big_j - 2 * l3) * f(g) ** 2,
+        f(big_j + 1) * (f(g - l1) * f(g - l2) * f(g - l3)) ** 2,
+    )
+    return (-1) ** g * math.sqrt(square)
+
+
+def closed_3j_stretched(j1, j2, m1, m2):
+    """Oracle: (j1 j2 j1+j2; m1 m2 -m1-m2), integer j, from the stretched
+    Clebsch-Gordan closed form, squared in exact rationals."""
+    f, big_j, big_m = math.factorial, j1 + j2, m1 + m2
+    square = Fraction(
+        f(2 * j1) * f(2 * j2) * f(big_j + big_m) * f(big_j - big_m),
+        f(2 * big_j + 1) * f(j1 + m1) * f(j1 - m1) * f(j2 + m2) * f(j2 - m2),
+    )
+    return (-1) ** (j1 - j2 + big_m) * math.sqrt(square)
+
+
+@pytest.mark.parametrize("l", range(57, 100))
+def test_wigner_3j_large_l_matches_exact_closed_forms(l):
+    # l up to 99, which n = 100 states reach; the float Racah sum overflowed from 57
+    for l2, l3 in ((1, l + 1), (1, l - 1), (2, l), (l, l), (l + 3, 3)):
+        assert wigner_3j(l, l2, l3, 0, 0, 0) == closed_3j_m0(l, l2, l3)
+    for m1 in (-l, -l // 2, 0, 1, l - 1, l):
+        for m2 in (-1, 0, 1):
+            if abs(m1 + m2) <= l + 1:
+                expected = closed_3j_stretched(l, 1, m1, m2)
+                assert wigner_3j(l, 1, l + 1, m1, m2, -m1 - m2) == expected
+    assert math.isfinite(reduced_c1_lsj(l, l + 0.5, l + 1, l + 1.5))
+
+
+def test_wigner_3j_parity_forbidden_is_exactly_zero():
+    assert wigner_3j(3, 3, 3, 0, 0, 0) == 0.0
+    for l1 in range(9):
+        for l2 in range(9):
+            for l3 in range(abs(l1 - l2), l1 + l2 + 1):
+                if (l1 + l2 + l3) % 2:
+                    assert wigner_3j(l1, l2, l3, 0, 0, 0) == 0.0
+                else:
+                    assert wigner_3j(l1, l2, l3, 0, 0, 0) == closed_3j_m0(l1, l2, l3)

@@ -26,8 +26,6 @@ from rydtools.blockade import (
     EnsembleGeometry,
     ExcitationField,
     _build_hamiltonian,
-    _channel_shifts_mhz,
-    _driven_index,
     _driven_states,
     _pair_spectra,
     blockade_shift,
@@ -42,6 +40,8 @@ from rydtools.pair import (
     FORSTER_ZERO_FLOOR,
     ForsterChannel,
     ForsterEigensystem,
+    _channel_shifts_mhz,
+    _driven_index,
     _zeeman_diagonal,
     build_vdd,
     forster_eigensystem,
@@ -128,16 +128,21 @@ def per_angle_eigensystem(channels, theta, b_field_t=0.0):
     forster_eigensystem did before it kept pair-frame vectors."""
     # the vectors are diagonalized at theta, so they are already in the lab
     # frame: theta = 0.0 keeps pair_state_basis from turning them again
-    eig = ForsterEigensystem(channels=list(channels), theta=0.0, b_field_t=b_field_t)
-    for ch in channels:
-        m = build_vdd(ch, theta)
-        vals, vecs = np.linalg.eigh(m.T @ m)
-        vals = np.clip(vals, 0.0, None)
-        eig.forster_zero_count += int(np.sum(vals < FORSTER_ZERO_FLOOR))
-        eig.d_values.append(vals)
-        eig.vectors.append(vecs)
-        eig.defects_mhz.append(loop_zeeman_defects(ch, theta, vals, vecs, b_field_t))
-    return eig
+    mats = [build_vdd(ch, theta) for ch in channels]
+    vals, vecs = np.linalg.eigh(np.stack([m.T @ m for m in mats]))
+    vals = np.clip(vals, 0.0, None)
+    defects = [
+        loop_zeeman_defects(ch, theta, d, v, b_field_t) for ch, d, v in zip(channels, vals, vecs)
+    ]
+    return ForsterEigensystem(
+        channels=list(channels),
+        theta=0.0,
+        b_field_t=b_field_t,
+        d_values=vals,
+        vectors=vecs,
+        forster_zero_count=int(np.sum(vals < FORSTER_ZERO_FLOOR)),
+        defects_mhz=np.array(defects),
+    )
 
 
 def full_matrix_states(eig, field, r_um):
@@ -145,7 +150,7 @@ def full_matrix_states(eig, field, r_um):
     definite M: (shifts, weights) from one eigh of the whole combined shift
     operator W = V diag(s) V^T, weights the driven state's |overlap|^2."""
     vectors = np.concatenate(eig.vectors, axis=1)
-    s = _channel_shifts_mhz(eig, r_um, np.concatenate(eig.defects_mhz))
+    s = _channel_shifts_mhz(eig, r_um, eig.defects_mhz).ravel()
     shifts, states = np.linalg.eigh((vectors * s) @ vectors.T)
     return shifts, states[_driven_index(eig, field.target_m)] ** 2
 
@@ -311,7 +316,7 @@ class TestOverlapKappa:
         live = d_vals >= FORSTER_ZERO_FLOOR
         assert live.any() and not live.all()
         # channel 3 of four, dim 4
-        shifts = _channel_shifts_mhz(eig, 5.3, np.concatenate(eig.defects_mhz))[12:16]
+        shifts = _channel_shifts_mhz(eig, 5.3, eig.defects_mhz).ravel()[12:16]
         assert np.all(shifts[~live] == 0.0)
         expected = -resonant.c3_mhz_um3 * np.sqrt(d_vals[live]) / 5.3**3
         assert np.allclose(shifts[live], expected, rtol=1e-14, atol=0.0)
@@ -926,7 +931,7 @@ class TestMBlocks:
         shifts, vectors = pair_state_basis(eig, 0.5)
         turn = np.kron(wigner_small_d(2.5, 0.4), wigner_small_d(0.5, 0.4))
         full = turn @ np.concatenate(eig.vectors, axis=1)
-        w = (full * _channel_shifts_mhz(eig, 0.5, np.concatenate(eig.defects_mhz))) @ full.T
+        w = (full * _channel_shifts_mhz(eig, 0.5, eig.defects_mhz).ravel()) @ full.T
         assert np.max(np.abs(shifts - np.linalg.eigvalsh(w))) < 1e-12 * np.abs(shifts).max()
         assert np.max(np.abs(vectors.T @ vectors - np.eye(12))) < 1e-14
         assert np.max(np.abs(w @ vectors - vectors * shifts)) < 1e-12 * np.abs(shifts).max()

@@ -1434,6 +1434,19 @@ class TestKineticMonteCarlo:
                 kinetic_monte_carlo(loud, 1.0, [0.0, 1.0], trials=2, seed=1)
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
+    def test_huge_linewidth_gives_zero_rates(self):
+        # Gamma^2 overflows to inf, so every rate is 0: exact to double
+        # precision, since the true rate is about Omega^2 / Gamma ~ 1e-159 /us
+        model = ExcitationModel(
+            positions_um=cubic_lattice((3, 1, 1), 1.0),
+            rabi_mhz=1.0,
+            c6_mhz_um6=10.0,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = kinetic_monte_carlo(model, 1e160, [0.0, 1.0], trials=2, seed=1)
+        assert np.array_equal(result.trajectories, np.zeros((2, 2), dtype=np.int64))
+
     def test_lorentzian_rate_arithmetic(self):
         model = ExcitationModel(
             positions_um=[[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]],

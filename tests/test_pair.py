@@ -371,6 +371,19 @@ class TestEigensystem:
             assert np.array_equal(one.d_values[0], vals)
             assert np.array_equal(one.vectors[0], vecs)
 
+    @pytest.mark.parametrize("b_field_t", [0.0, 0.01])
+    def test_stacked_layout(self, rb_s60_channels, rb_43d_channels, b_field_t):
+        # the solver's arrays, one row per channel: (C, N) values and
+        # defects, (C, N, N) vectors, each vectors[c] column-major
+        for channels, n in ((rb_s60_channels, 4), (rb_43d_channels, 36)):
+            eig = forster_eigensystem(channels, 0.7, b_field_t)
+            c = len(channels)
+            assert eig.d_values.shape == eig.defects_mhz.shape == (c, n)
+            assert eig.vectors.shape == (c, n, n)
+            assert all(v.flags.f_contiguous for v in eig.vectors)
+            # what the tracer reports as pair.eigensystem_dim
+            assert sum(len(v) for v in eig.d_values) == c * n
+
     def test_zeeman_stretched_state_oracle(self, rb_table):
         # stretched pair state: coupled moment 4/3*1, initial moment 2*1,
         # so the defect shifts by -(2/3) muB B exactly
