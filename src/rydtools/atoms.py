@@ -371,26 +371,35 @@ def _check_nodes(sol, state, defect):
 
 
 def radial_matrix_element(state_a, state_b, table, accuracy=1.0):
-    """Radial dipole integral <a| r |b> in units of a0.
+    """Radial dipole integral <a| r |b> in a0: radial_matrix_elements' one pair."""
+    return radial_matrix_elements([(state_a, state_b)], table, accuracy)[0]
 
-    Both wavefunctions are integrated on a common logarithmic grid from the
-    smaller _inner_edge; the node count of each solution is validated
-    against the quantum defect before the overlap is formed.
+
+def radial_matrix_elements(pairs, table, accuracy=1.0):
+    """Radial dipole integrals <a| r |b> (a0) of the (a, b) state pairs.
+
+    Each pair's wavefunctions share a logarithmic grid from the smaller
+    _inner_edge. A state is solved once per grid, one grid at a time, and
+    its node count checked against the quantum defect before any overlap.
     """
-    if state_a.species != state_b.species:
-        raise ValueError("matrix element between different species")
-    if abs(state_a.l - state_b.l) != 1:
-        raise ValueError("radial dipole integral needs |l_a - l_b| = 1")
     if not 0.0 < accuracy < math.inf:
         raise ValueError("accuracy must be finite and positive, got %r" % (accuracy,))
-    ns_a = table.n_star(state_a)
-    ns_b = table.n_star(state_b)
-    h = min(_grid_step(ns_a, accuracy), _grid_step(ns_b, accuracy))
-    r_max = _outer_radius(max(ns_a, ns_b))
-    r = _log_grid(min(_inner_edge(ns_a, state_a.l), _inner_edge(ns_b, state_b.l)), r_max, h)
+    grids = {}
+    for index, (state_a, state_b) in enumerate(pairs):
+        if state_a.species != state_b.species or abs(state_a.l - state_b.l) != 1:
+            raise ValueError("radial dipole integral needs one species and |l_a - l_b| = 1")
+        ns_a, ns_b = table.n_star(state_a), table.n_star(state_b)
+        h = min(_grid_step(ns_a, accuracy), _grid_step(ns_b, accuracy))
+        r_min = min(_inner_edge(ns_a, state_a.l), _inner_edge(ns_b, state_b.l))
+        grids.setdefault((r_min, _outer_radius(max(ns_a, ns_b)), h), []).append(index)
     core = dict(core_charge=table.core_charge, core_screening=table.core_screening)
-    sol_a = radial_solution(ns_a, state_a.l, r_grid=r, **core)
-    sol_b = radial_solution(ns_b, state_b.l, r_grid=r, **core)
-    _check_nodes(sol_a, state_a, table.defect(state_a.n, state_a.l, state_a.j))
-    _check_nodes(sol_b, state_b, table.defect(state_b.n, state_b.l, state_b.j))
-    return float(np.sum(sol_a.p * sol_b.p * r * r) * h)
+    values = [0.0] * len(pairs)
+    for (r_min, r_max, h), members in grids.items():
+        r, solutions = _log_grid(r_min, r_max, h), {}
+        for state in dict.fromkeys(state for index in members for state in pairs[index]):
+            solutions[state] = radial_solution(table.n_star(state), state.l, r_grid=r, **core)
+            _check_nodes(solutions[state], state, table.defect(state.n, state.l, state.j))
+        for index in members:
+            p_a, p_b = (solutions[state].p for state in pairs[index])
+            values[index] = float(np.sum(p_a * p_b * r * r) * h)
+    return values

@@ -45,7 +45,8 @@ class EnsembleGeometry:
         if not np.isfinite(pos).all():
             raise ValueError("positions must be finite")
         object.__setattr__(self, "positions_um", pos)
-        k, l = np.triu_indices(self.n, 1)
+        object.__setattr__(self, "_pair_index", np.triu_indices(self.n, 1))
+        k, l = self._pair_index
         coincide = np.flatnonzero(self._pair_axes(k, l)[0] <= 0.0)
         if coincide.size:
             raise ValueError("atoms %d and %d coincide" % (k[coincide[0]], l[coincide[0]]))
@@ -55,7 +56,7 @@ class EnsembleGeometry:
         return self.positions_um.shape[0]
 
     def pairs(self):
-        k, l = np.triu_indices(self.n, 1)
+        k, l = self._pair_index
         yield from zip(k.tolist(), l.tolist())
 
     def _pair_axes(self, k, l):
@@ -175,7 +176,7 @@ def _pair_spectra(geometry, field, eig):
     eig's pair-frame vectors serve every angle, so no pair diagonalizes a
     Gram matrix.
     """
-    k, l = np.triu_indices(geometry.n, 1)
+    k, l = geometry._pair_index
     shifts, kappas = _driven_states(eig, field, *geometry._pair_axes(k, l))
     pairs = list(zip(k.tolist(), l.tolist()))
     return pairs, shifts, kappas * _laser_weights(field, k, l)[:, None]

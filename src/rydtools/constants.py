@@ -80,15 +80,20 @@ def mhz_from_rad_per_s(w):
     return w / (2.0 * math.pi) / 1e6
 
 
+def _require_temperature(temperature_k):
+    if not 0.0 <= temperature_k < math.inf:
+        raise ValueError("temperature_k must be finite and non-negative, got %r" % temperature_k)
+
+
 def thermal_velocity(temperature_k, mass_u):
     """1-D rms thermal velocity sqrt(kB T / m) in m/s."""
+    _require_temperature(temperature_k)
     return math.sqrt(KB * temperature_k / (mass_u * U_AMU))
 
 
 def blackbody_rate(n, temperature_k):
     """Blackbody-induced decay rate 4 alpha^3 kB T / (3 hbar n^2) in 1/s."""
-    if temperature_k == 0.0:
-        return 0.0
+    _require_temperature(temperature_k)
     return (
         4.0
         * FINE_STRUCTURE**3

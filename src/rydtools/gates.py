@@ -9,12 +9,12 @@ emission against imperfect rotations at both the drive and qubit-splitting
 scales. On top of the per-operating-point budgets this module optimizes the
 drive strength (in leading-order closed form, and exactly as the budget's
 stationary point: a polynomial root, or for a saturating shift a scan and a
-bisection to adjacent floats), scans error landscapes over principal quantum
-number and atom separation using the pair-interaction and blockade
-machinery, and budgets the supporting hardware: two-photon
-excitation (spontaneous emission from the intermediate state, Doppler
-dephasing, AC Stark shifts), Poisson-loading statistics, and the array size
-reachable within a total error budget.
+sectioning to adjacent floats), scans error landscapes over principal
+quantum number and atom separation in array passes, using the
+pair-interaction and blockade machinery, and budgets the supporting
+hardware: two-photon excitation (spontaneous emission from the intermediate
+state, Doppler dephasing, AC Stark shifts), Poisson-loading statistics, and
+the array size reachable within a total error budget.
 
 Drive strengths, level shifts and splittings are cyclic frequencies in MHz;
 times are microseconds. Formulas mixing rates and times convert to angular
@@ -168,14 +168,21 @@ def optimal_blockade_gate(blockade_mhz, lifetime_us):
     return omega_opt / (2.0 * math.pi), e_min
 
 
-def _positive_root(coeffs):
-    """The one positive root of a polynomial (coefficients from the highest
-    power) whose coefficients change sign once (Descartes). For the gate
-    polynomials it is the root of largest real part, as all others have a
-    negative one; a Newton step takes np.roots' few ulps to rounding."""
-    roots = np.roots(coeffs)
-    x = float(roots[np.argmax(roots.real)].real)
-    return float(x - np.polyval(coeffs, x) / np.polyval(np.polyder(coeffs), x))
+def _positive_roots(coeffs):
+    """The one positive root of each polynomial in a stack (coefficients
+    from the highest power, last axis) whose coefficients change sign once:
+    for the gate polynomials the companion eigenvalue of largest real part.
+    One stacked eigvals, one Newton step; rows are independent bit for bit."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    deg = coeffs.shape[-1] - 1
+    companion = np.zeros(coeffs.shape[:-1] + (deg, deg)) + np.eye(deg, k=-1)
+    companion[..., 0, :] = -coeffs[..., 1:] / coeffs[..., :1]
+    roots = np.linalg.eigvals(companion).real
+    x = np.take_along_axis(roots, np.argmax(roots, axis=-1)[..., None], -1)[..., 0]
+    value = slope = 0.0
+    for power, column in zip(range(deg, 0, -1), np.moveaxis(coeffs, -1, 0)):
+        value, slope = value * x + column, slope * x + column * power
+    return x - (value * x + coeffs[..., -1]) / slope
 
 
 def minimize_blockade_gate(
@@ -189,23 +196,34 @@ def minimize_blockade_gate(
     units it is A/Omega + B Omega + C Omega^2 with A = 7 pi / (4 tau),
     B = A (1/omega10^2 + 1/(7 b^2)) and C = 1/(8 b^2) + 3/(4 omega10^2),
     so its one stationary point, the minimum, is the positive root of
-    2 C Omega^3 + B Omega^2 - A, exact at b = inf; if omega10 = inf too,
-    B = C = 0 and there is no finite optimum (ValueError).
+    2 C Omega^3 + B Omega^2 - A, exact at b = inf; if omega10 = inf too
+    (B = C = 0) or tau = inf (A = 0) there is no finite optimum (ValueError).
     """
-    _require_positive(blockade_mhz, "blockade_mhz")
+    return _blockade_optima(np.array([blockade_mhz]), lifetime_us, qubit_splitting_mhz)[0]
+
+
+def _blockade_optima(b_mhz, lifetime_us, qubit_splitting_mhz):
+    """minimize_blockade_gate, bit for bit, at each shift of the array
+    b_mhz: a list of budgets from one _positive_roots call."""
+    _require_positive(np.min(b_mhz), "blockade_mhz")
     _require_positive(lifetime_us, "lifetime_us")
     _require_positive(qubit_splitting_mhz, "qubit_splitting_mhz")
-    b = 2.0 * math.pi * blockade_mhz
+    b = 2.0 * math.pi * b_mhz
     w10 = 2.0 * math.pi * qubit_splitting_mhz
     a = 7.0 * math.pi / (4.0 * lifetime_us)
     c = 1.0 / (8.0 * b**2) + 3.0 / (4.0 * w10**2)
     linear = a * (1.0 / w10**2 + 1.0 / (7.0 * b**2))
-    if c == 0.0 and linear == 0.0:
-        raise ValueError("no finite optimum: the blockade-gate error falls with the drive")
-    omega = _positive_root([2.0 * c, linear, 0.0, -a])
-    rabi_mhz = omega / (2.0 * math.pi)
-    params = GateParams(rabi_mhz, lifetime_us, qubit_splitting_mhz, blockade_mhz=blockade_mhz)
-    return replace(blockade_gate_error(params), rabi_opt_mhz=rabi_mhz, interior_optimum=True)
+    if a == 0.0 or np.any((c == 0.0) & (linear == 0.0)):
+        raise ValueError("no finite optimum: the blockade-gate error is monotonic in the drive")
+    coeffs = np.stack(np.broadcast_arrays(2.0 * c, linear, 0.0, -a), axis=-1)
+    rabi_mhz = (_positive_roots(coeffs) / (2.0 * math.pi)).tolist()
+    budgets = []
+    for rabi, shift in zip(rabi_mhz, b_mhz.tolist()):
+        budget = blockade_gate_error(
+            GateParams(rabi, lifetime_us, qubit_splitting_mhz, blockade_mhz=shift)
+        )
+        budgets.append(replace(budget, rabi_opt_mhz=rabi, interior_optimum=True))
+    return budgets
 
 
 def _interaction_terms(omega, d, w10, tau):
@@ -301,8 +319,8 @@ def minimize_interaction_gate(
             "no finite optimum: without a finite qubit splitting the "
             "interaction-gate error falls with the drive"
         )
-    omega = _positive_root([lead, 0.0, 0.0, -math.pi / lifetime_us, -4.0 * d**2])
-    rabi_mhz = omega / (2.0 * math.pi)
+    omega = _positive_roots([lead, 0.0, 0.0, -math.pi / lifetime_us, -4.0 * d**2])
+    rabi_mhz = float(omega) / (2.0 * math.pi)
     params = GateParams(
         rabi_mhz, lifetime_us, qubit_splitting_mhz, interaction_mhz=interaction_mhz
     )
@@ -331,11 +349,13 @@ def optimize_interaction_gate(
     budget and its slope in ln(drive), from the analytic s', are scored at
     INTERACTION_SCAN_POINTS log-spaced drives over rabi_bounds_mhz in one
     array expression. The slope at the best scanned drive points to the
-    neighbour that brackets the stationary point, and bisection in the drive
-    closes the bracket to adjacent floats; a slope pointing out of the scan
-    returns the bound, and neighbour slopes of one sign the scanned drive. A
-    best scanned drive at either end gives interior_optimum=False. This is
-    the one-row case of interaction_gate_landscape's pass, bit for bit.
+    neighbour that brackets the stationary point. Steps that keep the first
+    of INTERACTION_SCAN_POINTS even cells where the slope leaves its sign at
+    the lower end close it to adjacent floats (9 steps); the upper end is
+    returned. A slope out of the scan returns the bound, and neighbour
+    slopes of one sign the scanned drive; a best scanned drive at either end
+    gives interior_optimum=False. This is the one-row case of
+    interaction_gate_landscape's pass, bit for bit.
     """
     _require_positive(r_um, "r_um")
     field = ExcitationField.uniform(2, 1.0, polarization=polarization, ground_m=ground_m)
@@ -375,14 +395,17 @@ def _interaction_optima(spectra, lifetime_us, qubit_splitting_mhz, rabi_bounds_m
     i0 = np.argmin(totals, axis=0)
     # the neighbour j the slope at i0 points to (i0 itself off the scan)
     # brackets the optimum when their slopes differ in sign; a row without a
-    # bracket keeps its scanned drive, the others bisect to adjacent floats
+    # bracket keeps its scanned drive, the others keep, each step, the cell
+    # up to the first even cut whose slope leaves the sign ga at a
     g0 = slopes[i0, rows]
     j = np.clip(np.where(g0 < 0.0, i0 + 1, i0 - 1), 0, INTERACTION_SCAN_POINTS - 1)
     ends = np.sort([i0, np.where(g0 * slopes[j, rows] < 0.0, j, i0)], axis=0)
     a, ga, b = scan[ends[0]], slopes[ends[0], rows], scan[ends[1]]
+    fractions = np.arange(1, INTERACTION_SCAN_POINTS)[:, None] / INTERACTION_SCAN_POINTS
     while np.any((a < (mid := 0.5 * (a + b))) & (mid < b)):
-        up = budget(mid)[1] * ga > 0.0  # the slope at a keeps the sign ga
-        a, b = np.where(up, mid, a), np.where(up, b, mid)
+        cuts = np.vstack([a, a + (b - a) * fractions, b])
+        kept = np.logical_and.accumulate(budget(cuts[1:-1])[1] * ga > 0.0).sum(axis=0)
+        a, b = cuts[kept, rows], cuts[kept + 1, rows]
     shifts = np.abs(_saturated_shift(spectra, b)[0])
     interior = (0 < i0) & (i0 < INTERACTION_SCAN_POINTS - 1)
     budgets = []
@@ -481,13 +504,13 @@ def blockade_gate_landscape(
     set the blockade shift of a pair on z (theta = 0, whatever a prebuilt
     eigensystem's theta): B = (sum of the pair's _eigenspaces terms)^-1/2,
     as blockade_shift gives for two atoms, at every separation from one
-    batched pair-state call. minimize_blockade_gate optimizes the drive at
-    every separation, also at B = inf. Lifetimes come from the
-    blackbody-corrected model at temperature_k unless overridden by the
-    lifetimes_us mapping (n -> microseconds); prebuilt channel
-    eigensystems (n -> value) skip the channel construction. table may be
-    None when both overrides cover every n. Returns deterministic
-    (n, r_um, GateErrorBudget) rows in grid order.
+    batched pair-state call. One stacked root solve optimizes the drive at
+    every separation, each row minimize_blockade_gate's bits at its B, also
+    at B = inf. Lifetimes come from the blackbody-corrected model at
+    temperature_k unless overridden by the lifetimes_us mapping (n ->
+    microseconds); prebuilt channel eigensystems (n -> value) skip the
+    channel construction. table may be None when both overrides cover every
+    n. Returns deterministic (n, r_um, GateErrorBudget) rows in grid order.
     """
     field = ExcitationField.uniform(2, 1.0)
 
@@ -496,7 +519,7 @@ def blockade_gate_landscape(
         pair, _, _, _, terms = _eigenspaces(*spectra)
         with np.errstate(divide="ignore"):
             b_mhz = np.sqrt(1.0 / np.bincount(pair, terms, r_um.size))
-        return [minimize_blockade_gate(float(b), tau, qubit_splitting_mhz) for b in b_mhz]
+        return _blockade_optima(b_mhz, tau, qubit_splitting_mhz)
 
     return _landscape(
         n_values, r_um_values, table, lifetimes_us, temperature_k, eigensystems, evaluate
@@ -517,7 +540,7 @@ def interaction_gate_landscape(
     Same conventions as blockade_gate_landscape (pair on z), with the
     drive-shift self-consistency of optimize_interaction_gate per point;
     one batched pair-state call gives every separation's padded grouped
-    spectrum, and one array scan and bisection every optimum.
+    spectrum, and one array scan and sectioning every optimum.
     """
     field = ExcitationField.uniform(2, 1.0)
 
@@ -653,11 +676,8 @@ def two_photon_budget(
         dk = abs(beam1.k_rad_m - beam2.k_rad_m)
     else:
         dk = beam1.k_rad_m + beam2.k_rad_m
-    if temperature_k > 0.0:
-        v_rms = cst.thermal_velocity(temperature_k, cst.SPECIES_MASS_U[table.species])
-        p_doppler = (dk * v_rms / cst.rad_per_s_from_mhz(abs(rabi))) ** 2
-    else:
-        p_doppler = 0.0
+    v_rms = cst.thermal_velocity(temperature_k, cst.SPECIES_MASS_U[table.species])
+    p_doppler = (dk * v_rms / cst.rad_per_s_from_mhz(abs(rabi))) ** 2
     return ExcitationBudget(
         rabi_mhz=rabi,
         rabi1_mhz=rabi1,

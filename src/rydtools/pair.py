@@ -33,7 +33,7 @@ import numpy as np
 
 from . import constants as cst
 from .angular import clebsch_gordan, dipole_angular_factor, lande_g, wigner_small_d
-from .atoms import RydbergState, radial_matrix_element
+from .atoms import RydbergState, radial_matrix_element, radial_matrix_elements
 
 FORSTER_ZERO_FLOOR = 1e-8
 
@@ -120,22 +120,16 @@ def s_state_channels(n, table):
     These are the dominant dipole-coupled channels for a pair of atoms in the
     same s-state and drive both the van der Waals shift and the blockade.
     """
-    species = table.species
-    s = RydbergState(n, 0, 0.5, species=species)
-    # the four channels need four distinct <ns|r|n'p_j>; solve each once
-    radial = lru_cache(maxsize=None)(radial_matrix_element)
+    s = RydbergState(n, 0, 0.5, species=table.species)
+    # the four channels share four distinct <ns|r|n'p_j>, each on its
+    # make_channel grid; both (n-1)p elements use the ns grid (7 solves)
+    p_states = [RydbergState(m, 1, j, species=s.species) for m in (n, n - 1) for j in (1.5, 0.5)]
+    pairs = [(s, p) for p in p_states]
+    radial = dict(zip(pairs, radial_matrix_elements(pairs, table)))
     return [
-        make_channel(
-            (s, s),
-            (
-                RydbergState(n, 1, ja, species=species),
-                RydbergState(n - 1, 1, jb, species=species),
-            ),
-            table,
-            _radial=radial,
-        )
-        for ja in (1.5, 0.5)
-        for jb in (1.5, 0.5)
+        make_channel((s, s), (pa, pb), table, _radial=lambda a, b, _: radial[a, b])
+        for pa in p_states[:2]
+        for pb in p_states[2:]
     ]
 
 

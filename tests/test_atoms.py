@@ -23,6 +23,7 @@ from rydtools.atoms import (
     RydbergState,
     parse_level,
     radial_matrix_element,
+    radial_matrix_elements,
     radial_solution,
 )
 
@@ -209,6 +210,21 @@ class TestLifetimes:
         n, t_k = 60, 300.0
         rate = 4.0 * cst.FINE_STRUCTURE**3 * cst.KB * t_k / (3.0 * cst.HBAR * n**2)
         assert cst.blackbody_rate(n, t_k) == pytest.approx(rate, rel=1e-12)
+
+    @pytest.mark.parametrize("t_k", [-1.0, -300.0, math.nan, math.inf])
+    def test_unphysical_temperature_rejected(self, rb_table, t_k):
+        # a negative rate would lengthen the lifetime (-1 K) or make it
+        # negative (-300 K)
+        with pytest.raises(ValueError, match="temperature_k"):
+            cst.blackbody_rate(60, t_k)
+        with pytest.raises(ValueError, match="temperature_k"):
+            LifetimeModel(rb_table).tau_us(RydbergState(60, 0, 0.5), t_k)
+        with pytest.raises(ValueError, match="temperature_k"):
+            cst.thermal_velocity(t_k, cst.SPECIES_MASS_U["Rb87"])
+
+    def test_zero_temperature_is_exactly_zero(self):
+        assert cst.blackbody_rate(60, 0.0) == 0.0
+        assert cst.thermal_velocity(0.0, cst.SPECIES_MASS_U["Rb87"]) == 0.0
 
 
 class TestRadialSolver:
@@ -398,6 +414,19 @@ class TestMatrixElements:
         v1 = radial_matrix_element(a, b, rb_table)
         v2 = radial_matrix_element(a, b, rb_table, accuracy=2.0)
         assert abs(v2 - v1) / abs(v1) < 0.01
+
+    @pytest.mark.parametrize("species", ["Rb87", "Cs133"])
+    def test_elements_are_the_one_pair_values(self, species):
+        # pairs on shared and distinct grids, a repeat and a reversed pair:
+        # each value is its own radial_matrix_element, bit for bit
+        table = QuantumDefectTable(species)
+        s, d = RydbergState(40, 0, 0.5, species=species), RydbergState(38, 2, 2.5, species=species)
+        p = [RydbergState(n, 1, j, species=species) for n in (40, 39) for j in (1.5, 0.5)]
+        pairs = [(s, q) for q in p] + [(p[1], d), (s, p[2]), (p[3], s)]
+        for accuracy in (1.0, 1.5):
+            values = radial_matrix_elements(pairs, table, accuracy)
+            assert values == [radial_matrix_element(a, b, table, accuracy) for a, b in pairs]
+        assert radial_matrix_elements([], table) == []
 
     @pytest.mark.parametrize("accuracy", [0.0, -1.0, math.nan, math.inf])
     def test_bad_accuracy_rejected(self, rb_table, accuracy):

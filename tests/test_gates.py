@@ -77,6 +77,36 @@ def assert_exact_optimum(error_at, budget, bounds_mhz=(0.0, math.inf)):
         assert abs(slope) * rabi / budget.total_error <= 1e-8
 
 
+def bisection_optima(spectra, tau, splitting):
+    """(drives, interior) of a reference search: the scan and bracket of
+    gates._interaction_optima, then bisection in the drive to adjacent
+    floats, returning the upper end."""
+    w10 = 2.0 * math.pi * splitting
+
+    def budget(omega):
+        shift, shift_slope = blockade._saturated_shift(spectra, omega)
+        terms = gates._interaction_terms(2.0 * math.pi * omega, 2.0 * math.pi * np.abs(shift), w10, tau)
+        log_slope = omega * shift_slope / shift
+        powers = (-log_slope, -1.0, 2.0 * log_slope - 2.0, 2.0)
+        return sum(terms), sum(p * term for p, term in zip(powers, terms))
+
+    points = gates.INTERACTION_SCAN_POINTS
+    rows = np.arange(spectra[0].shape[0])
+    lo, hi = gates.RABI_BOUNDS_MHZ
+    scan = np.exp(np.linspace(math.log(lo), math.log(hi), points))
+    scan[[0, -1]] = lo, hi
+    totals, slopes = budget(scan[:, None])
+    i0 = np.argmin(totals, axis=0)
+    g0 = slopes[i0, rows]
+    j = np.clip(np.where(g0 < 0.0, i0 + 1, i0 - 1), 0, points - 1)
+    ends = np.sort([i0, np.where(g0 * slopes[j, rows] < 0.0, j, i0)], axis=0)
+    a, ga, b = scan[ends[0]], slopes[ends[0], rows], scan[ends[1]]
+    while np.any((a < (mid := 0.5 * (a + b))) & (mid < b)):
+        up = budget(mid)[1] * ga > 0.0
+        a, b = np.where(up, mid, a), np.where(up, b, mid)
+    return b, (0 < i0) & (i0 < points - 1)
+
+
 @pytest.fixture(scope="module")
 def rb_s150_eig(rb_table):
     return forster_eigensystem(s_state_channels(150, rb_table))
@@ -244,6 +274,12 @@ class TestOptimalBlockadeGate:
         with pytest.raises(ValueError, match="no finite optimum"):
             minimize_blockade_gate(math.inf, 100.0, math.inf)
 
+    def test_no_finite_optimum_without_spontaneous_emission(self):
+        # at tau = inf the error falls as the drive falls; the stationary
+        # cubic's constant term is 0, so its positive root is no optimum
+        with pytest.raises(ValueError, match="no finite optimum"):
+            minimize_blockade_gate(5.0, math.inf)
+
     def test_closed_form_within_five_percent_on_grid(self):
         # Default qubit splitting, realistic blockade/lifetime ranges.
         for blockade in np.geomspace(1.0, 1e3, 10):
@@ -384,6 +420,14 @@ class TestOptimalInteractionGate:
     def test_infinite_splitting_has_no_finite_optimum(self):
         with pytest.raises(ValueError, match="no finite optimum"):
             minimize_interaction_gate(1.0, 340.0, math.inf)
+
+    def test_infinite_lifetime_keeps_a_finite_optimum(self):
+        # no spontaneous emission: 2 Omega^4 / omega10^2 = 4 d^2
+        budget = minimize_interaction_gate(1.0, math.inf)
+        w10 = 2.0 * math.pi * cst.SPECIES_OMEGA10_MHZ["Rb87"]
+        omega = (2.0 * (2.0 * math.pi) ** 2 * w10**2) ** 0.25
+        assert budget.rabi_opt_mhz == pytest.approx(omega / (2.0 * math.pi), rel=1e-14)
+        assert budget.se_error == 0.0 and math.isfinite(budget.total_error)
 
     def test_minimum_dominates_floor_everywhere(self):
         # 30x30 log grid over interaction strength and lifetime: the
@@ -579,6 +623,75 @@ class TestOptimizeInteractionGate:
             assert budget == optimize_interaction_gate(rb_s100_eig, r, tau)
 
 
+    @pytest.mark.parametrize("n", [50, 70, 100, 150])
+    def test_sectioning_matches_bisection(self, rb_table, n):
+        # every drive within 4 ulp of bisection to adjacent floats, with the
+        # same interior flag
+        eig = forster_eigensystem(s_state_channels(n, rb_table))
+        radii = np.geomspace(2.0, 20.0, 16)
+        spectra = blockade._grouped_spectra(ExcitationField.uniform(2, 1.0), eig, radii, np.zeros(16))
+        for tau in (100.0, 300.0, 1000.0):
+            rows = interaction_gate_landscape(
+                [n], radii, None, lifetimes_us={n: tau}, eigensystems={n: eig}
+            )
+            drives = np.array([budget.rabi_opt_mhz for _, _, budget in rows])
+            oracle, interior = bisection_optima(spectra, tau, cst.SPECIES_OMEGA10_MHZ["Rb87"])
+            assert np.all(np.abs(drives - oracle) <= 4.0 * np.spacing(oracle))
+            assert [budget.interior_optimum for _, _, budget in rows] == interior.tolist()
+
+    def test_landscape_scores_in_few_array_passes(self, rb_s100_eig, monkeypatch):
+        # the scan, 9 sectioning steps from a scan cell to adjacent floats
+        # and the final shifts: at most 12 passes over 16 separations
+        calls = []
+        original = gates._saturated_shift
+
+        def counting(spectra, omega_mhz):
+            calls.append(omega_mhz)
+            return original(spectra, omega_mhz)
+
+        monkeypatch.setattr(gates, "_saturated_shift", counting)
+        interaction_gate_landscape(
+            [100], np.geomspace(2.0, 20.0, 16), None, lifetimes_us=LANDSCAPE_TAU_US,
+            eigensystems={100: rb_s100_eig},
+        )
+        assert len(calls) <= 12
+
+
+class TestPositiveRoots:
+    @staticmethod
+    def one_root(coeffs):
+        """np.roots, the root of largest real part, then one Newton step."""
+        roots = np.roots(coeffs)
+        x = float(roots[np.argmax(roots.real)].real)
+        return x - np.polyval(coeffs, x) / np.polyval(np.polyder(coeffs), x)
+
+    @staticmethod
+    def gate_polynomials(rng, count):
+        """Blockade-gate cubics and interaction-gate quartics (angular
+        units) over wide ranges of shift, lifetime and splitting."""
+        b, d = 2.0 * math.pi * 10.0 ** rng.uniform(-1.0, 4.0, (2, count))
+        w10 = 2.0 * math.pi * 10.0 ** rng.uniform(3.0, 5.0, count)
+        tau = 10.0 ** rng.uniform(1.0, 4.0, count)
+        a = 7.0 * math.pi / (4.0 * tau)
+        zero = np.zeros(count)
+        cubics = np.stack([
+            2.0 * (1.0 / (8.0 * b**2) + 3.0 / (4.0 * w10**2)),
+            a * (1.0 / w10**2 + 1.0 / (7.0 * b**2)), zero, -a,
+        ], axis=-1)
+        quartics = np.stack([2.0 / w10**2, zero, zero, -math.pi / tau, -4.0 * d**2], axis=-1)
+        return cubics, quartics
+
+    def test_rows_are_one_row_calls_and_np_roots(self):
+        rng = np.random.default_rng(20)
+        for coeffs in self.gate_polynomials(rng, 2000):
+            roots = gates._positive_roots(coeffs)
+            assert np.all(roots > 0.0)
+            for row, root in zip(coeffs, roots):
+                assert gates._positive_roots(row[None])[0] == root
+                reference = self.one_root(row)
+                assert abs(root - reference) <= 2.0 * np.spacing(reference)
+
+
 class TestInteractionOptimaRows:
     # synthetic grouped spectra (delta in MHz, w), one per search outcome at
     # the lifetime TAU and the Rb87 qubit splitting with the default bounds
@@ -680,6 +793,36 @@ class TestBlockadeGateLandscape:
         e50 = rows[1][2].total_error
         assert e40 == pytest.approx(0.0006876015925593684, rel=1e-6)
         assert e40 < 1e-3 < e50
+
+    def test_rows_are_the_one_pair_optima(self, rb_s100_eig, monkeypatch):
+        # one stacked root solve gives each row the bits of
+        # minimize_blockade_gate at that row's blockade shift
+        shifts = []
+        original = gates._blockade_optima
+
+        def recording(b_mhz, *args):
+            shifts.append(b_mhz)
+            return original(b_mhz, *args)
+
+        monkeypatch.setattr(gates, "_blockade_optima", recording)
+        tau = LANDSCAPE_TAU_US[100]
+        rows = blockade_gate_landscape(
+            [100], np.geomspace(0.5, 40.0, 16), None, lifetimes_us=LANDSCAPE_TAU_US,
+            eigensystems={100: rb_s100_eig},
+        )
+        (b_mhz,) = shifts
+        assert len(rows) == b_mhz.size == 16
+        for (_, _, budget), b in zip(rows, b_mhz.tolist()):
+            assert budget == minimize_blockade_gate(b, tau)
+
+    def test_infinite_lifetime_has_no_finite_optimum(self, rb_table):
+        with pytest.raises(ValueError, match="no finite optimum"):
+            blockade_gate_landscape([60], [5.0], rb_table, lifetimes_us={60: math.inf})
+
+    @pytest.mark.parametrize("t_k", [-1.0, -300.0, math.nan, math.inf])
+    def test_unphysical_temperature_rejected(self, rb_table, t_k):
+        with pytest.raises(ValueError, match="temperature_k"):
+            blockade_gate_landscape([60], [5.0], rb_table, temperature_k=t_k)
 
     def test_default_lifetime_model_is_room_temperature(self, rb_table):
         rows = blockade_gate_landscape([60], [8.0], rb_table)
@@ -833,6 +976,20 @@ class TestTwoPhotonBudget:
             rb_table,
         )
         assert budget.doppler_probability == 0.0
+
+    @pytest.mark.parametrize("t_k", [-1.0, -300.0, math.nan, math.inf])
+    def test_unphysical_temperature_rejected(self, rb_table, t_k):
+        with pytest.raises(ValueError, match="temperature_k"):
+            two_photon_budget(
+                RydbergState(5, 0, 0.5),
+                RydbergState(5, 1, 1.5),
+                RydbergState(100, 2, 2.5),
+                GaussianBeam(1e-6, 3.0, 780.0),
+                GaussianBeam(0.3, 3.0, 480.0),
+                20000.0,
+                rb_table,
+                temperature_k=t_k,
+            )
 
     def test_differential_stark_shifts(self, example):
         assert example.stark_ground_mhz == pytest.approx(

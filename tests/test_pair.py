@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import linalg
 
-from rydtools import constants as cst, pair
+from rydtools import atoms, constants as cst, pair
 from rydtools.angular import dipole_angular_factor, wigner_small_d
 from rydtools.atoms import RydbergState
 from rydtools.pair import (
@@ -307,18 +307,19 @@ class TestChannelConstruction:
         assert by_jf[3.5] == pytest.approx(-8.33, abs=0.5)
 
     def test_s_state_channels_solve_each_element_once(self, rb_table, monkeypatch):
-        # four channels share four distinct <ns|r|n'p_j>; the shared values
+        # four channels share four distinct <ns|r|n'p_j> on three grids (both
+        # (n-1)p elements use the ns grid): 7 solves, and the shared values
         # are the ones make_channel computes on its own
         calls = []
-        rme = pair.radial_matrix_element
+        solve = atoms.radial_solution
 
-        def counted(a, b, table):
-            calls.append((a, b))
-            return rme(a, b, table)
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
 
-        monkeypatch.setattr(pair, "radial_matrix_element", counted)
+        monkeypatch.setattr(atoms, "radial_solution", counted)
         channels = s_state_channels(50, rb_table)
-        assert len(calls) == len(set(calls)) == 4
+        assert len(calls) == 7
         s = RydbergState(50, 0, 0.5)
         for ch in channels:
             assert ch == make_channel((s, s), ch.coupled, rb_table)
