@@ -14,10 +14,12 @@ from functools import lru_cache
 import numpy as np
 
 
-def _twice(j):
-    tj = round(2 * j)
-    if abs(2 * j - tj) > 1e-9:
-        raise ValueError("angular momentum %r is not half-integer" % (j,))
+def _twice(j, name="angular momentum"):
+    """2 j as an int; ValueError naming the argument unless j is a finite
+    half-integer."""
+    tj = round(2 * j) if abs(j) < math.inf else None
+    if tj is None or abs(2 * j - tj) > 1e-9:
+        raise ValueError("%s must be half-integer, got %r" % (name, j))
     return tj
 
 

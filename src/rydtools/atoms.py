@@ -21,6 +21,7 @@ import numpy as np
 from scipy.linalg.lapack import dtbtrs
 
 from . import constants as cst
+from .angular import _twice
 
 L_LETTERS = "spdfghiklmnoqrtuv"
 
@@ -29,11 +30,6 @@ _LEVEL_RE = re.compile(r"^(\d+)([a-z])(?:(\d+)/2)?$")
 
 class NumericsError(RuntimeError):
     """Raised when a numerical routine fails its internal consistency check."""
-
-
-def _check_half_integer(x, name):
-    if abs(2 * x - round(2 * x)) > 1e-9:
-        raise ValueError("%s=%r must be half-integer" % (name, x))
 
 
 @dataclass(frozen=True)
@@ -60,11 +56,11 @@ class RydbergState:
             raise ValueError("n must be >= 1, got %r" % (self.n,))
         if not 0 <= self.l < self.n:
             raise ValueError("need 0 <= l < n, got l=%r n=%r" % (self.l, self.n))
-        _check_half_integer(self.j, "j")
+        _twice(self.j, "j")
         if abs(self.j - self.l) != 0.5:
             raise ValueError("j must equal l +- 1/2, got l=%r j=%r" % (self.l, self.j))
         if self.m is not None:
-            _check_half_integer(self.m, "m")
+            _twice(self.m, "m")
             if abs(self.m) > self.j:
                 raise ValueError("|m| must not exceed j")
 

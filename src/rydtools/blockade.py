@@ -9,7 +9,9 @@ inverse-square overlap-weighted average of those shifts defines the blockade
 shift B; perturbation theory gives the double-excitation probability, and
 exact propagation of the truncated amplitude equations validates it for small
 systems. The pair states come from pair._pair_states as (pairs, states)
-arrays; of the eigensystem this module reads only the state count.
+arrays; of the eigensystem this module reads only the state count and, for
+a single pair, the angle eig.theta (pair_state_basis, overlap_kappa,
+effective_interaction_mhz).
 
 Frequencies are linear (MHz); propagation converts to angular units
 internally (rad/us = 2 pi x MHz).
@@ -22,13 +24,17 @@ from typing import Optional
 import numpy as np
 from scipy import linalg
 
-from .ensemble import propagate
+from .constants import _require_nonnegative, _require_positive
+from .ensemble import _positions_um, propagate
 from .pair import _driven_index, _pair_states, forster_eigensystem  # re-exports the last
 
 KAPPA_WEIGHT_FLOOR = 1e-12
 # a gap above DEGENERACY_RTOL x max(1 MHz, largest |shift|) between neighbouring
 # ascending pair-state shifts opens a new degenerate eigenspace, so a chain of
-# close shifts is one: an absolute 1e-9 MHz gap for spectra below 1 MHz
+# close shifts is one: an absolute 1e-9 MHz gap for spectra below 1 MHz. In
+# zero field degenerate shifts are +-M mirror copies with equal bits, but in a
+# field eigh returns driven degenerate shifts up to about 1e-13 of the row
+# scale apart, which exact equality would split (43d at 0.01 T)
 DEGENERACY_RTOL = 1e-9
 
 
@@ -39,12 +45,7 @@ class EnsembleGeometry:
     positions_um: np.ndarray
 
     def __post_init__(self):
-        pos = np.atleast_2d(np.asarray(self.positions_um, dtype=float))
-        if pos.ndim != 2 or pos.shape[1] != 3:
-            raise ValueError("positions must be an (N, 3) array of microns")
-        if not np.isfinite(pos).all():
-            raise ValueError("positions must be finite")
-        object.__setattr__(self, "positions_um", pos)
+        object.__setattr__(self, "positions_um", _positions_um(self.positions_um))
         object.__setattr__(self, "_pair_index", np.triu_indices(self.n, 1))
         k, l = self._pair_index
         coincide = np.flatnonzero(self._pair_axes(k, l)[0] <= 0.0)
@@ -341,10 +342,9 @@ def integrate_amplitudes(state, geometry, field, eig, t_us, decay_tau_us=None):
     decay_tau_us adds damping. Passing eig=None removes all doubly-excited
     states (fully blockaded two-level limit).
     """
-    if not 0 <= t_us < math.inf:
-        raise ValueError("t_us must be finite and nonnegative, got %r" % (t_us,))
-    if decay_tau_us is not None and not decay_tau_us > 0:
-        raise ValueError("decay_tau_us must be positive, got %r" % (decay_tau_us,))
+    _require_nonnegative(t_us, "t_us")
+    if decay_tau_us is not None:
+        _require_positive(decay_tau_us, "decay_tau_us")
     n_phi = pair_state_count(eig)
     n_pairs = geometry.n * (geometry.n - 1) // 2
     if state.c_pairs.shape != (n_pairs, n_phi):
@@ -407,6 +407,5 @@ def effective_interaction_mhz(field, eig, r_um):
     their analytic slope.
     """
     omega = field.omega_rms_mhz
-    if omega <= 0:
-        raise ValueError("effective interaction needs a positive drive")
+    _require_positive(omega, "field.omega_rms_mhz")
     return float(_saturated_shift(_grouped_spectra(field, eig, [r_um], [eig.theta]), omega)[0][0])

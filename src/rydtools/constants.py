@@ -8,8 +8,8 @@ Unit policy used throughout the package:
   frequencies in rad/s,
 * radial integrals are in units of the Bohr radius a0.
 
-All conversions between these systems live here so they are written and
-tested exactly once.
+The SI conversions and the shared input guards live here; the bare 2 pi
+between cyclic MHz and rad/us is written inline (gates, blockade, ensemble).
 """
 
 import math
@@ -80,20 +80,27 @@ def mhz_from_rad_per_s(w):
     return w / (2.0 * math.pi) / 1e6
 
 
-def _require_temperature(temperature_k):
-    if not 0.0 <= temperature_k < math.inf:
-        raise ValueError("temperature_k must be finite and non-negative, got %r" % temperature_k)
+def _require_positive(value, name):
+    """ValueError naming the argument unless value > 0: nan fails, inf passes."""
+    if not value > 0:
+        raise ValueError("%s must be positive, got %r" % (name, value))
+
+
+def _require_nonnegative(value, name):
+    """ValueError naming the argument unless 0 <= value < inf; nan fails."""
+    if not 0 <= value < math.inf:
+        raise ValueError("%s must be finite and non-negative, got %r" % (name, value))
 
 
 def thermal_velocity(temperature_k, mass_u):
     """1-D rms thermal velocity sqrt(kB T / m) in m/s."""
-    _require_temperature(temperature_k)
+    _require_nonnegative(temperature_k, "temperature_k")
     return math.sqrt(KB * temperature_k / (mass_u * U_AMU))
 
 
 def blackbody_rate(n, temperature_k):
     """Blackbody-induced decay rate 4 alpha^3 kB T / (3 hbar n^2) in 1/s."""
-    _require_temperature(temperature_k)
+    _require_nonnegative(temperature_k, "temperature_k")
     return (
         4.0
         * FINE_STRUCTURE**3

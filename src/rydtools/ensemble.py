@@ -31,6 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 
+from .constants import _require_nonnegative, _require_positive
+
 TWO_PI = 2.0 * math.pi
 
 # Excited-fraction prefactor, calibrated once against exact dynamics of
@@ -75,9 +77,14 @@ SERIES_TERM_COST = 6000
 SERIES_CALL_COST = 150_000
 
 
-def _positive(value, name):
-    if not (value > 0):
-        raise ValueError("%s must be positive, got %r" % (name, value))
+def _positions_um(value):
+    """value as an (N, 3) float array of finite atom coordinates (um)."""
+    positions = np.atleast_2d(np.asarray(value, dtype=float))
+    if positions.ndim != 2 or positions.shape[1] != 3:
+        raise ValueError("positions_um must be an (N, 3) array")
+    if not np.isfinite(positions).all():
+        raise ValueError("positions_um must be finite")
+    return positions
 
 
 # --------------------------------------------------------------------------
@@ -104,11 +111,12 @@ class DriveConditions:
     detuning_mhz: float = 0.0
 
     def __post_init__(self):
-        _positive(self.density_per_um3, "density_per_um3")
-        _positive(self.rabi_mhz, "rabi_mhz")
-        _positive(self.c6_mhz_um6, "c6_mhz_um6")
-        if self.linewidth_mhz < 0:
-            raise ValueError("linewidth_mhz must be nonnegative")
+        _require_positive(self.density_per_um3, "density_per_um3")
+        _require_positive(self.rabi_mhz, "rabi_mhz")
+        _require_positive(self.c6_mhz_um6, "c6_mhz_um6")
+        _require_nonnegative(self.linewidth_mhz, "linewidth_mhz")
+        if not abs(self.detuning_mhz) < math.inf:
+            raise ValueError("detuning_mhz must be finite, got %r" % (self.detuning_mhz,))
 
     @property
     def blockade_radius_um(self):
@@ -170,7 +178,7 @@ def linewidth_limited_density_per_um3(conditions):
     Valid for linewidth >> collective Rabi frequency; the returned
     sqrt(linewidth / c6) carries a geometry prefactor of order one.
     """
-    _positive(conditions.linewidth_mhz, "linewidth_mhz")
+    _require_positive(conditions.linewidth_mhz, "linewidth_mhz")
     return math.sqrt(conditions.linewidth_mhz / conditions.c6_mhz_um6)
 
 
@@ -181,7 +189,7 @@ def excitation_rate_scale_mhz(conditions, n_atoms):
     frequency, giving N Omega^{6/5} / (eta^{2/5} c6^{1/5}) up to a
     geometry prefactor.
     """
-    _positive(n_atoms, "n_atoms")
+    _require_positive(n_atoms, "n_atoms")
     return (
         n_atoms
         * conditions.rabi_mhz ** (6.0 / 5.0)
@@ -216,7 +224,7 @@ def cubic_lattice(shape, spacing_um):
     for count in (nx, ny, nz):
         if count < 1:
             raise ValueError("lattice shape entries must be >= 1")
-    _positive(spacing_um, "spacing_um")
+    _require_positive(spacing_um, "spacing_um")
     axes = [spacing_um * (np.arange(count) - (count - 1) / 2.0) for count in (nx, ny, nz)]
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
     return grid.reshape(-1, 3)
@@ -257,7 +265,7 @@ def uniform_box_positions(n, lengths_um, seed_or_rng, min_separation_um=0.0):
 
 def uniform_sphere_positions(n, radius_um, seed_or_rng, min_separation_um=0.0):
     """n atoms uniformly random in a sphere centered at the origin."""
-    _positive(radius_um, "radius_um")
+    _require_positive(radius_um, "radius_um")
     rng = _as_rng(seed_or_rng)
 
     def draw(r):
@@ -273,8 +281,8 @@ def uniform_cylinder_positions(
     n, radius_um, length_um, seed_or_rng, min_separation_um=0.0
 ):
     """n atoms uniformly random in a z-axis cylinder centered at the origin."""
-    _positive(radius_um, "radius_um")
-    _positive(length_um, "length_um")
+    _require_positive(radius_um, "radius_um")
+    _require_positive(length_um, "length_um")
     rng = _as_rng(seed_or_rng)
 
     def draw(r):
@@ -320,13 +328,8 @@ class ExcitationModel:
     basis_budget: int = DEFAULT_BASIS_BUDGET
 
     def __post_init__(self):
-        positions = np.atleast_2d(np.asarray(self.positions_um, dtype=float))
-        if positions.ndim != 2 or positions.shape[1] != 3:
-            raise ValueError("positions_um must be an (N, 3) array")
-        if not np.isfinite(positions).all():
-            raise ValueError("positions_um must be finite")
-        object.__setattr__(self, "positions_um", positions)
-        n = positions.shape[0]
+        object.__setattr__(self, "positions_um", _positions_um(self.positions_um))
+        n = self.positions_um.shape[0]
         rabi = np.broadcast_to(
             np.asarray(self.rabi_mhz, dtype=float), (n,)
         ).copy()
@@ -352,8 +355,8 @@ class ExcitationModel:
             object.__setattr__(self, "interaction_mhz", v.copy())
         if self.max_excitations < 1:
             raise ValueError("max_excitations must be >= 1")
-        _positive(self.energy_cutoff_mhz, "energy_cutoff_mhz")
-        _positive(self.basis_budget, "basis_budget")
+        _require_positive(self.energy_cutoff_mhz, "energy_cutoff_mhz")
+        _require_positive(self.basis_budget, "basis_budget")
 
     @property
     def n_atoms(self):
@@ -736,7 +739,7 @@ def axial_exchange_couplings_mhz(positions_um, c3_mhz_um3, axis=(1.0, 0.0, 0.0))
     couplings because their pair axes point in different directions.
     Returns a symmetric (N, N) matrix with zero diagonal.
     """
-    pos = np.atleast_2d(np.asarray(positions_um, dtype=float))
+    pos = _positions_um(positions_um)
     axis = np.asarray(axis, dtype=float)
     norm = np.linalg.norm(axis)
     if norm == 0:
@@ -831,7 +834,7 @@ def simulate_triple_exchange(rabi_mhz, exchange_mhz, times_us):
     triple population grows to order (rabi / pair shift)^2 even though
     every pair remains blockaded.
     """
-    _positive(rabi_mhz, "rabi_mhz")
+    _require_positive(rabi_mhz, "rabi_mhz")
     vmat = _as_exchange_matrix(exchange_mhz)
     times = np.asarray(times_us, dtype=float)
     h = _triple_exchange_hamiltonian(rabi_mhz, vmat)
@@ -902,8 +905,7 @@ def mandel_q(samples):
     if samples.size < 2:
         raise ValueError("mandel_q needs at least two samples")
     mean = samples.mean()
-    if mean <= 0:
-        raise ValueError("mandel_q needs a positive mean count")
+    _require_positive(mean, "the mean of samples")
     return float(samples.var(ddof=1) / mean - 1.0)
 
 
@@ -965,9 +967,8 @@ def kinetic_monte_carlo(model, gamma_mhz, times_us, trials, seed):
     the excited numbers at the final requested time, so at least two
     trials are needed.
     """
-    _positive(gamma_mhz, "gamma_mhz")
-    if not math.isfinite(gamma_mhz):
-        raise ValueError("gamma_mhz must be finite, got %r" % (gamma_mhz,))
+    if not 0.0 < gamma_mhz < math.inf:
+        raise ValueError("gamma_mhz must be finite and positive, got %r" % (gamma_mhz,))
     if trials < 2:
         raise ValueError("trials must be >= 2")
     times = np.asarray(times_us, dtype=float)

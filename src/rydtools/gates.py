@@ -29,7 +29,7 @@ import numpy as np
 
 from . import constants as cst
 from .angular import dipole_angular_factor, reduced_c1_lsj
-from .atoms import LifetimeModel, RydbergState, radial_matrix_element
+from .atoms import LifetimeModel, RydbergState, radial_matrix_element, radial_matrix_elements
 from .blockade import (
     ExcitationField,
     _driven_states,
@@ -37,6 +37,7 @@ from .blockade import (
     _grouped_spectra,
     _saturated_shift,
 )
+from .constants import _require_nonnegative, _require_positive
 from .pair import forster_eigensystem, s_state_channels
 
 # Scale ratio treated as a clear separation by the advisory regime flags.
@@ -56,11 +57,6 @@ RABI_BOUNDS_MHZ = (1e-3, 2e4)
 # n = 100 gives 470 qubits in 2D and 7600 in 3D.
 CAPACITY_2D = 470.0 / (0.001 ** (1.0 / 3.0) * 100.0 ** (2.0 / 3.0))
 CAPACITY_3D = 7600.0 / (math.sqrt(0.001) * 100.0)
-
-
-def _require_positive(value, name):
-    if not value > 0.0:
-        raise ValueError("%s must be strictly positive" % name)
 
 
 @dataclass(frozen=True)
@@ -357,7 +353,6 @@ def optimize_interaction_gate(
     gives interior_optimum=False. This is the one-row case of
     interaction_gate_landscape's pass, bit for bit.
     """
-    _require_positive(r_um, "r_um")
     field = ExcitationField.uniform(2, 1.0, polarization=polarization, ground_m=ground_m)
     spectra = _grouped_spectra(field, eig, [r_um], [eig.theta])
     return _interaction_optima(spectra, lifetime_us, qubit_splitting_mhz, rabi_bounds_mhz)[0]
@@ -426,8 +421,7 @@ def position_phase_error(r0_um, delta_r_um):
     accumulated phase by the fraction 6 delta_R / R0.
     """
     _require_positive(r0_um, "r0_um")
-    if delta_r_um < 0.0:
-        raise ValueError("delta_r_um must be non-negative")
+    _require_nonnegative(delta_r_um, "delta_r_um")
     return 6.0 * delta_r_um / r0_um
 
 
@@ -447,29 +441,6 @@ def array_capacity(n, error_budget, dimension):
     raise ValueError("dimension must be 2 or 3")
 
 
-def _lifetime_for(n, lifetimes_us, temperature_k, model):
-    if lifetimes_us is not None and n in lifetimes_us:
-        return lifetimes_us[n]
-    if model is None:
-        raise ValueError(
-            "lifetime for n=%d needs a quantum-defect table or an entry "
-            "in lifetimes_us" % n
-        )
-    state = RydbergState(n, 0, 0.5, species=model.table.species)
-    return model.tau_us(state, temperature_k)
-
-
-def _eigensystem_for(n, table, eigensystems):
-    if eigensystems is not None and n in eigensystems:
-        return eigensystems[n]
-    if table is None:
-        raise ValueError(
-            "channels for n=%d need a quantum-defect table or an entry "
-            "in eigensystems" % n
-        )
-    return forster_eigensystem(s_state_channels(n, table))
-
-
 def _landscape(
     n_values, r_um_values, table, lifetimes_us, temperature_k, eigensystems, evaluate
 ):
@@ -479,11 +450,23 @@ def _landscape(
     r_um = [float(r) for r in r_um_values]
     for r in r_um:
         _require_positive(r, "r_um")
+    eigensystems, lifetimes_us = eigensystems or {}, lifetimes_us or {}
     model = LifetimeModel(table) if table is not None else None
     rows = []
     for n in n_values:
-        eig = _eigensystem_for(n, table, eigensystems)
-        tau = _lifetime_for(n, lifetimes_us, temperature_k, model)
+        if model is None and not (n in eigensystems and n in lifetimes_us):
+            raise ValueError(
+                "n=%d needs a quantum-defect table or entries in both "
+                "eigensystems and lifetimes_us" % n
+            )
+        if n in eigensystems:
+            eig = eigensystems[n]
+        else:
+            eig = forster_eigensystem(s_state_channels(n, table))
+        if n in lifetimes_us:
+            tau = lifetimes_us[n]
+        else:
+            tau = model.tau_us(RydbergState(n, 0, 0.5, species=table.species), temperature_k)
         budgets = evaluate(eig, np.array(r_um), tau) if r_um else []
         rows.extend((n, r, budget) for r, budget in zip(r_um, budgets))
     return rows
@@ -607,9 +590,13 @@ def single_photon_rabi_mhz(beam, state_a, state_b, q_pol, table):
     state_a's Zeeman component defaults to +1/2; the final component is
     fixed by the beam polarization q_pol (net Zeeman transfer).
     """
+    return _rabi_mhz(beam, state_a, state_b, q_pol, radial_matrix_element(state_a, state_b, table))
+
+
+def _rabi_mhz(beam, state_a, state_b, q_pol, radial):
+    """single_photon_rabi_mhz from the radial element <a| r |b> (a0)."""
     m_a = state_a.m if state_a.m is not None else 0.5
     m_b = m_a + q_pol
-    radial = radial_matrix_element(state_a, state_b, table)
     angular = dipole_angular_factor(
         state_b.l, state_b.j, m_b, state_a.l, state_a.j, m_a, q_pol
     )
@@ -625,8 +612,12 @@ def spontaneous_rate_mhz(upper, lower, wavelength_nm, table):
     Built from the model's own radial matrix element and the reduced angular
     factor, averaged over the upper-state Zeeman components.
     """
+    return _decay_rate_mhz(upper, lower, wavelength_nm, radial_matrix_element(upper, lower, table))
+
+
+def _decay_rate_mhz(upper, lower, wavelength_nm, radial):
+    """spontaneous_rate_mhz from the radial element <upper| r |lower> (a0)."""
     omega = 2.0 * math.pi * cst.C_LIGHT / (wavelength_nm * 1e-9)
-    radial = radial_matrix_element(upper, lower, table)
     reduced = reduced_c1_lsj(lower.l, lower.j, upper.l, upper.j)
     rate_per_s = (
         omega**3
@@ -656,19 +647,21 @@ def two_photon_budget(
     (cyclic MHz, nonzero); two-photon resonance is assumed. Doppler
     dephasing uses the 1-D rms thermal velocity of table.species at
     temperature_k and the wavevector sum or difference of the two beams.
+    The decay rate reuses the first drive's radial element, so one
+    radial_matrix_elements call solves each radial state once.
     """
-    if detuning_mhz == 0.0:
-        raise ValueError("detuning_mhz must be nonzero")
+    if not 0.0 < abs(detuning_mhz) < math.inf:
+        raise ValueError("detuning_mhz must be finite and nonzero, got %r" % (detuning_mhz,))
     m_g = ground.m if ground.m is not None else 0.5
-    rabi1 = single_photon_rabi_mhz(beam1, ground.with_m(m_g), intermediate, q1, table)
-    rabi2 = single_photon_rabi_mhz(
-        beam2, intermediate.with_m(m_g + q1), target, q2, table
-    )
+    pairs = [(ground, intermediate), (intermediate, target)]
+    radial1, radial2 = radial_matrix_elements(pairs, table)
+    rabi1 = _rabi_mhz(beam1, ground.with_m(m_g), intermediate, q1, radial1)
+    rabi2 = _rabi_mhz(beam2, intermediate.with_m(m_g + q1), target, q2, radial2)
     if rabi1 == 0.0 or rabi2 == 0.0:
         raise ValueError("excitation path has a vanishing dipole coupling")
     rabi = rabi1 * rabi2 / (2.0 * detuning_mhz)
     ratio = rabi2 / rabi1
-    gamma_p = spontaneous_rate_mhz(intermediate, ground, beam1.wavelength_nm, table)
+    gamma_p = _decay_rate_mhz(intermediate, ground, beam1.wavelength_nm, radial1)
     p_se = (
         math.pi * gamma_p / (4.0 * abs(detuning_mhz)) * (ratio + 1.0 / ratio)
     )
@@ -708,8 +701,8 @@ def loading_error(mean_atoms):
     pi^2/(16 <N>); the probability that the trap loaded no atom at all is
     reported alongside.
     """
-    if mean_atoms < 1.0:
-        raise ValueError("mean_atoms must be at least 1")
+    if not mean_atoms >= 1.0:
+        raise ValueError("mean_atoms must be at least 1, got %r" % (mean_atoms,))
     return LoadingBudget(
         pi_pulse_error=math.pi**2 / (16.0 * mean_atoms),
         empty_probability=math.exp(-mean_atoms),

@@ -34,6 +34,7 @@ import numpy as np
 from . import constants as cst
 from .angular import clebsch_gordan, dipole_angular_factor, lande_g, wigner_small_d
 from .atoms import RydbergState, radial_matrix_element, radial_matrix_elements
+from .constants import _require_positive
 
 FORSTER_ZERO_FLOOR = 1e-8
 
@@ -400,8 +401,7 @@ def _pair_states(eig, r_um, theta, lab_rows):
     pair and turned (P, len(lab_rows), N) the rows lab_rows of each pair's
     lab-frame states, columns in shift order.
     """
-    if not (r_um > 0).all():
-        raise ValueError("pair separations must be positive")
+    _require_positive(float(np.min(r_um)), "r_um")
     initial = eig.channels[0].initial
     s = _channel_shifts_mhz(eig, r_um[:, None, None], _defects_mhz(eig, theta))
     v = eig.vectors.swapaxes(0, 1).reshape(eig.vectors.shape[1], -1)  # channels side by side
@@ -457,8 +457,7 @@ def crossover_radius_um(channel, d_phi):
 
     Returns math.inf for a resonant (zero-defect) channel.
     """
-    if d_phi <= 0:
-        raise ValueError("crossover radius needs D_phi > 0")
+    _require_positive(d_phi, "d_phi")
     if channel.defect_mhz == 0.0:
         return math.inf
     return (abs(channel.c3_mhz_um3) * math.sqrt(d_phi) / abs(channel.defect_mhz)) ** (
@@ -470,12 +469,13 @@ def vdw_coefficient_mhz_um6(channel, d_phi):
     """Coefficient A such that Delta_phi -> A / R^6 far outside the crossover."""
     if channel.defect_mhz == 0.0:
         raise ValueError("van der Waals limit undefined for a resonant channel")
+    if not abs(d_phi) < math.inf:
+        raise ValueError("d_phi must be finite, got %r" % (d_phi,))
     return -(channel.c3_mhz_um3**2) * d_phi / channel.defect_mhz
 
 
 def first_order_dipole_shift_mhz(dipole_ea0, theta, r_um):
     """Static interaction of two aligned permanent dipoles (each e*a0 units)."""
-    if r_um <= 0:
-        raise ValueError("pair separation must be positive")
+    _require_positive(r_um, "r_um")
     geom = 1.0 - 3.0 * math.cos(theta) ** 2
     return cst.EA0_SQ_MHZ_UM3 * dipole_ea0**2 * geom / r_um**3

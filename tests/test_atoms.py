@@ -134,6 +134,16 @@ class TestRydbergState:
         with pytest.raises(ValueError):
             RydbergState(5, 1, 1.5, m=2.5)  # |m| <= j
 
+    @pytest.mark.parametrize(
+        "name, bad", [("j", 0.3), ("j", math.nan), ("j", math.inf), ("m", math.nan), ("m", -math.inf)]
+    )
+    def test_non_half_integer_momentum_rejected(self, name, bad):
+        # nan raised a ValueError that named neither j nor m, inf an OverflowError
+        quantum_numbers = dict(n=5, l=1, j=1.5, m=0.5)
+        quantum_numbers[name] = bad
+        with pytest.raises(ValueError, match="%s must be half-integer" % name):
+            RydbergState(**quantum_numbers)
+
     def test_with_m(self):
         s = RydbergState(60, 0, 0.5)
         assert s.with_m(-0.5).m == -0.5

@@ -460,6 +460,26 @@ class TestBlockadeShift:
         got = effective_interaction_mhz(f, rb_s60_eigensystem, 8.0)
         assert got == pytest.approx(expected, rel=1e-14)
 
+    def test_field_degenerate_shifts_apart_by_rounding_are_one_eigenspace(
+        self, rb_43d_channels
+    ):
+        # in zero field degenerate shifts are +-M mirror copies with equal
+        # bits; at 0.01 T eigh leaves driven degenerate shifts a rounding gap
+        # apart, which DEGENERACY_RTOL joins and exact equality would split
+        eig = forster_eigensystem(rb_43d_channels, 0.0, 0.01)
+        rng = np.random.default_rng(1)
+        r_um, theta = rng.uniform(2.0, 20.0, 20), rng.uniform(0.0, math.pi, 20)
+        shifts, kappas = _driven_states(eig, ExcitationField.uniform(2, 1.0), r_um, theta)
+        gaps = np.diff(shifts, axis=1)
+        scale = np.maximum(1.0, np.abs(shifts).max(axis=1, keepdims=True))
+        w = np.abs(kappas) ** 2
+        driven = np.minimum(w[:, :-1], w[:, 1:]) >= 1e-3
+        close = np.argwhere((gaps > 0.0) & (gaps <= DEGENERACY_RTOL * scale) & driven)
+        assert close.size
+        row, j = close[0]
+        _, first, _, _, _ = blockade_module._eigenspaces(shifts[row:row + 1], kappas[row:row + 1])
+        assert j + 1 not in first  # both weights pass KAPPA_WEIGHT_FLOOR
+
     def test_removing_largest_term_increases_b(self, rb_43d_eigensystem):
         f = ExcitationField.uniform(2, 0.001)
         res = blockade_shift(two_atoms(10.0, 0.6), f, rb_43d_eigensystem)
@@ -1236,6 +1256,10 @@ class TestIntegration:
 
 
 class TestEffectiveInteraction:
+    def test_needs_a_drive(self, rb_s60_eigensystem):
+        with pytest.raises(ValueError, match="field.omega_rms_mhz must be positive"):
+            effective_interaction_mhz(ExcitationField.uniform(2, 0.0), rb_s60_eigensystem, 8.0)
+
     def test_weak_drive_limit(self, rb_s60_eigensystem):
         shifts, _ = pair_state_basis(rb_s60_eigensystem, 8.0)
         w = (

@@ -69,6 +69,18 @@ class TestDriveConditions:
         with pytest.raises(ValueError):
             DriveConditions(1.0, 1.0, 1.0, linewidth_mhz=-0.1)
 
+    @pytest.mark.parametrize("linewidth_mhz", [-0.1, math.nan, math.inf])
+    def test_linewidth_must_be_finite_and_non_negative(self, linewidth_mhz):
+        # nan was accepted
+        with pytest.raises(ValueError, match="linewidth_mhz must be finite and non-negative"):
+            DriveConditions(1.0, 1.0, 1.0, linewidth_mhz=linewidth_mhz)
+
+    @pytest.mark.parametrize("detuning_mhz", [math.nan, math.inf, -math.inf])
+    def test_detuning_must_be_finite(self, detuning_mhz):
+        # nan was accepted, and gave a nan scaled_detuning
+        with pytest.raises(ValueError, match="detuning_mhz must be finite"):
+            DriveConditions(1.0, 1.0, 1.0, detuning_mhz=detuning_mhz)
+
     def test_blockade_radius_value(self):
         d = DriveConditions(1.0, 1.0, 100.0)
         assert d.blockade_radius_um == pytest.approx(
@@ -1190,6 +1202,13 @@ class TestTripleExchange:
         )
         assert perp[0, 1] == pytest.approx(8.0 / 2.0**3, rel=1e-12)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_positions_rejected_by_couplings(self, bad):
+        # a nan coordinate gave nan couplings, which simulate_triple_exchange
+        # then rejected as "must be symmetric"
+        with pytest.raises(ValueError, match="positions_um must be finite"):
+            axial_exchange_couplings_mhz([[0.0, 0.0, 0.0], [1.0, 0.0, bad], [0.0, 2.0, 0.0]], 5.0)
+
     def test_angular_coupling_validation(self):
         with pytest.raises(ValueError, match="axis"):
             axial_exchange_couplings_mhz(
@@ -1325,6 +1344,12 @@ class TestCountingStatistics:
         q = mandel_q(rng.poisson(3.0, size=100_000))
         assert abs(q) < 0.01
 
+    @pytest.mark.parametrize("samples", [[0, 0, 0], [1.0, math.nan], [2.0, -math.inf]])
+    def test_mean_must_be_positive(self, samples):
+        # a nan sample returned q = nan
+        with pytest.raises(ValueError, match="mean of samples must be positive"):
+            mandel_q(samples)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             mandel_q([3])
@@ -1410,6 +1435,14 @@ class TestKineticMonteCarlo:
         )
         with pytest.raises(ValueError, match="finite"):
             kinetic_monte_carlo(model, 2.0, [0.0, bad], trials=2, seed=1)
+
+    @pytest.mark.parametrize("gamma_mhz", [0.0, math.nan, math.inf])
+    def test_linewidth_must_be_finite_and_positive(self, gamma_mhz):
+        model = ExcitationModel(
+            positions_um=cubic_lattice((3, 1, 1), 1.0), rabi_mhz=1.0, c6_mhz_um6=10.0
+        )
+        with pytest.raises(ValueError, match="gamma_mhz must be finite and positive"):
+            kinetic_monte_carlo(model, gamma_mhz, [0.0, 1.0], trials=2, seed=1)
 
     def test_non_finite_rates_rejected(self):
         # gamma = inf made every rate nan and returned all-zero

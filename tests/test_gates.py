@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
-from rydtools import blockade, gates
+from rydtools import atoms, blockade, gates
 from rydtools import constants as cst
 from rydtools.atoms import LifetimeModel, RydbergState
 from rydtools.gates import (
@@ -459,6 +459,12 @@ class TestOptimizeInteractionGate:
         # Dispersion coefficient in MHz um^6; literature ~1.39e5.
         assert plateau * 12.6**6 == pytest.approx(1.39e5, rel=0.02)
 
+    @pytest.mark.parametrize("r_um", [0.0, -5.0, math.nan])
+    def test_separation_must_be_positive(self, rb_s100_eig, r_um):
+        # the pair-state layer's guard is the one check
+        with pytest.raises(ValueError, match="r_um must be positive"):
+            optimize_interaction_gate(rb_s100_eig, r_um, 340.0)
+
     def test_optimum_spot_value_and_determinism(self, rb_s100_eig):
         budget = optimize_interaction_gate(rb_s100_eig, 17.0, 340.0)
         assert budget.rabi_opt_mhz == pytest.approx(150.46236, rel=1e-5)
@@ -758,6 +764,14 @@ class TestInteractionOptimaRows:
 
 
 class TestBlockadeGateLandscape:
+    @pytest.mark.parametrize("missing", ["eigensystems", "lifetimes_us"])
+    def test_without_a_table_each_n_needs_both_overrides(self, rb_s100_eig, missing):
+        overrides = {"eigensystems": {100: rb_s100_eig}, "lifetimes_us": {100: 340.0}}
+        del overrides[missing]
+        for landscape in (blockade_gate_landscape, interaction_gate_landscape):
+            with pytest.raises(ValueError, match="n=100 needs a quantum-defect table"):
+                landscape([100], [5.0], None, **overrides)
+
     def test_cs_table_lifetimes(self, cs_table):
         # the lifetime state is labelled with the table species, so the
         # Cs133 table accepts it and the Cs133 lifetime is used
@@ -1046,6 +1060,46 @@ class TestTwoPhotonBudget:
         )
         assert not near.far_detuned
 
+    @pytest.mark.parametrize("detuning_mhz", [0.0, math.nan, math.inf, -math.inf])
+    def test_detuning_must_be_finite_and_nonzero(self, rb_table, detuning_mhz):
+        # nan returned a nan budget, inf raised ZeroDivisionError
+        with pytest.raises(ValueError, match="detuning_mhz must be finite and nonzero"):
+            two_photon_budget(
+                RydbergState(5, 0, 0.5),
+                RydbergState(5, 1, 1.5),
+                RydbergState(100, 2, 2.5),
+                GaussianBeam(1e-6, 3.0, 780.0),
+                GaussianBeam(0.3, 3.0, 480.0),
+                detuning_mhz,
+                rb_table,
+            )
+
+    def test_each_radial_state_solved_once(self, rb_table, monkeypatch):
+        # the decay rate's <5p|r|5s> is the first drive's <5s|r|5p>: 4 solves
+        # for the 4 (state, grid) pairs, where solving each element alone
+        # took 6; every field keeps the per-element functions' bits
+        ground, middle, target = (
+            RydbergState(5, 0, 0.5), RydbergState(5, 1, 1.5), RydbergState(100, 2, 2.5)
+        )
+        beam1, beam2 = GaussianBeam(1e-6, 3.0, 780.0), GaussianBeam(0.3, 3.0, 480.0)
+        solve, solves = atoms.radial_solution, []
+
+        def counting_solve(*args, **kwargs):
+            solves.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(atoms, "radial_solution", counting_solve)
+        budget = two_photon_budget(
+            ground, middle, target, beam1, beam2, 20000.0, rb_table, temperature_k=10e-6
+        )
+        assert len(solves) == 4
+        monkeypatch.undo()
+        assert budget.rabi1_mhz == single_photon_rabi_mhz(beam1, ground, middle, 0, rb_table)
+        assert budget.rabi2_mhz == single_photon_rabi_mhz(
+            beam2, middle.with_m(0.5), target, 0, rb_table
+        )
+        assert budget.gamma_p_mhz == spontaneous_rate_mhz(middle, ground, 780.0, rb_table)
+
     def test_zero_detuning_rejected(self, rb_table):
         with pytest.raises(ValueError):
             two_photon_budget(
@@ -1134,6 +1188,12 @@ class TestArrayCapacityAndLoading:
         )
         assert loading_error(7.0).empty_probability < 1e-3
 
+    @pytest.mark.parametrize("mean_atoms", [0.5, math.nan, -math.inf])
+    def test_mean_atoms_below_one_or_nan_rejected(self, mean_atoms):
+        # nan returned a nan budget
+        with pytest.raises(ValueError, match="mean_atoms must be at least 1, got"):
+            loading_error(mean_atoms)
+
     def test_rejects_small_ensembles(self):
         with pytest.raises(ValueError):
             loading_error(0.5)
@@ -1166,6 +1226,12 @@ class TestPositionPhaseError:
         assert position_phase_error(30.0, 0.02) == pytest.approx(
             2.0 * position_phase_error(30.0, 0.01), rel=1e-12
         )
+
+    @pytest.mark.parametrize("delta_r_um", [-0.01, math.nan, math.inf])
+    def test_spread_must_be_finite_and_non_negative(self, delta_r_um):
+        # nan returned nan, inf an infinite phase error
+        with pytest.raises(ValueError, match="delta_r_um must be finite and non-negative"):
+            position_phase_error(5.0, delta_r_um)
 
     def test_rejects_bad_geometry(self):
         with pytest.raises(ValueError):

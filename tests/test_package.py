@@ -1,7 +1,9 @@
 """Package metadata says what the code has: named modules import, console
 scripts resolve, and the version matches pyproject.toml. Importing the
-package loads no scipy subpackage beyond constants, linalg and sparse."""
+package loads no scipy subpackage beyond constants, linalg and sparse, and
+its modules import each other in one layer order."""
 
+import ast
 import importlib
 import os
 import re
@@ -16,6 +18,9 @@ import rydtools
 tomllib = pytest.importorskip("tomllib")
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+
+# every module imports only modules before it, so none can close a cycle
+LAYER_ORDER = ["constants", "angular", "atoms", "pair", "ensemble", "blockade", "gates"]
 
 
 def _project():
@@ -77,3 +82,27 @@ def test_no_module_imports_scipy_optimize():
     assert int(count) >= 7
     assert imported == "False"
     assert set(added.split(",")) <= {"-", "constants", "linalg", "sparse"}
+
+
+def _package_imports(tree):
+    """Names of the rydtools modules a module's syntax tree imports."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            dotted = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = ("rydtools." if node.level else "") + (node.module or "")
+            dotted = [base.rstrip(".") + "." + a.name for a in node.names]
+        else:
+            continue
+        names.update(d.split(".")[1] for d in dotted if d.startswith("rydtools."))
+    return names
+
+
+def test_modules_import_only_earlier_layers():
+    package = Path(rydtools.__file__).resolve().parent
+    modules = {p.stem for p in package.glob("*.py")} - {"__init__"}
+    assert modules == set(LAYER_ORDER)
+    for rank, name in enumerate(LAYER_ORDER):
+        tree = ast.parse((package / (name + ".py")).read_text())
+        assert _package_imports(tree) <= set(LAYER_ORDER[:rank]), name

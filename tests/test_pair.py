@@ -508,6 +508,20 @@ class TestCrossover:
         with pytest.raises(ValueError):
             vdw_coefficient_mhz_um6(ch, 0.5)
 
+    @pytest.mark.parametrize("d_phi", [0.0, -1.0, math.nan])
+    def test_crossover_needs_positive_d_phi(self, d_phi):
+        # nan returned a nan radius
+        ch = angular_channel((60, 0, 0.5), (60, 1, 1.5), (59, 1, 1.5))
+        with pytest.raises(ValueError, match="d_phi must be positive"):
+            crossover_radius_um(ch, d_phi)
+
+    @pytest.mark.parametrize("d_phi", [math.nan, math.inf, -math.inf])
+    def test_vdw_coefficient_needs_finite_d_phi(self, d_phi):
+        # nan returned nan, inf an infinite coefficient
+        ch = angular_channel((60, 0, 0.5), (60, 1, 1.5), (59, 1, 1.5))
+        with pytest.raises(ValueError, match="d_phi must be finite"):
+            vdw_coefficient_mhz_um6(ch, d_phi)
+
     def test_knee_location_matches_crossover(self, rb_s60_eigensystem):
         # maximum log-log curvature of the strongest curve sits at the
         # crossover radius (frozen ratio 1.12 from this implementation)
@@ -537,6 +551,12 @@ class TestStaticDipole:
         scale = cst.EA0_SQ_MHZ_UM3 * d**2 / r**3
         assert first_order_dipole_shift_mhz(d, 0.0, r) == pytest.approx(-2.0 * scale)
         assert first_order_dipole_shift_mhz(d, math.pi / 2.0, r) == pytest.approx(scale)
+
+    @pytest.mark.parametrize("r_um", [0.0, -5.0, math.nan])
+    def test_separation_must_be_positive(self, r_um):
+        # nan returned a nan shift
+        with pytest.raises(ValueError, match="r_um must be positive"):
+            first_order_dipole_shift_mhz(1.0, 0.3, r_um)
 
 
 class TestScalingLaw:
