@@ -2,16 +2,18 @@
 
 The ensemble occupies the ground state, one symmetric singly-excited state,
 and doubly-excited pair states. For each atom pair every interaction channel
-contributes a level shift; the channel contributions are combined into a
-single effective shift operator over the initial Zeeman-pair manifold, whose
-eigenstates are the pair states entering the blockade average. The
-inverse-square overlap-weighted average of those shifts defines the blockade
-shift B; perturbation theory gives the double-excitation probability, and
-exact propagation of the truncated amplitude equations validates it for small
-systems. The pair states come from pair._pair_states as (pairs, states)
-arrays; of the eigensystem this module reads only the state count and, for
-a single pair, the angle eig.theta (pair_state_basis, overlap_kappa,
-effective_interaction_mhz).
+contributes a level shift to each of its eigenstates; together they make one
+effective shift operator over the initial Zeeman-pair manifold, whose
+eigenstates are the pair states entering the blockade average.
+pair._pair_states forms and solves that operator per M-block in the pair
+frame, for all pairs at once, and returns (pairs, states) arrays; this
+module groups each pair's degenerate eigenspaces (_eigenspaces). The
+inverse-square overlap-weighted average of the eigenspace shifts defines
+the blockade shift B; perturbation theory gives the double-excitation
+probability, and exact propagation of the truncated amplitude equations
+validates it for small systems. Of the eigensystem this module reads only
+the state count and, for a single pair, the angle eig.theta
+(pair_state_basis, overlap_kappa, effective_interaction_mhz).
 
 Frequencies are linear (MHz); propagation converts to angular units
 internally (rad/us = 2 pi x MHz).
@@ -192,13 +194,14 @@ def _eigenspaces(shifts, kappas):
     MHz, the row's largest |shift|) of zero. One reduceat over the
     flattened rows."""
     n = shifts.shape[1]
-    scale = np.maximum(1.0, np.abs(shifts).max(axis=1, keepdims=True))
+    size = np.abs(shifts)
+    scale = np.maximum(1.0, size.max(axis=1, keepdims=True))
     opens = np.ones(shifts.shape, bool)
     opens[:, 1:] = shifts[:, 1:] - shifts[:, :-1] > DEGENERACY_RTOL * scale
-    starts = np.flatnonzero(opens)
+    starts = opens.ravel().nonzero()[0]
     flat = shifts.ravel()
     weights = np.abs(kappas.ravel()) ** 2
-    zero_state = (np.abs(shifts) <= 1e-12 * scale).ravel()
+    zero_state = (size <= 1e-12 * scale).ravel()
     weight = np.add.reduceat(weights, starts)
     delta = np.add.reduceat(flat, starts) / np.add.reduceat(np.ones(flat.size), starts)
     inverse_sq = np.add.reduceat(weights / np.where(zero_state, 1.0, flat) ** 2, starts)
@@ -242,20 +245,20 @@ def blockade_shift(geometry, field, eig):
         raise ValueError("blockade shift needs at least two atoms")
     pairs, shifts, kappas = _pair_spectra(geometry, field, eig)
     pair, first, _, _, terms = _eigenspaces(shifts, kappas)
-    zero = np.flatnonzero(np.isinf(terms))
+    zero = np.isinf(terms).nonzero()[0]
     zero_term = (int(first[zero[-1]]),) + pairs[pair[zero[-1]]] if zero.size else None
-    total = float(np.sum(terms))
+    total = float(terms.sum())
     rank = np.argsort(-terms, kind="stable")
     rows = zip(pair[rank].tolist(), first[rank].tolist(), terms[rank].tolist())
     contributions = [pairs[p] + (p_idx, term) for p, p_idx, term in rows]
-    n = geometry.n
+    n, omega_n = geometry.n, field.omega_n_mhz
     b = math.sqrt(n * (n - 1) / (2.0 * total)) if total > 0 else math.inf
-    p2 = double_excitation_probability(field, n, b)
+    p2 = _double_excitation(omega_n, n, b)
     return BlockadeResult(
         b_mhz=b,
         p2=p2,
         n_atoms=n,
-        omega_n_mhz=field.omega_n_mhz,
+        omega_n_mhz=omega_n,
         contributions=contributions,
         blockade_valid=math.isfinite(p2) and p2 <= 1.0,
         zero_term=zero_term,
@@ -268,11 +271,16 @@ def double_excitation_probability(field, n_atoms, b_mhz):
     Returns math.inf when the perturbative expression leaves [0, 1] (the
     blockade assumption is then invalid).
     """
+    return _double_excitation(field.omega_n_mhz, n_atoms, b_mhz)
+
+
+def _double_excitation(omega_n_mhz, n_atoms, b_mhz):
+    """double_excitation_probability at the collective Rabi frequency omega_n_mhz."""
     if n_atoms < 2:
         return 0.0
     if b_mhz == 0.0:
         return math.inf
-    p2 = ((n_atoms - 1) / n_atoms) * field.omega_n_mhz**2 / (2.0 * b_mhz**2)
+    p2 = ((n_atoms - 1) / n_atoms) * omega_n_mhz**2 / (2.0 * b_mhz**2)
     return p2 if p2 <= 1.0 else math.inf
 
 

@@ -348,6 +348,8 @@ class ExcitationModel:
             )
         if self.interaction_mhz is not None:
             v = np.asarray(self.interaction_mhz, dtype=float)
+            if not np.all(np.isfinite(v)):
+                raise ValueError("interaction_mhz must be finite")
             if v.shape != (n, n) or not np.allclose(v, v.T):
                 raise ValueError(
                     "interaction_mhz must be a symmetric (N, N) matrix"
@@ -761,6 +763,8 @@ def _as_exchange_matrix(exchange_mhz):
     """Normalize scalar or (3, 3) exchange input to a symmetric matrix with
     zero diagonal and at least one nonzero pair coupling."""
     arr = np.asarray(exchange_mhz, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("exchange_mhz must be finite")
     if arr.ndim == 0:
         arr = np.full((3, 3), float(arr))
     elif arr.shape != (3, 3):

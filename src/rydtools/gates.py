@@ -22,7 +22,7 @@ units internally.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -130,6 +130,11 @@ def blockade_gate_error(params):
     blockade (double-excitation leakage) and off-resonant excitation of the
     other qubit level. Both terms stay finite at blockade_mhz = inf.
     """
+    return _blockade_budget(params)
+
+
+def _blockade_budget(params, **optimum):
+    """blockade_gate_error(params) built with the optimizer fields optimum."""
     if params.blockade_mhz is None:
         raise ValueError("blockade_mhz is required for the blockade gate")
     omega = 2.0 * math.pi * params.rabi_mhz
@@ -145,6 +150,7 @@ def blockade_gate_error(params):
         rotation_error=rot,
         total_error=se + rot,
         regime_ok=params.blockade_regime_ok,
+        **optimum,
     )
 
 
@@ -215,10 +221,8 @@ def _blockade_optima(b_mhz, lifetime_us, qubit_splitting_mhz):
     rabi_mhz = (_positive_roots(coeffs) / (2.0 * math.pi)).tolist()
     budgets = []
     for rabi, shift in zip(rabi_mhz, b_mhz.tolist()):
-        budget = blockade_gate_error(
-            GateParams(rabi, lifetime_us, qubit_splitting_mhz, blockade_mhz=shift)
-        )
-        budgets.append(replace(budget, rabi_opt_mhz=rabi, interior_optimum=True))
+        params = GateParams(rabi, lifetime_us, qubit_splitting_mhz, blockade_mhz=shift)
+        budgets.append(_blockade_budget(params, rabi_opt_mhz=rabi, interior_optimum=True))
     return budgets
 
 
@@ -239,6 +243,11 @@ def interaction_gate_error(params):
     qubit splitting >> drive >> shift, or accumulating less than
     MIN_PHASE_RAD of phase per lifetime, are flagged advisory-only.
     """
+    return _interaction_budget(params)
+
+
+def _interaction_budget(params, **optimum):
+    """interaction_gate_error(params) built with the optimizer fields optimum."""
     if params.interaction_mhz is None:
         raise ValueError("interaction_mhz is required for the interaction gate")
     omega = 2.0 * math.pi * params.rabi_mhz
@@ -253,6 +262,7 @@ def interaction_gate_error(params):
         rotation_error=rot,
         total_error=se + rot,
         regime_ok=params.interaction_regime_ok and phase_ok,
+        **optimum,
     )
 
 
@@ -320,11 +330,8 @@ def minimize_interaction_gate(
     params = GateParams(
         rabi_mhz, lifetime_us, qubit_splitting_mhz, interaction_mhz=interaction_mhz
     )
-    return replace(
-        interaction_gate_error(params),
-        rabi_opt_mhz=rabi_mhz,
-        interior_optimum=True,
-        interaction_mhz=interaction_mhz,
+    return _interaction_budget(
+        params, rabi_opt_mhz=rabi_mhz, interior_optimum=True, interaction_mhz=interaction_mhz
     )
 
 
@@ -406,9 +413,8 @@ def _interaction_optima(spectra, lifetime_us, qubit_splitting_mhz, rabi_bounds_m
     budgets = []
     for omega, shift, inside in zip(b.tolist(), shifts.tolist(), interior.tolist()):
         params = GateParams(omega, lifetime_us, qubit_splitting_mhz, interaction_mhz=shift)
-        budgets.append(replace(
-            interaction_gate_error(params),
-            rabi_opt_mhz=omega, interior_optimum=inside, interaction_mhz=shift,
+        budgets.append(_interaction_budget(
+            params, rabi_opt_mhz=omega, interior_optimum=inside, interaction_mhz=shift
         ))
     return budgets
 

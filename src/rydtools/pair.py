@@ -20,14 +20,17 @@ operators are all diagonalized by _m_block_states, per M-block as
 pairinteraction does per symmetry sector (Weber et al., J. Phys. B 50,
 133001 (2017)), so each eigenvector has a definite M.
 
-This module owns that layout: the solver's stacked arrays
-(ForsterEigensystem), the Zeeman-product index (_m_blocks, _pair_rotation,
-_driven_index) and the pair-state solve (_pair_states).
+This module owns that layout: the Zeeman-product index and the M-block
+layout built once per level pair (_m_blocks, _pair_rotation,
+_driven_index), the solver's stacked arrays (ForsterEigensystem, which also
+keeps the vectors as the M-block stack) and the pair-state solve
+(_pair_states), which forms each pair's shift operator block by block from
+that stack and never as a whole matrix.
 """
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -210,6 +213,9 @@ class ForsterEigensystem:
     vectors, D(theta) = d^{j1}(theta) (x) d^{j2}(theta). Only the defects
     depend on theta (in a field); _pair_states takes them from _defects_mhz
     at each pair's own angle, not from defects_mhz.
+
+    block_stack holds the same vectors as the M-block stack that
+    _pair_states forms W_0 from.
     """
 
     channels: list
@@ -220,6 +226,32 @@ class ForsterEigensystem:
     forster_zero_count: int
     defects_mhz: np.ndarray = None
 
+    @cached_property
+    def block_stack(self):
+        """(stack, columns), built once from vectors, which must be
+        M-definite (forster_eigensystem's). stack (K, L, C L): block k of
+        the K blocks of _m_blocks holds its L state slots (rows[k]) by the
+        columns of all channels whose vectors lie in block k, channel by
+        channel and in column order within a channel, zero in padding.
+        columns (K, C L): the index c N + n of each stack column's
+        vectors[c][:, n], 0 in padding. Scattered back they are vectors bit
+        for bit. Not a dataclass field: fields(), repr and == see only the
+        solver's arrays."""
+        first, second = self.channels[0].initial
+        layout = _m_blocks(round(2 * first.j), round(2 * second.j), True)
+        rows, (c, n, _) = layout.rows, self.vectors.shape
+        block = layout.block[np.abs(self.vectors).argmax(axis=1)].ravel()  # of each column
+        count = np.bincount(block, minlength=len(rows))
+        by_block = np.argsort(block, kind="stable")  # in column order within a block
+        slot = np.arange(c * n) - np.repeat(np.cumsum(count) - count, count)
+        columns = np.zeros((len(rows), c * rows.shape[1]), int)
+        filled = np.zeros(columns.shape, bool)
+        columns[block[by_block], slot] = by_block
+        filled[block[by_block], slot] = True
+        side_by_side = self.vectors.swapaxes(0, 1).reshape(n, c * n)
+        stack = side_by_side[rows[:, :, None], columns[:, None, :]]
+        return np.where((rows >= 0)[:, :, None] & filled[:, None, :], stack, 0.0), columns
+
 
 def _zeeman_diagonal(pair_states):
     """g1 m1 + g2 m2 over the Zeeman product space of a pair of levels."""
@@ -227,37 +259,84 @@ def _zeeman_diagonal(pair_states):
     return np.add.outer(*gm).ravel()
 
 
+@dataclass(frozen=True)
+class _MBlocks:
+    """The M-block layout of one pair of levels (_m_blocks): K blocks
+    padded to L slots, every index array read-only.
+
+    rows (K, L): the state index of each slot, -1 in padding. block (N,):
+    the block of each state. low: the first solved block, K // 2 when only
+    the blocks M >= 0 are solved, else 0. live (K - low, L, L): the slot
+    pairs inside a solved block. pad: the (block, slot) index arrays of the
+    solved blocks' padding. signs (L,): the sign rule's weights 2^-a.
+    gather (N,): each solver column's eigenpair among the solved blocks'
+    eigenpairs, flattened by (block, slot), block -M taking those of M when
+    only M >= 0 is solved. turn_rows (L, N): the state index of each slot
+    of each solver column's block.
+    """
+
+    rows: np.ndarray
+    block: np.ndarray
+    low: int
+    live: np.ndarray
+    pad: tuple
+    signs: np.ndarray
+    gather: np.ndarray
+    turn_rows: np.ndarray
+
+
 @lru_cache(maxsize=None)
-def _m_blocks(tj1, tj2):
-    """M-blocks of the Zeeman product space of two levels with doubled
-    angular momenta tj1 and tj2 (state (m1, m2) at index (j1 + m1)(tj2 + 1)
-    + j2 + m2): rows[k, a] is the index of the a-th state of block k, the
-    blocks in ascending M = k - j1 - j2, padded with -1 to the largest
-    size. Block M >= 0 lists its states by ascending index, block -M their
-    mirror images (-m1, -m2), index N - 1 - i, in the same order: the
-    rotation by pi about y, which leaves the pair-frame coupling as it is,
-    maps one onto the other with one sign per block, so both blocks of a
-    pair-frame operator are the same matrix. Read-only."""
+def _m_blocks(tj1, tj2, mirrored):
+    """The M-block layout (_MBlocks) of the Zeeman product space of two
+    levels with doubled angular momenta tj1 and tj2 (state (m1, m2) at
+    index (j1 + m1)(tj2 + 1) + j2 + m2), cached, so every index array that
+    depends only on the level pair is built once per pair and solve kind.
+    rows[k, a] is the index of the a-th state of block k, the blocks in
+    ascending M = k - j1 - j2. Block M >= 0 lists its states by ascending
+    index, block -M their mirror images (-m1, -m2), index N - 1 - i, in the
+    same order: the rotation by pi about y, which leaves the pair-frame
+    coupling as it is, maps one onto the other with one sign per block, so
+    both blocks of a pair-frame operator are the same matrix. With mirrored
+    set only the blocks M >= 0 are solved."""
     m = np.add.outer(np.arange(tj1 + 1), np.arange(tj2 + 1)).ravel()  # k of each state
     count = tj1 + tj2 + 1
     rows = np.full((count, min(tj1, tj2) + 1), -1)
     for k in range(count):
         states = np.flatnonzero(m == max(k, count - 1 - k))
         rows[k, : len(states)] = states if 2 * k >= count - 1 else m.size - 1 - states
-    rows.flags.writeable = False
-    return rows
+    k = np.arange(count)
+    low = count // 2 if mirrored else 0
+    solved = (np.maximum(k, k[::-1]) if mirrored else k) - low  # whose eigenpairs block k takes
+    valid = rows >= 0
+    column_block, slot = np.nonzero(valid)  # solver columns: by ascending M, then by slot
+    block = np.empty(m.size, int)
+    block[rows[valid]] = column_block
+    layout = _MBlocks(
+        rows=rows,
+        block=block,
+        low=low,
+        live=valid[low:, :, None] & valid[low:, None, :],
+        pad=np.nonzero(~valid[low:]),
+        signs=0.5 ** np.arange(rows.shape[1]),
+        gather=solved[column_block] * rows.shape[1] + slot,
+        turn_rows=rows[column_block].T,
+    )
+    arrays = (rows, block, layout.live, layout.signs, layout.gather, layout.turn_rows)
+    for a in arrays + layout.pad:
+        a.flags.writeable = False
+    return layout
 
 
-def _m_block_states(ops, turn, initial, mirrored):
-    """Eigenpairs of a stack ops (..., N, N) of pair-frame operators on the
-    Zeeman product space of the pair of levels initial, each conserving M,
-    from one eigh over their M-blocks (_m_blocks); with mirrored set only
-    blocks of M >= 0 are solved, that of -M taking their eigenpairs.
-    Padding has a diagonal above every eigenvalue (1 + L max|element|), so
-    each block's eigenpairs come first, ascending, and exactly zero there.
-    Each block vector v is signed so that sum_a v_a / 2^a > 0: "largest
-    component positive" would be left to rounding, as exchanging the atoms
-    reverses each block and so gives half of the vectors equal and opposite
+def _m_block_states(blocks, turn, layout):
+    """Eigenpairs of pair-frame operators that conserve M, from one eigh of
+    their solved M-blocks: blocks (..., K - low, L, L) in the slots of
+    layout (an _MBlocks), zero in padding. With a mirrored layout block -M
+    takes the eigenpairs of block M. Padding gets a diagonal above every
+    eigenvalue (1 + L max|element|, written into blocks), so each block's
+    eigenpairs come first, ascending, and exactly zero there. Each block
+    vector v is signed so that sum_a v_a / 2^a > 0: "largest component
+    positive" would be left to rounding, as exchanging the atoms reverses
+    each block and so gives half of the vectors equal and opposite
     components. Row i of a state turned by turn (..., R, N) is sum_a
     turn[i, rows[a]] v_a, so its bits depend neither on the other rows nor
     on the other operators.
@@ -265,23 +344,17 @@ def _m_block_states(ops, turn, initial, mirrored):
     Returns (values (..., N), turned (..., R, N)), columns by ascending M,
     then ascending within a block.
     """
-    first, second = initial
-    rows = _m_blocks(round(2 * first.j), round(2 * second.j))
-    k = np.arange(len(rows))
-    low = len(rows) // 2 if mirrored else 0  # blocks M >= 0 are rows[low:]
-    copies = (np.maximum(k, k[::-1]) if mirrored else k) - low
-    index, valid = rows[low:], rows >= 0
-    live = valid[low:, :, None] & valid[low:, None, :]
-    blocks = np.where(live, ops[..., index[:, :, None], index[:, None, :]], 0.0)
     top = np.abs(blocks).max(axis=(-3, -2, -1))[..., None]
-    pad_k, pad_a = np.nonzero(~valid[low:])
-    blocks[..., pad_k, pad_a, pad_a] = 1.0 + rows.shape[1] * top
+    pad_k, pad_a = layout.pad
+    blocks[..., pad_k, pad_a, pad_a] = 1.0 + layout.rows.shape[1] * top
     values, vectors = np.linalg.eigh(blocks)
-    leading = 0.5 ** np.arange(rows.shape[1]) @ vectors
-    vectors *= np.where(leading < 0.0, -1.0, 1.0)[..., None, :]
+    vectors *= np.where(layout.signs @ vectors < 0.0, -1.0, 1.0)[..., None, :]
+    stacked = values.shape[:-2]
+    values = values.reshape(stacked + (-1,))[..., layout.gather]
+    vectors = vectors.swapaxes(-1, -2).reshape(stacked + (-1, vectors.shape[-1]))
+    columns = vectors[..., None, layout.gather, :].swapaxes(-1, -2)  # (..., 1, L, N)
     # padding rows of the vectors are zero, so the turn rows read there do not count
-    turned = (turn[..., rows, None] * vectors[..., None, copies, :, :]).sum(axis=-2)
-    return values[..., copies, :][..., valid], turned[..., valid]
+    return values, (turn[..., layout.turn_rows] * columns).sum(axis=-2)
 
 
 def _pair_rotation(initial, theta, rows):
@@ -344,7 +417,11 @@ def forster_eigensystem(channels, theta=0.0, b_field_t=0.0):
         if tuple(_level_key(s) for s in ch.initial) != key0:
             raise ValueError("all channels must share the same initial pair")
     grams = np.stack([m.T @ m for m in map(build_vdd, channels)])
-    vals, vecs = _m_block_states(grams, np.eye(grams.shape[-1]), channels[0].initial, True)
+    first, second = channels[0].initial
+    layout = _m_blocks(round(2 * first.j), round(2 * second.j), True)
+    index = layout.rows[layout.low :]
+    blocks = np.where(layout.live, grams[:, index[:, :, None], index[:, None, :]], 0.0)
+    vals, vecs = _m_block_states(blocks, np.eye(grams.shape[-1]), layout)
     vals = np.clip(vals, 0.0, None)
     order = np.argsort(vals, axis=-1, kind="stable")
     vals = np.take_along_axis(vals, order, -1)
@@ -383,7 +460,7 @@ def _channel_shifts_mhz(eig, r_um, defects_mhz):
     broadcast to it). Eigenstates below the coupling floor are unshifted
     by their channel."""
     c3 = np.array([[ch.c3_mhz_um3] for ch in eig.channels])
-    shifts = pair_shift_mhz(defects_mhz, c3, eig.d_values, r_um)
+    shifts = _pair_shift(defects_mhz, c3, eig.d_values, r_um)
     return np.where(eig.d_values >= FORSTER_ZERO_FLOOR, shifts, 0.0)
 
 
@@ -391,25 +468,32 @@ def _pair_states(eig, r_um, theta, lab_rows):
     """Pair states of P atom pairs at positive separations r_um and pair
     angles theta (arrays of P), on eig's M-definite pair-frame vectors V.
 
-    W_0 = V diag(s) V^T (s the channels' shifts, _channel_shifts_mhz, at
-    the defects _defects_mhz gives at each pair's angle) of every pair is
-    solved by one _m_block_states call, mirrored in zero field, with the
-    rows lab_rows of D(theta) (_pair_rotation) as the turn, so a pair alone
-    gets the bits it gets in a batch, in a field too.
+    W_0 = V diag(s) V^T, s the channels' shifts (_channel_shifts_mhz) at
+    the defects _defects_mhz gives at each pair's angle, is formed block by
+    block from eig.block_stack: block k is (stack[k] * s) @ stack[k]^T
+    over the channel columns of block k alone, a (P, K, L, L) stack, only
+    the blocks M >= 0 in zero field. One _m_block_states call solves them,
+    with the rows lab_rows of D(theta) (_pair_rotation) as the turn. The
+    columns of other blocks are zero in block k, so leaving them out drops
+    only exact zeros from each sum, and a pair alone gets the bits it gets
+    in a batch, in a field too.
 
     Returns (shifts, turned): shifts (P, N) in stable ascending order per
     pair and turned (P, len(lab_rows), N) the rows lab_rows of each pair's
     lab-frame states, columns in shift order.
     """
-    _require_positive(float(np.min(r_um)), "r_um")
+    _require_positive(float(r_um.min()), "r_um")
     initial = eig.channels[0].initial
+    layout = _m_blocks(round(2 * initial[0].j), round(2 * initial[1].j), eig.b_field_t == 0.0)
     s = _channel_shifts_mhz(eig, r_um[:, None, None], _defects_mhz(eig, theta))
-    v = eig.vectors.swapaxes(0, 1).reshape(eig.vectors.shape[1], -1)  # channels side by side
-    turn = _pair_rotation(initial, theta, lab_rows)
-    w0 = (v * s.reshape(len(s), 1, -1)) @ v.T
-    values, turned = _m_block_states(w0, turn, initial, eig.b_field_t == 0.0)
+    stack, columns = (a[layout.low :] for a in eig.block_stack)
+    s = s.reshape(len(s), -1)[:, columns[:, None, :]]  # (P, K, 1, C L)
+    blocks = (stack * s) @ stack.swapaxes(1, 2)
+    values, turned = _m_block_states(blocks, _pair_rotation(initial, theta, lab_rows), layout)
     order = np.argsort(values, axis=-1, kind="stable")
-    return np.take_along_axis(values, order, -1), np.take_along_axis(turned, order[:, None, :], -1)
+    p = np.arange(len(order))[:, None]
+    rows = np.arange(turned.shape[1])[:, None]
+    return values[p, order], turned[p[:, :, None], rows, order[:, None, :]]
 
 
 @dataclass
@@ -427,8 +511,20 @@ def pair_shift_mhz(defect_mhz, c3_mhz_um3, d_phi, r_um):
     the initial pair: delta/2 - sign(delta) sqrt((delta/2)^2 + C3^2 D / R^6).
 
     Defects, D values and separations broadcast against each other; a zero
-    defect takes the resonant branch -sqrt(C3^2 D / R^6).
+    defect takes the resonant branch -sqrt(C3^2 D / R^6). Every separation
+    must be positive and finite, every D finite and non-negative.
     """
+    r = np.asarray(r_um, dtype=float)
+    if not np.all((r > 0) & (r < math.inf)):
+        raise ValueError("r_um must be positive and finite, got %r" % (r_um,))
+    d = np.asarray(d_phi, dtype=float)
+    if not np.all((d >= 0) & (d < math.inf)):
+        raise ValueError("d_phi must be finite and non-negative, got %r" % (d_phi,))
+    return _pair_shift(defect_mhz, c3_mhz_um3, d, r)
+
+
+def _pair_shift(defect_mhz, c3_mhz_um3, d_phi, r_um):
+    """pair_shift_mhz without its input checks."""
     defect = np.asarray(defect_mhz, dtype=float)
     coupling_sq = (c3_mhz_um3**2) * d_phi / np.asarray(r_um, dtype=float) ** 6
     half = 0.5 * defect
@@ -457,7 +553,8 @@ def crossover_radius_um(channel, d_phi):
 
     Returns math.inf for a resonant (zero-defect) channel.
     """
-    _require_positive(d_phi, "d_phi")
+    if not 0 < d_phi < math.inf:
+        raise ValueError("d_phi must be positive and finite, got %r" % (d_phi,))
     if channel.defect_mhz == 0.0:
         return math.inf
     return (abs(channel.c3_mhz_um3) * math.sqrt(d_phi) / abs(channel.defect_mhz)) ** (

@@ -7,6 +7,7 @@ frozen from converged runs of the released implementation.
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -923,6 +924,27 @@ class TestMBlocks:
             assert np.array_equal(pair_state_basis(local, r)[0], row_shifts)
             assert np.array_equal(overlap_kappa(local, f, (k, l), r_um=r), row_kappas)
 
+    def test_pair_states_form_no_full_product(self, rb_43d_eigensystem):
+        # W_0 is formed block by block from eig.block_stack: one call on a 66-pair
+        # cloud (driven row) peaks below the (P, N, C N) product of all
+        # channels' vectors that forming the whole W_0 takes (2.1 MB that way)
+        eig = rb_43d_eigensystem
+        geo = EnsembleGeometry(random_cloud(np.random.default_rng(11), 12))
+        r_um, theta = geo._pair_axes(*geo._pair_index)
+        rows = [_driven_index(eig, 0.5)]
+        pair_module._pair_states(eig, r_um, theta, rows)  # fill the caches and eig.block_stack
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            pair_module._pair_states(eig, r_um, theta, rows)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        c, n = eig.d_values.shape
+        assert len(r_um) == 66
+        assert peak < len(r_um) * n * c * n * 8
+
     @pytest.mark.parametrize("turn_rad", [0.0, 1.9])
     def test_propagation_matches_public_per_pair_hamiltonian(
         self, rb_43d_channels, rb_43d_eigensystem, turn_rad
@@ -944,17 +966,20 @@ class TestMBlocks:
         assert np.max(np.abs(out.c_pairs)) > 1e-3
 
     def test_distinct_levels_match_full_matrix(self):
-        # 43d5/2 + 44s1/2: blocks of sizes 1, 2, 2, 2, 2, 2, 1
+        # 43d5/2 + 44s1/2: blocks of sizes 1, 2, 2, 2, 2, 2, 1; in a field
+        # every block is solved, none taken from its mirror
         d, s = RydbergState(43, 2, 2.5), RydbergState(44, 0, 0.5)
         p = RydbergState(44, 1, 1.5)
-        eig = forster_eigensystem([ForsterChannel((d, s), (p, p), -100.0, 1.0)], 0.4)
-        shifts, vectors = pair_state_basis(eig, 0.5)
-        turn = np.kron(wigner_small_d(2.5, 0.4), wigner_small_d(0.5, 0.4))
-        full = turn @ np.concatenate(eig.vectors, axis=1)
-        w = (full * _channel_shifts_mhz(eig, 0.5, eig.defects_mhz).ravel()) @ full.T
-        assert np.max(np.abs(shifts - np.linalg.eigvalsh(w))) < 1e-12 * np.abs(shifts).max()
-        assert np.max(np.abs(vectors.T @ vectors - np.eye(12))) < 1e-14
-        assert np.max(np.abs(w @ vectors - vectors * shifts)) < 1e-12 * np.abs(shifts).max()
+        for b_field_t in (0.0, 0.01):
+            eig = forster_eigensystem([ForsterChannel((d, s), (p, p), -100.0, 1.0)], 0.4, b_field_t)
+            shifts, vectors = pair_state_basis(eig, 0.5)
+            scale = np.abs(shifts).max()
+            turn = np.kron(wigner_small_d(2.5, 0.4), wigner_small_d(0.5, 0.4))
+            full = turn @ np.concatenate(eig.vectors, axis=1)
+            w = (full * _channel_shifts_mhz(eig, 0.5, eig.defects_mhz).ravel()) @ full.T
+            assert np.max(np.abs(shifts - np.linalg.eigvalsh(w))) < 1e-12 * scale
+            assert np.max(np.abs(vectors.T @ vectors - np.eye(12))) < 1e-14
+            assert np.max(np.abs(w @ vectors - vectors * shifts)) < 1e-12 * scale
 
 
 class TestDrivenLevel:

@@ -307,6 +307,15 @@ class TestExcitationModel:
                 interaction_mhz=np.array([[0.0, 1.0], [2.0, 0.0]]),
             )
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_interaction_rejected(self, bad):
+        # a nan entry was reported as "must be symmetric"
+        v = np.array([[0.0, bad], [bad, 0.0]])
+        with pytest.raises(ValueError, match="interaction_mhz must be finite"):
+            ExcitationModel(
+                positions_um=[[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], rabi_mhz=1.0, interaction_mhz=v
+            )
+
     @pytest.mark.parametrize(
         "detuning", [np.nan, np.inf, [0.0, np.nan]], ids=["nan", "inf", "per_atom"]
     )
@@ -1232,6 +1241,18 @@ class TestTripleExchange:
                 1.0, np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 3.0],
                                [2.5, 3.0, 0.0]]), times
             )
+
+    @pytest.mark.parametrize(
+        "exchange", [np.nan, np.inf, -np.inf, "entry"], ids=["nan", "inf", "-inf", "entry"]
+    )
+    def test_non_finite_exchange_rejected(self, exchange):
+        # a scalar nan failed in eigh (LinAlgError), a nan (3, 3) entry was
+        # reported as "must be symmetric"
+        if exchange == "entry":
+            exchange = np.ones((3, 3))
+            exchange[0, 2] = exchange[2, 0] = np.nan
+        with pytest.raises(ValueError, match="exchange_mhz must be finite"):
+            simulate_triple_exchange(1.0, exchange, np.linspace(0.0, 1.0, 5))
 
     def test_all_zero_matrix_rejected(self):
         # as for the scalar 0, no triple state would be shifted; the

@@ -373,6 +373,42 @@ class TestEigensystem:
             assert np.array_equal(one.vectors[0], vecs)
 
     @pytest.mark.parametrize("b_field_t", [0.0, 0.01])
+    @pytest.mark.parametrize("channel_set", ["60s", "43d", "43d5/2+44s1/2"])
+    def test_block_stack_scatters_back_to_the_vectors(
+        self, rb_table, rb_s60_channels, rb_43d_channels, channel_set, b_field_t
+    ):
+        # the M-block stack _pair_states solves in holds the vectors bit for
+        # bit, every column once, inside its own block and zero outside it
+        d, s = RydbergState(43, 2, 2.5), RydbergState(44, 0, 0.5)
+        channels = {
+            "60s": rb_s60_channels,
+            "43d": rb_43d_channels,
+            "43d5/2+44s1/2": [
+                make_channel((d, s), (RydbergState(n, 1, 1.5),) * 2, rb_table)
+                for n in (43, 44, 45)
+            ],
+        }[channel_set]
+        eig = forster_eigensystem(channels, 0.3, b_field_t)
+        c, n = eig.d_values.shape
+        first, second = channels[0].initial
+        rows = pair._m_blocks(round(2 * first.j), round(2 * second.j), False).rows
+        sizes = (rows >= 0).sum(axis=1)
+        stack, columns = eig.block_stack
+        assert stack.shape == (len(rows), rows.shape[1], c * rows.shape[1])
+        side_by_side = eig.vectors.swapaxes(0, 1).reshape(n, c * n)
+        scattered = np.zeros_like(side_by_side)
+        stored = []
+        for block, block_columns, states, size in zip(stack, columns, rows, sizes):
+            filled, states = block_columns[: c * size], states[:size]
+            assert np.all(block[size:] == 0.0) and np.all(block[:, c * size :] == 0.0)
+            outside = np.setdiff1d(np.arange(n), states)
+            assert np.all(side_by_side[np.ix_(outside, filled)] == 0.0)
+            scattered[np.ix_(states, filled)] = block[:size, : c * size]
+            stored.extend(filled.tolist())
+        assert sorted(stored) == list(range(c * n))
+        assert np.array_equal(scattered, side_by_side)
+
+    @pytest.mark.parametrize("b_field_t", [0.0, 0.01])
     def test_stacked_layout(self, rb_s60_channels, rb_43d_channels, b_field_t):
         # the solver's arrays, one row per channel: (C, N) values and
         # defects, (C, N, N) vectors, each vectors[c] column-major
@@ -418,6 +454,21 @@ class TestPotentialCurves:
         r = np.geomspace(0.5, 20.0, 50)
         shift = pair_shift_mhz(0.0, c3, d_phi, r)
         assert np.allclose(shift, -c3 * math.sqrt(d_phi) / r**3, rtol=1e-12)
+
+    @pytest.mark.parametrize("r_um", [-2.0, 0.0, math.nan, math.inf])
+    def test_shift_needs_positive_finite_separation(self, r_um):
+        # r_um = -2 returned the +2 um shift, nan a nan shift
+        with pytest.raises(ValueError, match="r_um must be positive and finite"):
+            pair_shift_mhz(-100.0, 1.0, 0.5, r_um)
+        with pytest.raises(ValueError, match="r_um must be positive and finite"):
+            pair_shift_mhz(-100.0, 1.0, 0.5, np.array([3.0, r_um]))
+
+    @pytest.mark.parametrize("d_phi", [-0.5, math.nan, math.inf])
+    def test_shift_needs_finite_non_negative_d_phi(self, d_phi):
+        # a nan d_phi returned a nan shift
+        with pytest.raises(ValueError, match="d_phi must be finite and non-negative"):
+            pair_shift_mhz(-100.0, 1.0, d_phi, 2.0)
+        assert pair_shift_mhz(-100.0, 1.0, 0.0, 2.0) == 0.0
 
     def test_asymptotes_outside_crossover_window(self, rb_s60_eigensystem):
         eig = rb_s60_eigensystem
@@ -508,9 +559,9 @@ class TestCrossover:
         with pytest.raises(ValueError):
             vdw_coefficient_mhz_um6(ch, 0.5)
 
-    @pytest.mark.parametrize("d_phi", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("d_phi", [0.0, -1.0, math.nan, math.inf])
     def test_crossover_needs_positive_d_phi(self, d_phi):
-        # nan returned a nan radius
+        # nan returned a nan radius, inf an infinite one
         ch = angular_channel((60, 0, 0.5), (60, 1, 1.5), (59, 1, 1.5))
         with pytest.raises(ValueError, match="d_phi must be positive"):
             crossover_radius_um(ch, d_phi)
