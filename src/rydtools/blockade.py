@@ -33,10 +33,10 @@ from .pair import _driven_index, _pair_states, forster_eigensystem  # re-exports
 KAPPA_WEIGHT_FLOOR = 1e-12
 # a gap above DEGENERACY_RTOL x max(1 MHz, largest |shift|) between neighbouring
 # ascending pair-state shifts opens a new degenerate eigenspace, so a chain of
-# close shifts is one: an absolute 1e-9 MHz gap for spectra below 1 MHz. In
-# zero field degenerate shifts are +-M mirror copies with equal bits, but in a
-# field eigh returns driven degenerate shifts up to about 1e-13 of the row
-# scale apart, which exact equality would split (43d at 0.01 T)
+# close shifts is one: an absolute 1e-9 MHz gap for spectra below 1 MHz. eigh
+# returns shifts degenerate inside one M-block a rounding gap apart, in zero
+# field too (one 43d channel: driven gaps up to 1.4e-16 of the row scale), which
+# exact equality would split; +-M mirror copies get equal bits
 DEGENERACY_RTOL = 1e-9
 
 

@@ -165,7 +165,7 @@ def saturated_fraction(conditions, prefactor=None):
     """
     if prefactor is None:
         prefactor = SATURATED_FRACTION_PREFACTOR
-    if prefactor is None or not (prefactor > 0):
+    if prefactor is None or not 0 < prefactor < math.inf:
         raise ValueError(
             "saturated_fraction needs a calibrated positive prefactor"
         )
@@ -225,6 +225,7 @@ def cubic_lattice(shape, spacing_um):
         if count < 1:
             raise ValueError("lattice shape entries must be >= 1")
     _require_positive(spacing_um, "spacing_um")
+    _require_nonnegative(spacing_um, "spacing_um")
     axes = [spacing_um * (np.arange(count) - (count - 1) / 2.0) for count in (nx, ny, nz)]
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
     return grid.reshape(-1, 3)
@@ -252,8 +253,14 @@ def _rejection_fill(n, draw, min_separation_um, rng):
 
 
 def uniform_box_positions(n, lengths_um, seed_or_rng, min_separation_um=0.0):
-    """n atoms uniformly random in a box centered at the origin."""
+    """n atoms uniformly random in a box centered at the origin, lengths_um
+    its three finite, positive edge lengths."""
     lengths = np.asarray(lengths_um, dtype=float)
+    if lengths.shape != (3,):
+        raise ValueError("lengths_um must hold three box lengths, got %r" % (lengths_um,))
+    for length in lengths.tolist():
+        _require_positive(length, "lengths_um")
+        _require_nonnegative(length, "lengths_um")
     rng = _as_rng(seed_or_rng)
     return _rejection_fill(
         n,
@@ -266,6 +273,7 @@ def uniform_box_positions(n, lengths_um, seed_or_rng, min_separation_um=0.0):
 def uniform_sphere_positions(n, radius_um, seed_or_rng, min_separation_um=0.0):
     """n atoms uniformly random in a sphere centered at the origin."""
     _require_positive(radius_um, "radius_um")
+    _require_nonnegative(radius_um, "radius_um")
     rng = _as_rng(seed_or_rng)
 
     def draw(r):
@@ -281,8 +289,9 @@ def uniform_cylinder_positions(
     n, radius_um, length_um, seed_or_rng, min_separation_um=0.0
 ):
     """n atoms uniformly random in a z-axis cylinder centered at the origin."""
-    _require_positive(radius_um, "radius_um")
-    _require_positive(length_um, "length_um")
+    for value, name in ((radius_um, "radius_um"), (length_um, "length_um")):
+        _require_positive(value, name)
+        _require_nonnegative(value, name)
     rng = _as_rng(seed_or_rng)
 
     def draw(r):

@@ -13,12 +13,14 @@ along z). At a pair axis tilted by theta from z it is the same matrix turned
 by the Wigner rotation D(theta) = d^{j1}(theta) (x) d^{j2}(theta) (Walker &
 Saffman, PRA 77, 032723 (2008)), so its D_phi stay and its eigenvectors are
 the pair-frame ones turned by D(theta). An eigensystem keeps the pair-frame
-vectors at every theta; a magnetic field along z changes only the
-defects (_defects_mhz, at any array of angles). In the pair frame the
-coupling conserves M = m1 + m2: the Gram matrices and the pair-state
-operators are all diagonalized by _m_block_states, per M-block as
-pairinteraction does per symmetry sector (Weber et al., J. Phys. B 50,
-133001 (2017)), so each eigenvector has a definite M.
+vectors at every theta. In the pair frame the coupling conserves
+M = m1 + m2: the Gram matrices and the pair-state operators are all
+diagonalized by _m_block_states, per M-block as pairinteraction does per
+symmetry sector (Weber et al., J. Phys. B 50, 133001 (2017)), so each
+eigenvector has a definite M. A magnetic field B along z changes only the
+defects, and only through B cos(theta), its part along the pair axis: the
+part across the axis changes M by 1 and has no expectation value on an
+M-definite state (_defects_mhz, at any array of angles).
 
 This module owns that layout: the Zeeman-product index and the M-block
 layout built once per level pair (_m_blocks, _pair_rotation,
@@ -204,15 +206,16 @@ class ForsterEigensystem:
 
     The arrays _m_block_states returns, one row per channel c: d_values
     (C, N), dimensionless, ascending; vectors (C, N, N), vectors[c] the
-    eigenvectors (columns, over the initial Zeeman product space),
-    column-major; defects_mhz (C, N), the energy defects at theta
-    (Zeeman-shifted in a magnetic field). forster_zero_count tallies
-    eigenvalues below the zero floor. vectors are the pair-frame (theta =
-    0) eigenvectors at every theta, each with a definite M = m1 + m2 (exact
-    zeros off its M-block); the eigenvectors at theta are D(theta) @
-    vectors, D(theta) = d^{j1}(theta) (x) d^{j2}(theta). Only the defects
-    depend on theta (in a field); _pair_states takes them from _defects_mhz
-    at each pair's own angle, not from defects_mhz.
+    eigenvectors (columns, over the initial Zeeman product space);
+    defects_mhz (C, N), the energy defects at theta (in a magnetic field
+    B along z, Zeeman-shifted by mu_B B cos(theta) times a pair-frame
+    moment). forster_zero_count tallies eigenvalues below the zero floor.
+    vectors are the pair-frame (theta = 0) eigenvectors at every theta,
+    each with a definite M = m1 + m2 (exact zeros off its M-block); the
+    eigenvectors at theta are D(theta) @ vectors, D(theta) = d^{j1}(theta)
+    (x) d^{j2}(theta). Only the defects depend on theta (in a field);
+    _pair_states takes them from _defects_mhz at each pair's own angle,
+    not from defects_mhz.
 
     block_stack holds the same vectors as the M-block stack that
     _pair_states forms W_0 from.
@@ -375,27 +378,27 @@ def _defects_mhz(eig, theta):
     theta: shape theta.shape + (C, N), or (C, N) in zero field, where they
     are the channel defects at every angle.
 
-    build_vdd(ch, theta) = D_c build_vdd(ch, 0) D^T with D =
-    _pair_rotation(initial, theta), so the pair-frame vectors and d_values
-    serve every angle. Only the defects change: a field along z is
-    evaluated on the turned vectors phi = D v, as the initial pair's
-    Zeeman moment on phi and the coupled pair's on build_vdd(ch, theta) phi.
+    A field B along z is B cos(theta) along the pair axis and B sin(theta)
+    across it. Across the axis it changes M by 1, so it has no expectation
+    value on an M-definite vector v or on build_vdd(ch) v, and the defects
+    are the channel defect + mu_B B cos(theta) zeta: zeta (C, N), in units
+    of mu_B, is minus the initial pair's Zeeman moment on v plus, above
+    FORSTER_ZERO_FLOOR, the coupled pair's on build_vdd(ch) v normalized,
+    all in the pair frame, one build_vdd per channel.
     """
     defects = np.array([[ch.defect_mhz] for ch in eig.channels]) * np.ones(eig.d_values.shape)
     if eig.b_field_t == 0.0:
         return defects
-    theta = np.asarray(theta, dtype=float)
-    turn = _pair_rotation(eig.channels[0].initial, theta, np.arange(eig.vectors.shape[1]))
-    shifts = []
+    zeta = []
     for ch, vals, vecs in zip(eig.channels, eig.d_values, eig.vectors):
-        phi = turn @ vecs
         live = vals > FORSTER_ZERO_FLOOR
-        chi_sq = (build_vdd(ch, theta) @ phi[..., live]) ** 2
+        chi_sq = (build_vdd(ch) @ vecs[:, live]) ** 2
         coupled_diag = np.concatenate([_zeeman_diagonal(o) for o in _orderings(ch)])
-        shift = -(_zeeman_diagonal(ch.initial) @ phi**2)
-        shift[..., live] += coupled_diag @ chi_sq / chi_sq.sum(axis=-2)
-        shifts.append(shift)
-    return defects + cst.MU_B_MHZ_PER_T * eig.b_field_t * np.stack(shifts, axis=-2)
+        moment = -(_zeeman_diagonal(ch.initial) @ vecs**2)
+        moment[live] += coupled_diag @ chi_sq / chi_sq.sum(axis=0)
+        zeta.append(moment)
+    cos = np.cos(np.asarray(theta, dtype=float))[..., None, None]
+    return defects + cst.MU_B_MHZ_PER_T * eig.b_field_t * cos * np.stack(zeta)
 
 
 def forster_eigensystem(channels, theta=0.0, b_field_t=0.0):
@@ -426,8 +429,6 @@ def forster_eigensystem(channels, theta=0.0, b_field_t=0.0):
     order = np.argsort(vals, axis=-1, kind="stable")
     vals = np.take_along_axis(vals, order, -1)
     vecs = np.take_along_axis(vecs, order[:, None, :], -1)
-    # each vectors[c] column-major: BLAS rounds _defects_mhz's products by operand layout
-    vecs = np.ascontiguousarray(vecs.swapaxes(1, 2)).swapaxes(1, 2)
     zeros = int(np.sum(vals < FORSTER_ZERO_FLOOR))
     eig = ForsterEigensystem(list(channels), theta, b_field_t, vals, vecs, zeros)
     eig.defects_mhz = _defects_mhz(eig, theta)
@@ -539,8 +540,6 @@ def potential_curves(eig, channel_index, r_um):
     """Evaluate Delta_phi(R) for every eigenstate of one channel."""
     ch = eig.channels[channel_index]
     r = np.asarray(r_um, dtype=float)
-    if not np.all(r > 0):
-        raise ValueError("pair separations must be positive")
     d_vals = eig.d_values[channel_index]
     curves = pair_shift_mhz(
         eig.defects_mhz[channel_index][:, None], ch.c3_mhz_um3, d_vals[:, None], r

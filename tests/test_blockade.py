@@ -6,6 +6,7 @@ frozen from converged runs of the released implementation.
 """
 
 import dataclasses
+import itertools
 import math
 import tracemalloc
 
@@ -464,10 +465,11 @@ class TestBlockadeShift:
     def test_field_degenerate_shifts_apart_by_rounding_are_one_eigenspace(
         self, rb_43d_channels
     ):
-        # in zero field degenerate shifts are +-M mirror copies with equal
-        # bits; at 0.01 T eigh leaves driven degenerate shifts a rounding gap
-        # apart, which DEGENERACY_RTOL joins and exact equality would split
-        eig = forster_eigensystem(rb_43d_channels, 0.0, 0.01)
+        # one 43d channel at 0.01 T: W_0 has degenerate shifts inside one
+        # M-block, which eigh leaves a rounding gap apart (up to about 1e-16
+        # of the row scale, in zero field too); DEGENERACY_RTOL joins them
+        # and exact equality would split them
+        eig = forster_eigensystem(rb_43d_channels[:1], 0.0, 0.01)
         rng = np.random.default_rng(1)
         r_um, theta = rng.uniform(2.0, 20.0, 20), rng.uniform(0.0, math.pi, 20)
         shifts, kappas = _driven_states(eig, ExcitationField.uniform(2, 1.0), r_um, theta)
@@ -753,15 +755,15 @@ class TestFieldAtAngle:
         # eigenspaces: per-vector defects depend on the basis chosen inside a
         # degenerate eigenspace (up to 1.6 GHz apart at 0.01 T), their sum
         # over the eigenspace does not
-        b_field_t = 0.01
-        turned = forster_eigensystem(rb_43d_channels, theta, b_field_t)
-        oracle = per_angle_eigensystem(rb_43d_channels, theta, b_field_t)
-        zeeman_mhz = cst.MU_B_MHZ_PER_T * b_field_t
-        for c_idx in range(len(rb_43d_channels)):
-            ours, theirs = turned.defects_mhz[c_idx], oracle.defects_mhz[c_idx]
-            for group in degenerate_groups(oracle.d_values[c_idx], 1e-9):
-                assert abs(ours[group].sum() - theirs[group].sum()) < 1e-12 * zeeman_mhz
-            assert abs(ours.sum() - theirs.sum()) < 1e-12 * zeeman_mhz
+        for b_field_t in (0.01, 1.0):
+            turned = forster_eigensystem(rb_43d_channels, theta, b_field_t)
+            oracle = per_angle_eigensystem(rb_43d_channels, theta, b_field_t)
+            zeeman_mhz = cst.MU_B_MHZ_PER_T * b_field_t
+            for c_idx in range(len(rb_43d_channels)):
+                ours, theirs = turned.defects_mhz[c_idx], oracle.defects_mhz[c_idx]
+                for group in degenerate_groups(oracle.d_values[c_idx], 1e-9):
+                    assert abs(ours[group].sum() - theirs[group].sum()) < 1e-12 * zeeman_mhz
+                assert abs(ours.sum() - theirs.sum()) < 1e-12 * zeeman_mhz
 
     @pytest.mark.parametrize("theta", [0.3, 1.1, 2.0])
     def test_per_vector_defects_are_the_group_zeeman_eigenvalues(
@@ -772,21 +774,53 @@ class TestFieldAtAngle:
         # per-vector defects are the first-order degenerate values. At 43d
         # every group is a +-M pair or a Forster-zero group of M values
         # {-5, 0, 0, 5} or {0, 0}: none holds two M differing by 1
-        b_field_t = 0.01
+        for b_field_t in (0.01, 1.0):
+            zeeman_mhz = cst.MU_B_MHZ_PER_T * b_field_t
+            eig = forster_eigensystem(rb_43d_channels, theta, b_field_t)
+            for ch, vals, vecs, defects in zip(
+                rb_43d_channels, eig.d_values, eig.vectors, eig.defects_mhz
+            ):
+                m = block_of_columns(vecs, 2.5, 2.5)
+                groups = degenerate_groups(vals, 1e-9)
+                assert sum(len(g) == 2 for g in groups) >= 14
+                for group in groups:
+                    assert not np.any(np.abs(m[group][:, None] - m[group]) == 1)
+                    live = vals[group[0]] > FORSTER_ZERO_FLOOR
+                    op = zeeman_group_operator(ch, theta, vecs[:, group], live)
+                    ours = np.sort(defects[group] - ch.defect_mhz) / zeeman_mhz
+                    assert np.max(np.abs(ours - np.linalg.eigvalsh(op))) < 1e-12
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        r_um=st.floats(min_value=2.0, max_value=20.0),
+        theta=st.floats(min_value=0.0, max_value=math.pi),
+        b_field_t=st.sampled_from([0.01, 1.0]),
+    )
+    def test_axis_reversal_keeps_the_shifts(self, rb_43d_channels, r_um, theta, b_field_t):
+        # the pair at pi - theta is the pair at theta with its atoms exchanged
+        # (and turned about z, along the field): the same shifts, which
+        # EnsembleGeometry._pair_axes relies on when it folds theta into
+        # [0, pi/2]. The scale is _eigenspaces' max(1 MHz, largest |shift|):
+        # the van der Waals branch rounds like its GHz defects, whatever R
+        eig = forster_eigensystem(rb_43d_channels, 0.0, b_field_t)
+        shifts, _ = pair_module._pair_states(
+            eig, np.array([r_um, r_um]), np.array([theta, math.pi - theta]), [0]
+        )
+        scale = max(1.0, np.abs(shifts[0]).max())
+        assert np.max(np.abs(shifts[1] - shifts[0])) <= 1e-11 * scale
+
+    @settings(max_examples=10, deadline=None)
+    @given(b_field_t=st.floats(min_value=1e-3, max_value=10.0))
+    def test_field_across_the_axis_moves_no_defect(
+        self, rb_s60_channels, rb_43d_channels, b_field_t
+    ):
+        # at theta = pi/2 the field is across the pair axis: it changes M by
+        # 1 and has no first-order part on the M-definite Gram vectors
         zeeman_mhz = cst.MU_B_MHZ_PER_T * b_field_t
-        eig = forster_eigensystem(rb_43d_channels, theta, b_field_t)
-        for ch, vals, vecs, defects in zip(
-            rb_43d_channels, eig.d_values, eig.vectors, eig.defects_mhz
-        ):
-            m = block_of_columns(vecs, 2.5, 2.5)
-            groups = degenerate_groups(vals, 1e-9)
-            assert sum(len(g) == 2 for g in groups) >= 14
-            for group in groups:
-                assert not np.any(np.abs(m[group][:, None] - m[group]) == 1)
-                live = vals[group[0]] > FORSTER_ZERO_FLOOR
-                op = zeeman_group_operator(ch, theta, vecs[:, group], live)
-                ours = np.sort(defects[group] - ch.defect_mhz) / zeeman_mhz
-                assert np.max(np.abs(ours - np.linalg.eigvalsh(op))) < 1e-12
+        for channels in (rb_s60_channels, rb_43d_channels):
+            eig = forster_eigensystem(channels, math.pi / 2, b_field_t)
+            channel = np.array([[ch.defect_mhz] for ch in channels])
+            assert np.max(np.abs(eig.defects_mhz - channel)) <= 1e-12 * zeeman_mhz
 
 
 class TestPairFrame:
@@ -800,9 +834,12 @@ class TestPairFrame:
 
     @pytest.mark.parametrize("theta", [0.0, 0.3, 1.1, 2.0])
     def test_defects_match_per_vector_loop(self, rb_s60_channels, rb_43d_channels, theta):
-        b_field_t = 0.01
-        zeeman_mhz = cst.MU_B_MHZ_PER_T * b_field_t
-        for channels in (rb_s60_channels, rb_43d_channels):
+        # the closed form (cos theta times the pair-frame moment) against the
+        # Zeeman moments of the turned vectors D(theta) v at theta itself
+        for b_field_t, channels in itertools.product(
+            (0.01, 1.0), (rb_s60_channels, rb_43d_channels)
+        ):
+            zeeman_mhz = cst.MU_B_MHZ_PER_T * b_field_t
             eig = forster_eigensystem(channels, theta, b_field_t)
             i1, i2 = channels[0].initial
             turn = np.kron(wigner_small_d(i1.j, theta), wigner_small_d(i2.j, theta))
@@ -924,26 +961,28 @@ class TestMBlocks:
             assert np.array_equal(pair_state_basis(local, r)[0], row_shifts)
             assert np.array_equal(overlap_kappa(local, f, (k, l), r_um=r), row_kappas)
 
-    def test_pair_states_form_no_full_product(self, rb_43d_eigensystem):
+    def test_pair_states_form_no_full_product(self, rb_43d_channels):
         # W_0 is formed block by block from eig.block_stack: one call on a 66-pair
         # cloud (driven row) peaks below the (P, N, C N) product of all
-        # channels' vectors that forming the whole W_0 takes (2.1 MB that way)
-        eig = rb_43d_eigensystem
+        # channels' vectors that forming the whole W_0 takes (2.1 MB that way);
+        # at 0.01 T the defects form no per-angle array either (5.2 MB that way)
         geo = EnsembleGeometry(random_cloud(np.random.default_rng(11), 12))
         r_um, theta = geo._pair_axes(*geo._pair_index)
-        rows = [_driven_index(eig, 0.5)]
-        pair_module._pair_states(eig, r_um, theta, rows)  # fill the caches and eig.block_stack
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            pair_module._pair_states(eig, r_um, theta, rows)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        c, n = eig.d_values.shape
         assert len(r_um) == 66
-        assert peak < len(r_um) * n * c * n * 8
+        for b_field_t in (0.0, 0.01):
+            eig = forster_eigensystem(rb_43d_channels, 0.0, b_field_t)
+            rows = [_driven_index(eig, 0.5)]
+            pair_module._pair_states(eig, r_um, theta, rows)  # fill the caches and eig.block_stack
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                pair_module._pair_states(eig, r_um, theta, rows)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            c, n = eig.d_values.shape
+            assert peak < len(r_um) * n * c * n * 8
 
     @pytest.mark.parametrize("turn_rad", [0.0, 1.9])
     def test_propagation_matches_public_per_pair_hamiltonian(

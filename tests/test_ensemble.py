@@ -155,8 +155,9 @@ class TestScalingFunctions:
 
     def test_saturated_fraction_needs_calibration(self, monkeypatch):
         d = reference_conditions()
-        with pytest.raises(ValueError):
-            saturated_fraction(d, prefactor=-1.0)
+        for bad in (-1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="calibrated positive prefactor"):
+                saturated_fraction(d, prefactor=bad)
         monkeypatch.setattr(ens, "SATURATED_FRACTION_PREFACTOR", None)
         with pytest.raises(ValueError):
             saturated_fraction(d)
@@ -222,6 +223,24 @@ class TestGeometryGenerators:
             cubic_lattice((0, 1, 1), 1.0)
         with pytest.raises(ValueError):
             cubic_lattice((2, 2, 2), 0.0)
+        with pytest.raises(ValueError, match="spacing_um must be finite"):
+            cubic_lattice((2, 1, 1), math.inf)
+
+    @pytest.mark.parametrize(
+        "lengths_um", [(math.nan, 1.0, 1.0), (-1.0, 1.0, 1.0), (1.0, math.inf, 1.0), (1.0, 1.0)]
+    )
+    def test_box_needs_three_finite_positive_lengths(self, lengths_um):
+        with pytest.raises(ValueError, match="lengths_um"):
+            uniform_box_positions(2, lengths_um, 1)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_sphere_and_cylinder_need_finite_positive_sizes(self, bad):
+        with pytest.raises(ValueError, match="radius_um"):
+            uniform_sphere_positions(2, bad, 1)
+        with pytest.raises(ValueError, match="radius_um"):
+            uniform_cylinder_positions(2, bad, 1.0, 1)
+        with pytest.raises(ValueError, match="length_um"):
+            uniform_cylinder_positions(2, 1.0, bad, 1)
 
     def test_box_bounds_and_separation(self):
         pos = uniform_box_positions(
