@@ -16,7 +16,11 @@ Four layers, from coarse to fine:
   pairwise suppression whenever the three couplings are not all equal;
 * rate-equation kinetic Monte Carlo for large samples, with interaction-
   shifted Lorentzian rates, plus counting statistics of the excited
-  number.
+  number. Each trial keeps its interaction shifts as running sums over
+  couplings rounded once to multiples of 2^e, e = ceil(log2 max_i sum_j
+  |V_ij|) - 52 (each within 2^(e-1) of V_ij), so that every sum is exact
+  and an event moves them by one coupling column (see
+  kinetic_monte_carlo).
 
 Conventions: distances in micrometers, all frequencies (drives,
 interaction shifts, linewidths, detunings) as cyclic MHz, times in
@@ -941,12 +945,12 @@ class KineticResult:
     seed: int
 
 
-def _lorentzian_rates(model, gamma_mhz, v):
-    """Per-atom transition rates (rad/us) as a function of the excited set.
+def _lorentzian_rates(model, gamma_mhz):
+    """Per-atom transition rates (rad/us) as a function of interaction shifts.
 
-    excited is one (N,) occupation vector or a (B, N) stack of them; row b
-    of the result holds the rates of row b. The factors that do not depend
-    on the excited set are formed once.
+    shifts is one (N,) vector or a (B, N) stack of them (MHz); row b of the
+    result holds the rates of row b, written into out when it is given. The
+    factors that do not depend on the shifts are formed once.
     """
     gamma = TWO_PI * gamma_mhz
     with np.errstate(over="ignore"):
@@ -958,12 +962,61 @@ def _lorentzian_rates(model, gamma_mhz, v):
         raise ValueError("transition rate total is not finite")
     detuning_mhz = model.detuning_mhz
 
-    def rates(excited):
-        shifts = excited @ v.T  # interaction shift seen by each atom
-        detuning = TWO_PI * (detuning_mhz - shifts)
-        return numerator / (gamma_sq + 4.0 * detuning**2)
+    def rates(shifts, out=None):
+        # numerator / (gamma^2 + 4 (2 pi (delta - shift))^2), one pass at a time
+        out = np.subtract(detuning_mhz, shifts, out=out)
+        out *= TWO_PI
+        np.square(out, out=out)
+        out *= 4.0
+        out += gamma_sq
+        return np.divide(numerator, out, out=out)
 
     return rates
+
+
+class _RunningShifts:
+    """Interaction shifts excited @ couplings.T of a stack of trials, kept
+    up to date one flip at a time (see kinetic_monte_carlo).
+
+    couplings is v rounded to multiples of 2^e. Every 0/1 partial sum of
+    one of its rows is then a multiple of 2^e below 2^(e+53) in magnitude,
+    which a double holds exactly, so the running sums are exact.
+    """
+
+    def __init__(self, v, trials):
+        with np.errstate(over="ignore"):
+            scale = np.abs(v).sum(axis=1).max(initial=0.0)
+        # 2^1023 keeps the rounded partial sums below the float range
+        if not scale <= 2.0**1023:
+            raise ValueError(
+                "interaction row sums must be finite and at most 2**1023 MHz"
+            )
+        mantissa, exponent = math.frexp(scale)
+        # ceil(log2 scale) - 52; frexp gives 0 for a zero scale. ldexp, not
+        # 2.0**e, since 2^e underflows to 0 for subnormal couplings
+        self.exponent = exponent - 52 - (mantissa == 0.5)
+        self.couplings = np.ldexp(
+            np.rint(np.ldexp(v, -self.exponent)), self.exponent
+        )
+        # row 0 holds the column an excitation adds, row 1 the one a decay
+        # subtracts: flip reads it at (was excited, atom)
+        self._signed_columns = np.stack((self.couplings.T, -self.couplings.T))
+        self.excited = np.zeros((trials, v.shape[0]), dtype=bool)
+        self.shifts = np.zeros((trials, v.shape[0]))
+        self._rows = np.arange(trials)
+
+    def flip(self, atoms):
+        """Flip atom atoms[k] of trial row k; True where it was excited."""
+        rows = self._rows[: atoms.size]
+        was = self.excited[rows, atoms]
+        self.shifts += self._signed_columns[was.view(np.int8), atoms]
+        self.excited[rows, atoms] = ~was
+        return was
+
+    def keep(self, rows):
+        """Keep only the trial rows that rows selects, in order."""
+        self.excited = self.excited[rows]
+        self.shifts = self.shifts[rows]
 
 
 def kinetic_monte_carlo(model, gamma_mhz, times_us, trials, seed):
@@ -979,6 +1032,15 @@ def kinetic_monte_carlo(model, gamma_mhz, times_us, trials, seed):
     depend on the trial count. Samples for the counting statistics are
     the excited numbers at the final requested time, so at least two
     trials are needed.
+
+    The shifts sum_j V_ij n_j are running sums: an event adds or subtracts
+    the flipped atom's column of V, O(N) per trial instead of a matrix
+    product. V is rounded once to multiples of 2^e, e = ceil(log2 max_i
+    sum_j |V_ij|) - 52, which moves each coupling by at most 2^(e-1), less
+    than 2^-52 of the largest row sum. Every running sum is then exact:
+    bit for bit the rounded V times the excited set, whatever the order of
+    events. A row sum of |V| that is not finite (or above 2^1023 MHz)
+    raises ValueError.
     """
     if not 0.0 < gamma_mhz < math.inf:
         raise ValueError("gamma_mhz must be finite and positive, got %r" % (gamma_mhz,))
@@ -989,47 +1051,64 @@ def kinetic_monte_carlo(model, gamma_mhz, times_us, trials, seed):
         raise ValueError("times_us must be finite")
     if times.size < 1 or np.any(np.diff(times) < 0) or times[0] < 0:
         raise ValueError("times_us must be nondecreasing and nonnegative")
-    rates_of = _lorentzian_rates(model, gamma_mhz, model.pair_shift_matrix_mhz())
+    rates_of = _lorentzian_rates(model, gamma_mhz)
+    state = _RunningShifts(model.pair_shift_matrix_mhz(), trials)
     streams = np.random.SeedSequence(seed).spawn(trials)
     rngs = [np.random.default_rng(stream) for stream in streams]
-    trajectories = np.zeros((trials, times.size), dtype=np.int64)
-    excited = np.zeros((trials, model.n_atoms))
-    count = np.zeros(trials, dtype=np.int64)
+    # Row k of state and of every array below belongs to trial live[k]; a
+    # trial that ends leaves them all. standard_exponential() * scale has
+    # the bits of exponential(scale).
+    live = np.arange(trials)
+    exponentials = [r.standard_exponential for r in rngs]
+    uniforms = [r.random for r in rngs]
     t = np.zeros(trials)
     cursor = np.zeros(trials, dtype=np.intp)
-    live = np.arange(trials)
+    count = np.zeros(trials, dtype=np.int64)
+    trajectories = np.zeros((trials, times.size), dtype=np.int64)
+    rate_buffer = np.empty((trials, model.n_atoms))
+
+    def leave(ending):
+        nonlocal live, exponentials, uniforms, t, cursor, count
+        # a trial that ends holds its last count on the rest of the grid
+        for k in np.flatnonzero(ending):
+            trajectories[live[k], cursor[k]:] = count[k]
+        kept = ~ending
+        state.keep(kept)
+        live, t, cursor, count = live[kept], t[kept], cursor[kept], count[kept]
+        exponentials = list(itertools.compress(exponentials, kept))
+        uniforms = list(itertools.compress(uniforms, kept))
+
     while live.size:
-        rates = rates_of(excited[live])
+        rates = rates_of(state.shifts, out=rate_buffer[: live.size])
         total = rates.sum(axis=1)
-        if not np.all(np.isfinite(total)):
+        if not np.isfinite(total).all():
             # an infinite total waits 0 forever, a nan one ends the trial
             raise ValueError("transition rate total is not finite")
-        # a trial with no allowed transition is finished
-        moving = total > 0
-        live, rates, total = live[moving], rates[moving], total[moving]
-        live_rngs = [rngs[i] for i in live.tolist()]
-        scale = (1.0 / total).tolist()
-        wait = np.array([r.exponential(s) for r, s in zip(live_rngs, scale)])
-        u = np.array([r.random() for r in live_rngs])
+        # a trial with no allowed transition (total 0, as no rate is
+        # negative) is finished
+        if not total.all():
+            moving = total > 0
+            leave(~moving)
+            rates, total = rates[moving], total[moving]
+        wait = np.array([draw() for draw in exponentials]) * (1.0 / total)
+        u = np.array([draw() for draw in uniforms])
+        t += wait
         # record the state on every grid point passed by this step
-        new = np.searchsorted(times, t[live] + wait, side="left")
-        for k in np.flatnonzero(new > cursor[live]):
-            i = live[k]
-            trajectories[i, cursor[i]:new[k]] = count[i]
-        cursor[live] = new
-        t[live] += wait
+        new = np.searchsorted(times, t, side="left")
+        for k in np.flatnonzero(new > cursor):
+            trajectories[live[k], cursor[k]:new[k]] = count[k]
+        cursor = new
         # rng.choice(n, p=rates / total) without its checks: the same cdf
-        # and the same single draw; counting cdf <= u is searchsorted right
-        cdf = np.cumsum(rates / total[:, None], axis=1)
+        # and the same single draw. The first entry above u is searchsorted
+        # right, as each cdf row is nondecreasing and ends at 1 > u.
+        cdf = np.divide(rates, total[:, None], out=rates)
+        np.cumsum(cdf, axis=1, out=cdf)
         cdf /= cdf[:, -1:]
-        atom = (cdf <= u[:, None]).sum(axis=1)
-        flipped = 1.0 - excited[live, atom]
-        excited[live, atom] = flipped
-        count[live] += np.where(flipped > 0, 1, -1)
-        live = live[new < times.size]
-    # a trial that left early holds its last count on the rest of the grid
-    recorded = np.arange(times.size) < cursor[:, None]
-    trajectories = np.where(recorded, trajectories, count[:, None])
+        atom = (cdf > u[:, None]).argmax(axis=1)
+        count += np.where(state.flip(atom), -1, 1)
+        ended = new == times.size
+        if ended.any():
+            leave(ended)
     stats = CountingStatistics.from_samples(trajectories[:, -1])
     return KineticResult(
         times_us=times,

@@ -528,12 +528,19 @@ def _pair_shift(defect_mhz, c3_mhz_um3, d_phi, r_um):
     """pair_shift_mhz without its input checks."""
     defect = np.asarray(defect_mhz, dtype=float)
     coupling_sq = (c3_mhz_um3**2) * d_phi / np.asarray(r_um, dtype=float) ** 6
-    half = 0.5 * defect
-    return np.where(
-        defect == 0.0,
-        -np.sqrt(coupling_sq),
-        half - np.sign(defect) * np.sqrt(half * half + coupling_sq),
+    root = np.sqrt(defect * defect + 4.0 * coupling_sq)
+    # delta/2 - sign(delta) root/2 cancels where the shift is much smaller
+    # than the defect. Its conjugate form -2 C3^2 D / R^6 / (delta +
+    # sign(delta) root) does not, and its denominator is never below
+    # |delta|. A zero defect takes the resonant branch -root/2.
+    shift = np.asarray(-0.5 * root)
+    np.divide(
+        -2.0 * coupling_sq,
+        defect + np.copysign(root, defect),
+        out=shift,
+        where=defect != 0.0,
     )
+    return shift
 
 
 def potential_curves(eig, channel_index, r_um):

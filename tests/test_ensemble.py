@@ -628,6 +628,26 @@ def lockstep_oracle_case(name, seed):
             c6_mhz_um6=50.0,
         )
         return model, 2.0, np.linspace(0.0, 3.0, 4), 5
+    if name == "mixed_sign":
+        # explicit couplings of both signs, a few MHz: shifts cancel in part
+        pos = uniform_box_positions(
+            20, (6.0, 6.0, 6.0), seed_or_rng=seed, min_separation_um=0.5
+        )
+        v = np.random.default_rng(seed).normal(scale=2.0, size=(20, 20))
+        model = ExcitationModel(
+            positions_um=pos, rabi_mhz=0.5, detuning_mhz=0.3, interaction_mhz=v + v.T
+        )
+        return model, 2.0, np.linspace(0.0, 6.0, 7), 60
+    if name == "zero_coupling":
+        # test_independent_atoms_poissonian's atoms, run long enough that
+        # about half of them are excited
+        model = ExcitationModel(
+            positions_um=cubic_lattice((10, 1, 1), 1.0),
+            rabi_mhz=0.2,
+            interaction_mhz=np.zeros((10, 10)),
+            max_excitations=10,
+        )
+        return model, 4.0, np.linspace(0.0, 20.0, 11), 40
     # near_symmetric: interaction_mhz passes the allclose symmetry check
     # with v[i, j] - v[j, i] of order 1e-10
     pos = uniform_box_positions(
@@ -1528,8 +1548,8 @@ class TestKineticMonteCarlo:
             c6_mhz_um6=10.0,
         )
         v = model.pair_shift_matrix_mhz()
-        rates = ens._lorentzian_rates(model, gamma_mhz=2.0, v=v)(
-            np.array([1.0, 0.0])
+        rates = ens._lorentzian_rates(model, gamma_mhz=2.0)(
+            v @ np.array([1.0, 0.0])
         )
         two_pi = 2 * math.pi
         for i, shift in enumerate((0.0, 10.0)):
@@ -1541,7 +1561,8 @@ class TestKineticMonteCarlo:
 
     def test_stacked_rates_use_each_row_shift(self):
         # interaction_mhz need only be allclose to symmetric: row b of the
-        # rates of a (B, N) stack must use v @ excited[b], not v.T @ it
+        # rates of a (B, N) stack of shifts excited @ v.T must use
+        # v @ excited[b], and write into out when it is given
         rng = np.random.default_rng(8)
         pos = cubic_lattice((3, 2, 2), 1.0)
         v = ExcitationModel(positions_um=pos, rabi_mhz=0.5, c6_mhz_um6=50.0)
@@ -1550,9 +1571,12 @@ class TestKineticMonteCarlo:
             positions_um=pos, rabi_mhz=0.5, detuning_mhz=0.3, interaction_mhz=v
         )
         excited = (rng.random((5, 12)) < 0.4).astype(float)
-        rates = ens._lorentzian_rates(model, 2.0, model.pair_shift_matrix_mhz())
+        shifts = excited @ model.pair_shift_matrix_mhz().T
+        out = np.empty_like(shifts)
+        rates = ens._lorentzian_rates(model, 2.0)(shifts, out=out)
+        assert rates is out
         two_pi = 2 * math.pi
-        for row, got in zip(excited, rates(excited)):
+        for row, got in zip(excited, rates):
             det = two_pi * (0.3 - model.pair_shift_matrix_mhz() @ row)
             expected = (two_pi * 0.5) ** 2 * two_pi * 2.0 / (
                 (two_pi * 2.0) ** 2 + 4 * det**2
@@ -1675,6 +1699,8 @@ class TestKineticMonteCarlo:
             ("facilitated_chain", 3),
             ("zero_rabi", 4),
             ("near_symmetric", 5),
+            ("mixed_sign", 6),
+            ("zero_coupling", 7),
         ],
     )
     def test_lockstep_matches_per_trial_oracle(self, name, seed):
@@ -1686,6 +1712,76 @@ class TestKineticMonteCarlo:
             assert not oracle.any()
         else:
             assert oracle[:, -1].std() > 0
+
+    @pytest.mark.parametrize(
+        "name, seed",
+        [("benchmark_shaped", 1), ("mixed_sign", 6), ("near_symmetric", 5)],
+    )
+    def test_running_shifts_equal_the_product(self, name, seed):
+        # one coupling column added or subtracted per flip keeps the bits of
+        # excited @ v_r.T; near_symmetric has v != v.T, so a column is not a row
+        model = lockstep_oracle_case(name, seed)[0]
+        v = model.pair_shift_matrix_mhz()
+        state = ens._RunningShifts(v, 8)
+        e, v_r = state.exponent, state.couplings
+        # e = ceil(log2 max_i sum_j |v_ij|) - 52, v_r on the grid of 2^e
+        scale = np.abs(v).sum(axis=1).max()
+        assert np.ldexp(1.0, e + 51) < scale <= np.ldexp(1.0, e + 52)
+        units = np.ldexp(v_r, -e)
+        assert np.array_equal(units, np.rint(units))
+        assert np.all(np.abs(v_r - v) <= np.ldexp(1.0, e - 1))
+        rng = np.random.default_rng(seed)
+        for step in range(400):
+            if step == 200:
+                state.keep(np.array([True, False, True, True, False, True, True, True]))
+            state.flip(rng.integers(model.n_atoms, size=state.shifts.shape[0]))
+            assert np.array_equal(state.shifts, state.excited @ v_r.T)
+        assert 0.3 < state.excited.mean() < 0.7
+        if name == "near_symmetric":
+            assert not np.array_equal(state.shifts, state.excited @ v_r)
+
+    def test_coupling_row_sum_must_be_finite(self, monkeypatch):
+        # each coupling is finite, but the middle atom's row sums to 2e308:
+        # the running shifts could leave the float range. No generator is
+        # made before the check.
+        model = ExcitationModel(
+            positions_um=cubic_lattice((3, 1, 1), 1.0), rabi_mhz=0.5, c6_mhz_um6=1e308
+        )
+
+        def no_generator(*args):
+            raise AssertionError("a generator was made before the check")
+
+        monkeypatch.setattr(np.random, "default_rng", no_generator)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="row sums must be finite"):
+                kinetic_monte_carlo(model, 2.0, [0.0, 1.0], trials=2, seed=1)
+
+    @pytest.mark.parametrize("unit", [0.0, 5e-324])
+    def test_zero_and_subnormal_couplings(self, unit):
+        # e = -52 for zero couplings and -1121 for these subnormal ones,
+        # where 2.0**e underflows to 0: neither divides by zero or warns,
+        # and shifts far below every detuning leave the trajectories alone
+        pattern = np.add.outer(np.arange(10), np.arange(10)) % 4
+        v = unit * pattern
+        state = ens._RunningShifts(v, 2)
+        assert np.array_equal(state.couplings, v)
+        times = np.linspace(0.0, 20.0, 11)
+
+        def run(interaction):
+            model = ExcitationModel(
+                positions_um=cubic_lattice((10, 1, 1), 1.0),
+                rabi_mhz=0.2,
+                interaction_mhz=interaction,
+                max_excitations=10,
+            )
+            return kinetic_monte_carlo(model, 4.0, times, trials=40, seed=7)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = run(v)
+        assert np.array_equal(result.trajectories, run(np.zeros((10, 10))).trajectories)
+        assert result.trajectories[:, -1].std() > 0
 
     def test_per_trial_streams_independent_of_total(self):
         model = ExcitationModel(

@@ -7,6 +7,7 @@ values are frozen regression pins from the bundled quantum-defect data.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -468,6 +469,36 @@ class TestPotentialCurves:
         with pytest.raises(ValueError, match="d_phi must be finite and non-negative"):
             pair_shift_mhz(-100.0, 1.0, d_phi, 2.0)
         assert pair_shift_mhz(-100.0, 1.0, 0.0, 2.0) == 0.0
+
+    @pytest.mark.parametrize("r_um", [5.0, 20.0, 40.0])
+    def test_shift_to_a_few_ulp_against_mpmath(self, rb_s60_eigensystem, r_um):
+        # delta/2 - sign(delta) sqrt((delta/2)^2 + C3^2 D / R^6) cancels to
+        # about eps |delta| / 2 at any shift: relative errors of 7e-11 at
+        # 20 um and 5e-9 at 40 um for the 60s channels
+        mpmath = pytest.importorskip("mpmath")
+        eig = rb_s60_eigensystem
+        with mpmath.workdps(50):
+            for idx, ch in enumerate(eig.channels):
+                for d_phi in [0.5, *eig.d_values[idx]]:
+                    got = pair_shift_mhz(ch.defect_mhz, ch.c3_mhz_um3, d_phi, r_um)
+                    delta = mpmath.mpf(ch.defect_mhz)
+                    coupling_sq = (
+                        mpmath.mpf(ch.c3_mhz_um3) ** 2 * mpmath.mpf(d_phi) / mpmath.mpf(r_um) ** 6
+                    )
+                    exact = delta / 2 - mpmath.sign(delta) * mpmath.sqrt(
+                        delta**2 / 4 + coupling_sq
+                    )
+                    assert abs(float(got) - exact) <= 4 * np.finfo(float).eps * abs(exact)
+
+    def test_zero_defect_and_coupling_give_zero_without_warning(self):
+        # the conjugate form would divide 0 by 0 where the resonant branch
+        # is taken
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            shift = pair_shift_mhz([0.0, -0.0, 3.0, -3.0], 1.0, 0.0, 2.0)
+            resonant = pair_shift_mhz(0.0, 2.0, 0.5, 2.0)
+        assert np.array_equal(shift, np.zeros(4))
+        assert resonant == -2.0 * math.sqrt(0.5) / 8.0
 
     def test_asymptotes_outside_crossover_window(self, rb_s60_eigensystem):
         eig = rb_s60_eigensystem
