@@ -50,7 +50,8 @@ class EnsembleGeometry:
         object.__setattr__(self, "positions_um", _positions_um(self.positions_um))
         object.__setattr__(self, "_pair_index", np.triu_indices(self.n, 1))
         k, l = self._pair_index
-        coincide = np.flatnonzero(self._pair_axes(k, l)[0] <= 0.0)
+        object.__setattr__(self, "_axes", self._pair_axes(k, l))  # read by _pair_spectra
+        coincide = np.flatnonzero(self._axes[0] <= 0.0)
         if coincide.size:
             raise ValueError("atoms %d and %d coincide" % (k[coincide[0]], l[coincide[0]]))
 
@@ -180,7 +181,7 @@ def _pair_spectra(geometry, field, eig):
     Gram matrix.
     """
     k, l = geometry._pair_index
-    shifts, kappas = _driven_states(eig, field, *geometry._pair_axes(k, l))
+    shifts, kappas = _driven_states(eig, field, *geometry._axes)
     pairs = list(zip(k.tolist(), l.tolist()))
     return pairs, shifts, kappas * _laser_weights(field, k, l)[:, None]
 

@@ -115,9 +115,9 @@ class DriveConditions:
     detuning_mhz: float = 0.0
 
     def __post_init__(self):
-        _require_positive(self.density_per_um3, "density_per_um3")
-        _require_positive(self.rabi_mhz, "rabi_mhz")
-        _require_positive(self.c6_mhz_um6, "c6_mhz_um6")
+        for name in ("density_per_um3", "rabi_mhz", "c6_mhz_um6"):
+            _require_positive(getattr(self, name), name)
+            _require_nonnegative(getattr(self, name), name)
         _require_nonnegative(self.linewidth_mhz, "linewidth_mhz")
         if not abs(self.detuning_mhz) < math.inf:
             raise ValueError("detuning_mhz must be finite, got %r" % (self.detuning_mhz,))
@@ -223,11 +223,12 @@ def _as_rng(seed_or_rng):
 
 
 def cubic_lattice(shape, spacing_um):
-    """Centered rectangular lattice of shape (nx, ny, nz) sites."""
+    """Centered rectangular lattice of shape (nx, ny, nz) sites, each a
+    whole number >= 1."""
     nx, ny, nz = shape
     for count in (nx, ny, nz):
-        if count < 1:
-            raise ValueError("lattice shape entries must be >= 1")
+        if not (count >= 1 and float(count).is_integer()):
+            raise ValueError("lattice shape entries must be whole numbers >= 1, got %r" % (shape,))
     _require_positive(spacing_um, "spacing_um")
     _require_nonnegative(spacing_um, "spacing_um")
     axes = [spacing_um * (np.arange(count) - (count - 1) / 2.0) for count in (nx, ny, nz)]
@@ -325,10 +326,10 @@ class ExcitationModel:
     positions_um: (N, 3) atom coordinates. rabi_mhz and detuning_mhz may
     be scalars or per-atom arrays. Pair shifts come either from
     c6_mhz_um6 (V = c6 / r^6) or from an explicit symmetric
-    interaction_mhz matrix. The simulated basis keeps product states
-    with at most max_excitations excited atoms whose total interaction
-    energy does not exceed energy_cutoff_mhz in magnitude, and refuses
-    to build more than basis_budget states.
+    interaction_mhz matrix, formed and checked (finite, no coincident atoms)
+    once, at construction. The simulated basis keeps product states with at
+    most max_excitations excited atoms whose total interaction energy stays
+    within energy_cutoff_mhz in magnitude, at most basis_budget of them.
     """
 
     positions_um: np.ndarray
@@ -343,31 +344,35 @@ class ExcitationModel:
     def __post_init__(self):
         object.__setattr__(self, "positions_um", _positions_um(self.positions_um))
         n = self.positions_um.shape[0]
-        rabi = np.broadcast_to(
-            np.asarray(self.rabi_mhz, dtype=float), (n,)
-        ).copy()
-        if np.any(rabi < 0) or not np.all(np.isfinite(rabi)):
+        for name in ("rabi_mhz", "detuning_mhz"):
+            values = np.broadcast_to(np.asarray(getattr(self, name), dtype=float), (n,)).copy()
+            if not np.isfinite(values).all():
+                raise ValueError("%s must be finite" % name)
+            object.__setattr__(self, name, values)
+        if np.any(self.rabi_mhz < 0):
             raise ValueError("rabi_mhz must be finite and nonnegative")
-        object.__setattr__(self, "rabi_mhz", rabi)
-        detuning = np.broadcast_to(
-            np.asarray(self.detuning_mhz, dtype=float), (n,)
-        ).copy()
-        if not np.all(np.isfinite(detuning)):
-            raise ValueError("detuning_mhz must be finite")
-        object.__setattr__(self, "detuning_mhz", detuning)
         if (self.c6_mhz_um6 is None) == (self.interaction_mhz is None):
-            raise ValueError(
-                "specify exactly one of c6_mhz_um6 and interaction_mhz"
-            )
-        if self.interaction_mhz is not None:
-            v = np.asarray(self.interaction_mhz, dtype=float)
-            if not np.all(np.isfinite(v)):
-                raise ValueError("interaction_mhz must be finite")
-            if v.shape != (n, n) or not np.allclose(v, v.T):
-                raise ValueError(
-                    "interaction_mhz must be a symmetric (N, N) matrix"
-                )
-            object.__setattr__(self, "interaction_mhz", v.copy())
+            raise ValueError("specify exactly one of c6_mhz_um6 and interaction_mhz")
+        if self.interaction_mhz is None:
+            name = "c6_mhz_um6"
+            p = self.positions_um  # r2 by coordinate: no (N, N, 3) array, the same sums
+            r2 = sum((p[:, None, a] - p[None, :, a]) ** 2 for a in range(3))
+            np.fill_diagonal(r2, np.inf)
+            if np.any(r2 == 0.0):
+                raise ValueError("coincident atoms have no pair interaction")
+            with np.errstate(all="ignore"):  # a non-finite V raises below
+                v = self.c6_mhz_um6 / r2**3
+        else:
+            name = "interaction_mhz"
+            object.__setattr__(self, name, np.array(self.interaction_mhz, dtype=float))
+            v = self.interaction_mhz.copy()
+        if not np.isfinite(v).all():
+            raise ValueError("%s must be finite, got a non-finite coupling" % name)
+        if v.shape != (n, n) or not np.allclose(v, v.T):
+            raise ValueError("interaction_mhz must be a symmetric (N, N) matrix")
+        np.fill_diagonal(v, 0.0)
+        v.flags.writeable = False
+        object.__setattr__(self, "_couplings_mhz", v)
         if self.max_excitations < 1:
             raise ValueError("max_excitations must be >= 1")
         _require_positive(self.energy_cutoff_mhz, "energy_cutoff_mhz")
@@ -378,17 +383,9 @@ class ExcitationModel:
         return self.positions_um.shape[0]
 
     def pair_shift_matrix_mhz(self):
-        """Symmetric V_ij matrix in MHz with zero diagonal."""
-        if self.interaction_mhz is not None:
-            v = self.interaction_mhz.copy()
-            np.fill_diagonal(v, 0.0)
-            return v
-        delta = self.positions_um[:, None, :] - self.positions_um[None, :, :]
-        r2 = np.sum(delta**2, axis=-1)
-        np.fill_diagonal(r2, np.inf)
-        if np.any(r2 == 0.0):
-            raise ValueError("coincident atoms have no pair interaction")
-        return self.c6_mhz_um6 / r2**3
+        """Symmetric V_ij matrix in MHz with zero diagonal: a copy of the
+        couplings formed at construction."""
+        return self._couplings_mhz.copy()
 
 
 def _subset_count(model):
@@ -413,7 +410,7 @@ def enumerate_basis(model):
             "untruncated subset count %d is too large to filter; reduce "
             "max_excitations or the atom number" % raw
         )
-    v = model.pair_shift_matrix_mhz()
+    v = model._couplings_mhz
     basis = []
     for k in range(model.max_excitations + 1):
         subsets = itertools.combinations(range(model.n_atoms), k)
@@ -454,10 +451,9 @@ def _build_hamiltonian(model, basis):
     n = model.n_atoms
     dim = len(basis)
     membership = _membership(basis, n)
-    v = model.pair_shift_matrix_mhz()
     energy = -(membership @ model.detuning_mhz)
     # sum of v_ij over excited pairs i < j: m.v.m / 2, as v has a zero diagonal
-    energy += 0.5 * np.einsum("ri,ri->r", membership @ v, membership)
+    energy += 0.5 * np.einsum("ri,ri->r", membership @ model._couplings_mhz, membership)
     rows = [np.arange(dim)]
     cols = [np.arange(dim)]
     values = [TWO_PI * energy]
@@ -584,11 +580,17 @@ def _chebyshev(h, psi0, times, lo, hi, need):
     return out
 
 
+def _time_grid(times_us):
+    """times_us as a float array; ValueError unless one time or a non-empty 1-D grid, finite."""
+    times = np.asarray(times_us, dtype=float)
+    if times.ndim > 1 or times.size == 0 or not np.isfinite(times).all():
+        raise ValueError("times_us must be one finite time or a non-empty 1-D grid of them")
+    return times
+
+
 def _propagate(h, psi0, times_us):
     """propagate, also returning the method that ran: "eigh" or "chebyshev"."""
-    times = np.asarray(times_us, dtype=float)
-    if not np.all(np.isfinite(times)):
-        raise ValueError("times_us must be finite")
+    times = _time_grid(times_us)
     psi0 = np.asarray(psi0)
     dim = h.shape[0]
     # Gershgorin discs bound the spectrum exactly
@@ -631,9 +633,19 @@ def propagate(h, psi0, times_us):
     The series runs when its cost is below SPARSE_COST_RATIO * dim^3, and
     always when eigh would need more than DENSE_MEMORY_CEILING_BYTES. Both
     round to about what a relative change of eps in t gives, eps ||h|| |t|
-    per unit of |psi0|, whatever K. A non-finite time raises ValueError.
+    per unit of |psi0|, whatever K. times_us is one time or a non-empty 1-D
+    grid of finite times (the rule of every function here that takes times).
     """
     return _propagate(h, psi0, times_us)[0]
+
+
+def _number_probabilities(weights, counts, n_atoms):
+    """(T, n_atoms + 1) probabilities of each excitation number: the state
+    weights (dim, T) summed over the states whose count is k."""
+    probs = np.zeros((weights.shape[1], n_atoms + 1))
+    for k in range(n_atoms + 1):
+        probs[:, k] = weights[counts == k].sum(axis=0)
+    return probs
 
 
 @dataclass(frozen=True, eq=False)
@@ -659,13 +671,17 @@ def simulate_exact(model, times_us, g2_bins_um=None, g2_window=0.5):
     normalized two-point correlation <n_i n_j> / (<n_i><n_j>) is
     averaged over the trailing g2_window fraction of the time grid and
     over the pairs falling in each separation bin; 0 < g2_window <= 1,
-    and the window holds at least the last time.
+    and the window holds at least the last time. g2_bins_um holds at least
+    two finite, strictly increasing edges; times_us is as for propagate.
     """
     if not 0.0 < g2_window <= 1.0:
         raise ValueError("g2_window must be in (0, 1], got %r" % (g2_window,))
-    times = np.asarray(times_us, dtype=float)
-    if times.size == 0:
-        raise ValueError("times_us must hold at least one time")
+    times = _time_grid(times_us)
+    if g2_bins_um is not None:
+        edges = np.asarray(g2_bins_um, dtype=float)
+        if not (edges.ndim == 1 and edges.size > 1 and np.isfinite(edges).all()
+                and np.all(np.diff(edges) > 0)):
+            raise ValueError("g2_bins_um must hold at least two finite, strictly increasing edges")
     basis = enumerate_basis(model)
     dim = len(basis)
     h = _build_hamiltonian(model, basis)
@@ -679,11 +695,7 @@ def simulate_exact(model, times_us, g2_bins_um=None, g2_window=0.5):
     norms = weights.sum(axis=0)
     norm_drift = float(np.max(np.abs(norms - 1.0)))
     mean = sizes @ weights
-    probs = np.zeros((times.size, model.n_atoms + 1))
-    for k in range(model.n_atoms + 1):
-        mask = sizes == k
-        if np.any(mask):
-            probs[:, k] = weights[mask, :].sum(axis=0)
+    probs = _number_probabilities(weights, sizes, model.n_atoms)
 
     g2_r = g2_vals = None
     if g2_bins_um is not None:
@@ -696,7 +708,6 @@ def simulate_exact(model, times_us, g2_bins_um=None, g2_window=0.5):
         dists = np.linalg.norm(
             model.positions_um[i] - model.positions_um[j], axis=1
         )
-        edges = np.asarray(g2_bins_um, dtype=float)
         g2_r = 0.5 * (edges[1:] + edges[:-1])
         # bin b holds edges[b] <= d < edges[b + 1]
         bins = np.digitize(dists, edges) - 1
@@ -752,13 +763,15 @@ def axial_exchange_couplings_mhz(positions_um, c3_mhz_um3, axis=(1.0, 0.0, 0.0))
     is the angle between the pair separation and the quantization
     ``axis``.  Atoms at equal separations generally end up with unequal
     couplings because their pair axes point in different directions.
-    Returns a symmetric (N, N) matrix with zero diagonal.
+    Returns a symmetric (N, N) matrix with zero diagonal; c3_mhz_um3 may
+    have either sign but must be finite.
     """
+    _require_nonnegative(abs(c3_mhz_um3), "|c3_mhz_um3|")
     pos = _positions_um(positions_um)
     axis = np.asarray(axis, dtype=float)
     norm = np.linalg.norm(axis)
-    if norm == 0:
-        raise ValueError("axis must be a nonzero vector")
+    if not 0 < norm < math.inf:
+        raise ValueError("axis must be a nonzero finite vector")
     axis = axis / norm
     n = pos.shape[0]
     out = np.zeros((n, n))
@@ -849,21 +862,20 @@ def simulate_triple_exchange(rabi_mhz, exchange_mhz, times_us):
     dependence of the interaction is accounted for), a resonant
     two-photon path from one to three excitations opens and the peak
     triple population grows to order (rabi / pair shift)^2 even though
-    every pair remains blockaded.
+    every pair remains blockaded. rabi_mhz is finite and positive, times_us
+    as for propagate.
     """
     _require_positive(rabi_mhz, "rabi_mhz")
+    _require_nonnegative(rabi_mhz, "rabi_mhz")
     vmat = _as_exchange_matrix(exchange_mhz)
-    times = np.asarray(times_us, dtype=float)
+    times = _time_grid(times_us)
     h = _triple_exchange_hamiltonian(rabi_mhz, vmat)
     psi0 = np.zeros(h.shape[0])
     psi0[0] = 1.0
     weights = np.abs(propagate(h, psi0, times)) ** 2
 
     counts = _excited_count_vector()
-    probs = np.zeros((times.size, 4))
-    for k in range(4):
-        mask = counts == k
-        probs[:, k] = weights[mask, :].sum(axis=0)
+    probs = _number_probabilities(weights, counts, 3)
 
     # dimension of the zero-shift subspace of the triply-excited block
     h_int = _triple_exchange_hamiltonian(0.0, vmat)
@@ -1040,19 +1052,17 @@ def kinetic_monte_carlo(model, gamma_mhz, times_us, trials, seed):
     than 2^-52 of the largest row sum. Every running sum is then exact:
     bit for bit the rounded V times the excited set, whatever the order of
     events. A row sum of |V| that is not finite (or above 2^1023 MHz)
-    raises ValueError.
+    raises ValueError. times_us: as for propagate, nondecreasing, nonnegative.
     """
     if not 0.0 < gamma_mhz < math.inf:
         raise ValueError("gamma_mhz must be finite and positive, got %r" % (gamma_mhz,))
     if trials < 2:
         raise ValueError("trials must be >= 2")
-    times = np.asarray(times_us, dtype=float)
-    if not np.all(np.isfinite(times)):
-        raise ValueError("times_us must be finite")
-    if times.size < 1 or np.any(np.diff(times) < 0) or times[0] < 0:
+    times = _time_grid(times_us).reshape(-1)
+    if np.any(np.diff(times) < 0) or times[0] < 0:
         raise ValueError("times_us must be nondecreasing and nonnegative")
     rates_of = _lorentzian_rates(model, gamma_mhz)
-    state = _RunningShifts(model.pair_shift_matrix_mhz(), trials)
+    state = _RunningShifts(model._couplings_mhz, trials)
     streams = np.random.SeedSequence(seed).spawn(trials)
     rngs = [np.random.default_rng(stream) for stream in streams]
     # Row k of state and of every array below belongs to trial live[k]; a

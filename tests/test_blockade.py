@@ -228,6 +228,16 @@ class TestGeometry:
         with pytest.raises(ValueError):
             EnsembleGeometry(np.zeros((2, 2)))
 
+    def test_stored_pair_axes_match_single_pairs(self):
+        # the axes formed at construction, which blockade_shift reads, carry
+        # the bits of the one-pair accessors
+        positions = np.random.default_rng(5).normal(scale=4.0, size=(6, 3))
+        geo = EnsembleGeometry(positions)
+        separations, thetas = geo._axes
+        for p, (k, l) in enumerate(geo.pairs()):
+            assert separations[p] == geo.separation_um(k, l)
+            assert thetas[p] == geo.axis_theta_rad(k, l)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_positions_rejected(self, bad):
         # a nan coordinate gave B = 15.36 MHz with blockade_valid True

@@ -81,6 +81,14 @@ class TestDriveConditions:
         with pytest.raises(ValueError, match="detuning_mhz must be finite"):
             DriveConditions(1.0, 1.0, 1.0, detuning_mhz=detuning_mhz)
 
+    @pytest.mark.parametrize("name", ["density_per_um3", "rabi_mhz", "c6_mhz_um6"])
+    def test_drive_inputs_must_be_finite(self, name):
+        # an infinite c6 gave an infinite blockade radius, an infinite
+        # density an alpha of 0
+        values = dict(density_per_um3=1.0, rabi_mhz=1.0, c6_mhz_um6=1.0)
+        with pytest.raises(ValueError, match=name + " must be finite"):
+            DriveConditions(**{**values, name: math.inf})
+
     def test_blockade_radius_value(self):
         d = DriveConditions(1.0, 1.0, 100.0)
         assert d.blockade_radius_um == pytest.approx(
@@ -225,6 +233,15 @@ class TestGeometryGenerators:
             cubic_lattice((2, 2, 2), 0.0)
         with pytest.raises(ValueError, match="spacing_um must be finite"):
             cubic_lattice((2, 1, 1), math.inf)
+
+    @pytest.mark.parametrize("shape", [(2.5, 1, 1), (1, 1.5, 1), (2, 2, math.nan)])
+    def test_cubic_lattice_needs_whole_numbers(self, shape):
+        # (2.5, 1, 1) gave the off-centre row x = -0.75, 0.25, 1.25
+        with pytest.raises(ValueError, match="whole numbers"):
+            cubic_lattice(shape, 1.0)
+
+    def test_cubic_lattice_takes_integral_floats(self):
+        assert np.array_equal(cubic_lattice((3.0, 2, 1), 1.5), cubic_lattice((3, 2, 1), 1.5))
 
     @pytest.mark.parametrize(
         "lengths_um", [(math.nan, 1.0, 1.0), (-1.0, 1.0, 1.0), (1.0, math.inf, 1.0), (1.0, 1.0)]
@@ -383,13 +400,34 @@ class TestExcitationModel:
         assert np.allclose(v, v.T)
 
     def test_coincident_atoms_rejected(self):
-        model = ExcitationModel(
-            positions_um=[[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
-            rabi_mhz=1.0,
-            c6_mhz_um6=10.0,
-        )
+        # the couplings are formed, and so checked, at construction
         with pytest.raises(ValueError, match="coincident"):
-            model.pair_shift_matrix_mhz()
+            ExcitationModel(
+                positions_um=[[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+                rabi_mhz=1.0,
+                c6_mhz_um6=10.0,
+            )
+
+    @pytest.mark.parametrize("c6", [math.nan, math.inf, -math.inf, 1e300])
+    def test_non_finite_c6_couplings_rejected(self, c6):
+        # a nan or infinite c6 (or a finite one whose c6 / r^6 overflows at
+        # r = 1e-3) stopped simulate_exact with "Eigenvalues did not converge"
+        with pytest.raises(ValueError, match="c6_mhz_um6 must be finite"):
+            ExcitationModel(
+                positions_um=[[0.0, 0.0, 0.0], [1e-3, 0.0, 0.0]], rabi_mhz=1.0, c6_mhz_um6=c6
+            )
+
+    def test_couplings_stored_once(self):
+        v = np.array([[7.0, 1.5], [1.5, -2.0]])
+        model = ExcitationModel(
+            positions_um=[[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], rabi_mhz=1.0, interaction_mhz=v
+        )
+        first = model.pair_shift_matrix_mhz()
+        assert np.array_equal(first, [[0.0, 1.5], [1.5, 0.0]])
+        # each call returns a copy: changing it, or the input, moves nothing
+        first[0, 1] = v[0, 1] = 99.0
+        assert np.array_equal(model.pair_shift_matrix_mhz(), [[0.0, 1.5], [1.5, 0.0]])
+        assert np.array_equal(model.interaction_mhz, [[7.0, 1.5], [1.5, -2.0]])
 
 
 def loop_basis(model):
@@ -719,6 +757,44 @@ class TestExactDynamics:
         with pytest.raises(ValueError, match="times_us"):
             simulate_exact(model, [])
 
+    @pytest.mark.parametrize("times", [[[0.0, 1.0], [2.0, 3.0]], []], ids=["2d", "empty"])
+    @pytest.mark.parametrize("entry", ["propagate", "exact", "triple", "kmc"])
+    def test_one_time_grid_rule(self, entry, times):
+        # a 2-D grid was flattened by propagate, simulate_exact (times_us of
+        # shape (2, 2) beside 4 rows of probabilities) and
+        # simulate_triple_exchange, and failed in KMC with numpy's "truth
+        # value ... is ambiguous"; an empty one gave propagate and
+        # simulate_triple_exchange empty results
+        model = ExcitationModel(
+            positions_um=cubic_lattice((3, 1, 1), 1.0), rabi_mhz=0.5, c6_mhz_um6=10.0
+        )
+        h, psi0 = propagation_problem(False)
+        run = {
+            "propagate": lambda: ens.propagate(h, psi0, times),
+            "exact": lambda: simulate_exact(model, times),
+            "triple": lambda: simulate_triple_exchange(1.0, 10.0, times),
+            "kmc": lambda: kinetic_monte_carlo(model, 2.0, times, trials=2, seed=1),
+        }[entry]
+        with pytest.raises(ValueError, match="times_us"):
+            run()
+
+    def test_one_time_accepted_everywhere(self):
+        model = ExcitationModel(
+            positions_um=cubic_lattice((3, 1, 1), 1.0), rabi_mhz=0.5, c6_mhz_um6=10.0
+        )
+        h, psi0 = propagation_problem(False)
+        assert np.array_equal(ens.propagate(h, psi0, 0.7), ens.propagate(h, psi0, [0.7]))
+        exact = simulate_exact(model, 0.7)
+        assert exact.times_us.shape == () and exact.number_probabilities.shape == (1, 4)
+        triple = simulate_triple_exchange(1.0, 10.0, 0.7)
+        assert triple.excitation_probabilities.shape == (1, 4)
+        # kinetic_monte_carlo failed in np.diff on a single time
+        kmc = kinetic_monte_carlo(model, 2.0, 0.7, trials=2, seed=1)
+        assert kmc.trajectories.shape == (2, 1)
+        assert np.array_equal(
+            kmc.trajectories, kinetic_monte_carlo(model, 2.0, [0.7], trials=2, seed=1).trajectories
+        )
+
     @pytest.mark.parametrize("complex_h", [False, True])
     def test_memory_ceiling_takes_sparse_path(self, monkeypatch, complex_h):
         h, psi0 = propagation_problem(complex_h)
@@ -1043,6 +1119,20 @@ class TestExactDynamics:
         assert np.allclose(recomputed, dyn.mean_excitations, atol=1e-10)
         assert dyn.g2 is None and dyn.g2_r_um is None
 
+    @pytest.mark.parametrize(
+        "bins",
+        [[3.0, 2.0, 0.0], [0.0, 2.0, 2.0], [2.0], [], [0.0, math.nan, 3.0], [0.0, 2.0, math.inf]],
+        ids=["descending", "repeated", "one_edge", "no_edge", "nan", "inf"],
+    )
+    def test_g2_bins_must_be_increasing_finite_edges(self, bins):
+        # descending edges were binned by numpy's reversed digitize rule
+        # (g2_r_um [2.5, 1.0]); one edge or none gave empty arrays
+        model = ExcitationModel(
+            positions_um=cubic_lattice((3, 1, 1), 1.2), rabi_mhz=0.7, c6_mhz_um6=30.0
+        )
+        with pytest.raises(ValueError, match="g2_bins_um"):
+            simulate_exact(model, [0.0, 1.0], g2_bins_um=bins)
+
     def test_g2_window_must_be_a_fraction_of_the_grid(self):
         model = ExcitationModel(
             positions_um=cubic_lattice((3, 1, 1), 1.2),
@@ -1257,11 +1347,21 @@ class TestTripleExchange:
         with pytest.raises(ValueError, match="positions_um must be finite"):
             axial_exchange_couplings_mhz([[0.0, 0.0, 0.0], [1.0, 0.0, bad], [0.0, 2.0, 0.0]], 5.0)
 
+    @pytest.mark.parametrize("c3", [math.nan, math.inf, -math.inf])
+    def test_angular_coupling_needs_finite_c3(self, c3):
+        # a nan c3 gave nan couplings
+        with pytest.raises(ValueError, match="c3_mhz_um3"):
+            axial_exchange_couplings_mhz(triangle_positions(1.0), c3)
+
     def test_angular_coupling_validation(self):
-        with pytest.raises(ValueError, match="axis"):
-            axial_exchange_couplings_mhz(
-                triangle_positions(1.0), 5.0, axis=(0.0, 0.0, 0.0)
-            )
+        for axis in ((0.0, 0.0, 0.0), (math.nan, 0.0, 1.0), (math.inf, 0.0, 0.0)):
+            with pytest.raises(ValueError, match="axis"):
+                axial_exchange_couplings_mhz(triangle_positions(1.0), 5.0, axis=axis)
+        # either sign of c3 is a coupling
+        assert np.array_equal(
+            axial_exchange_couplings_mhz(triangle_positions(1.0), -5.0),
+            -axial_exchange_couplings_mhz(triangle_positions(1.0), 5.0),
+        )
         with pytest.raises(ValueError, match="coincident"):
             axial_exchange_couplings_mhz(
                 [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]], 5.0
@@ -1271,6 +1371,9 @@ class TestTripleExchange:
         times = np.linspace(0.0, 1.0, 5)
         with pytest.raises(ValueError):
             simulate_triple_exchange(0.0, 10.0, times)
+        # an infinite drive gave all-nan probabilities
+        with pytest.raises(ValueError, match="rabi_mhz must be finite"):
+            simulate_triple_exchange(math.inf, 1.0, [0.0, 1.0])
         with pytest.raises(ValueError):
             simulate_triple_exchange(1.0, 0.0, times)
         with pytest.raises(ValueError, match="shape"):
