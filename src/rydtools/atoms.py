@@ -378,8 +378,7 @@ def radial_matrix_elements(pairs, table, accuracy=1.0):
     _inner_edge. A state is solved once per grid, one grid at a time, and
     its node count checked against the quantum defect before any overlap.
     """
-    if not 0.0 < accuracy < math.inf:
-        raise ValueError("accuracy must be finite and positive, got %r" % (accuracy,))
+    cst._require_finite_positive(accuracy, "accuracy")
     grids = {}
     for index, (state_a, state_b) in enumerate(pairs):
         if state_a.species != state_b.species or abs(state_a.l - state_b.l) != 1:

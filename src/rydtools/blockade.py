@@ -7,7 +7,8 @@ effective shift operator over the initial Zeeman-pair manifold, whose
 eigenstates are the pair states entering the blockade average.
 pair._pair_states forms and solves that operator per M-block in the pair
 frame, for all pairs at once, and returns (pairs, states) arrays; this
-module groups each pair's degenerate eigenspaces (_eigenspaces). The
+module groups each pair's degenerate eigenspaces (_eigenspaces): states
+whose shifts are equal bit for bit, and all zero-shift states together. The
 inverse-square overlap-weighted average of the eigenspace shifts defines
 the blockade shift B; perturbation theory gives the double-excitation
 probability, and exact propagation of the truncated amplitude equations
@@ -31,13 +32,6 @@ from .ensemble import _positions_um, propagate
 from .pair import _driven_index, _pair_states, forster_eigensystem  # re-exports the last
 
 KAPPA_WEIGHT_FLOOR = 1e-12
-# a gap above DEGENERACY_RTOL x max(1 MHz, largest |shift|) between neighbouring
-# ascending pair-state shifts opens a new degenerate eigenspace, so a chain of
-# close shifts is one: an absolute 1e-9 MHz gap for spectra below 1 MHz. eigh
-# returns shifts degenerate inside one M-block a rounding gap apart, in zero
-# field too (one 43d channel: driven gaps up to 1.4e-16 of the row scale), which
-# exact equality would split; +-M mirror copies get equal bits
-DEGENERACY_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -188,25 +182,24 @@ def _pair_spectra(geometry, field, eig):
 
 def _eigenspaces(shifts, kappas):
     """(pair, first, delta, weight, inverse_sq) over the degenerate
-    eigenspaces (DEGENERACY_RTOL) of each row's ascending shifts, one row
-    per pair, whose summed |kappa|^2 is at least KAPPA_WEIGHT_FLOOR: row,
-    first state, mean shift, summed |kappa|^2 and sum of |kappa|^2 /
-    shift^2, inf when the eigenspace holds a shift within 1e-12 x max(1
-    MHz, the row's largest |shift|) of zero. One reduceat over the
-    flattened rows."""
+    eigenspaces of each row's ascending shifts, one row per pair, whose
+    summed |kappa|^2 is at least KAPPA_WEIGHT_FLOOR: row, first state, mean
+    shift, summed |kappa|^2 and sum of |kappa|^2 / shift^2. An eigenspace is
+    a run of bit-equal shifts, except that all zero-shift states (within
+    1e-12 x max(1 MHz, the row's largest |shift|) of zero) form one, whose
+    inverse_sq is inf. One reduceat over the flattened rows."""
     n = shifts.shape[1]
     size = np.abs(shifts)
-    scale = np.maximum(1.0, size.max(axis=1, keepdims=True))
+    zero = size <= 1e-12 * np.maximum(1.0, size.max(axis=1, keepdims=True))
     opens = np.ones(shifts.shape, bool)
-    opens[:, 1:] = shifts[:, 1:] - shifts[:, :-1] > DEGENERACY_RTOL * scale
+    opens[:, 1:] = (shifts[:, 1:] != shifts[:, :-1]) & ~(zero[:, 1:] & zero[:, :-1])
     starts = opens.ravel().nonzero()[0]
     flat = shifts.ravel()
     weights = np.abs(kappas.ravel()) ** 2
-    zero_state = (size <= 1e-12 * scale).ravel()
     weight = np.add.reduceat(weights, starts)
     delta = np.add.reduceat(flat, starts) / np.add.reduceat(np.ones(flat.size), starts)
-    inverse_sq = np.add.reduceat(weights / np.where(zero_state, 1.0, flat) ** 2, starts)
-    inverse_sq[np.logical_or.reduceat(zero_state, starts)] = math.inf
+    inverse_sq = np.add.reduceat(weights / np.where(zero.ravel(), 1.0, flat) ** 2, starts)
+    inverse_sq[np.logical_or.reduceat(zero.ravel(), starts)] = math.inf
     keep = weight >= KAPPA_WEIGHT_FLOOR
     pair, first = np.divmod(starts[keep], n)
     return pair, first, delta[keep], weight[keep], inverse_sq[keep]
@@ -406,8 +399,8 @@ def effective_interaction_mhz(field, eig, r_um):
     Each degenerate pair-state eigenspace contributes its mean shift delta
     weighted by the saturation factor w Omega^2 / (w Omega^2 + delta^2),
     with w the driven state's summed overlap on it and Omega the rms drive.
-    The eigenspaces are those of _eigenspaces (neighbour gaps of at most
-    DEGENERACY_RTOL, w at least KAPPA_WEIGHT_FLOOR): eigenvectors inside a
+    The eigenspaces are those of _eigenspaces (bit-equal shifts, or all
+    zero shifts, w at least KAPPA_WEIGHT_FLOOR): eigenvectors inside a
     degenerate subspace are an arbitrary rotation and only the summed
     overlap is physical (the saturation factor is not invariant under
     splitting one weight across equal shifts). The sum is _saturated_shift

@@ -92,6 +92,20 @@ def _require_nonnegative(value, name):
         raise ValueError("%s must be finite and non-negative, got %r" % (name, value))
 
 
+def _require_finite_positive(value, name):
+    """ValueError naming the argument unless 0 < value < inf; nan fails."""
+    if not 0 < value < math.inf:
+        raise ValueError("%s must be finite and positive, got %r" % (name, value))
+
+
+def _require_whole(value, name, least):
+    """int(value), or ValueError naming the argument unless value is a whole
+    number >= least: integral floats pass, nan and inf fail."""
+    if not (value >= least and float(value).is_integer()):
+        raise ValueError("%s must be a whole number >= %d, got %r" % (name, least, value))
+    return int(value)
+
+
 def thermal_velocity(temperature_k, mass_u):
     """1-D rms thermal velocity sqrt(kB T / m) in m/s."""
     _require_nonnegative(temperature_k, "temperature_k")

@@ -35,7 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 
-from .constants import _require_nonnegative, _require_positive
+from .constants import _require_finite_positive, _require_nonnegative, _require_positive
+from .constants import _require_whole
 
 TWO_PI = 2.0 * math.pi
 
@@ -116,8 +117,7 @@ class DriveConditions:
 
     def __post_init__(self):
         for name in ("density_per_um3", "rabi_mhz", "c6_mhz_um6"):
-            _require_positive(getattr(self, name), name)
-            _require_nonnegative(getattr(self, name), name)
+            _require_finite_positive(getattr(self, name), name)
         _require_nonnegative(self.linewidth_mhz, "linewidth_mhz")
         if not abs(self.detuning_mhz) < math.inf:
             raise ValueError("detuning_mhz must be finite, got %r" % (self.detuning_mhz,))
@@ -225,18 +225,15 @@ def _as_rng(seed_or_rng):
 def cubic_lattice(shape, spacing_um):
     """Centered rectangular lattice of shape (nx, ny, nz) sites, each a
     whole number >= 1."""
-    nx, ny, nz = shape
-    for count in (nx, ny, nz):
-        if not (count >= 1 and float(count).is_integer()):
-            raise ValueError("lattice shape entries must be whole numbers >= 1, got %r" % (shape,))
-    _require_positive(spacing_um, "spacing_um")
-    _require_nonnegative(spacing_um, "spacing_um")
+    nx, ny, nz = (_require_whole(count, "lattice shape entry", 1) for count in shape)
+    _require_finite_positive(spacing_um, "spacing_um")
     axes = [spacing_um * (np.arange(count) - (count - 1) / 2.0) for count in (nx, ny, nz)]
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
     return grid.reshape(-1, 3)
 
 
 def _rejection_fill(n, draw, min_separation_um, rng):
+    n = _require_whole(n, "n", 0)
     positions = np.empty((n, 3))
     count = 0
     attempts = 0
@@ -264,8 +261,7 @@ def uniform_box_positions(n, lengths_um, seed_or_rng, min_separation_um=0.0):
     if lengths.shape != (3,):
         raise ValueError("lengths_um must hold three box lengths, got %r" % (lengths_um,))
     for length in lengths.tolist():
-        _require_positive(length, "lengths_um")
-        _require_nonnegative(length, "lengths_um")
+        _require_finite_positive(length, "lengths_um")
     rng = _as_rng(seed_or_rng)
     return _rejection_fill(
         n,
@@ -277,8 +273,7 @@ def uniform_box_positions(n, lengths_um, seed_or_rng, min_separation_um=0.0):
 
 def uniform_sphere_positions(n, radius_um, seed_or_rng, min_separation_um=0.0):
     """n atoms uniformly random in a sphere centered at the origin."""
-    _require_positive(radius_um, "radius_um")
-    _require_nonnegative(radius_um, "radius_um")
+    _require_finite_positive(radius_um, "radius_um")
     rng = _as_rng(seed_or_rng)
 
     def draw(r):
@@ -295,8 +290,7 @@ def uniform_cylinder_positions(
 ):
     """n atoms uniformly random in a z-axis cylinder centered at the origin."""
     for value, name in ((radius_um, "radius_um"), (length_um, "length_um")):
-        _require_positive(value, name)
-        _require_nonnegative(value, name)
+        _require_finite_positive(value, name)
     rng = _as_rng(seed_or_rng)
 
     def draw(r):
@@ -373,8 +367,8 @@ class ExcitationModel:
         np.fill_diagonal(v, 0.0)
         v.flags.writeable = False
         object.__setattr__(self, "_couplings_mhz", v)
-        if self.max_excitations < 1:
-            raise ValueError("max_excitations must be >= 1")
+        count = _require_whole(self.max_excitations, "max_excitations", 1)
+        object.__setattr__(self, "max_excitations", count)
         _require_positive(self.energy_cutoff_mhz, "energy_cutoff_mhz")
         _require_positive(self.basis_budget, "basis_budget")
 
@@ -807,38 +801,25 @@ def _as_exchange_matrix(exchange_mhz):
 
 
 def _triple_exchange_hamiltonian(rabi_mhz, exchange_matrix_mhz):
-    """64-level Hamiltonian: drive on g<->p, pair exchange pp<->ss'."""
-    dim_atom = 4
-    drive = np.zeros((dim_atom, dim_atom))
-    drive[_G, _P] = drive[_P, _G] = 0.5
-    eye = np.eye(dim_atom)
-
-    def embed(op, atom):
-        mats = [eye, eye, eye]
-        mats[atom] = op
-        return np.kron(np.kron(mats[0], mats[1]), mats[2])
-
-    h = np.zeros((dim_atom**3, dim_atom**3))
+    """64-level Hamiltonian: drive on g<->p, pair exchange pp<->ss' + s's,
+    written at the product index 16 a0 + 4 a1 + a2 (np.kron's) of the atoms'
+    levels a: a drive moves one digit, an exchange two."""
+    levels, place = np.indices((4, 4, 4)).reshape(3, -1), np.array([16, 4, 1])
+    v = TWO_PI * exchange_matrix_mhz
+    h = np.zeros((64, 64))  # each coupling once; h + h.T adds its mirror
     for atom in range(3):
-        h += TWO_PI * rabi_mhz * embed(drive, atom)
-
-    # pair exchange |p_i p_j> <-> (|s_i s'_j> + |s'_i s_j>)
-    lower = {}
-    lower[(_S, _SP)] = np.zeros((dim_atom, dim_atom))
-    lower[(_S, _SP)][_S, _P] = 1.0
-    lower[(_SP, _S)] = np.zeros((dim_atom, dim_atom))
-    lower[(_SP, _S)][_SP, _P] = 1.0
+        ground = np.flatnonzero(levels[atom] == _G)
+        h[ground, ground + (_P - _G) * place[atom]] = TWO_PI * rabi_mhz * 0.5
     for i, j in itertools.combinations(range(3), 2):
+        pp = np.flatnonzero((levels[i] == _P) & (levels[j] == _P))
         for a, b in ((_S, _SP), (_SP, _S)):
-            op = embed(lower[(a, b)], i) @ embed(lower[(b, a)], j)
-            h += TWO_PI * exchange_matrix_mhz[i, j] * (op + op.T)
-    return h
+            h[pp + (a - _P) * place[i] + (b - _P) * place[j], pp] = v[i, j]
+    return h + h.T
 
 
 def _excited_count_vector():
-    """Number of excited atoms for each of the 64 product states."""
-    excited = np.array([0, 1, 1, 1])  # g carries 0, p/s/s' carry 1
-    return np.add.outer(np.add.outer(excited, excited), excited).ravel()
+    """Number of excited atoms (p, s or s') for each of the 64 product states."""
+    return np.count_nonzero(np.indices((4, 4, 4)) != _G, axis=0).ravel()
 
 
 def triple_exchange_pair_shift_mhz(exchange_mhz):
@@ -865,8 +846,7 @@ def simulate_triple_exchange(rabi_mhz, exchange_mhz, times_us):
     every pair remains blockaded. rabi_mhz is finite and positive, times_us
     as for propagate.
     """
-    _require_positive(rabi_mhz, "rabi_mhz")
-    _require_nonnegative(rabi_mhz, "rabi_mhz")
+    _require_finite_positive(rabi_mhz, "rabi_mhz")
     vmat = _as_exchange_matrix(exchange_mhz)
     times = _time_grid(times_us)
     h = _triple_exchange_hamiltonian(rabi_mhz, vmat)
@@ -1042,8 +1022,8 @@ def kinetic_monte_carlo(model, gamma_mhz, times_us, trials, seed):
     given seed, in the same order (waiting time, then atom) as if it ran
     alone: results are reproducible and a trial's trajectory does not
     depend on the trial count. Samples for the counting statistics are
-    the excited numbers at the final requested time, so at least two
-    trials are needed.
+    the excited numbers at the final requested time, so trials is a whole
+    number >= 2.
 
     The shifts sum_j V_ij n_j are running sums: an event adds or subtracts
     the flipped atom's column of V, O(N) per trial instead of a matrix
@@ -1054,10 +1034,8 @@ def kinetic_monte_carlo(model, gamma_mhz, times_us, trials, seed):
     events. A row sum of |V| that is not finite (or above 2^1023 MHz)
     raises ValueError. times_us: as for propagate, nondecreasing, nonnegative.
     """
-    if not 0.0 < gamma_mhz < math.inf:
-        raise ValueError("gamma_mhz must be finite and positive, got %r" % (gamma_mhz,))
-    if trials < 2:
-        raise ValueError("trials must be >= 2")
+    _require_finite_positive(gamma_mhz, "gamma_mhz")
+    trials = _require_whole(trials, "trials", 2)
     times = _time_grid(times_us).reshape(-1)
     if np.any(np.diff(times) < 0) or times[0] < 0:
         raise ValueError("times_us must be nondecreasing and nonnegative")

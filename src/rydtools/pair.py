@@ -384,7 +384,8 @@ def _defects_mhz(eig, theta):
     are the channel defect + mu_B B cos(theta) zeta: zeta (C, N), in units
     of mu_B, is minus the initial pair's Zeeman moment on v plus, above
     FORSTER_ZERO_FLOOR, the coupled pair's on build_vdd(ch) v normalized,
-    all in the pair frame, one build_vdd per channel.
+    all in the pair frame, one build_vdd per channel. cos(theta) is taken
+    as sin(pi/2 - theta): exactly 0 at an in-plane pair's float pi/2.
     """
     defects = np.array([[ch.defect_mhz] for ch in eig.channels]) * np.ones(eig.d_values.shape)
     if eig.b_field_t == 0.0:
@@ -397,7 +398,7 @@ def _defects_mhz(eig, theta):
         moment = -(_zeeman_diagonal(ch.initial) @ vecs**2)
         moment[live] += coupled_diag @ chi_sq / chi_sq.sum(axis=0)
         zeta.append(moment)
-    cos = np.cos(np.asarray(theta, dtype=float))[..., None, None]
+    cos = np.sin(0.5 * np.pi - np.asarray(theta, dtype=float))[..., None, None]
     return defects + cst.MU_B_MHZ_PER_T * eig.b_field_t * cos * np.stack(zeta)
 
 

@@ -22,7 +22,6 @@ from rydtools import constants as cst, ensemble
 from rydtools.angular import wigner_small_d
 from rydtools.atoms import RydbergState
 from rydtools.blockade import (
-    DEGENERACY_RTOL,
     KAPPA_WEIGHT_FLOOR,
     AmplitudeState,
     EnsembleGeometry,
@@ -43,10 +42,12 @@ from rydtools.pair import (
     ForsterChannel,
     ForsterEigensystem,
     _channel_shifts_mhz,
+    _defects_mhz,
     _driven_index,
     _zeeman_diagonal,
     build_vdd,
     forster_eigensystem,
+    s_state_channels,
 )
 
 
@@ -157,30 +158,45 @@ def full_matrix_states(eig, field, r_um):
     return shifts, states[_driven_index(eig, field.target_m)] ** 2
 
 
-def degenerate_groups(values, rtol):
-    """Index arrays of runs of ascending values closer than rtol x max(1, |max|)."""
-    tol = rtol * max(1.0, float(np.max(np.abs(values))))
+# full-matrix oracles (one eigh of the whole operator, no definite M) return
+# degenerate shifts a rounding gap apart: their eigenspaces are runs of
+# ascending values closer than this x max(1, |max|)
+ORACLE_RTOL = 1e-9
+
+
+def degenerate_groups(values):
+    """Index arrays of runs of ascending values closer than ORACLE_RTOL x
+    max(1, |max|)."""
+    tol = ORACLE_RTOL * max(1.0, float(np.max(np.abs(values))))
     return np.split(np.arange(len(values)), np.flatnonzero(np.diff(values) > tol) + 1)
+
+
+def exact_groups(shifts):
+    """Oracle of _eigenspaces's rule, as a loop over one row's ascending
+    shifts: a shift joins the open eigenspace if it equals the shift before
+    it bit for bit, or if both are zero-shift states (|shift| at most 1e-12
+    x max(1, |max|))."""
+    zero_tol = 1e-12 * max(1.0, float(np.max(np.abs(shifts))))
+    groups = []
+    for p_idx, delta in enumerate(shifts):
+        before = shifts[p_idx - 1]
+        if groups and (delta == before or max(abs(delta), abs(before)) <= zero_tol):
+            groups[-1].append(p_idx)
+        else:
+            groups.append([p_idx])
+    return groups
 
 
 def loop_blockade_terms(spectra):
     """Oracle: blockade_shift as a loop over each pair's degenerate
-    pair-state eigenspaces (a shift joins the open eigenspace while within
-    DEGENERACY_RTOL x max(1, |max|) of the shift before it), spectra the
-    ((k, l), shifts, kappas) of every pair. Returns (total, contribution
-    rows, zero_term)."""
+    pair-state eigenspaces (exact_groups), spectra the ((k, l), shifts,
+    kappas) of every pair. Returns (total, contribution rows, zero_term)."""
     total = 0.0
     contributions = []
     zero_term = None
     for (k, l), shifts, kappas in spectra:
         zero_tol = 1e-12 * max(1.0, float(np.max(np.abs(shifts))))
-        tol = DEGENERACY_RTOL * max(1.0, float(np.max(np.abs(shifts))))
-        groups = []
-        for p_idx, delta in enumerate(shifts):
-            if groups and delta - shifts[groups[-1][-1]] <= tol:
-                groups[-1].append(p_idx)
-            else:
-                groups.append([p_idx])
+        groups = exact_groups(shifts)
         for group in groups:
             weight = sum(abs(kappas[i]) ** 2 for i in group)
             if weight < KAPPA_WEIGHT_FLOOR:
@@ -444,13 +460,14 @@ class TestBlockadeShift:
         assert res2.b_mhz > 0
         assert res2.zero_term is None
 
-    def test_chain_of_close_shifts_is_one_eigenspace(
-        self, rb_s60_eigensystem, monkeypatch
+    @pytest.mark.parametrize("gap_mhz", [2e-9, 0.0])
+    def test_only_bit_equal_shifts_share_an_eigenspace(
+        self, rb_s60_eigensystem, monkeypatch, gap_mhz
     ):
-        # each shift lies within tol = DEGENERACY_RTOL x 3 MHz of the one
-        # before it, but the chain spans 4e-9 MHz > tol: neighbour gaps keep
-        # it one eigenspace, where a first-shift rule would split it
-        shifts = np.array([-3.0, 1.0, 1.0 + 2e-9, 1.0 + 4e-9])
+        # a chain of shifts gap_mhz apart: at 2e-9 MHz, a gap that a 1e-9 x
+        # 3 MHz tolerance joined, it is three eigenspaces; bit-equal, one
+        shifts = np.array([-3.0, 1.0, 1.0 + gap_mhz, 1.0 + 2 * gap_mhz])
+        groups = [[0], [1, 2, 3]] if gap_mhz == 0.0 else [[0], [1], [2], [3]]
         vectors, _ = np.linalg.qr(np.random.default_rng(5).normal(size=(4, 4)))
         monkeypatch.setattr(
             blockade_module,
@@ -461,13 +478,14 @@ class TestBlockadeShift:
         geo, f = two_atoms(8.0), ExcitationField.uniform(2, omega)
         res = blockade_shift(geo, f, rb_s60_eigensystem)
         weights = vectors[3] ** 2  # the driven state |1/2, 1/2> is index 3
-        chain = float(np.sum(weights[1:] / shifts[1:] ** 2))
-        assert [r[:3] for r in res.contributions] == [(0, 1, 1), (0, 1, 0)]
-        assert res.contributions[0][-1] == pytest.approx(chain, rel=1e-14)
+        terms = {g[0]: float(np.sum(weights[g] / shifts[g] ** 2)) for g in groups}
+        assert sorted(r[2] for r in res.contributions) == sorted(terms)
+        for row in res.contributions:
+            assert row[-1] == pytest.approx(terms[row[2]], rel=1e-14)
         _, rows, _ = loop_blockade_terms(zip(*_pair_spectra(geo, f, rb_s60_eigensystem)))
         assert [r[:3] for r in rows] == [r[:3] for r in res.contributions]
-        delta = np.array([-3.0, np.mean(shifts[1:])])
-        w = np.array([weights[0], np.sum(weights[1:])])
+        delta = np.array([np.mean(shifts[g]) for g in groups])
+        w = np.array([np.sum(weights[g]) for g in groups])
         expected = np.sum(delta * w * omega**2 / (w * omega**2 + delta**2))
         got = effective_interaction_mhz(f, rb_s60_eigensystem, 8.0)
         assert got == pytest.approx(expected, rel=1e-14)
@@ -475,10 +493,9 @@ class TestBlockadeShift:
     def test_field_degenerate_shifts_apart_by_rounding_are_one_eigenspace(
         self, rb_43d_channels
     ):
-        # one 43d channel at 0.01 T: W_0 has degenerate shifts inside one
-        # M-block, which eigh leaves a rounding gap apart (up to about 1e-16
-        # of the row scale, in zero field too); DEGENERACY_RTOL joins them
-        # and exact equality would split them
+        # one 43d channel at 0.01 T: the driven neighbours that eigh leaves a
+        # rounding gap apart are all zero-shift (Forster-zero) states, which
+        # _eigenspaces joins into one eigenspace by the zero-shift rule
         eig = forster_eigensystem(rb_43d_channels[:1], 0.0, 0.01)
         rng = np.random.default_rng(1)
         r_um, theta = rng.uniform(2.0, 20.0, 20), rng.uniform(0.0, math.pi, 20)
@@ -487,11 +504,14 @@ class TestBlockadeShift:
         scale = np.maximum(1.0, np.abs(shifts).max(axis=1, keepdims=True))
         w = np.abs(kappas) ** 2
         driven = np.minimum(w[:, :-1], w[:, 1:]) >= 1e-3
-        close = np.argwhere((gaps > 0.0) & (gaps <= DEGENERACY_RTOL * scale) & driven)
+        close = np.argwhere((gaps > 0.0) & (gaps <= ORACLE_RTOL * scale) & driven)
         assert close.size
-        row, j = close[0]
-        _, first, _, _, _ = blockade_module._eigenspaces(shifts[row:row + 1], kappas[row:row + 1])
-        assert j + 1 not in first  # both weights pass KAPPA_WEIGHT_FLOOR
+        for row, j in close:
+            assert np.all(np.abs(shifts[row, j : j + 2]) <= 1e-12 * scale[row])
+            one = slice(row, row + 1)
+            _, first, _, _, terms = blockade_module._eigenspaces(shifts[one], kappas[one])
+            assert j + 1 not in first  # both weights pass KAPPA_WEIGHT_FLOOR
+            assert math.isinf(terms[np.searchsorted(first, j, side="right") - 1])
 
     def test_removing_largest_term_increases_b(self, rb_43d_eigensystem):
         f = ExcitationField.uniform(2, 0.001)
@@ -587,7 +607,7 @@ class TestBlockadeShift:
             assert np.max(np.abs(shifts - expected)) < 1e-12 * scale
             # only the summed weight of a degenerate eigenspace is physical
             w = np.abs(overlap_kappa(turned, f, r_um=r)) ** 2
-            for group in degenerate_groups(expected, DEGENERACY_RTOL):
+            for group in degenerate_groups(expected):
                 assert abs(w[group].sum() - w_oracle[group].sum()) < 1e-12
             keep = w_oracle >= KAPPA_WEIGHT_FLOOR
             b_oracle = float(np.sum(w_oracle[keep] / expected[keep] ** 2)) ** -0.5
@@ -682,8 +702,9 @@ class TestBlockadeShift:
     def test_contributions_do_not_depend_on_degenerate_basis(
         self, rb_43d_eigensystem, seed, monkeypatch
     ):
-        # mixing every degenerate pair-state eigenspace by a random rotation
-        # leaves the rows and, to rounding, their terms
+        # mixing every degenerate pair-state eigenspace (bit-equal shifts, or
+        # all zero shifts) by a random rotation leaves the rows and, to
+        # rounding, their terms
         geo = EnsembleGeometry(random_cloud(np.random.default_rng(seed), 8))
         f = ExcitationField.uniform(8, 0.001)
         res = blockade_shift(geo, f, rb_43d_eigensystem)
@@ -693,7 +714,7 @@ class TestBlockadeShift:
         def mixed(eig, r_um, theta, lab_rows):
             shifts, turned = original(eig, r_um, theta, lab_rows)
             for row, rows in zip(shifts, turned):
-                for group in degenerate_groups(row, DEGENERACY_RTOL):
+                for group in exact_groups(row):
                     q, _ = np.linalg.qr(rng.normal(size=(len(group), len(group))))
                     rows[:, group] = rows[:, group] @ q
             return shifts, turned
@@ -771,7 +792,7 @@ class TestFieldAtAngle:
             zeeman_mhz = cst.MU_B_MHZ_PER_T * b_field_t
             for c_idx in range(len(rb_43d_channels)):
                 ours, theirs = turned.defects_mhz[c_idx], oracle.defects_mhz[c_idx]
-                for group in degenerate_groups(oracle.d_values[c_idx], 1e-9):
+                for group in degenerate_groups(oracle.d_values[c_idx]):
                     assert abs(ours[group].sum() - theirs[group].sum()) < 1e-12 * zeeman_mhz
                 assert abs(ours.sum() - theirs.sum()) < 1e-12 * zeeman_mhz
 
@@ -791,7 +812,7 @@ class TestFieldAtAngle:
                 rb_43d_channels, eig.d_values, eig.vectors, eig.defects_mhz
             ):
                 m = block_of_columns(vecs, 2.5, 2.5)
-                groups = degenerate_groups(vals, 1e-9)
+                groups = degenerate_groups(vals)
                 assert sum(len(g) == 2 for g in groups) >= 14
                 for group in groups:
                     assert not np.any(np.abs(m[group][:, None] - m[group]) == 1)
@@ -831,6 +852,49 @@ class TestFieldAtAngle:
             eig = forster_eigensystem(channels, math.pi / 2, b_field_t)
             channel = np.array([[ch.defect_mhz] for ch in channels])
             assert np.max(np.abs(eig.defects_mhz - channel)) <= 1e-12 * zeeman_mhz
+
+
+    @pytest.mark.parametrize("b_field_t", [0.01, 1.0])
+    def test_defects_exact_on_the_axis_and_across_it(
+        self, rb_s60_channels, rb_43d_channels, b_field_t
+    ):
+        # the factor of the field along the pair axis is exactly 1, 0 and -1
+        # at theta = 0, pi/2 and pi: the defects are the channel defect plus
+        # +- the field part, and at pi/2 the zero-field defects
+        theta = np.array([0.0, math.pi / 2, math.pi])
+        for channels in (rb_s60_channels, rb_43d_channels):
+            eig = forster_eigensystem(channels, 0.0, b_field_t)
+            defects = _defects_mhz(eig, theta)
+            channel = _defects_mhz(forster_eigensystem(channels), theta)
+            no_defect = [dataclasses.replace(ch, defect_mhz=0.0) for ch in channels]
+            field_part = _defects_mhz(dataclasses.replace(eig, channels=no_defect), theta)
+            assert np.any(field_part[0] != 0.0)
+            assert np.array_equal(field_part[1], np.zeros_like(channel))
+            assert np.array_equal(field_part[2], -field_part[0])
+            assert np.array_equal(defects[0], channel + field_part[0])
+            assert np.array_equal(defects[1], channel)
+            assert np.array_equal(defects[2], channel - field_part[0])
+
+    @pytest.mark.parametrize("b_field_t", [0.01, 1.0])
+    def test_in_plane_pairs_feel_no_field(self, rb_s60_channels, rb_43d_channels, b_field_t):
+        # a field along z lies across the axis of a pair in the xy plane and
+        # moves no M-definite pair state (Walker & Saffman, PRA 77, 032723
+        # (2008)): the states, B and the rows are the zero-field ones bit for bit
+        geo = EnsembleGeometry(
+            np.array([[0, 0, 0], [6, 0, 0], [0, 8, 0], [5, 5, 0], [-4, 6, 0]], float)
+        )
+        f = ExcitationField(rabi_mhz=np.random.default_rng(3).uniform(0.5, 1.5, 5) * 0.01)
+        for channels in (rb_s60_channels, rb_43d_channels):
+            in_field = forster_eigensystem(channels, math.pi / 2, b_field_t)
+            zero_field = forster_eigensystem(channels, math.pi / 2)
+            for r_um in (3.0, 8.0):
+                shifts, vectors = pair_state_basis(in_field, r_um)
+                shifts0, vectors0 = pair_state_basis(zero_field, r_um)
+                assert np.array_equal(shifts, shifts0)
+                assert np.array_equal(vectors, vectors0)
+            res, res0 = blockade_shift(geo, f, in_field), blockade_shift(geo, f, zero_field)
+            assert res.b_mhz == res0.b_mhz
+            assert res.contributions == res0.contributions
 
 
 class TestPairFrame:
@@ -1390,3 +1454,24 @@ class TestEffectiveInteraction:
             effective_interaction_mhz(
                 ExcitationField(rabi_mhz=np.zeros(2)), rb_s60_eigensystem, 8.0
             )
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_weak_spectra_match_loop_oracle(self, rb_table, seed):
+        # Rb 30s at 25-40 um: shifts near 1e-7 MHz whose undriven neighbour
+        # lies closer than 1e-9 MHz to the driven eigenspace yet is not in it
+        eig = forster_eigensystem(s_state_channels(30, rb_table))
+        rng = np.random.default_rng(seed)
+        for r_um, omega, polarization in zip(
+            rng.uniform(25.0, 40.0, 8), 10.0 ** rng.uniform(-8.0, 0.0, 8), rng.integers(-1, 1, 8)
+        ):
+            f = ExcitationField.uniform(2, omega, polarization=int(polarization))
+            shifts, _ = pair_state_basis(eig, r_um)
+            w = np.abs(overlap_kappa(eig, f, r_um=r_um)) ** 2
+            expected = 0.0
+            for group in exact_groups(shifts):
+                weight = sum(w[i] for i in group)
+                if weight >= KAPPA_WEIGHT_FLOOR:
+                    delta = sum(shifts[i] for i in group) / len(group)
+                    expected += delta * weight * omega**2 / (weight * omega**2 + delta**2)
+            got = effective_interaction_mhz(f, eig, r_um)
+            assert got == pytest.approx(expected, rel=1e-12)

@@ -237,11 +237,50 @@ class TestGeometryGenerators:
     @pytest.mark.parametrize("shape", [(2.5, 1, 1), (1, 1.5, 1), (2, 2, math.nan)])
     def test_cubic_lattice_needs_whole_numbers(self, shape):
         # (2.5, 1, 1) gave the off-centre row x = -0.75, 0.25, 1.25
-        with pytest.raises(ValueError, match="whole numbers"):
+        with pytest.raises(ValueError, match="lattice shape entry must be a whole number >= 1"):
             cubic_lattice(shape, 1.0)
 
     def test_cubic_lattice_takes_integral_floats(self):
         assert np.array_equal(cubic_lattice((3.0, 2, 1), 1.5), cubic_lattice((3, 2, 1), 1.5))
+
+    @pytest.mark.parametrize("n", [2.5, -1, math.nan, math.inf])
+    def test_generators_need_a_whole_atom_count(self, n):
+        # 2.5 raised numpy's TypeError, -1 "negative dimensions"
+        for make in (
+            lambda: uniform_box_positions(n, (1.0, 1.0, 1.0), 1),
+            lambda: uniform_sphere_positions(n, 1.0, 1),
+            lambda: uniform_cylinder_positions(n, 1.0, 1.0, 1),
+        ):
+            with pytest.raises(ValueError, match="n must be a whole number >= 0"):
+                make()
+
+    def test_generators_take_integral_floats_and_zero(self):
+        for make in (
+            lambda n: uniform_box_positions(n, (2.0, 1.0, 1.0), 7),
+            lambda n: uniform_sphere_positions(n, 1.0, 7),
+            lambda n: uniform_cylinder_positions(n, 1.0, 2.0, 7),
+        ):
+            assert np.array_equal(make(3.0), make(3))
+            assert make(0).shape == (0, 3)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    def test_one_finite_positive_guard(self, bad):
+        # zero and nan said "must be positive", inf "must be finite and
+        # non-negative": each size now has the one message
+        cases = {
+            "spacing_um": lambda: cubic_lattice((2, 1, 1), bad),
+            "lengths_um": lambda: uniform_box_positions(2, (1.0, bad, 1.0), 1),
+            "radius_um": lambda: uniform_sphere_positions(2, bad, 1),
+            "length_um": lambda: uniform_cylinder_positions(2, 1.0, bad, 1),
+            "rabi_mhz": lambda: simulate_triple_exchange(bad, 1.0, [0.0, 1.0]),
+        }
+        for name in ("density_per_um3", "rabi_mhz", "c6_mhz_um6"):
+            values = {"density_per_um3": 1.0, "rabi_mhz": 1.0, "c6_mhz_um6": 1.0, name: bad}
+            with pytest.raises(ValueError, match=name + " must be finite and positive"):
+                DriveConditions(**values)
+        for name, make in cases.items():
+            with pytest.raises(ValueError, match=name + " must be finite and positive"):
+                make()
 
     @pytest.mark.parametrize(
         "lengths_um", [(math.nan, 1.0, 1.0), (-1.0, 1.0, 1.0), (1.0, math.inf, 1.0), (1.0, 1.0)]
@@ -428,6 +467,23 @@ class TestExcitationModel:
         first[0, 1] = v[0, 1] = 99.0
         assert np.array_equal(model.pair_shift_matrix_mhz(), [[0.0, 1.5], [1.5, 0.0]])
         assert np.array_equal(model.interaction_mhz, [[7.0, 1.5], [1.5, -2.0]])
+
+    @pytest.mark.parametrize("count", [2.5, 0, math.nan, math.inf])
+    def test_max_excitations_must_be_a_whole_number(self, count):
+        # 2.5 and nan built a model that failed later
+        with pytest.raises(ValueError, match="max_excitations must be a whole number >= 1"):
+            ExcitationModel(
+                positions_um=cubic_lattice((3, 1, 1), 1.0),
+                rabi_mhz=0.5,
+                c6_mhz_um6=10.0,
+                max_excitations=count,
+            )
+
+    def test_max_excitations_takes_integral_floats(self):
+        model = dict(positions_um=cubic_lattice((4, 1, 1), 1.0), rabi_mhz=0.5, c6_mhz_um6=10.0)
+        two = ExcitationModel(**model, max_excitations=2.0)
+        assert two.max_excitations == 2 and type(two.max_excitations) is int
+        assert enumerate_basis(two) == enumerate_basis(ExcitationModel(**model, max_excitations=2))
 
 
 def loop_basis(model):
@@ -1316,6 +1372,34 @@ class TestTripleExchange:
         counts = ens._excited_count_vector()
         assert counts.dtype.kind == "i" and counts.tolist() == expected
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_hamiltonian_matches_kron_embedding(self, seed):
+        # oracle: one-atom operators embedded by np.kron, summed term by term
+        rng = np.random.default_rng(seed)
+        rabi, v = rng.uniform(0.1, 2.0), rng.normal(size=(3, 3))
+        vmat = ens._as_exchange_matrix(v + v.T)
+        eye = np.eye(4)
+
+        def embed(op, atom):
+            mats = [eye, eye, eye]
+            mats[atom] = op
+            return np.kron(np.kron(mats[0], mats[1]), mats[2])
+
+        def ket_bra(a, b):
+            op = np.zeros((4, 4))
+            op[a, b] = 1.0
+            return op
+
+        expected = np.zeros((64, 64))
+        drive = 0.5 * (ket_bra(0, 1) + ket_bra(1, 0))
+        for atom in range(3):
+            expected += 2 * math.pi * rabi * embed(drive, atom)
+        for i, j in itertools.combinations(range(3), 2):
+            for a, b in ((2, 3), (3, 2)):
+                op = embed(ket_bra(a, 1), i) @ embed(ket_bra(b, 1), j)
+                expected += 2 * math.pi * vmat[i, j] * (op + op.T)
+        assert np.array_equal(ens._triple_exchange_hamiltonian(rabi, vmat), expected)
+
     def test_angular_coupling_values(self):
         vmat = axial_exchange_couplings_mhz(
             triangle_positions(1.0), c3_mhz_um3=5.0, axis=(1.0, 0.0, 0.0)
@@ -1697,6 +1781,22 @@ class TestKineticMonteCarlo:
         )
         with pytest.raises(ValueError, match="trials"):
             kinetic_monte_carlo(model, 5.0, [0.0, 5.0], trials=1, seed=3)
+
+    @pytest.mark.parametrize("trials", [2.5, 3.5, math.nan, math.inf])
+    def test_trials_must_be_a_whole_number(self, trials):
+        # 2.5 raised numpy's TypeError from SeedSequence.spawn
+        model = ExcitationModel(
+            positions_um=cubic_lattice((3, 1, 1), 1.0), rabi_mhz=0.5, c6_mhz_um6=10.0
+        )
+        with pytest.raises(ValueError, match="trials must be a whole number >= 2"):
+            kinetic_monte_carlo(model, 5.0, [0.0, 5.0], trials=trials, seed=3)
+
+    def test_trials_take_integral_floats(self):
+        model = ExcitationModel(
+            positions_um=cubic_lattice((3, 1, 1), 1.0), rabi_mhz=0.5, c6_mhz_um6=10.0
+        )
+        runs = [kinetic_monte_carlo(model, 5.0, [0.0, 5.0], trials=t, seed=3) for t in (3, 3.0)]
+        assert np.array_equal(runs[0].trajectories, runs[1].trajectories)
 
     def test_independent_atoms_poissonian(self):
         pos = cubic_lattice((10, 1, 1), 1.0)
