@@ -4,16 +4,19 @@ Level energies come from modified Rydberg-Ritz quantum defect series read
 from versioned data files, with measured term energies overriding the series
 formula for low-lying states. Radial wavefunctions are bound solutions of a
 core-screened Coulomb potential at the defect-shifted energy on a
-logarithmic grid. The inward Numerov recurrence is solved as one banded
-upper-triangular system by LAPACK back-substitution. Each solution's node
-count, taken in the allowed region outside the core (r > 5 r_c), is checked
-against the quantum defect before a matrix element is formed.
+logarithmic grid, whose r-dependent arrays are formed once for all the
+states solved on it. The inward Numerov recurrence is solved as one banded
+upper-triangular system by LAPACK back-substitution, in place. Each
+solution's node count, taken in the allowed region outside the core
+(r > 5 r_c), is checked against the quantum defect before a matrix element
+is formed. Data files are read once per process.
 """
 
 import math
 import re
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from importlib import resources
 from typing import Optional
 
@@ -107,14 +110,13 @@ def data_file_path(species, kind):
     return str(resources.files("rydtools.data").joinpath(name))
 
 
+@lru_cache(maxsize=None)
 def _data_rows(species, kind):
-    """Whitespace-split fields of each data-file line, "#" comments and
-    blank lines dropped."""
+    """Whitespace-split fields of each data-file line as tuples, "#" comments
+    and blank lines dropped; each file is read once per process."""
     with open(data_file_path(species, kind)) as fh:
-        for raw in fh:
-            parts = raw.split("#", 1)[0].split()
-            if parts:
-                yield parts
+        rows = (tuple(raw.split("#", 1)[0].split()) for raw in fh)
+        return tuple(parts for parts in rows if parts)
 
 
 class QuantumDefectTable:
@@ -260,13 +262,43 @@ def _log_grid(r_min, r_max, h):
     return np.exp(math.log(r_min) + h * np.arange(n_points))
 
 
+# exp(-x) rounds to exactly 0 past x = ln 2 - ln(smallest subnormal) = 745.13,
+# so the core term 2 r (Z-1) exp(-r/r_c) is formed only below 746 r_c
+_CORE_TERM_EXTENT = math.ceil(1.0 - math.log(np.finfo(float).smallest_subnormal))
+
+
+def _workspace(n_points):
+    """Scratch for solves on up to n_points: the Fortran band, three rows."""
+    return np.empty((3, n_points), order="F"), np.empty((3, n_points))
+
+
+class _LogGrid:
+    """One log grid's r-dependent arrays, formed once for all its states: r,
+    the step h (by default log r[1] - log r[0]), 2r, sqrt r, the start of the
+    node window r > 5 r_c and the core term. Grids solved one after another
+    may share one _workspace, which every solve overwrites."""
+
+    def __init__(self, r, core_charge, core_screening, h=None, workspace=None):
+        self.r, self.two_r, self.sqrt_r = r, 2.0 * r, np.sqrt(r)
+        self.h = math.log(r[1]) - math.log(r[0]) if h is None else h
+        self.i_window = int(np.searchsorted(r, NODE_WINDOW_CORE_RADII * core_screening, "right"))
+        band, work = _workspace(len(r)) if workspace is None else workspace
+        self.band, (self.g, self.t, self.work) = band[:, : len(r)], work[:, : len(r)]
+        self.core = r[:0]
+        if core_screening > 0.0 and core_charge > 1.0:
+            k = int(np.searchsorted(r, _CORE_TERM_EXTENT * core_screening))
+            self.core = self.two_r[:k] * (core_charge - 1.0) * np.exp(-r[:k] / core_screening)
+
+
 def radial_solution(n_star, l, r_grid=None, core_charge=1.0, core_screening=0.0):
     """Integrate the radial equation inward at energy -1/(2 n_star^2).
 
     Returns a RadialSolution on the supplied (or self-chosen) grid, which
     must be uniform in ln r; the self-chosen one starts at _inner_edge, so
-    that no l overflows. The Numerov recurrence from two small values at
-    the outer edge is one banded triangular system, back-substituted by one
+    that no l overflows; a prepared _LogGrid from radial_matrix_elements
+    brings its own core and skips the check. The Numerov recurrence from two
+    small values at the outer edge is one banded triangular system, written
+    into the grid's band buffer and back-substituted in place in y by one
     LAPACK ``dtbtrs`` call; a zero pivot, or an overflow through a high
     centrifugal barrier, raises NumericsError.
 
@@ -274,7 +306,8 @@ def radial_solution(n_star, l, r_grid=None, core_charge=1.0, core_screening=0.0)
     classically forbidden region and normalized to unit norm. A screened
     core charge Z_eff(r) = 1 + (Z-1) exp(-r/r_c) sharpens the shape of
     low-lying wavefunctions inside the core without touching the Rydberg
-    region; it is off (pure Coulomb) when core_screening is zero.
+    region; it is off (pure Coulomb) when core_screening is zero, and is
+    subtracted only on the grid prefix r < 746 r_c, where it is nonzero.
 
     The one solve gives both P(r) and its node count. Nodes are counted
     where the solution is classically allowed and r > 5 r_c: the extra short
@@ -282,74 +315,86 @@ def radial_solution(n_star, l, r_grid=None, core_charge=1.0, core_screening=0.0)
     For the Rb87 and Cs133 cores the count outside 5 r_c equals that of the
     pure Coulomb solution at the same n_star.
     """
+    if not math.isfinite(n_star):
+        raise ValueError("n_star must be finite, got %r" % (n_star,))
+    l = cst._require_whole(l, "l", 0)
     if n_star <= l:
         raise ValueError("n_star must exceed l")
     r_max = _outer_radius(n_star)
-    if r_grid is None:
+    if isinstance(r_grid, _LogGrid):
+        grid = r_grid
+    elif r_grid is None:
         h = _grid_step(n_star)
         r = _log_grid(_inner_edge(n_star, l), r_max, h)
+        grid = _LogGrid(r, core_charge, core_screening, h)
     else:
         r = np.asarray(r_grid, dtype=float)
         if len(r) < 2:
             raise ValueError("r_grid needs at least two points")
-        h = math.log(r[1]) - math.log(r[0])
-        if not np.ptp(r[1:] / r[:-1]) < 1e-8 * h:
+        grid = _LogGrid(r, core_charge, core_screening)
+        if not np.ptp(r[1:] / r[:-1]) < 1e-8 * grid.h:
             raise ValueError("r_grid must be increasing and uniform in ln r")
-
-    # y(x) = P(r) / sqrt(r) obeys y'' = g(x) y on the log grid
-    g = (l + 0.5) ** 2 - 2.0 * r + (r / n_star) ** 2
-    if core_screening > 0.0 and core_charge > 1.0:
-        g = g - 2.0 * r * (core_charge - 1.0) * np.exp(-r / core_screening)
-    i_max = int(np.searchsorted(r, r_max))
-    i_max = min(i_max, len(r) - 1)
+    r, h = grid.r, grid.h
+    i_max = min(int(np.searchsorted(r, r_max)), len(r) - 1)
     if i_max < 3:
         raise ValueError("radial grid does not cover the classical region")
 
+    # y(x) = P(r) / sqrt(r) obeys y'' = g(x) y on the log grid; y = 0 past
+    # i_max, so g is formed up to there only
+    top = i_max + 1
+    g = np.subtract((l + 0.5) ** 2, grid.two_r[:top], out=grid.g[:top])
+    t = np.divide(r[:top], n_star, out=grid.t[:top])  # r / n_star, then t
+    g += np.multiply(t, t, out=t)
+    n_core = min(len(grid.core), top)
+    g[:n_core] -= grid.core[:n_core]
+
     # (1 - t[k-1]) y[k-1] - 2 (1 + 5 t[k]) y[k] + (1 - t[k+1]) y[k+1] = 0 for
-    # k < i_max, with y[i_max - 1:i_max + 1] given, is upper banded in y[:m]
-    t = g * (h * h / 12.0)
-    one_minus_t = 1.0 - t
+    # k < i_max, with y[i_max - 1:i_max + 1] given, is upper banded in y[:m];
+    # its right-hand side sits in y[m - 2:m], solved in place
+    np.multiply(g, h * h / 12.0, out=t)
     m = i_max - 1
     y = np.zeros(len(r))
     y[i_max] = 1e-18
     y[m] = 1e-18 * math.exp(math.sqrt(max(g[i_max], 1e-12)) * h)
-    ab = np.empty((3, m), order="F")
-    ab[0] = ab[2] = one_minus_t[:m]
-    ab[1] = -2.0 * (1.0 + 5.0 * t[:m])
-    rhs = np.zeros(m)
-    rhs[m - 1] = 2.0 * (1.0 + 5.0 * t[m]) * y[m] - one_minus_t[i_max] * y[i_max]
-    rhs[m - 2] = -one_minus_t[m] * y[m]
-    y[:m], info = dtbtrs(ab, rhs, uplo="U")
+    y[m - 1] = 2.0 * (1.0 + 5.0 * t[m]) * y[m] - (1.0 - t[i_max]) * y[i_max]
+    y[m - 2] = -(1.0 - t[m]) * y[m]
+    band = grid.band[:, :m]
+    band[0] = band[2] = np.subtract(1.0, t[:m], out=grid.work[:m])
+    band[1] = -2.0 * (1.0 + 5.0 * t[:m])
+    x, info = dtbtrs(band, y[:m], uplo="U", overwrite_b=1)
     if info != 0:
         raise NumericsError("Numerov back-substitution failed, LAPACK info %d" % info)
+    if not np.shares_memory(x, y):  # the wrapper solved a copy
+        y[:m] = x
 
     # truncate below the divergence onset in the innermost forbidden region
-    inner = np.where((g > 0) & (r < n_star**2))[0]
+    inner = np.flatnonzero(g[: np.searchsorted(r, n_star**2)] > 0)
     i_cut = 0
-    if len(inner) > 0:
-        i_forbidden = inner[-1]
-        if i_forbidden > 0:
-            seg = np.abs(y[: i_forbidden + 1])
-            i_cut = int(np.argmin(seg))
+    if len(inner) > 0 and inner[-1] > 0:
+        i_cut = int(np.argmin(np.abs(y[: inner[-1] + 1])))
     y[:i_cut] = 0.0
 
-    p = y * np.sqrt(r)
-    norm_sq = np.sum(y * y * r * r) * h  # integral P^2 dr on the log grid
+    weight = np.multiply(y, y, out=grid.work)
+    weight *= r
+    weight *= r
+    norm_sq = np.sum(weight) * h  # integral P^2 dr on the log grid
     if not 0.0 < norm_sq < math.inf:
         raise NumericsError("radial integration produced a null or non-finite solution")
+    p = np.multiply(y, grid.sqrt_r, out=y)
     p /= math.sqrt(norm_sq)
-    if p[int(np.argmax(np.abs(p)))] < 0:
-        p = -p
+    magnitude = np.abs(p, out=grid.work)
+    i_peak = int(np.argmax(magnitude))
+    if p[i_peak] < 0:
+        np.negative(p, out=p)
 
     # count nodes in the classically allowed region outside the core only;
     # the truncated divergent admixture near the cut can flip sign once
     # unphysically
-    allowed = np.zeros(len(r), dtype=bool)
-    allowed[i_cut : i_max + 1] = True
-    allowed &= (g < 0) & (r > NODE_WINDOW_CORE_RADII * core_screening)
-    body = p[allowed]
-    signs = np.sign(body[np.abs(body) > 1e-12 * np.max(np.abs(p))])
-    nodes = int(np.sum(signs[1:] * signs[:-1] < 0))
+    window = slice(max(i_cut, grid.i_window), top)
+    keep = g[window] < 0
+    keep &= magnitude[window] > 1e-12 * magnitude[i_peak]
+    negative = np.signbit(p[window])[keep]  # kept values are nonzero
+    nodes = int(np.count_nonzero(negative[1:] != negative[:-1]))
     return RadialSolution(r=r, p=p, nodes=nodes)
 
 
@@ -375,8 +420,10 @@ def radial_matrix_elements(pairs, table, accuracy=1.0):
     """Radial dipole integrals <a| r |b> (a0) of the (a, b) state pairs.
 
     Each pair's wavefunctions share a logarithmic grid from the smaller
-    _inner_edge. A state is solved once per grid, one grid at a time, and
-    its node count checked against the quantum defect before any overlap.
+    _inner_edge; its r-dependent arrays are formed once, as one _LogGrid,
+    and all grids share one solve workspace. A state is solved once per
+    grid, one grid at a time, and its node count checked against the
+    quantum defect before any overlap.
     """
     cst._require_finite_positive(accuracy, "accuracy")
     grids = {}
@@ -387,12 +434,14 @@ def radial_matrix_elements(pairs, table, accuracy=1.0):
         h = min(_grid_step(ns_a, accuracy), _grid_step(ns_b, accuracy))
         r_min = min(_inner_edge(ns_a, state_a.l), _inner_edge(ns_b, state_b.l))
         grids.setdefault((r_min, _outer_radius(max(ns_a, ns_b)), h), []).append(index)
-    core = dict(core_charge=table.core_charge, core_screening=table.core_screening)
+    radii = {key: _log_grid(*key) for key in grids}
+    workspace = _workspace(max(map(len, radii.values()), default=0))
     values = [0.0] * len(pairs)
     for (r_min, r_max, h), members in grids.items():
-        r, solutions = _log_grid(r_min, r_max, h), {}
+        r, solutions = radii[r_min, r_max, h], {}
+        grid = _LogGrid(r, table.core_charge, table.core_screening, workspace=workspace)
         for state in dict.fromkeys(state for index in members for state in pairs[index]):
-            solutions[state] = radial_solution(table.n_star(state), state.l, r_grid=r, **core)
+            solutions[state] = radial_solution(table.n_star(state), state.l, r_grid=grid)
             _check_nodes(solutions[state], state, table.defect(state.n, state.l, state.j))
         for index in members:
             p_a, p_b = (solutions[state].p for state in pairs[index])

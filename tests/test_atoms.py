@@ -13,6 +13,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.linalg.lapack import dtbtrs
 
 from rydtools import atoms, constants as cst
 from rydtools.atoms import (
@@ -183,6 +184,34 @@ class TestEnergies:
         assert cs_table.energy_ghz(RydbergState(60, 0, 0.5, species="Cs133")) < 0
 
 
+class TestDataFiles:
+    def test_second_construction_reads_no_file(self, monkeypatch):
+        first = QuantumDefectTable("Cs133")
+        first_model = LifetimeModel(first)
+
+        def no_open(*args, **kwargs):
+            raise AssertionError("a data file was opened again")
+
+        monkeypatch.setattr(atoms, "open", no_open, raising=False)
+        second = QuantumDefectTable("Cs133")
+        second_model = LifetimeModel(second)
+        assert second.series == first.series and second.series is not first.series
+        assert second.exact_terms == first.exact_terms
+        assert (second.core_charge, second.core_screening) == (
+            first.core_charge,
+            first.core_screening,
+        )
+        assert second_model.coeffs == first_model.coeffs
+        assert second_model.coeffs is not first_model.coeffs
+
+    def test_fallback_sets_are_not_shared(self):
+        first, second = QuantumDefectTable("Rb87"), QuantumDefectTable("Rb87")
+        with pytest.warns(UserWarning, match="no defect series"):
+            first.defect(30, 5, 5.5)
+        assert first.used_fallback == {(5, 5.5)}
+        assert second.used_fallback == set()
+
+
 class TestLifetimes:
     # room-temperature ns-series values, paper anchors with 15% tolerance
     ANCHORS = {50: 70.0, 75: 180.0, 100: 340.0, 125: 570.0, 150: 860.0, 175: 1200.0, 200: 1600.0}
@@ -235,6 +264,60 @@ class TestLifetimes:
     def test_zero_temperature_is_exactly_zero(self):
         assert cst.blackbody_rate(60, 0.0) == 0.0
         assert cst.thermal_velocity(0.0, cst.SPECIES_MASS_U["Rb87"]) == 0.0
+
+
+def parent_radial_solution(n_star, l, r_grid=None, core_charge=1.0, core_screening=0.0):
+    """Bit oracle: radial_solution as it was before grids were prepared.
+
+    Forms everything per call on the whole grid: the core term, the band from
+    one 1 - t array, a separate right-hand side, and the solve copied back.
+    """
+    r_max = atoms._outer_radius(n_star)
+    if r_grid is None:
+        h = atoms._grid_step(n_star)
+        r = atoms._log_grid(atoms._inner_edge(n_star, l), r_max, h)
+    else:
+        r = np.asarray(r_grid, dtype=float)
+        h = math.log(r[1]) - math.log(r[0])
+    g = (l + 0.5) ** 2 - 2.0 * r + (r / n_star) ** 2
+    if core_screening > 0.0 and core_charge > 1.0:
+        g = g - 2.0 * r * (core_charge - 1.0) * np.exp(-r / core_screening)
+    i_max = min(int(np.searchsorted(r, r_max)), len(r) - 1)
+    t = g * (h * h / 12.0)
+    one_minus_t = 1.0 - t
+    m = i_max - 1
+    y = np.zeros(len(r))
+    y[i_max] = 1e-18
+    y[m] = 1e-18 * math.exp(math.sqrt(max(g[i_max], 1e-12)) * h)
+    ab = np.empty((3, m), order="F")
+    ab[0] = ab[2] = one_minus_t[:m]
+    ab[1] = -2.0 * (1.0 + 5.0 * t[:m])
+    rhs = np.zeros(m)
+    rhs[m - 1] = 2.0 * (1.0 + 5.0 * t[m]) * y[m] - one_minus_t[i_max] * y[i_max]
+    rhs[m - 2] = -one_minus_t[m] * y[m]
+    y[:m], info = dtbtrs(ab, rhs, uplo="U")
+    assert info == 0
+    inner = np.where((g > 0) & (r < n_star**2))[0]
+    i_cut = 0
+    if len(inner) > 0 and inner[-1] > 0:
+        i_cut = int(np.argmin(np.abs(y[: inner[-1] + 1])))
+    y[:i_cut] = 0.0
+    p = y * np.sqrt(r)
+    p /= math.sqrt(np.sum(y * y * r * r) * h)
+    if p[int(np.argmax(np.abs(p)))] < 0:
+        p = -p
+    allowed = np.zeros(len(r), dtype=bool)
+    allowed[i_cut : i_max + 1] = True
+    allowed &= (g < 0) & (r > atoms.NODE_WINDOW_CORE_RADII * core_screening)
+    body = p[allowed]
+    signs = np.sign(body[np.abs(body) > 1e-12 * np.max(np.abs(p))])
+    return RadialSolution(r=r, p=p, nodes=int(np.sum(signs[1:] * signs[:-1] < 0)))
+
+
+def assert_same_bits(sol, oracle):
+    assert np.array_equal(sol.r, oracle.r)
+    assert np.array_equal(sol.p, oracle.p)
+    assert sol.nodes == oracle.nodes
 
 
 class TestRadialSolver:
@@ -292,9 +375,82 @@ class TestRadialSolver:
         outside = sol.r > atoms.NODE_WINDOW_CORE_RADII * core["core_screening"]
         peak = np.max(np.abs(oracle.p))
         assert np.max(np.abs(sol.p - oracle.p)[outside]) <= 1e-10 * peak
+        # and the parent's whole-grid solve, bit for bit, on the self-chosen
+        # grid and on a supplied array grid (the public path)
+        assert_same_bits(sol, parent_radial_solution(n_star, l, **core))
+        r = atoms._log_grid(0.5 * atoms.R_MIN_DEFAULT, atoms._outer_radius(n_star + 1.0), 4e-3)
+        assert_same_bits(
+            radial_solution(n_star, l, r_grid=r, **core),
+            parent_radial_solution(n_star, l, r_grid=r, **core),
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        species=st.sampled_from(["Rb87", "Cs133"]),
+        n=st.integers(min_value=5, max_value=200),
+        l=st.integers(min_value=0, max_value=2),
+        dn=st.integers(min_value=-4, max_value=4),
+        upper_j=st.booleans(),
+        accuracy=st.sampled_from([1.0, 1.5]),
+    )
+    @example(species="Rb87", n=5, l=0, dn=0, upper_j=True, accuracy=1.0)
+    @example(species="Cs133", n=200, l=2, dn=-4, upper_j=False, accuracy=1.5)
+    def test_prepared_grids_keep_parent_bits(
+        self, rb_table, cs_table, species, n, l, dn, upper_j, accuracy
+    ):
+        # every solve radial_matrix_elements makes on its prepared grids is
+        # re-solved by the oracle on that grid's r, and each grid's core term
+        # is the whole-grid term, which is exactly 0 past its prefix
+        table = rb_table if species == "Rb87" else cs_table
+        n_low = 5 if species == "Rb87" else 6  # the ground-state shell
+        n = max(n, n_low)
+        a = RydbergState(n, l, l + 0.5, species=species)
+        n_b = min(max(n + dn, n_low), 200)
+        b = RydbergState(n_b, l + 1, l + 1.5 if upper_j else l + 0.5, species=species)
+        c = RydbergState(n_b, l + 1, l + 0.5, species=species)
+        solves = []
+
+        def recording(n_star, l, r_grid=None, **core):
+            sol = radial_solution(n_star, l, r_grid, **core)
+            solves.append((n_star, l, r_grid, sol))
+            return sol
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(atoms, "radial_solution", recording)
+            radial_matrix_elements([(a, b), (c, a)], table, accuracy)
+        assert len(solves) >= 2
+        z, r_c = table.core_charge, table.core_screening
+        for n_star, l_solved, grid, sol in solves:
+            assert isinstance(grid, atoms._LogGrid)
+            oracle = parent_radial_solution(
+                n_star, l_solved, grid.r, core_charge=z, core_screening=r_c
+            )
+            assert_same_bits(sol, oracle)
+            full = 2.0 * grid.r * (z - 1.0) * np.exp(-grid.r / r_c)
+            assert np.array_equal(grid.core, full[: len(grid.core)])
+            assert not np.any(full[len(grid.core) :])
+
+    def test_core_term_extent_is_where_exp_underflows(self):
+        # the first whole number of core radii past which exp(-r/r_c) is 0
+        extent = float(atoms._CORE_TERM_EXTENT)
+        assert np.exp(-extent) == 0.0
+        assert np.exp(-(extent - 1.0)) > 0.0
+
+    @pytest.mark.parametrize(
+        "n_star, l, match",
+        [
+            (math.nan, 0, "n_star must be finite"),
+            (math.inf, 0, "n_star must be finite"),
+            (50.0, 0.5, "l must be a whole number"),
+            (50.0, -1, "l must be a whole number"),
+        ],
+    )
+    def test_bad_inputs_rejected(self, n_star, l, match):
+        with pytest.raises(ValueError, match=match):
+            radial_solution(n_star, l)
 
     def test_zero_pivot_raises(self, monkeypatch):
-        monkeypatch.setattr(atoms, "dtbtrs", lambda ab, rhs, uplo: (rhs, 7))
+        monkeypatch.setattr(atoms, "dtbtrs", lambda ab, rhs, uplo, overwrite_b=0: (rhs, 7))
         with pytest.raises(NumericsError, match="info 7"):
             radial_solution(30.0, 1)
 
