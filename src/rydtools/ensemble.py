@@ -81,6 +81,9 @@ SPARSE_COST_RATIO = 0.5
 SERIES_TERM_COST = 6000
 SERIES_CALL_COST = 150_000
 
+# KMC events a trial draws for per generator call (see kinetic_monte_carlo)
+_BLOCK = 64
+
 
 def _positions_um(value):
     """value as an (N, 3) float array of finite atom coordinates (um)."""
@@ -653,6 +656,7 @@ class ExactDynamics:
     norm_drift: float
     method: str  # the propagate method that ran: "eigh" or "chebyshev"
     rejected_states: int  # subsets within max_excitations the cutoff dropped
+    cap_population: float  # peak P(n = max_excitations), 0.0 when it is >= N
     g2_r_um: np.ndarray = None
     g2: np.ndarray = None
 
@@ -661,7 +665,8 @@ def simulate_exact(model, times_us, g2_bins_um=None, g2_window=0.5):
     """Evolve the truncated ensemble from all-ground and report statistics.
 
     Returns mean excited number and the excited-number distribution at
-    each requested time. When g2_bins_um (bin edges) is given, the
+    each requested time, and cap_population, the peak population at
+    max_excitations (it flags a binding cap). When g2_bins_um is given, the
     normalized two-point correlation <n_i n_j> / (<n_i><n_j>) is
     averaged over the trailing g2_window fraction of the time grid and
     over the pairs falling in each separation bin; 0 < g2_window <= 1,
@@ -690,6 +695,8 @@ def simulate_exact(model, times_us, g2_bins_um=None, g2_window=0.5):
     norm_drift = float(np.max(np.abs(norms - 1.0)))
     mean = sizes @ weights
     probs = _number_probabilities(weights, sizes, model.n_atoms)
+    cap = model.max_excitations
+    cap_population = float(probs[:, cap].max()) if cap < model.n_atoms else 0.0
 
     g2_r = g2_vals = None
     if g2_bins_um is not None:
@@ -722,6 +729,7 @@ def simulate_exact(model, times_us, g2_bins_um=None, g2_window=0.5):
         norm_drift=norm_drift,
         method=method,
         rejected_states=_subset_count(model) - dim,
+        cap_population=cap_population,
         g2_r_um=g2_r,
         g2=g2_vals,
     )
@@ -904,26 +912,43 @@ class CountingStatistics:
         )
 
 
+def _require_counts(samples, whole):
+    """samples as a float array, or ValueError naming them unless every
+    sample is finite and >= 0 and, when whole, a whole number."""
+    samples = np.asarray(samples, dtype=float)
+    good = np.isfinite(samples) & (samples >= 0)
+    if whole:
+        good &= samples == np.floor(samples)
+    if not good.all():
+        kind = "whole numbers" if whole else "numbers"
+        raise ValueError("samples must be finite, non-negative " + kind)
+    return samples
+
+
 def mandel_q(samples):
     """Normalized variance excess: variance / mean - 1.
 
     Zero for Poissonian counts, negative for sub-Poissonian ones, -1 for
-    a deterministic count. Uses the unbiased sample variance.
+    a deterministic count. Uses the unbiased sample variance. samples are
+    finite and non-negative, with a positive mean.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.size < 2:
         raise ValueError("mandel_q needs at least two samples")
     mean = samples.mean()
+    # a nan or -inf sample makes the mean fail first
     _require_positive(mean, "the mean of samples")
+    _require_counts(samples, whole=False)
     return float(samples.var(ddof=1) / mean - 1.0)
 
 
 def thin_counts(samples, efficiency, seed_or_rng):
-    """Binomially thin integer counts by a detection efficiency."""
+    """Binomially thin counts, finite non-negative whole numbers, by a
+    detection efficiency."""
     if not 0.0 < efficiency <= 1.0:
         raise ValueError("efficiency must be in (0, 1]")
+    samples = _require_counts(samples, whole=True)
     rng = _as_rng(seed_or_rng)
-    samples = np.asarray(samples)
     return rng.binomial(samples.astype(np.int64), efficiency)
 
 
@@ -933,6 +958,7 @@ class KineticResult:
 
     times_us: np.ndarray
     trajectories: np.ndarray  # (trials, T) excited counts
+    events: np.ndarray  # (trials,) flips applied to each trial
     statistics: CountingStatistics
     seed: int
 
@@ -1019,10 +1045,14 @@ def kinetic_monte_carlo(model, gamma_mhz, times_us, trials, seed):
     atoms return at the rate evaluated with their own current shift.
     Trials advance in lockstep, one event for every unfinished trial per
     step, but each trial draws from its own generator, spawned off the
-    given seed, in the same order (waiting time, then atom) as if it ran
-    alone: results are reproducible and a trial's trajectory does not
-    depend on the trial count. Samples for the counting statistics are
-    the excited numbers at the final requested time, so trials is a whole
+    given seed, as if it ran alone. An event takes two Generator.random
+    uniforms in turn: u1 sets the wait -log1p(-u1) / total by inverse
+    transform, u2 the atom, the first whose cdf entry (as rng.choice forms
+    it) is above u2. A trial fetches _BLOCK events' uniforms per
+    random(out=) call, the same doubles as one call each, so a trajectory
+    depends on neither the block length nor the trial count. events counts
+    each trial's flips. Samples for the counting statistics are the
+    excited numbers at the final requested time, so trials is a whole
     number >= 2.
 
     The shifts sum_j V_ij n_j are running sums: an event adds or subtracts
@@ -1042,29 +1072,29 @@ def kinetic_monte_carlo(model, gamma_mhz, times_us, trials, seed):
     rates_of = _lorentzian_rates(model, gamma_mhz)
     state = _RunningShifts(model._couplings_mhz, trials)
     streams = np.random.SeedSequence(seed).spawn(trials)
-    rngs = [np.random.default_rng(stream) for stream in streams]
+    uniforms = [np.random.default_rng(stream).random for stream in streams]
     # Row k of state and of every array below belongs to trial live[k]; a
-    # trial that ends leaves them all. standard_exponential() * scale has
-    # the bits of exponential(scale).
+    # trial that ends leaves them all. Every live trial has made step
+    # events, so all of them are at the same place in their block.
     live = np.arange(trials)
-    exponentials = [r.standard_exponential for r in rngs]
-    uniforms = [r.random for r in rngs]
+    draws = np.empty((trials, 2 * _BLOCK))
     t = np.zeros(trials)
     cursor = np.zeros(trials, dtype=np.intp)
     count = np.zeros(trials, dtype=np.int64)
+    events = np.zeros(trials, dtype=np.int64)
     trajectories = np.zeros((trials, times.size), dtype=np.int64)
     rate_buffer = np.empty((trials, model.n_atoms))
+    step = 0
 
     def leave(ending):
-        nonlocal live, exponentials, uniforms, t, cursor, count
+        nonlocal live, draws, t, cursor, count
         # a trial that ends holds its last count on the rest of the grid
         for k in np.flatnonzero(ending):
             trajectories[live[k], cursor[k]:] = count[k]
+        events[live[ending]] = step
         kept = ~ending
         state.keep(kept)
-        live, t, cursor, count = live[kept], t[kept], cursor[kept], count[kept]
-        exponentials = list(itertools.compress(exponentials, kept))
-        uniforms = list(itertools.compress(uniforms, kept))
+        live, draws, t, cursor, count = (a[kept] for a in (live, draws, t, cursor, count))
 
     while live.size:
         rates = rates_of(state.shifts, out=rate_buffer[: live.size])
@@ -1073,14 +1103,17 @@ def kinetic_monte_carlo(model, gamma_mhz, times_us, trials, seed):
             # an infinite total waits 0 forever, a nan one ends the trial
             raise ValueError("transition rate total is not finite")
         # a trial with no allowed transition (total 0, as no rate is
-        # negative) is finished
+        # negative) is finished, and draws nothing more
         if not total.all():
             moving = total > 0
             leave(~moving)
             rates, total = rates[moving], total[moving]
-        wait = np.array([draw() for draw in exponentials]) * (1.0 / total)
-        u = np.array([draw() for draw in uniforms])
-        t += wait
+        slot = 2 * (step % _BLOCK)
+        if not slot:
+            for trial, row in zip(live, draws):
+                uniforms[trial](out=row)
+        t -= np.log1p(-draws[:, slot]) / total  # the wait is -log1p(-u1) / total
+        u = draws[:, slot + 1]
         # record the state on every grid point passed by this step
         new = np.searchsorted(times, t, side="left")
         for k in np.flatnonzero(new > cursor):
@@ -1094,6 +1127,7 @@ def kinetic_monte_carlo(model, gamma_mhz, times_us, trials, seed):
         cdf /= cdf[:, -1:]
         atom = (cdf > u[:, None]).argmax(axis=1)
         count += np.where(state.flip(atom), -1, 1)
+        step += 1
         ended = new == times.size
         if ended.any():
             leave(ended)
@@ -1101,6 +1135,7 @@ def kinetic_monte_carlo(model, gamma_mhz, times_us, trials, seed):
     return KineticResult(
         times_us=times,
         trajectories=trajectories,
+        events=events,
         statistics=stats,
         seed=seed,
     )
