@@ -106,6 +106,8 @@ def data_file_path(species, kind):
     """Filesystem path of a species data asset ("defects" or "lifetimes")."""
     if species not in _DATA_FILES:
         raise ValueError("unknown species %r" % (species,))
+    if kind not in ("defects", "lifetimes"):
+        raise ValueError("unknown kind %r" % (kind,))
     name = _DATA_FILES[species][0 if kind == "defects" else 1]
     return str(resources.files("rydtools.data").joinpath(name))
 

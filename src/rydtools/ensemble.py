@@ -219,12 +219,6 @@ def scaled_excitation_rate(conditions, n_atoms):
 # --------------------------------------------------------------------------
 
 
-def _as_rng(seed_or_rng):
-    if isinstance(seed_or_rng, np.random.Generator):
-        return seed_or_rng
-    return np.random.default_rng(seed_or_rng)
-
-
 def cubic_lattice(shape, spacing_um):
     """Centered rectangular lattice of shape (nx, ny, nz) sites, each a
     whole number >= 1."""
@@ -265,7 +259,7 @@ def uniform_box_positions(n, lengths_um, seed_or_rng, min_separation_um=0.0):
         raise ValueError("lengths_um must hold three box lengths, got %r" % (lengths_um,))
     for length in lengths.tolist():
         _require_finite_positive(length, "lengths_um")
-    rng = _as_rng(seed_or_rng)
+    rng = np.random.default_rng(seed_or_rng)
     return _rejection_fill(
         n,
         lambda r: (r.random(3) - 0.5) * lengths,
@@ -277,7 +271,7 @@ def uniform_box_positions(n, lengths_um, seed_or_rng, min_separation_um=0.0):
 def uniform_sphere_positions(n, radius_um, seed_or_rng, min_separation_um=0.0):
     """n atoms uniformly random in a sphere centered at the origin."""
     _require_finite_positive(radius_um, "radius_um")
-    rng = _as_rng(seed_or_rng)
+    rng = np.random.default_rng(seed_or_rng)
 
     def draw(r):
         while True:
@@ -294,7 +288,7 @@ def uniform_cylinder_positions(
     """n atoms uniformly random in a z-axis cylinder centered at the origin."""
     for value, name in ((radius_um, "radius_um"), (length_um, "length_um")):
         _require_finite_positive(value, name)
-    rng = _as_rng(seed_or_rng)
+    rng = np.random.default_rng(seed_or_rng)
 
     def draw(r):
         while True:
@@ -365,7 +359,7 @@ class ExcitationModel:
             v = self.interaction_mhz.copy()
         if not np.isfinite(v).all():
             raise ValueError("%s must be finite, got a non-finite coupling" % name)
-        if v.shape != (n, n) or not np.allclose(v, v.T):
+        if v.shape != (n, n) or not np.array_equal(v, v.T):
             raise ValueError("interaction_mhz must be a symmetric (N, N) matrix")
         np.fill_diagonal(v, 0.0)
         v.flags.writeable = False
@@ -865,11 +859,10 @@ def simulate_triple_exchange(rabi_mhz, exchange_mhz, times_us):
     counts = _excited_count_vector()
     probs = _number_probabilities(weights, counts, 3)
 
-    # dimension of the zero-shift subspace of the triply-excited block
-    h_int = _triple_exchange_hamiltonian(0.0, vmat)
+    # dimension of the zero-shift subspace of the triply-excited block; the
+    # drive only turns g into p, so it has no entry inside this block
     triple = np.flatnonzero(counts == 3)
-    block = h_int[np.ix_(triple, triple)]
-    evals = np.linalg.eigvalsh(block)
+    evals = np.linalg.eigvalsh(h[np.ix_(triple, triple)])
     vscale = float(np.abs(vmat).max())
     n_zero = int(np.count_nonzero(np.abs(evals) < 1e-9 * TWO_PI * vscale))
 
@@ -892,7 +885,8 @@ def simulate_triple_exchange(rabi_mhz, exchange_mhz, times_us):
 class CountingStatistics:
     """Excited-number samples and their normalized variance.
 
-    q is nan when every sample is zero (no excitation to normalize by).
+    samples are at least two finite, non-negative numbers. q is nan when
+    every sample is zero (no excitation to normalize by).
     """
 
     samples: np.ndarray
@@ -902,14 +896,12 @@ class CountingStatistics:
 
     @classmethod
     def from_samples(cls, samples):
-        samples = np.asarray(samples, dtype=float)
-        mean = float(samples.mean())
-        return cls(
-            samples=samples,
-            mean=mean,
-            variance=float(samples.var(ddof=1)),
-            q=mandel_q(samples) if mean > 0 else math.nan,
-        )
+        samples = _require_counts(samples, whole=False)
+        if samples.size < 2:
+            raise ValueError("counting statistics need at least two samples")
+        mean, variance = samples.mean(), samples.var(ddof=1)
+        q = float(variance / mean - 1.0) if mean > 0 else math.nan
+        return cls(samples=samples, mean=float(mean), variance=float(variance), q=q)
 
 
 def _require_counts(samples, whole):
@@ -935,11 +927,9 @@ def mandel_q(samples):
     samples = np.asarray(samples, dtype=float)
     if samples.size < 2:
         raise ValueError("mandel_q needs at least two samples")
-    mean = samples.mean()
     # a nan or -inf sample makes the mean fail first
-    _require_positive(mean, "the mean of samples")
-    _require_counts(samples, whole=False)
-    return float(samples.var(ddof=1) / mean - 1.0)
+    _require_positive(samples.mean(), "the mean of samples")
+    return CountingStatistics.from_samples(samples).q
 
 
 def thin_counts(samples, efficiency, seed_or_rng):
@@ -948,7 +938,7 @@ def thin_counts(samples, efficiency, seed_or_rng):
     if not 0.0 < efficiency <= 1.0:
         raise ValueError("efficiency must be in (0, 1]")
     samples = _require_counts(samples, whole=True)
-    rng = _as_rng(seed_or_rng)
+    rng = np.random.default_rng(seed_or_rng)
     return rng.binomial(samples.astype(np.int64), efficiency)
 
 
@@ -1037,6 +1027,12 @@ class _RunningShifts:
         self.shifts = self.shifts[rows]
 
 
+def _direct_pick(table, u):
+    """Per row, the first atom whose cumulative rate exceeds u * total, kept below total."""
+    total = table[:, -1]
+    return (table > np.minimum(u * total, np.nextafter(total, 0))[:, None]).argmax(axis=1)
+
+
 def kinetic_monte_carlo(model, gamma_mhz, times_us, trials, seed):
     """Stochastic excitation dynamics with interaction-shifted rates.
 
@@ -1047,13 +1043,15 @@ def kinetic_monte_carlo(model, gamma_mhz, times_us, trials, seed):
     step, but each trial draws from its own generator, spawned off the
     given seed, as if it ran alone. An event takes two Generator.random
     uniforms in turn: u1 sets the wait -log1p(-u1) / total by inverse
-    transform, u2 the atom, the first whose cdf entry (as rng.choice forms
-    it) is above u2. A trial fetches _BLOCK events' uniforms per
-    random(out=) call, the same doubles as one call each, so a trajectory
-    depends on neither the block length nor the trial count. events counts
-    each trial's flips. Samples for the counting statistics are the
-    excited numbers at the final requested time, so trials is a whole
-    number >= 2.
+    transform, u2 the atom by Gillespie's direct method on the raw
+    cumulative rates, whose last entry is total: the first atom whose entry
+    exceeds u2 * total. Below 2^-1021 that product can round up to total,
+    so it is held below total and the atom always has a positive rate. A
+    trial fetches _BLOCK events' uniforms per random(out=) call, the same
+    doubles as one call each, so a trajectory depends on neither the block
+    length nor the trial count. events counts each trial's flips. Samples
+    for the counting statistics are the excited numbers at the final
+    requested time, so trials is a whole number >= 2.
 
     The shifts sum_j V_ij n_j are running sums: an event adds or subtracts
     the flipped atom's column of V, O(N) per trial instead of a matrix
@@ -1097,8 +1095,10 @@ def kinetic_monte_carlo(model, gamma_mhz, times_us, trials, seed):
         live, draws, t, cursor, count = (a[kept] for a in (live, draws, t, cursor, count))
 
     while live.size:
-        rates = rates_of(state.shifts, out=rate_buffer[: live.size])
-        total = rates.sum(axis=1)
+        # the cumulative rate table; its last column is each trial's total
+        table = rates_of(state.shifts, out=rate_buffer[: live.size])
+        np.cumsum(table, axis=1, out=table)
+        total = table[:, -1]
         if not np.isfinite(total).all():
             # an infinite total waits 0 forever, a nan one ends the trial
             raise ValueError("transition rate total is not finite")
@@ -1107,7 +1107,7 @@ def kinetic_monte_carlo(model, gamma_mhz, times_us, trials, seed):
         if not total.all():
             moving = total > 0
             leave(~moving)
-            rates, total = rates[moving], total[moving]
+            table, total = table[moving], total[moving]
         slot = 2 * (step % _BLOCK)
         if not slot:
             for trial, row in zip(live, draws):
@@ -1119,14 +1119,7 @@ def kinetic_monte_carlo(model, gamma_mhz, times_us, trials, seed):
         for k in np.flatnonzero(new > cursor):
             trajectories[live[k], cursor[k]:new[k]] = count[k]
         cursor = new
-        # rng.choice(n, p=rates / total) without its checks: the same cdf
-        # and the same single draw. The first entry above u is searchsorted
-        # right, as each cdf row is nondecreasing and ends at 1 > u.
-        cdf = np.divide(rates, total[:, None], out=rates)
-        np.cumsum(cdf, axis=1, out=cdf)
-        cdf /= cdf[:, -1:]
-        atom = (cdf > u[:, None]).argmax(axis=1)
-        count += np.where(state.flip(atom), -1, 1)
+        count += np.where(state.flip(_direct_pick(table, u)), -1, 1)
         step += 1
         ended = new == times.size
         if ended.any():

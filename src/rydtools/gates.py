@@ -37,7 +37,7 @@ from .blockade import (
     _grouped_spectra,
     _saturated_shift,
 )
-from .constants import _require_nonnegative, _require_positive
+from .constants import _require_finite_positive, _require_nonnegative, _require_positive
 from .pair import forster_eigensystem, s_state_channels
 
 # Scale ratio treated as a clear separation by the advisory regime flags.
@@ -76,7 +76,7 @@ class GateParams:
     interaction_mhz: Optional[float] = None
 
     def __post_init__(self):
-        _require_positive(self.rabi_mhz, "rabi_mhz")
+        _require_finite_positive(self.rabi_mhz, "rabi_mhz")
         _require_positive(self.lifetime_us, "lifetime_us")
         _require_positive(self.qubit_splitting_mhz, "qubit_splitting_mhz")
         if self.blockade_mhz is not None:

@@ -204,6 +204,12 @@ class TestDataFiles:
         assert second_model.coeffs == first_model.coeffs
         assert second_model.coeffs is not first_model.coeffs
 
+    def test_unknown_kind_rejected(self):
+        # any kind but "defects" returned the lifetimes file
+        with pytest.raises(ValueError, match="unknown kind 'typo'"):
+            atoms.data_file_path("Rb87", "typo")
+        assert atoms.data_file_path("Rb87", "lifetimes").endswith("rb87_lifetimes.txt")
+
     def test_fallback_sets_are_not_shared(self):
         first, second = QuantumDefectTable("Rb87"), QuantumDefectTable("Rb87")
         with pytest.warns(UserWarning, match="no defect series"):

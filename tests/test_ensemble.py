@@ -13,7 +13,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import linalg, sparse, special
 from scipy.optimize import curve_fit
@@ -382,6 +382,15 @@ class TestExcitationModel:
                 interaction_mhz=np.array([[0.0, 1.0], [2.0, 0.0]]),
             )
 
+    def test_interaction_must_be_exactly_symmetric(self):
+        # allclose accepted this V, and each layer read the pair its own
+        # way: the basis screen 1.0, H their mean, KMC each atom's row
+        v = np.array([[0.0, 1.0], [1.000001, 0.0]])
+        with pytest.raises(ValueError, match="interaction_mhz must be a symmetric"):
+            ExcitationModel(
+                positions_um=[[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], rabi_mhz=1.0, interaction_mhz=v
+            )
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_interaction_rejected(self, bad):
         # a nan entry was reported as "must be symmetric"
@@ -745,14 +754,15 @@ def lockstep_oracle_case(name, seed):
             max_excitations=10,
         )
         return model, 4.0, np.linspace(0.0, 20.0, 11), 40
-    # near_symmetric: interaction_mhz passes the allclose symmetry check
-    # with v[i, j] - v[j, i] of order 1e-10
+    # near_symmetric: couplings moved off the c6 form by about 1e-10 in
+    # each pair's own way, exactly symmetric as interaction_mhz must be
     pos = uniform_box_positions(
         30, (8.0, 8.0, 8.0), seed_or_rng=7, min_separation_um=0.5
     )
     v = ExcitationModel(positions_um=pos, rabi_mhz=0.5, c6_mhz_um6=200.0)
     v = v.pair_shift_matrix_mhz()
-    v = v + 1e-10 * np.random.default_rng(seed).normal(size=v.shape)
+    noise = np.random.default_rng(seed).normal(size=v.shape)
+    v = v + 1e-10 * (noise + noise.T)
     model = ExcitationModel(positions_um=pos, rabi_mhz=0.5, interaction_mhz=v)
     return model, 2.0, np.linspace(0.0, 6.0, 7), 60
 
@@ -1428,6 +1438,22 @@ class TestTripleExchange:
                 expected += 2 * math.pi * vmat[i, j] * (op + op.T)
         assert np.array_equal(ens._triple_exchange_hamiltonian(rabi, vmat), expected)
 
+    def test_hamiltonian_built_once(self, monkeypatch):
+        # the zero-shift count reads the triple block of the driven H: the
+        # drive only turns g into p, so it has no entry there
+        built = []
+        original = ens._triple_exchange_hamiltonian
+
+        def counted(rabi_mhz, exchange_matrix_mhz):
+            built.append(rabi_mhz)
+            return original(rabi_mhz, exchange_matrix_mhz)
+
+        monkeypatch.setattr(ens, "_triple_exchange_hamiltonian", counted)
+        vmat = axial_exchange_couplings_mhz(triangle_positions(1.0), 5.0)
+        dyn = simulate_triple_exchange(0.12, vmat, np.linspace(0.0, 1.0, 3))
+        assert built == [0.12]
+        assert dyn.zero_shift_triple_dimension == 13
+
     def test_angular_coupling_values(self):
         vmat = axial_exchange_couplings_mhz(
             triangle_positions(1.0), c3_mhz_um3=5.0, axis=(1.0, 0.0, 0.0)
@@ -1644,6 +1670,15 @@ class TestCountingStatistics:
         assert stats.variance >= 0.0
         assert stats.q >= -1.0
 
+    @pytest.mark.parametrize("samples", [[math.nan, 1], [-1, -1], [3.0]])
+    def test_from_samples_needs_two_finite_non_negative_samples(self, samples):
+        # [nan, 1] gave nan statistics, [-1, -1] a mean of -1, and [3.0] a
+        # numpy degrees-of-freedom warning and a nan variance
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="samples"):
+                CountingStatistics.from_samples(samples)
+
     def test_from_samples_all_zero(self):
         stats = CountingStatistics.from_samples([0, 0, 0])
         assert stats.mean == 0.0
@@ -1787,13 +1822,14 @@ class TestKineticMonteCarlo:
             assert rates[i] == pytest.approx(expected, rel=1e-12)
 
     def test_stacked_rates_use_each_row_shift(self):
-        # interaction_mhz need only be allclose to symmetric: row b of the
-        # rates of a (B, N) stack of shifts excited @ v.T must use
-        # v @ excited[b], and write into out when it is given
+        # row b of the rates of a (B, N) stack of shifts excited @ v.T must
+        # use v @ excited[b], and write into out when it is given; the
+        # perturbation is symmetric, as interaction_mhz must be exactly
         rng = np.random.default_rng(8)
         pos = cubic_lattice((3, 2, 2), 1.0)
         v = ExcitationModel(positions_um=pos, rabi_mhz=0.5, c6_mhz_um6=50.0)
-        v = v.pair_shift_matrix_mhz() * (1.0 + 1e-6 * rng.random((12, 12)))
+        noise = rng.random((12, 12))
+        v = v.pair_shift_matrix_mhz() * (1.0 + 1e-6 * (noise + noise.T))
         model = ExcitationModel(
             positions_um=pos, rabi_mhz=0.5, detuning_mhz=0.3, interaction_mhz=v
         )
@@ -1919,6 +1955,38 @@ class TestKineticMonteCarlo:
         assert a.statistics.q == b.statistics.q
         assert not np.array_equal(a.trajectories, c.trajectories)
 
+    def test_pick_below_the_normal_range_has_a_positive_rate(self):
+        # below 2^-1021, u * total rounds up to total for u = 1 - 2^-53: an
+        # unguarded table > u * total finds no entry and picks atom 0
+        table = np.cumsum([[0.0, 4e-321, 1e-321, 0.0]], axis=1)
+        u = np.array([1.0 - 2.0**-53])
+        assert u * table[:, -1] == table[:, -1]
+        assert ens._direct_pick(table, u).tolist() == [2]
+
+    @given(
+        rates=st.lists(
+            st.one_of(st.just(0.0), st.floats(1e-3, 1.0)), min_size=1, max_size=12
+        ).filter(any),
+        log_total=st.floats(-320.0, 300.0),
+        u=st.one_of(st.floats(0.0, 1.0, exclude_max=True), st.just(1.0 - 2.0**-53)),
+    )
+    @example(rates=[0.0, 0.8, 0.2, 0.0], log_total=math.log10(5e-321), u=1.0 - 2.0**-53)
+    @settings(max_examples=300, deadline=None)
+    def test_pick_matches_the_normalized_cdf(self, rates, log_total, u):
+        # the direct method on raw cumulative rates against the normalized
+        # cdf rng.choice forms, away from ties; at any u the atom has a
+        # positive rate
+        rates = np.array(rates) * (10.0**log_total / sum(rates))
+        total = rates.sum()
+        assume(total > 0)
+        atom = ens._direct_pick(np.cumsum(rates)[None], np.array([u]))[0]
+        assert rates[atom] > 0
+        cdf = np.cumsum(rates / total)
+        cdf /= cdf[-1]
+        # u * total rounds to a multiple of 2^-1074, coarse for a tiny total
+        if np.abs(cdf - u).min() > 1e-12 + 2.0**-1073 / total:
+            assert atom == np.searchsorted(cdf, u, "right")
+
     def test_draw_matches_rng_choice_oracle(self):
         model = ExcitationModel(
             positions_um=uniform_box_positions(
@@ -1962,9 +2030,12 @@ class TestKineticMonteCarlo:
     )
     def test_running_shifts_equal_the_product(self, name, seed):
         # one coupling column added or subtracted per flip keeps the bits of
-        # excited @ v_r.T; near_symmetric has v != v.T, so a column is not a row
+        # excited @ v_r.T; _RunningShifts takes any v, and near_symmetric
+        # gets one with v != v.T here, so a column is not a row
         model = lockstep_oracle_case(name, seed)[0]
         v = model.pair_shift_matrix_mhz()
+        if name == "near_symmetric":
+            v = v + 1e-10 * np.random.default_rng(seed).normal(size=v.shape)
         state = ens._RunningShifts(v, 8)
         e, v_r = state.exponent, state.couplings
         # e = ceil(log2 max_i sum_j |v_ij|) - 52, v_r on the grid of 2^e

@@ -130,6 +130,12 @@ class TestGateParams:
         with pytest.raises(ValueError):
             GateParams(1.0, 100.0, qubit_splitting_mhz=0.0)
 
+    @pytest.mark.parametrize("rabi", [math.inf, math.nan])
+    def test_drive_must_be_finite(self, rabi):
+        # an infinite drive gave blockade_gate_error a nan se_error and total
+        with pytest.raises(ValueError, match="rabi_mhz must be finite"):
+            GateParams(rabi, 100.0, blockade_mhz=10.0)
+
     def test_infinite_splitting_allowed(self):
         p = GateParams(1.0, 100.0, math.inf, blockade_mhz=10.0)
         assert p.qubit_splitting_mhz == math.inf

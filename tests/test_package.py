@@ -1,7 +1,8 @@
 """Package metadata says what the code has: named modules import, console
 scripts resolve, and the version matches pyproject.toml. Importing the
 package loads no scipy subpackage beyond constants, linalg and sparse, and
-its modules import each other in one layer order."""
+its modules import each other in one layer order, and every private
+module-level name has a use."""
 
 import ast
 import importlib
@@ -9,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -106,3 +108,43 @@ def test_modules_import_only_earlier_layers():
     for rank, name in enumerate(LAYER_ORDER):
         tree = ast.parse((package / (name + ".py")).read_text())
         assert _package_imports(tree) <= set(LAYER_ORDER[:rank]), name
+
+
+def _private_definitions(tree):
+    """(name, statement) for each module-level private function, class or
+    constant a module's syntax tree defines."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def _references(tree):
+    """Every name a syntax tree reads, bare or as an attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+
+
+def test_no_dead_private_names():
+    # every module-level private name is used somewhere in the package
+    # besides its own definition: an orphan is dead code
+    package = Path(rydtools.__file__).resolve().parent
+    trees = {p.name: ast.parse(p.read_text()) for p in sorted(package.glob("*.py"))}
+    uses = Counter(name for tree in trees.values() for name in _references(tree))
+    dead = [
+        "%s: %s" % (module, name)
+        for module, tree in trees.items()
+        for name, node in _private_definitions(tree)
+        if uses[name] == list(_references(node)).count(name)
+    ]
+    assert not dead
