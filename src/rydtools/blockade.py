@@ -5,14 +5,14 @@ and doubly-excited pair states. For each atom pair every interaction channel
 contributes a level shift to each of its eigenstates; together they make one
 effective shift operator over the initial Zeeman-pair manifold, whose
 eigenstates are the pair states entering the blockade average.
-pair._pair_states forms and solves that operator per M-block in the pair
-frame, for all pairs at once, and returns (pairs, states) arrays; this
-module groups each pair's degenerate eigenspaces (_eigenspaces): states
-whose shifts are equal bit for bit, and all zero-shift states together. The
-inverse-square overlap-weighted average of the eigenspace shifts defines
-the blockade shift B; perturbation theory gives the double-excitation
-probability, and exact propagation of the truncated amplitude equations
-validates it for small systems. Of the eigensystem this module reads only
+pair._pair_states forms and solves that operator per (M, exchange parity)
+sector in the pair frame, for all pairs at once, and returns (pairs,
+states) arrays; this module groups each pair's degenerate eigenspaces
+(_eigenspaces): states whose shifts are equal bit for bit, and all
+zero-shift states together. The inverse-square overlap-weighted average of
+the eigenspace shifts defines the blockade shift B; perturbation theory
+gives the double-excitation probability, and exact propagation of the
+truncated amplitude equations validates it for small systems. Of the eigensystem this module reads only
 the state count and, for a single pair, the angle eig.theta
 (pair_state_basis, overlap_kappa, effective_interaction_mhz).
 
@@ -22,6 +22,7 @@ internally (rad/us = 2 pi x MHz).
 
 import math
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -78,8 +79,9 @@ class EnsembleGeometry:
 class ExcitationField:
     """Per-atom excitation Rabi frequencies and polarization geometry.
 
-    polarization is the net Zeeman quantum transferred to the Rydberg state;
-    the driven Rydberg Zeeman component is ground_m + polarization.
+    polarization is the net Zeeman quantum transferred to the Rydberg state,
+    a whole number; the driven Rydberg Zeeman component is ground_m +
+    polarization, ground_m finite. rabi_mhz is kept as a read-only copy.
     """
 
     rabi_mhz: np.ndarray
@@ -87,11 +89,17 @@ class ExcitationField:
     ground_m: float = 0.5
 
     def __post_init__(self):
-        rabi = np.atleast_1d(np.asarray(self.rabi_mhz, dtype=complex))
+        # a read-only copy: omega_rms_mhz and omega_n_mhz are computed once
+        rabi = np.array(self.rabi_mhz, dtype=complex, ndmin=1)
+        rabi.flags.writeable = False
         if rabi.ndim != 1 or rabi.size < 1:
             raise ValueError("need at least one single-atom Rabi frequency")
         if not np.isfinite(rabi).all():
             raise ValueError("Rabi frequencies must be finite")
+        if not math.isfinite(self.ground_m):
+            raise ValueError("ground_m must be finite, got %r" % (self.ground_m,))
+        if not float(self.polarization).is_integer():
+            raise ValueError("polarization must be a whole number, got %r" % (self.polarization,))
         object.__setattr__(self, "rabi_mhz", rabi)
 
     @classmethod
@@ -102,11 +110,11 @@ class ExcitationField:
     def n_atoms(self):
         return self.rabi_mhz.size
 
-    @property
+    @cached_property
     def omega_rms_mhz(self):
         return float(np.sqrt(np.mean(np.abs(self.rabi_mhz) ** 2)))
 
-    @property
+    @cached_property
     def omega_n_mhz(self):
         """Collective Rabi frequency sqrt(N) x rms single-atom value."""
         return float(np.sqrt(np.sum(np.abs(self.rabi_mhz) ** 2)))
@@ -127,9 +135,10 @@ def pair_state_basis(eig, r_um):
     bit.
 
     Returns (shifts, vectors): shifts[i] in MHz, ascending (equal shifts of
-    +-M partners in ascending M), and vectors[:, i] the pair states over
+    +-M partners with -M first), and vectors[:, i] the pair states over
     the initial (lab-frame) Zeeman-product basis: D(theta) times pair-frame
-    states of definite M, each signed by _m_block_states's rule.
+    states of definite M and, for one level, definite exchange parity, each
+    signed by _m_block_states's rule.
     """
     shifts, turned = _pair_states(
         eig, np.array([r_um], float), np.array([eig.theta]), np.arange(pair_state_count(eig))
@@ -227,7 +236,7 @@ def blockade_shift(geometry, field, eig):
 
     Each atom pair uses its own separation and its exact interatomic-axis
     angle; all pairs' states come from one _pair_states call (one batched
-    M-block eigh) and their terms from one _eigenspaces call, so the
+    eigh of sector blocks) and their terms from one _eigenspaces call, so the
     contribution table, sorted weakest blockade first (ties in pair order),
     does not depend on the basis inside a degenerate eigenspace.
     B = sqrt(N (N-1) / (2 sum of terms)): a zero shift with laser overlap
@@ -237,14 +246,15 @@ def blockade_shift(geometry, field, eig):
         raise ValueError("field and geometry atom counts differ")
     if geometry.n < 2:
         raise ValueError("blockade shift needs at least two atoms")
-    pairs, shifts, kappas = _pair_spectra(geometry, field, eig)
+    _, shifts, kappas = _pair_spectra(geometry, field, eig)
     pair, first, _, _, terms = _eigenspaces(shifts, kappas)
-    zero = np.isinf(terms).nonzero()[0]
-    zero_term = (int(first[zero[-1]]),) + pairs[pair[zero[-1]]] if zero.size else None
+    rank = np.argsort(-terms, kind="stable")  # the inf terms first, in pair order
+    k, l = (index[pair[rank]].tolist() for index in geometry._pair_index)
+    p_idx = first[rank].tolist()
+    contributions = list(zip(k, l, p_idx, terms[rank].tolist()))
+    last = int(np.isinf(terms).sum()) - 1  # the last inf term in pair order
+    zero_term = (p_idx[last], k[last], l[last]) if last >= 0 else None
     total = float(terms.sum())
-    rank = np.argsort(-terms, kind="stable")
-    rows = zip(pair[rank].tolist(), first[rank].tolist(), terms[rank].tolist())
-    contributions = [pairs[p] + (p_idx, term) for p, p_idx, term in rows]
     n, omega_n = geometry.n, field.omega_n_mhz
     b = math.sqrt(n * (n - 1) / (2.0 * total)) if total > 0 else math.inf
     p2 = _double_excitation(omega_n, n, b)
@@ -284,8 +294,10 @@ class AmplitudeState:
 
     c_pairs has one row per atom pair (lexicographic k<l) and one column per
     pair state, in pair_state_basis order: ascending shift, +-M partners of
-    equal shift in ascending M. The states are canonical (definite M in the
-    pair frame, a fixed sign rule), so each amplitude is reproducible.
+    equal shift with -M first. The states are canonical (definite M and
+    exchange parity in the pair frame, a fixed sign rule), so each amplitude
+    moves by rounding under a rounding-level change of the input, except
+    inside a degenerate eigenspace within one sector.
     """
 
     c_g: complex

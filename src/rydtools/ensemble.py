@@ -885,8 +885,8 @@ def simulate_triple_exchange(rabi_mhz, exchange_mhz, times_us):
 class CountingStatistics:
     """Excited-number samples and their normalized variance.
 
-    samples are at least two finite, non-negative numbers. q is nan when
-    every sample is zero (no excitation to normalize by).
+    samples are at least two finite, non-negative numbers in a 1-D array.
+    q is nan when every sample is zero (no excitation to normalize by).
     """
 
     samples: np.ndarray
@@ -897,6 +897,8 @@ class CountingStatistics:
     @classmethod
     def from_samples(cls, samples):
         samples = _require_counts(samples, whole=False)
+        if samples.ndim != 1:
+            raise ValueError("samples must be 1-D, got shape %r" % (samples.shape,))
         if samples.size < 2:
             raise ValueError("counting statistics need at least two samples")
         mean, variance = samples.mean(), samples.var(ddof=1)
@@ -922,7 +924,7 @@ def mandel_q(samples):
 
     Zero for Poissonian counts, negative for sub-Poissonian ones, -1 for
     a deterministic count. Uses the unbiased sample variance. samples are
-    finite and non-negative, with a positive mean.
+    finite and non-negative, with a positive mean, in a 1-D array.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.size < 2:

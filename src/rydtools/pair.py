@@ -14,20 +14,24 @@ by the Wigner rotation D(theta) = d^{j1}(theta) (x) d^{j2}(theta) (Walker &
 Saffman, PRA 77, 032723 (2008)), so its D_phi stay and its eigenvectors are
 the pair-frame ones turned by D(theta). An eigensystem keeps the pair-frame
 vectors at every theta. In the pair frame the coupling conserves
-M = m1 + m2: the Gram matrices and the pair-state operators are all
-diagonalized by _m_block_states, per M-block as pairinteraction does per
-symmetry sector (Weber et al., J. Phys. B 50, 133001 (2017)), so each
-eigenvector has a definite M. A magnetic field B along z changes only the
-defects, and only through B cos(theta), its part along the pair axis: the
-part across the axis changes M by 1 and has no expectation value on an
-M-definite state (_defects_mhz, at any array of angles).
+M = m1 + m2 and, for two atoms in one level, commutes with the exchange of
+the atoms: the Gram matrices and the pair-state operators are all
+diagonalized by _m_block_states, per (M, exchange parity) sector as
+pairinteraction does per symmetry sector (Weber et al., J. Phys. B 50,
+133001 (2017)), so each eigenvector has a definite M and parity, and the
+sign rule fixes it: no sector of the 43d Gram matrices holds a degenerate
+pair, so a rounding-level change of the input moves their vectors by
+rounding. A magnetic field B along z changes only the defects, and only
+through B cos(theta), its part along the pair axis: the part across the
+axis changes M by 1 and has no expectation value on an M-definite state
+(_defects_mhz, at any array of angles).
 
-This module owns that layout: the Zeeman-product index and the M-block
+This module owns that layout: the Zeeman-product index and the sector
 layout built once per level pair (_m_blocks, _pair_rotation,
 _driven_index), the solver's stacked arrays (ForsterEigensystem, which also
-keeps the vectors as the M-block stack) and the pair-state solve
-(_pair_states), which forms each pair's shift operator block by block from
-that stack and never as a whole matrix.
+keeps the vectors' sector coordinates as a stack) and the pair-state solve
+(_pair_states), which forms each pair's shift operator sector by sector
+from that stack and never as a whole matrix.
 """
 
 import math
@@ -211,13 +215,14 @@ class ForsterEigensystem:
     B along z, Zeeman-shifted by mu_B B cos(theta) times a pair-frame
     moment). forster_zero_count tallies eigenvalues below the zero floor.
     vectors are the pair-frame (theta = 0) eigenvectors at every theta,
-    each with a definite M = m1 + m2 (exact zeros off its M-block); the
-    eigenvectors at theta are D(theta) @ vectors, D(theta) = d^{j1}(theta)
-    (x) d^{j2}(theta). Only the defects depend on theta (in a field);
-    _pair_states takes them from _defects_mhz at each pair's own angle,
-    not from defects_mhz.
+    each in one (M, exchange) sector of _m_blocks (exact zeros off its
+    M-block; for one level P v = +v or -v bit for bit, P the atom
+    exchange); the eigenvectors at theta are D(theta) @ vectors, D(theta) =
+    d^{j1}(theta) (x) d^{j2}(theta). Only the defects depend on theta (in a
+    field); _pair_states takes them from _defects_mhz at each pair's own
+    angle, not from defects_mhz.
 
-    block_stack holds the same vectors as the M-block stack that
+    block_stack holds the vectors' sector coordinates, the stack that
     _pair_states forms W_0 from.
     """
 
@@ -231,29 +236,31 @@ class ForsterEigensystem:
 
     @cached_property
     def block_stack(self):
-        """(stack, columns), built once from vectors, which must be
-        M-definite (forster_eigensystem's). stack (K, L, C L): block k of
-        the K blocks of _m_blocks holds its L state slots (rows[k]) by the
-        columns of all channels whose vectors lie in block k, channel by
-        channel and in column order within a channel, zero in padding.
-        columns (K, C L): the index c N + n of each stack column's
-        vectors[c][:, n], 0 in padding. Scattered back they are vectors bit
-        for bit. Not a dataclass field: fields(), repr and == see only the
-        solver's arrays."""
-        first, second = self.channels[0].initial
-        layout = _m_blocks(round(2 * first.j), round(2 * second.j), True)
-        rows, (c, n, _) = layout.rows, self.vectors.shape
-        block = layout.block[np.abs(self.vectors).argmax(axis=1)].ravel()  # of each column
-        count = np.bincount(block, minlength=len(rows))
+        """(stack, columns), built once from vectors, which must each lie
+        in one sector (forster_eigensystem's). stack (K, L, C L): block k
+        of the K blocks of _m_blocks holds, in its L slots, the coordinates
+        basis[k] @ v on the slots of its own sector of the columns v of all
+        channels that lie in block k, channel by channel and in column order
+        within a channel, zero elsewhere. columns (K, C L): the index c N +
+        n of each stack column's vectors[c][:, n], 0 in padding. Not a
+        dataclass field: fields(), repr and == see only the solver's
+        arrays."""
+        layout = _layout(self.channels[0].initial, True)
+        coords = layout.basis @ self.vectors[:, None]  # (C, K, L, N)
+        c, k, size, n = coords.shape
+        slot = np.abs(coords).reshape(c, k * size, n).argmax(axis=1).ravel()  # of each column
+        block, sector = slot // size, layout.sector.ravel()[slot]
+        count = np.bincount(block, minlength=k)
         by_block = np.argsort(block, kind="stable")  # in column order within a block
-        slot = np.arange(c * n) - np.repeat(np.cumsum(count) - count, count)
-        columns = np.zeros((len(rows), c * rows.shape[1]), int)
+        place = np.arange(c * n) - np.repeat(np.cumsum(count) - count, count)
+        columns = np.zeros((k, c * size), int)
         filled = np.zeros(columns.shape, bool)
-        columns[block[by_block], slot] = by_block
-        filled[block[by_block], slot] = True
-        side_by_side = self.vectors.swapaxes(0, 1).reshape(n, c * n)
-        stack = side_by_side[rows[:, :, None], columns[:, None, :]]
-        return np.where((rows >= 0)[:, :, None] & filled[:, None, :], stack, 0.0), columns
+        columns[block[by_block], place] = by_block
+        filled[block[by_block], place] = True
+        side_by_side = coords.transpose(1, 2, 0, 3).reshape(k, size, c * n)
+        stack = np.take_along_axis(side_by_side, columns[:, None, :], axis=2)
+        own = filled[:, None, :] & (layout.sector[:, :, None] == sector[columns][:, None, :])
+        return np.where(own, stack, 0.0), columns
 
 
 def _zeeman_diagonal(pair_states):
@@ -264,100 +271,173 @@ def _zeeman_diagonal(pair_states):
 
 @dataclass(frozen=True)
 class _MBlocks:
-    """The M-block layout of one pair of levels (_m_blocks): K blocks
-    padded to L slots, every index array read-only.
+    """The sector layout of one pair of levels (_m_blocks): K blocks of L
+    slots, each holding whole (M, exchange) sectors, every array read-only.
 
-    rows (K, L): the state index of each slot, -1 in padding. block (N,):
-    the block of each state. low: the first solved block, K // 2 when only
-    the blocks M >= 0 are solved, else 0. live (K - low, L, L): the slot
-    pairs inside a solved block. pad: the (block, slot) index arrays of the
-    solved blocks' padding. signs (L,): the sign rule's weights 2^-a.
+    basis (K, L, N): slot a of block k is the state basis[k, a], the slots
+    of one sector side by side, zero in padding; the basis is orthonormal.
+    sector (K, L): which of its block's sectors (0, 1, ...) each slot
+    holds, -1 in padding. turn_rows and turn_coefs (2, L, N): for each
+    solver column, the two state indices and weights of each slot of its
+    block, basis[k, a] = sum over the two of weight x e_index (weight 0
+    where a slot has one state, and in padding). low: the first solved
+    block, the first of M = 0 when only the blocks of M >= 0 are solved,
+    else 0. live (K - low, L, L): the slot pairs of one sector in a solved
+    block. pad: the (block, slot) index arrays of the solved blocks'
+    padding. signs (L,): the sign rule's weights 2^-a.
     gather (N,): each solver column's eigenpair among the solved blocks'
-    eigenpairs, flattened by (block, slot), block -M taking those of M when
-    only M >= 0 is solved. turn_rows (L, N): the state index of each slot
-    of each solver column's block.
+    eigenpairs, flattened by (block, slot), a block of -M taking those of
+    its mirror block of M when only M >= 0 is solved. pick (1, L, N): the
+    index of each component of each solver column's eigenvector among the
+    solved blocks' eigenvector arrays, flattened by (block, row, column).
     """
 
-    rows: np.ndarray
-    block: np.ndarray
+    basis: np.ndarray
+    sector: np.ndarray
+    turn_rows: np.ndarray
+    turn_coefs: np.ndarray
     low: int
     live: np.ndarray
     pad: tuple
     signs: np.ndarray
     gather: np.ndarray
-    turn_rows: np.ndarray
+    pick: np.ndarray
+
+
+def _layout(initial, mirrored):
+    """_m_blocks of the pair of levels initial: exchange sectors when its
+    two levels are one."""
+    first, second = initial
+    exchange = _level_key(first) == _level_key(second)
+    return _m_blocks(round(2 * first.j), round(2 * second.j), mirrored, exchange)
+
+
+def _pack(sizes, capacity):
+    """Indices of sizes packed first-fit, by decreasing size (ties in index
+    order), into groups whose sizes sum to at most capacity."""
+    groups = []
+    for i in sorted(range(len(sizes)), key=lambda i: -sizes[i]):
+        fits = (g for g in groups if sum(sizes[j] for j in g) + sizes[i] <= capacity)
+        group = next(fits, None)
+        if group is None:
+            groups.append(group := [])
+        group.append(i)
+    return groups
 
 
 @lru_cache(maxsize=None)
-def _m_blocks(tj1, tj2, mirrored):
-    """The M-block layout (_MBlocks) of the Zeeman product space of two
+def _m_blocks(tj1, tj2, mirrored, exchange):
+    """The sector layout (_MBlocks) of the Zeeman product space of two
     levels with doubled angular momenta tj1 and tj2 (state (m1, m2) at
     index (j1 + m1)(tj2 + 1) + j2 + m2), cached, so every index array that
     depends only on the level pair is built once per pair and solve kind.
-    rows[k, a] is the index of the a-th state of block k, the blocks in
-    ascending M = k - j1 - j2. Block M >= 0 lists its states by ascending
-    index, block -M their mirror images (-m1, -m2), index N - 1 - i, in the
-    same order: the rotation by pi about y, which leaves the pair-frame
-    coupling as it is, maps one onto the other with one sign per block, so
-    both blocks of a pair-frame operator are the same matrix. With mirrored
-    set only the blocks M >= 0 are solved."""
+
+    The pair-frame operators conserve M = m1 + m2 and, when the two levels
+    are one (exchange), commute with the atom exchange P|m1 m2> = |m2 m1>
+    (Walker & Saffman, PRA 77, 032723 (2008)); pairinteraction splits the
+    pair basis the same way (Weber et al., J. Phys. B 50, 133001 (2017)).
+    M >= 0 lists its states by ascending index; each state |a b> of index
+    at most that of |b a> gives an even slot (|a b> + |b a>)/sqrt(2), or
+    |a a> alone, and an odd slot (|a b> - |b a>)/sqrt(2). Without exchange
+    the states of M are the slots of one sector: the identity. -M lists
+    the mirror images (-m1, -m2), index N - 1 - i, in the same order: the
+    rotation by pi about y, which leaves the pair-frame operators as they
+    are, maps each sector of M onto that of -M with one sign, so both are
+    the same matrix. L is the largest sector. The sectors of M = 0, and
+    those of M > 0, are packed whole into blocks of L slots (_pack); each
+    block of M > 0 has a mirror block of -M. Blocks run: -M, M = 0, M > 0.
+    With mirrored set only the blocks of M >= 0 are solved."""
+    n = (tj1 + 1) * (tj2 + 1)
     m = np.add.outer(np.arange(tj1 + 1), np.arange(tj2 + 1)).ravel()  # k of each state
-    count = tj1 + tj2 + 1
-    rows = np.full((count, min(tj1, tj2) + 1), -1)
-    for k in range(count):
-        states = np.flatnonzero(m == max(k, count - 1 - k))
-        rows[k, : len(states)] = states if 2 * k >= count - 1 else m.size - 1 - states
-    k = np.arange(count)
-    low = count // 2 if mirrored else 0
-    solved = (np.maximum(k, k[::-1]) if mirrored else k) - low  # whose eigenpairs block k takes
-    valid = rows >= 0
-    column_block, slot = np.nonzero(valid)  # solver columns: by ascending M, then by slot
-    block = np.empty(m.size, int)
-    block[rows[valid]] = column_block
-    layout = _MBlocks(
-        rows=rows,
-        block=block,
-        low=low,
-        live=valid[low:, :, None] & valid[low:, None, :],
-        pad=np.nonzero(~valid[low:]),
-        signs=0.5 ** np.arange(rows.shape[1]),
-        gather=solved[column_block] * rows.shape[1] + slot,
-        turn_rows=rows[column_block].T,
+    swap = np.arange(n).reshape(tj1 + 1, -1).T.ravel() if exchange else np.arange(n)
+    half, count = math.sqrt(0.5), tj1 + tj2 + 1
+    middle, upper = [], []  # the sectors of M = 0 and of M > 0: (legs (2, a), weights (2, a))
+    for k in range(count // 2, count):
+        states = np.flatnonzero(m == k)
+        lo = states[states <= swap[states]]
+        legs, two = np.stack([lo, swap[lo]]), lo != swap[lo]
+        group = upper if 2 * k > count - 1 else middle
+        group.append((legs, np.stack([np.where(two, half, 1.0), np.where(two, half, 0.0)])))
+        if two.any():
+            group.append((legs[:, two], np.array([[half], [-half]]) * np.ones(two.sum())))
+    size = max(legs.shape[1] for legs, _ in middle + upper)
+    middle, upper = (
+        [[group[i] for i in ids] for ids in _pack([legs.shape[1] for legs, _ in group], size)]
+        for group in (middle, upper)
     )
-    arrays = (rows, block, layout.live, layout.signs, layout.gather, layout.turn_rows)
-    for a in arrays + layout.pad:
-        a.flags.writeable = False
+    lower = [[(n - 1 - legs, weights) for legs, weights in block] for block in upper]
+    rows = np.zeros((2, len(lower) + len(middle) + len(upper), size), int)
+    coefs = np.zeros(rows.shape)
+    sector = np.full(rows.shape[1:], -1)
+    for k, block in enumerate(lower + middle + upper):
+        a = 0
+        for s, (legs, weights) in enumerate(block):
+            width = legs.shape[1]
+            rows[:, k, a : a + width], coefs[:, k, a : a + width] = legs, weights
+            sector[k, a : a + width] = s
+            a += width
+    basis = np.zeros(sector.shape + (n,))
+    k, a = np.indices(sector.shape)
+    for leg in range(2):
+        basis[k, a, rows[leg]] += coefs[leg]
+    low = len(lower) if mirrored else 0
+    solved = np.arange(len(sector)) - low
+    if mirrored:
+        solved[:low] += len(middle) + low  # the block of M > 0 each mirrors
+    valid = sector >= 0
+    column_block, slot = np.nonzero(valid)  # solver columns: by block, then by slot
+    layout = _MBlocks(
+        basis=basis,
+        sector=sector,
+        turn_rows=rows[:, column_block].swapaxes(1, 2),
+        turn_coefs=coefs[:, column_block].swapaxes(1, 2),
+        low=low,
+        live=valid[low:, :, None] & (sector[low:, :, None] == sector[low:, None, :]),
+        pad=np.nonzero(~valid[low:]),
+        signs=0.5 ** np.arange(size),
+        gather=solved[column_block] * size + slot,
+        pick=((solved[column_block] * size + np.arange(size)[:, None]) * size + slot)[None],
+    )
+    arrays = (basis, sector, layout.turn_rows, layout.turn_coefs, layout.live, layout.signs)
+    for array in arrays + (layout.gather, layout.pick) + layout.pad:
+        array.flags.writeable = False
     return layout
 
 
 def _m_block_states(blocks, turn, layout):
-    """Eigenpairs of pair-frame operators that conserve M, from one eigh of
-    their solved M-blocks: blocks (..., K - low, L, L) in the slots of
-    layout (an _MBlocks), zero in padding. With a mirrored layout block -M
-    takes the eigenpairs of block M. Padding gets a diagonal above every
+    """Eigenpairs of pair-frame operators that conserve M (and atom
+    exchange, for one level), from one eigh of their solved blocks: blocks
+    (..., K - low, L, L) in the sector basis of layout (an _MBlocks), zero
+    between two sectors and in padding, so each eigenvector lies in one
+    sector, exactly zero off it. With a mirrored layout a block of -M takes
+    the eigenpairs of its block of M. Padding gets a diagonal above every
     eigenvalue (1 + L max|element|, written into blocks), so each block's
-    eigenpairs come first, ascending, and exactly zero there. Each block
-    vector v is signed so that sum_a v_a / 2^a > 0: "largest component
-    positive" would be left to rounding, as exchanging the atoms reverses
-    each block and so gives half of the vectors equal and opposite
-    components. Row i of a state turned by turn (..., R, N) is sum_a
-    turn[i, rows[a]] v_a, so its bits depend neither on the other rows nor
-    on the other operators.
+    eigenpairs come first, ascending, and exactly zero there. Each vector x
+    is signed so that sum_a x_a / 2^a > 0, the sum over its own sector's
+    slots but for a power of 2. Where its sector holds no other vector of
+    the same eigenvalue (every sector of the 43d Gram matrices), x is then
+    fixed: a rounding-level change of blocks moves it by rounding. Row i of
+    a state turned by turn (..., R, N) is sum_a x_a (sum of turn[i,
+    turn_rows] turn_coefs over the slot's two states), so its bits depend
+    neither on the other rows nor on the other operators, and with turn the
+    identity the two states of a slot get the same bits, of opposite sign
+    in an odd slot.
 
-    Returns (values (..., N), turned (..., R, N)), columns by ascending M,
-    then ascending within a block.
+    Returns (values (..., N), turned (..., R, N)), columns by block (-M,
+    M = 0, M > 0), then ascending within a block.
     """
-    top = np.abs(blocks).max(axis=(-3, -2, -1))[..., None]
     pad_k, pad_a = layout.pad
-    blocks[..., pad_k, pad_a, pad_a] = 1.0 + layout.rows.shape[1] * top
+    if pad_k.size:
+        top = np.abs(blocks).max(axis=(-3, -2, -1))[..., None]
+        blocks[..., pad_k, pad_a, pad_a] = 1.0 + layout.signs.size * top
     values, vectors = np.linalg.eigh(blocks)
     vectors *= np.where(layout.signs @ vectors < 0.0, -1.0, 1.0)[..., None, :]
     stacked = values.shape[:-2]
     values = values.reshape(stacked + (-1,))[..., layout.gather]
-    vectors = vectors.swapaxes(-1, -2).reshape(stacked + (-1, vectors.shape[-1]))
-    columns = vectors[..., None, layout.gather, :].swapaxes(-1, -2)  # (..., 1, L, N)
-    # padding rows of the vectors are zero, so the turn rows read there do not count
-    return values, (turn[..., layout.turn_rows] * columns).sum(axis=-2)
+    columns = vectors.reshape(stacked + (-1,))[..., layout.pick]  # (..., 1, L, N)
+    # padding slots of the vectors are zero, and so are their weights
+    basis = (turn[..., layout.turn_rows] * layout.turn_coefs).sum(axis=-3)  # (..., R, L, N)
+    return values, (basis * columns).sum(axis=-2)
 
 
 def _pair_rotation(initial, theta, rows):
@@ -406,11 +486,11 @@ def forster_eigensystem(channels, theta=0.0, b_field_t=0.0):
     """Diagonalize each channel's squared coupling on the initial pair space.
 
     The Gram matrices of all channels are diagonalized once, in the pair
-    frame, by one mirrored _m_block_states call: d_values (clipped at 0,
-    then in stable ascending order, so equal d_values keep ascending M),
-    M-definite pair-frame vectors and the Forster-zero count serve every
-    theta. _defects_mhz evaluates the (Zeeman-shifted, along z) defects at
-    theta.
+    frame, by one mirrored _m_block_states call on their sector blocks:
+    d_values (clipped at 0, then in stable ascending order, so the equal
+    d_values of a -M and +M pair keep -M first), pair-frame vectors of one
+    sector each and the Forster-zero count serve every theta. _defects_mhz
+    evaluates the (Zeeman-shifted, along z) defects at theta.
     """
     if not channels:
         raise ValueError("need at least one channel")
@@ -421,10 +501,9 @@ def forster_eigensystem(channels, theta=0.0, b_field_t=0.0):
         if tuple(_level_key(s) for s in ch.initial) != key0:
             raise ValueError("all channels must share the same initial pair")
     grams = np.stack([m.T @ m for m in map(build_vdd, channels)])
-    first, second = channels[0].initial
-    layout = _m_blocks(round(2 * first.j), round(2 * second.j), True)
-    index = layout.rows[layout.low :]
-    blocks = np.where(layout.live, grams[:, index[:, :, None], index[:, None, :]], 0.0)
+    layout = _layout(channels[0].initial, True)
+    basis = layout.basis[layout.low :]
+    blocks = np.where(layout.live, basis @ grams[:, None] @ basis.swapaxes(1, 2), 0.0)
     vals, vecs = _m_block_states(blocks, np.eye(grams.shape[-1]), layout)
     vals = np.clip(vals, 0.0, None)
     order = np.argsort(vals, axis=-1, kind="stable")
@@ -468,17 +547,19 @@ def _channel_shifts_mhz(eig, r_um, defects_mhz):
 
 def _pair_states(eig, r_um, theta, lab_rows):
     """Pair states of P atom pairs at positive separations r_um and pair
-    angles theta (arrays of P), on eig's M-definite pair-frame vectors V.
+    angles theta (arrays of P), on eig's pair-frame vectors V, one sector
+    each.
 
     W_0 = V diag(s) V^T, s the channels' shifts (_channel_shifts_mhz) at
     the defects _defects_mhz gives at each pair's angle, is formed block by
-    block from eig.block_stack: block k is (stack[k] * s) @ stack[k]^T
-    over the channel columns of block k alone, a (P, K, L, L) stack, only
-    the blocks M >= 0 in zero field. One _m_block_states call solves them,
-    with the rows lab_rows of D(theta) (_pair_rotation) as the turn. The
-    columns of other blocks are zero in block k, so leaving them out drops
-    only exact zeros from each sum, and a pair alone gets the bits it gets
-    in a batch, in a field too.
+    block of _m_blocks from eig.block_stack: block k is (stack[k] * s) @
+    stack[k]^T over the channel columns of block k alone, a (P, K, L, L)
+    stack, only the blocks of M >= 0 in zero field. Each column is zero off
+    its own sector, so the sectors sharing a block stay exactly apart. One
+    _m_block_states call solves them, with the rows lab_rows of D(theta)
+    (_pair_rotation) as the turn. The columns of other blocks are zero in
+    block k, so leaving them out drops only exact zeros from each sum, and
+    a pair alone gets the bits it gets in a batch, in a field too.
 
     Returns (shifts, turned): shifts (P, N) in stable ascending order per
     pair and turned (P, len(lab_rows), N) the rows lab_rows of each pair's
@@ -486,10 +567,11 @@ def _pair_states(eig, r_um, theta, lab_rows):
     """
     _require_positive(float(r_um.min()), "r_um")
     initial = eig.channels[0].initial
-    layout = _m_blocks(round(2 * initial[0].j), round(2 * initial[1].j), eig.b_field_t == 0.0)
+    layout = _layout(initial, eig.b_field_t == 0.0)
     s = _channel_shifts_mhz(eig, r_um[:, None, None], _defects_mhz(eig, theta))
     stack, columns = (a[layout.low :] for a in eig.block_stack)
-    s = s.reshape(len(s), -1)[:, columns[:, None, :]]  # (P, K, 1, C L)
+    # (P, K, 1, C L) in C order, so that matmul sums a pair alone as in a batch
+    s = np.take(s.reshape(len(s), -1), columns, axis=1)[:, :, None, :]
     blocks = (stack * s) @ stack.swapaxes(1, 2)
     values, turned = _m_block_states(blocks, _pair_rotation(initial, theta, lab_rows), layout)
     order = np.argsort(values, axis=-1, kind="stable")
@@ -512,10 +594,14 @@ def pair_shift_mhz(defect_mhz, c3_mhz_um3, d_phi, r_um):
     """Eigenstate branch of the two-level pair Hamiltonian that connects to
     the initial pair: delta/2 - sign(delta) sqrt((delta/2)^2 + C3^2 D / R^6).
 
-    Defects, D values and separations broadcast against each other; a zero
-    defect takes the resonant branch -sqrt(C3^2 D / R^6). Every separation
-    must be positive and finite, every D finite and non-negative.
+    Defects, C3, D values and separations broadcast against each other; a
+    zero defect takes the resonant branch -sqrt(C3^2 D / R^6). Every defect
+    and C3 must be finite, every separation positive and finite, every D
+    finite and non-negative.
     """
+    for value, name in ((defect_mhz, "defect_mhz"), (c3_mhz_um3, "c3_mhz_um3")):
+        if not np.all(np.isfinite(value)):
+            raise ValueError("%s must be finite, got %r" % (name, value))
     r = np.asarray(r_um, dtype=float)
     if not np.all((r > 0) & (r < math.inf)):
         raise ValueError("r_um must be positive and finite, got %r" % (r_um,))

@@ -283,6 +283,34 @@ class TestField:
         with pytest.raises(ValueError, match="finite"):
             ExcitationField(rabi_mhz=[bad, 1.0])
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"ground_m": math.nan}, "ground_m must be finite"),
+            ({"ground_m": math.inf}, "ground_m must be finite"),
+            ({"polarization": 0.5}, "polarization must be a whole number"),
+            ({"polarization": math.nan}, "polarization must be a whole number"),
+        ],
+    )
+    def test_non_finite_ground_m_or_fractional_polarization_rejected(self, kwargs, message):
+        # ground_m = nan failed only inside blockade_shift, with "cannot
+        # convert float NaN to integer"
+        with pytest.raises(ValueError, match=message):
+            ExcitationField.uniform(2, 1.0, **kwargs)
+        assert ExcitationField.uniform(2, 1.0, polarization=-1.0).target_m == -0.5
+
+    def test_rabi_frequencies_are_a_read_only_copy(self):
+        # the rms and collective drives are computed once, so a caller's
+        # later write to its array must not reach the field
+        rabi = np.array([1.0 + 0j, 2.0])
+        f = ExcitationField(rabi_mhz=rabi)
+        assert f.omega_n_mhz == pytest.approx(math.sqrt(5.0), rel=1e-15)
+        rabi[1] = 10.0
+        assert f.omega_n_mhz == pytest.approx(math.sqrt(5.0), rel=1e-15)
+        assert np.array_equal(f.rabi_mhz, [1.0, 2.0])
+        with pytest.raises(ValueError, match="read-only"):
+            f.rabi_mhz[0] = 3.0
+
 
 class TestOverlapKappa:
     def test_parseval_uniform(self, rb_43d_eigensystem):
@@ -660,7 +688,7 @@ class TestBlockadeShift:
     ):
         # 12 atoms, 66 pairs: every pair uses eig's pair-frame vectors,
         # whatever eig.theta is, and all pairs share one _pair_states call
-        # with its one batched M-block eigh; in a field one build_vdd per
+        # with its one batched eigh of sector blocks; in a field one build_vdd per
         # channel gives every pair's defects
         tilted = forster_eigensystem(rb_43d_channels, 0.7)
         in_field = forster_eigensystem(rb_43d_channels, 0.7, 0.01)
@@ -960,6 +988,43 @@ def public_pair_hamiltonian(geometry, field, channels):
     return h
 
 
+def exchange(vectors, j=2.5):
+    """P vectors, P|m1 m2> = |m2 m1> on the Zeeman product space of one level."""
+    dim = round(2 * j) + 1
+    return vectors.reshape(dim, dim, -1).swapaxes(0, 1).reshape(vectors.shape)
+
+
+def exchange_sectors(j):
+    """Oracle of the (M, exchange) sector bases of one level's pair space, as
+    _m_blocks defines them: (slots, N) arrays, by ascending M, even before
+    odd. Block M >= 0 lists its states by ascending index i = (j + m1)(2j +
+    1) + j + m2; each state |a b> whose index is at most that of |b a> gives
+    the even slot (|a b> + |b a>)/sqrt(2), or |a a>, and the odd slot
+    (|a b> - |b a>)/sqrt(2); block -M takes the mirror images, index N - 1 - i."""
+    dim = round(2 * j) + 1
+    n = dim * dim
+    total = np.add.outer(np.arange(dim), np.arange(dim)).ravel() - (dim - 1)
+    sectors = []
+    for big in range(-(dim - 1), dim):
+        even, odd = [], []
+        for i in np.flatnonzero(total == abs(big)):
+            partner = (i % dim) * dim + i // dim
+            if i > partner:
+                continue
+            lo, hi = (i, partner) if big >= 0 else (n - 1 - i, n - 1 - partner)
+            e = np.zeros(n)
+            e[lo] += 1.0
+            if lo == hi:
+                even.append(e)
+                continue
+            f = np.zeros(n)
+            f[hi] = 1.0
+            even.append((e + f) / math.sqrt(2.0))
+            odd.append((e - f) / math.sqrt(2.0))
+        sectors.extend(np.array(slots).reshape(-1, n) for slots in (even, odd))
+    return sectors
+
+
 class TestMBlocks:
     @pytest.mark.parametrize("r_um", [5.0, 10.0])
     def test_pair_frame_states_have_definite_m(self, rb_43d_eigensystem, r_um):
@@ -969,12 +1034,11 @@ class TestMBlocks:
         m1, m2 = np.meshgrid(np.arange(-2.5, 3.0), np.arange(-2.5, 3.0), indexing="ij")
         off_block = (m1 + m2).ravel()[:, None] != m
         assert np.all(vectors[off_block] == 0.0)
-        # the sign rule: sum_a v_a / 2^a > 0 over the block's states, listed
-        # by ascending index for M >= 0 and as mirror images for -M
-        for col, big in zip(vectors.T, m):
-            states = np.flatnonzero((m1 + m2).ravel() == abs(big))
-            local = col[states if big >= 0 else 35 - states]
-            assert local @ 0.5 ** np.arange(len(local)) > 0.0
+        # the sign rule: sum_a x_a / 2^a > 0 over the coordinates x of each
+        # state in the basis of its (M, exchange) sector
+        for col in vectors.T:
+            (x,) = [b @ col for b in exchange_sectors(2.5) if np.any(b @ col != 0.0)]
+            assert x @ 0.5 ** np.arange(len(x)) > 0.0
         for vecs in rb_43d_eigensystem.vectors:
             gram_m = block_of_columns(vecs, 2.5, 2.5)
             assert np.all(vecs[(m1 + m2).ravel()[:, None] != gram_m] == 0.0)
@@ -1077,6 +1141,54 @@ class TestMBlocks:
         assert abs(out.c_s - expected[1]) < 1e-12
         assert np.max(np.abs(out.c_pairs.ravel() - expected[2:])) < 1e-12
         assert np.max(np.abs(out.c_pairs)) > 1e-3
+
+    @pytest.mark.parametrize("b_field_t", [0.0, 0.01])
+    def test_states_have_the_exchange_parity_of_their_sector(self, rb_43d_channels, b_field_t):
+        # the pair-frame Gram vectors and pair states of one level each lie
+        # in one (M, exchange) sector, and P v = +v in an even sector, -v in
+        # an odd one
+        eig = forster_eigensystem(rb_43d_channels, 0.0, b_field_t)
+        states = list(eig.vectors) + [pair_state_basis(eig, r)[1] for r in (5.0, 10.0)]
+        sectors = exchange_sectors(2.5)
+        parity = np.tile([1.0, -1.0], len(sectors) // 2)
+        for vectors in states:
+            coordinates = np.array([np.linalg.norm(b @ vectors, axis=0) for b in sectors])
+            own = coordinates.argmax(axis=0)
+            coordinates[own, np.arange(36)] = 0.0
+            assert np.all(coordinates <= 1e-15)
+            assert np.max(np.abs(exchange(vectors) - parity[own] * vectors)) <= 1e-15
+
+    @pytest.mark.parametrize("b_field_t", [0.0, 0.01])
+    def test_rounding_level_input_change_moves_no_state(
+        self, rb_43d_channels, b_field_t, monkeypatch
+    ):
+        # no sector holds a degenerate pair of 43d Gram states, so a relative
+        # change of 2^-52 in every coupling moves the vectors by rounding; in
+        # M-blocks alone it moved them by 1.43 of their largest entry. The
+        # triangle's pairs hold no degenerate pair-state eigenspace inside
+        # one sector either, so every amplitude holds as well
+        def solve():
+            eig = forster_eigensystem(rb_43d_channels, 0.0, b_field_t)
+            amplitudes = [
+                integrate_amplitudes(
+                    AmplitudeState.ground(3, 36),
+                    tilted_triangle(turn_rad),
+                    ExcitationField.uniform(3, 1.0),
+                    eig,
+                    0.2,
+                ).c_pairs
+                for turn_rad in (0.0, 1.9)
+            ]
+            return eig.vectors, np.array(amplitudes)
+
+        vectors, c_pairs = solve()
+        build_vdd_exact = pair_module.build_vdd
+        monkeypatch.setattr(
+            pair_module, "build_vdd", lambda *args: build_vdd_exact(*args) * (1.0 + 2.0**-52)
+        )
+        moved_vectors, moved_c_pairs = solve()
+        assert np.max(np.abs(moved_vectors - vectors)) <= 1e-12 * np.max(np.abs(vectors))
+        assert np.max(np.abs(moved_c_pairs - c_pairs)) <= 1e-12 * np.max(np.abs(c_pairs))
 
     def test_distinct_levels_match_full_matrix(self):
         # 43d5/2 + 44s1/2: blocks of sizes 1, 2, 2, 2, 2, 2, 1; in a field

@@ -1679,6 +1679,14 @@ class TestCountingStatistics:
             with pytest.raises(ValueError, match="samples"):
                 CountingStatistics.from_samples(samples)
 
+    @pytest.mark.parametrize("samples", [[[1, 2], [3, 5]], [[1, 2]]])
+    def test_samples_must_be_one_dimensional(self, samples):
+        # both pooled the entries: q 0.0606 and -0.667
+        with pytest.raises(ValueError, match="samples must be 1-D"):
+            CountingStatistics.from_samples(samples)
+        with pytest.raises(ValueError, match="samples must be 1-D"):
+            mandel_q(samples)
+
     def test_from_samples_all_zero(self):
         stats = CountingStatistics.from_samples([0, 0, 0])
         assert stats.mean == 0.0

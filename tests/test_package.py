@@ -1,8 +1,9 @@
 """Package metadata says what the code has: named modules import, console
 scripts resolve, and the version matches pyproject.toml. Importing the
 package loads no scipy subpackage beyond constants, linalg and sparse, and
-its modules import each other in one layer order, and every private
-module-level name has a use."""
+its modules import each other in one layer order and nothing beyond numpy,
+scipy and the standard library, and every private module-level name has a
+use."""
 
 import ast
 import importlib
@@ -108,6 +109,23 @@ def test_modules_import_only_earlier_layers():
     for rank, name in enumerate(LAYER_ORDER):
         tree = ast.parse((package / (name + ".py")).read_text())
         assert _package_imports(tree) <= set(LAYER_ORDER[:rank]), name
+
+
+def test_modules_import_only_numpy_scipy_and_the_standard_library():
+    # the package's one dependency rule, read from each module's syntax
+    # tree, function-level imports included
+    package = Path(rydtools.__file__).resolve().parent
+    allowed = set(sys.stdlib_module_names) | {"numpy", "scipy", "rydtools"}
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside = {name.split(".")[0] for name in names} - allowed
+            assert not outside, (path.name, sorted(outside))
 
 
 def _private_definitions(tree):

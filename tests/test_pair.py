@@ -378,8 +378,9 @@ class TestEigensystem:
     def test_block_stack_scatters_back_to_the_vectors(
         self, rb_table, rb_s60_channels, rb_43d_channels, channel_set, b_field_t
     ):
-        # the M-block stack _pair_states solves in holds the vectors bit for
-        # bit, every column once, inside its own block and zero outside it
+        # the sector stack _pair_states solves in holds every column once, in
+        # its own (M, exchange) sector: scattered back through the sector
+        # basis its coordinates are the vectors to rounding
         d, s = RydbergState(43, 2, 2.5), RydbergState(44, 0, 0.5)
         channels = {
             "60s": rb_s60_channels,
@@ -391,23 +392,55 @@ class TestEigensystem:
         }[channel_set]
         eig = forster_eigensystem(channels, 0.3, b_field_t)
         c, n = eig.d_values.shape
-        first, second = channels[0].initial
-        rows = pair._m_blocks(round(2 * first.j), round(2 * second.j), False).rows
-        sizes = (rows >= 0).sum(axis=1)
+        basis = pair._layout(channels[0].initial, False).basis
         stack, columns = eig.block_stack
-        assert stack.shape == (len(rows), rows.shape[1], c * rows.shape[1])
+        assert stack.shape == (len(basis), basis.shape[1], c * basis.shape[1])
         side_by_side = eig.vectors.swapaxes(0, 1).reshape(n, c * n)
         scattered = np.zeros_like(side_by_side)
         stored = []
-        for block, block_columns, states, size in zip(stack, columns, rows, sizes):
-            filled, states = block_columns[: c * size], states[:size]
+        for slots, block, block_columns in zip(basis, stack, columns):
+            size = np.any(slots != 0.0, axis=1).sum()
+            filled = block_columns[: c * size]
             assert np.all(block[size:] == 0.0) and np.all(block[:, c * size :] == 0.0)
-            outside = np.setdiff1d(np.arange(n), states)
-            assert np.all(side_by_side[np.ix_(outside, filled)] == 0.0)
-            scattered[np.ix_(states, filled)] = block[:size, : c * size]
+            coordinates = slots[:size] @ side_by_side[:, filled]
+            assert np.all(np.abs(coordinates - block[:size, : c * size]) < 1e-15)
+            scattered[:, filled] = slots[:size].T @ block[:size, : c * size]
             stored.extend(filled.tolist())
         assert sorted(stored) == list(range(c * n))
-        assert np.array_equal(scattered, side_by_side)
+        assert np.max(np.abs(scattered - side_by_side)) < 1e-15
+
+    @pytest.mark.parametrize(
+        "tj1, tj2, exchange",
+        [(1, 1, True), (3, 3, True), (5, 5, True), (7, 7, True), (1, 3, False), (3, 5, False)],
+    )
+    def test_sector_blocks_solve_any_pair_frame_operator(self, tj1, tj2, exchange):
+        # a random symmetric operator that conserves M and commutes with the
+        # rotation by pi about y (and with the exchange P for one level):
+        # solved from its sector blocks, mirrored or not, it gives the full
+        # matrix's eigenpairs, and with exchange P v = +-v bit for bit
+        d1, d2 = tj1 + 1, tj2 + 1
+        n = d1 * d2
+        m1, m2 = np.repeat(np.arange(d1) - tj1 / 2, d2), np.tile(np.arange(d2) - tj2 / 2, d1)
+        h = np.random.default_rng(tj1 + tj2).normal(size=(n, n))
+        h[(m1 + m2)[:, None] != (m1 + m2)] = 0.0
+        mirror = np.zeros((n, n))
+        mirror[n - 1 - np.arange(n), np.arange(n)] = (-1.0) ** np.round(tj1 / 2 - m1 + tj2 / 2 - m2)
+        h = h + h.T + mirror.T @ (h + h.T) @ mirror
+        swap = np.eye(n)[np.arange(n).reshape(d1, d2).T.ravel()]
+        if exchange:
+            h = h + swap @ h @ swap.T
+        for mirrored in (True, False):
+            layout = pair._m_blocks(tj1, tj2, mirrored, exchange)
+            basis = layout.basis[layout.low :]
+            blocks = np.where(layout.live, basis @ h @ basis.swapaxes(1, 2), 0.0)
+            vals, vecs = pair._m_block_states(blocks, np.eye(n), layout)
+            scale = np.abs(h).max()
+            assert np.max(np.abs(np.sort(vals) - np.linalg.eigvalsh(h))) < 1e-14 * scale
+            assert np.max(np.abs(h @ vecs - vecs * vals)) < 1e-14 * scale
+            assert np.max(np.abs(vecs.T @ vecs - np.eye(n))) < 1e-14
+            if exchange:
+                parity = np.sign(np.sum(swap @ vecs * vecs, axis=0))
+                assert np.array_equal(swap @ vecs, vecs * parity)
 
     @pytest.mark.parametrize("b_field_t", [0.0, 0.01])
     def test_stacked_layout(self, rb_s60_channels, rb_43d_channels, b_field_t):
@@ -469,6 +502,18 @@ class TestPotentialCurves:
         with pytest.raises(ValueError, match="d_phi must be finite and non-negative"):
             pair_shift_mhz(-100.0, 1.0, d_phi, 2.0)
         assert pair_shift_mhz(-100.0, 1.0, 0.0, 2.0) == 0.0
+
+    @pytest.mark.parametrize("name", ["defect_mhz", "c3_mhz_um3"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_shift_needs_finite_defect_and_c3(self, name, bad):
+        # a nan defect returned nan; an infinite C3 returned nan after an
+        # "invalid value encountered in divide" warning
+        args = {"defect_mhz": -100.0, "c3_mhz_um3": 1.0, "d_phi": 0.5, "r_um": 5.0}
+        args[name] = np.array([1.0, bad]) if name == "defect_mhz" else bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="%s must be finite" % name):
+                pair_shift_mhz(**args)
 
     @pytest.mark.parametrize("r_um", [5.0, 20.0, 40.0])
     def test_shift_to_a_few_ulp_against_mpmath(self, rb_s60_eigensystem, r_um):
