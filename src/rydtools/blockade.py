@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 from scipy import linalg
 
-from .constants import _require_nonnegative, _require_positive
+from .constants import _frozen, _require_nonnegative, _require_positive
 from .ensemble import _positions_um, propagate
 from .pair import _driven_index, _pair_states, forster_eigensystem  # re-exports the last
 
@@ -37,16 +37,20 @@ KAPPA_WEIGHT_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class EnsembleGeometry:
-    """Fixed atom positions in microns."""
+    """Fixed atom positions in microns, kept as a read-only copy: the pair
+    axes formed from them at construction stay theirs."""
 
     positions_um: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "positions_um", _positions_um(self.positions_um))
-        object.__setattr__(self, "_pair_index", np.triu_indices(self.n, 1))
-        k, l = self._pair_index
-        object.__setattr__(self, "_axes", self._pair_axes(k, l))  # read by _pair_spectra
-        coincide = np.flatnonzero(self._axes[0] <= 0.0)
+        k, l = index = np.triu_indices(self.n, 1)
+        axes = self._pair_axes(k, l)
+        for cached in index + axes:
+            cached.flags.writeable = False
+        object.__setattr__(self, "_pair_index", index)
+        object.__setattr__(self, "_axes", axes)  # read by _pair_spectra
+        coincide = np.flatnonzero(axes[0] <= 0.0)
         if coincide.size:
             raise ValueError("atoms %d and %d coincide" % (k[coincide[0]], l[coincide[0]]))
 
@@ -90,12 +94,9 @@ class ExcitationField:
 
     def __post_init__(self):
         # a read-only copy: omega_rms_mhz and omega_n_mhz are computed once
-        rabi = np.array(self.rabi_mhz, dtype=complex, ndmin=1)
-        rabi.flags.writeable = False
+        rabi = _frozen(np.atleast_1d(self.rabi_mhz), "rabi_mhz", complex)
         if rabi.ndim != 1 or rabi.size < 1:
             raise ValueError("need at least one single-atom Rabi frequency")
-        if not np.isfinite(rabi).all():
-            raise ValueError("Rabi frequencies must be finite")
         if not math.isfinite(self.ground_m):
             raise ValueError("ground_m must be finite, got %r" % (self.ground_m,))
         if not float(self.polarization).is_integer():
@@ -257,7 +258,7 @@ def blockade_shift(geometry, field, eig):
     total = float(terms.sum())
     n, omega_n = geometry.n, field.omega_n_mhz
     b = math.sqrt(n * (n - 1) / (2.0 * total)) if total > 0 else math.inf
-    p2 = _double_excitation(omega_n, n, b)
+    p2 = double_excitation_probability(field, n, b)
     return BlockadeResult(
         b_mhz=b,
         p2=p2,
@@ -275,16 +276,11 @@ def double_excitation_probability(field, n_atoms, b_mhz):
     Returns math.inf when the perturbative expression leaves [0, 1] (the
     blockade assumption is then invalid).
     """
-    return _double_excitation(field.omega_n_mhz, n_atoms, b_mhz)
-
-
-def _double_excitation(omega_n_mhz, n_atoms, b_mhz):
-    """double_excitation_probability at the collective Rabi frequency omega_n_mhz."""
     if n_atoms < 2:
         return 0.0
     if b_mhz == 0.0:
         return math.inf
-    p2 = ((n_atoms - 1) / n_atoms) * omega_n_mhz**2 / (2.0 * b_mhz**2)
+    p2 = ((n_atoms - 1) / n_atoms) * field.omega_n_mhz**2 / (2.0 * b_mhz**2)
     return p2 if p2 <= 1.0 else math.inf
 
 

@@ -14,6 +14,7 @@ between cyclic MHz and rad/us is written inline (gates, blockade, ensemble).
 
 import math
 
+import numpy as np
 from scipy import constants as _const
 
 # Fundamental constants (SI)
@@ -104,6 +105,17 @@ def _require_whole(value, name, least):
     if not (value >= least and float(value).is_integer()):
         raise ValueError("%s must be a whole number >= %d, got %r" % (name, least, value))
     return int(value)
+
+
+def _frozen(value, name, dtype=float):
+    """A read-only copy of value as a dtype array, or ValueError naming the
+    argument unless every entry is finite: what a model derives from it at
+    construction then stays in step with what it stores."""
+    array = np.array(value, dtype=dtype)
+    if not np.isfinite(array).all():
+        raise ValueError("%s must be finite" % name)
+    array.flags.writeable = False
+    return array
 
 
 def thermal_velocity(temperature_k, mass_u):

@@ -36,7 +36,7 @@ import numpy as np
 import scipy.sparse
 
 from .constants import _require_finite_positive, _require_nonnegative, _require_positive
-from .constants import _require_whole
+from .constants import _frozen, _require_whole
 
 TWO_PI = 2.0 * math.pi
 
@@ -86,12 +86,10 @@ _BLOCK = 64
 
 
 def _positions_um(value):
-    """value as an (N, 3) float array of finite atom coordinates (um)."""
-    positions = np.atleast_2d(np.asarray(value, dtype=float))
+    """value as a read-only (N, 3) float copy of finite atom coordinates (um)."""
+    positions = np.atleast_2d(_frozen(value, "positions_um"))
     if positions.ndim != 2 or positions.shape[1] != 3:
         raise ValueError("positions_um must be an (N, 3) array")
-    if not np.isfinite(positions).all():
-        raise ValueError("positions_um must be finite")
     return positions
 
 
@@ -318,9 +316,12 @@ class ExcitationModel:
     be scalars or per-atom arrays. Pair shifts come either from
     c6_mhz_um6 (V = c6 / r^6) or from an explicit symmetric
     interaction_mhz matrix, formed and checked (finite, no coincident atoms)
-    once, at construction. The simulated basis keeps product states with at
-    most max_excitations excited atoms whose total interaction energy stays
-    within energy_cutoff_mhz in magnitude, at most basis_budget of them.
+    once, at construction. positions_um, rabi_mhz, detuning_mhz and
+    interaction_mhz are kept as read-only copies, so the couplings stay
+    those of the stored arrays. The simulated basis keeps product states
+    with at most max_excitations excited atoms whose total interaction
+    energy stays within energy_cutoff_mhz in magnitude, at most
+    basis_budget of them.
     """
 
     positions_um: np.ndarray
@@ -336,29 +337,26 @@ class ExcitationModel:
         object.__setattr__(self, "positions_um", _positions_um(self.positions_um))
         n = self.positions_um.shape[0]
         for name in ("rabi_mhz", "detuning_mhz"):
-            values = np.broadcast_to(np.asarray(getattr(self, name), dtype=float), (n,)).copy()
-            if not np.isfinite(values).all():
-                raise ValueError("%s must be finite" % name)
+            values = _frozen(np.broadcast_to(getattr(self, name), (n,)), name)
             object.__setattr__(self, name, values)
         if np.any(self.rabi_mhz < 0):
             raise ValueError("rabi_mhz must be finite and nonnegative")
         if (self.c6_mhz_um6 is None) == (self.interaction_mhz is None):
             raise ValueError("specify exactly one of c6_mhz_um6 and interaction_mhz")
         if self.interaction_mhz is None:
-            name = "c6_mhz_um6"
             p = self.positions_um  # r2 by coordinate: no (N, N, 3) array, the same sums
             r2 = sum((p[:, None, a] - p[None, :, a]) ** 2 for a in range(3))
             np.fill_diagonal(r2, np.inf)
             if np.any(r2 == 0.0):
                 raise ValueError("coincident atoms have no pair interaction")
-            with np.errstate(all="ignore"):  # a non-finite V raises below
+            with np.errstate(all="ignore"):  # a non-finite V raises next
                 v = self.c6_mhz_um6 / r2**3
+            if not np.isfinite(v).all():
+                raise ValueError("c6_mhz_um6 must be finite, got a non-finite coupling")
         else:
-            name = "interaction_mhz"
-            object.__setattr__(self, name, np.array(self.interaction_mhz, dtype=float))
-            v = self.interaction_mhz.copy()
-        if not np.isfinite(v).all():
-            raise ValueError("%s must be finite, got a non-finite coupling" % name)
+            v = _frozen(self.interaction_mhz, "interaction_mhz")
+            object.__setattr__(self, "interaction_mhz", v)
+            v = v.copy()
         if v.shape != (n, n) or not np.array_equal(v, v.T):
             raise ValueError("interaction_mhz must be a symmetric (N, N) matrix")
         np.fill_diagonal(v, 0.0)
@@ -794,7 +792,7 @@ def _as_exchange_matrix(exchange_mhz):
             "exchange_mhz must be a scalar or a (3, 3) matrix, got shape %s"
             % (arr.shape,)
         )
-    elif not np.allclose(arr, arr.T):
+    elif not np.array_equal(arr, arr.T):
         raise ValueError("exchange_mhz matrix must be symmetric")
     mat = np.where(np.eye(3, dtype=bool), 0.0, arr)
     if not np.any(mat):
@@ -833,7 +831,8 @@ def simulate_triple_exchange(rabi_mhz, exchange_mhz, times_us):
     """Drive three exchange-coupled atoms from the ground state.
 
     ``exchange_mhz`` is either one number applied to every pair or a
-    symmetric (3, 3) matrix of per-pair couplings (diagonal ignored).
+    symmetric (3, 3) matrix of per-pair couplings, equal bit for bit across
+    the diagonal, which is ignored.
 
     Every doubly-excited configuration is shifted by at least the
     smallest pair splitting sqrt(2)|V_ij|, yet the triply-excited block

@@ -22,7 +22,7 @@ units internally.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -130,11 +130,6 @@ def blockade_gate_error(params):
     blockade (double-excitation leakage) and off-resonant excitation of the
     other qubit level. Both terms stay finite at blockade_mhz = inf.
     """
-    return _blockade_budget(params)
-
-
-def _blockade_budget(params, **optimum):
-    """blockade_gate_error(params) built with the optimizer fields optimum."""
     if params.blockade_mhz is None:
         raise ValueError("blockade_mhz is required for the blockade gate")
     omega = 2.0 * math.pi * params.rabi_mhz
@@ -150,7 +145,6 @@ def _blockade_budget(params, **optimum):
         rotation_error=rot,
         total_error=se + rot,
         regime_ok=params.blockade_regime_ok,
-        **optimum,
     )
 
 
@@ -222,7 +216,8 @@ def _blockade_optima(b_mhz, lifetime_us, qubit_splitting_mhz):
     budgets = []
     for rabi, shift in zip(rabi_mhz, b_mhz.tolist()):
         params = GateParams(rabi, lifetime_us, qubit_splitting_mhz, blockade_mhz=shift)
-        budgets.append(_blockade_budget(params, rabi_opt_mhz=rabi, interior_optimum=True))
+        budget = blockade_gate_error(params)
+        budgets.append(replace(budget, rabi_opt_mhz=rabi, interior_optimum=True))
     return budgets
 
 
@@ -243,11 +238,6 @@ def interaction_gate_error(params):
     qubit splitting >> drive >> shift, or accumulating less than
     MIN_PHASE_RAD of phase per lifetime, are flagged advisory-only.
     """
-    return _interaction_budget(params)
-
-
-def _interaction_budget(params, **optimum):
-    """interaction_gate_error(params) built with the optimizer fields optimum."""
     if params.interaction_mhz is None:
         raise ValueError("interaction_mhz is required for the interaction gate")
     omega = 2.0 * math.pi * params.rabi_mhz
@@ -262,7 +252,6 @@ def _interaction_budget(params, **optimum):
         rotation_error=rot,
         total_error=se + rot,
         regime_ok=params.interaction_regime_ok and phase_ok,
-        **optimum,
     )
 
 
@@ -330,8 +319,9 @@ def minimize_interaction_gate(
     params = GateParams(
         rabi_mhz, lifetime_us, qubit_splitting_mhz, interaction_mhz=interaction_mhz
     )
-    return _interaction_budget(
-        params, rabi_opt_mhz=rabi_mhz, interior_optimum=True, interaction_mhz=interaction_mhz
+    budget = interaction_gate_error(params)
+    return replace(
+        budget, rabi_opt_mhz=rabi_mhz, interior_optimum=True, interaction_mhz=interaction_mhz
     )
 
 
@@ -413,9 +403,10 @@ def _interaction_optima(spectra, lifetime_us, qubit_splitting_mhz, rabi_bounds_m
     budgets = []
     for omega, shift, inside in zip(b.tolist(), shifts.tolist(), interior.tolist()):
         params = GateParams(omega, lifetime_us, qubit_splitting_mhz, interaction_mhz=shift)
-        budgets.append(_interaction_budget(
-            params, rabi_opt_mhz=omega, interior_optimum=inside, interaction_mhz=shift
-        ))
+        budget = interaction_gate_error(params)
+        budgets.append(
+            replace(budget, rabi_opt_mhz=omega, interior_optimum=inside, interaction_mhz=shift)
+        )
     return budgets
 
 

@@ -254,6 +254,32 @@ class TestGeometry:
             assert separations[p] == geo.separation_um(k, l)
             assert thetas[p] == geo.axis_theta_rad(k, l)
 
+    def test_positions_are_a_read_only_copy(self, rb_43d_eigensystem):
+        # the pair axes that blockade_shift reads are formed at construction;
+        # a caller's later write to its array moved separation_um, which
+        # reads the positions, while the axes stayed at the old ones
+        pos = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 5.0], [4.0, 3.0, 2.0]])
+        geo = EnsembleGeometry(pos)
+        field = ExcitationField.uniform(3, 1.0)
+
+        def results():
+            pairs = list(geo.pairs())
+            return (
+                [geo.separation_um(k, l) for k, l in pairs],
+                [geo.axis_theta_rad(k, l) for k, l in pairs],
+                blockade_shift(geo, field, rb_43d_eigensystem),
+                geo.positions_um.tolist(),
+            )
+
+        before = results()
+        assert before[0][0] == 5.0
+        pos[1, 2] = 10.0
+        pos[2] = [-6.0, 1.0, 0.5]
+        assert results() == before
+        for stored in (geo.positions_um, *geo._pair_index, *geo._axes):
+            with pytest.raises(ValueError, match="read-only"):
+                stored[0] = 1.0
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_positions_rejected(self, bad):
         # a nan coordinate gave B = 15.36 MHz with blockade_valid True

@@ -477,6 +477,45 @@ class TestExcitationModel:
         assert np.array_equal(model.pair_shift_matrix_mhz(), [[0.0, 1.5], [1.5, 0.0]])
         assert np.array_equal(model.interaction_mhz, [[7.0, 1.5], [1.5, -2.0]])
 
+    @pytest.mark.parametrize("form", ["c6", "interaction"])
+    def test_inputs_are_read_only_copies(self, form):
+        # the couplings are formed at construction; a caller's later write
+        # to its positions moved positions_um, while the couplings stayed
+        # at the old ones, and interaction_mhz was a writable copy
+        rng = np.random.default_rng(11)
+        pos = uniform_box_positions(5, (3.0, 3.0, 3.0), seed_or_rng=rng, min_separation_um=0.8)
+        rabi = rng.uniform(0.5, 1.5, size=5)
+        detuning = rng.normal(scale=0.3, size=5)
+        inputs = [pos, rabi, detuning]
+        kwargs = dict(positions_um=pos, rabi_mhz=rabi, detuning_mhz=detuning)
+        if form == "c6":
+            kwargs["c6_mhz_um6"] = 2.0
+        else:
+            v = rng.normal(scale=1.0, size=(5, 5))
+            inputs.append(v + v.T)
+            kwargs["interaction_mhz"] = inputs[-1]
+        model = ExcitationModel(**kwargs)
+        stored = [model.positions_um, model.rabi_mhz, model.detuning_mhz, model._couplings_mhz]
+        if form == "interaction":
+            stored.append(model.interaction_mhz)
+        times = np.linspace(0.0, 2.0, 5)
+
+        def results():
+            return (
+                [array.tolist() for array in stored],
+                model.pair_shift_matrix_mhz().tolist(),
+                simulate_exact(model, times).mean_excitations.tolist(),
+                kinetic_monte_carlo(model, 1.0, times, 8, seed=3).trajectories.tolist(),
+            )
+
+        before = results()
+        for array in inputs:
+            array *= 1.5
+        assert results() == before
+        for array in stored:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+
     @pytest.mark.parametrize("count", [2.5, 0, math.nan, math.inf])
     def test_max_excitations_must_be_a_whole_number(self, count):
         # 2.5 and nan built a model that failed later
@@ -719,7 +758,7 @@ def lockstep_oracle_case(name, seed):
     if name == "facilitated_chain":
         # the detuning equals the nearest-neighbour shift: a trial that
         # excites one atom runs on resonant neighbours while one left in
-        # the ground state barely moves; trials need 1 to 119 events
+        # the ground state barely moves; at seed 3 trials need 1 to 111 events
         model = ExcitationModel(
             positions_um=cubic_lattice((8, 1, 1), 1.0),
             rabi_mhz=0.5,
@@ -1520,6 +1559,12 @@ class TestTripleExchange:
             simulate_triple_exchange(
                 1.0, np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 3.0],
                                [2.5, 3.0, 0.0]]), times
+            )
+        # allclose accepted this matrix, whose lower triangle the
+        # Hamiltonian never reads
+        with pytest.raises(ValueError, match="symmetric"):
+            simulate_triple_exchange(
+                1.0, np.array([[0.0, 1.0, 2.0], [1.000001, 0.0, 3.0], [2.0, 3.0, 0.0]]), times
             )
 
     @pytest.mark.parametrize(

@@ -77,6 +77,13 @@ def assert_exact_optimum(error_at, budget, bounds_mhz=(0.0, math.inf)):
         assert abs(slope) * rabi / budget.total_error <= 1e-8
 
 
+def assert_public_budget(budget, public):
+    """budget, an optimizer's output, carries the formula fields of the
+    public budget at its drive bit for bit."""
+    for name in ("se_error", "rotation_error", "total_error", "regime_ok"):
+        assert getattr(budget, name) == getattr(public, name), name
+
+
 def bisection_optima(spectra, tau, splitting):
     """(drives, interior) of a reference search: the scan and bracket of
     gates._interaction_optima, then bisection in the drive to adjacent
@@ -253,6 +260,8 @@ class TestOptimalBlockadeGate:
             splitting = 10.0 ** rng.uniform(3.0, 5.0)
             budget = minimize_blockade_gate(blockade_mhz, tau, splitting)
             assert budget.interior_optimum
+            params = GateParams(budget.rabi_opt_mhz, tau, splitting, blockade_mhz=blockade_mhz)
+            assert_public_budget(budget, blockade_gate_error(params))
 
             def error_at(rabi):
                 params = GateParams(rabi, tau, splitting, blockade_mhz=blockade_mhz)
@@ -416,6 +425,8 @@ class TestOptimalInteractionGate:
             budget = minimize_interaction_gate(interaction, tau, splitting)
             assert budget.interior_optimum
             assert budget.interaction_mhz == interaction
+            params = GateParams(budget.rabi_opt_mhz, tau, splitting, interaction_mhz=interaction)
+            assert_public_budget(budget, interaction_gate_error(params))
 
             def error_at(rabi):
                 params = GateParams(rabi, tau, splitting, interaction_mhz=interaction)
@@ -745,6 +756,10 @@ class TestInteractionOptimaRows:
 
     def test_every_edge_rule_fires(self):
         budgets = dict(zip(self.ROWS, self.optima(list(self.ROWS.values()))))
+        for budget in budgets.values():
+            shift = budget.interaction_mhz
+            params = GateParams(budget.rabi_opt_mhz, self.TAU, interaction_mhz=shift)
+            assert_public_budget(budget, interaction_gate_error(params))
         lo, hi = gates.RABI_BOUNDS_MHZ
         scan = np.exp(np.linspace(math.log(lo), math.log(hi), gates.INTERACTION_SCAN_POINTS))
         assert budgets["lower bound"].rabi_opt_mhz == lo
