@@ -13,6 +13,8 @@ from functools import lru_cache
 
 import numpy as np
 
+ELECTRON_SPIN = 0.5
+
 
 def _twice(j, name="angular momentum"):
     """2 j as an int; ValueError naming the argument unless j is a finite
@@ -168,30 +170,31 @@ def reduced_c1_l(l1, l2):
     )
 
 
-def reduced_c1_lsj(l1, j1, l2, j2, s=0.5):
+def reduced_c1_lsj(l1, j1, l2, j2):
     """Reduced matrix element <l1 s j1 || C^1 || l2 s j2> in the fine-structure basis."""
     return (
-        (-1) ** (l1 + s + j2 + 1)
+        (-1) ** (l1 + ELECTRON_SPIN + j2 + 1)
         * math.sqrt((2 * j1 + 1) * (2 * j2 + 1))
-        * wigner_6j(l1, j1, s, j2, l2, 1)
+        * wigner_6j(l1, j1, ELECTRON_SPIN, j2, l2, 1)
         * reduced_c1_l(l1, l2)
     )
 
 
-def dipole_angular_factor(l1, j1, m1, l2, j2, m2, q, s=0.5):
+def dipole_angular_factor(l1, j1, m1, l2, j2, m2, q):
     """Angular part <l1 j1 m1| C^1_q |l2 j2 m2> of a dipole matrix element.
 
     The full matrix element is this factor times the radial integral.
     """
     return (
         clebsch_gordan(j2, m2, 1, q, j1, m1)
-        * reduced_c1_lsj(l1, j1, l2, j2, s)
+        * reduced_c1_lsj(l1, j1, l2, j2)
         / math.sqrt(2 * j1 + 1)
     )
 
 
-def lande_g(l, j, s=0.5):
+def lande_g(l, j):
     """Lande g factor for an (l, s, j) fine-structure level."""
     if j == 0:
         return 0.0
+    s = ELECTRON_SPIN
     return 1.0 + (j * (j + 1) + s * (s + 1) - l * (l + 1)) / (2 * j * (j + 1))

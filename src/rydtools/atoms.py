@@ -37,27 +37,26 @@ class NumericsError(RuntimeError):
 
 @dataclass(frozen=True)
 class RydbergState:
-    """A single fine-structure level, optionally Zeeman resolved.
+    """A fine-structure level, optionally Zeeman resolved; the
+    QuantumDefectTable it is evaluated with owns the species.
 
     Parameters
     ----------
-    n : principal quantum number
-    l : orbital angular momentum
+    n : principal quantum number, a whole number >= 1
+    l : orbital angular momentum, a whole number below n
     j : total electronic angular momentum, l +- 1/2
     m : optional Zeeman sublevel
-    species : atomic species tag, e.g. "Rb87"
     """
 
     n: int
     l: int
     j: float
     m: Optional[float] = None
-    species: str = "Rb87"
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1, got %r" % (self.n,))
-        if not 0 <= self.l < self.n:
+        object.__setattr__(self, "n", cst._require_whole(self.n, "n", 1))
+        object.__setattr__(self, "l", cst._require_whole(self.l, "l", 0))
+        if not self.l < self.n:
             raise ValueError("need 0 <= l < n, got l=%r n=%r" % (self.l, self.n))
         _twice(self.j, "j")
         if abs(self.j - self.l) != 0.5:
@@ -73,13 +72,13 @@ class RydbergState:
         return "%d%s%d/2" % (self.n, L_LETTERS[self.l], frac)
 
     def with_m(self, m):
-        return RydbergState(self.n, self.l, self.j, m, self.species)
+        return RydbergState(self.n, self.l, self.j, m)
 
 
-def parse_level(text, species="Rb87"):
+def parse_level(text):
     """Parse a level label like "43d5/2" or "60s" into a RydbergState.
 
-    A missing j defaults to l + 1/2.
+    A missing j defaults to l + 1/2; the table owns the species.
     """
     match = _LEVEL_RE.match(text.strip().lower())
     if not match:
@@ -93,7 +92,7 @@ def parse_level(text, species="Rb87"):
         j = int(match.group(3)) / 2.0
     else:
         j = l + 0.5
-    return RydbergState(n, l, j, species=species)
+    return RydbergState(n, l, j)
 
 
 _DATA_FILES = {
@@ -122,15 +121,13 @@ def _data_rows(species, kind):
 
 
 class QuantumDefectTable:
-    """Quantum defect series and level energies for one species.
-
-    Series not present in the data file fall back to a zero defect; the
-    fallback is flagged through a warning and the ``used_fallback`` set.
+    """Quantum defect series and level energies for one species, which the
+    table owns: states are plain quantum numbers. Series not present in the
+    data file fall back to a zero defect; the fallback is flagged through a
+    warning and the ``used_fallback`` set.
     """
 
     def __init__(self, species="Rb87"):
-        if species not in _DATA_FILES:
-            raise ValueError("unknown species %r" % (species,))
         self.species = species
         self.series = {}
         self.exact_terms = {}
@@ -174,20 +171,11 @@ class QuantumDefectTable:
             raise ValueError("n=%d below series limit for l=%d" % (n, l))
         return d0 + d2 / (n - d0) ** 2
 
-    def _check_species(self, state):
-        if state.species != self.species:
-            raise ValueError(
-                "state %s is labelled %s, the table is for %s"
-                % (state.label, state.species, self.species)
-            )
-
     def n_star(self, state):
-        self._check_species(state)
         return state.n - self.defect(state.n, state.l, state.j)
 
     def energy_ghz(self, state):
         """Binding energy of a level in GHz (negative, relative to threshold)."""
-        self._check_species(state)
         if (state.n, state.l, state.j) in self.exact_terms:
             return cst.ghz_from_cm(self.exact_terms[(state.n, state.l, state.j)])
         nstar = self.n_star(state)
@@ -430,8 +418,8 @@ def radial_matrix_elements(pairs, table, accuracy=1.0):
     cst._require_finite_positive(accuracy, "accuracy")
     grids = {}
     for index, (state_a, state_b) in enumerate(pairs):
-        if state_a.species != state_b.species or abs(state_a.l - state_b.l) != 1:
-            raise ValueError("radial dipole integral needs one species and |l_a - l_b| = 1")
+        if abs(state_a.l - state_b.l) != 1:
+            raise ValueError("radial dipole integral needs |l_a - l_b| = 1")
         ns_a, ns_b = table.n_star(state_a), table.n_star(state_b)
         h = min(_grid_step(ns_a, accuracy), _grid_step(ns_b, accuracy))
         r_min = min(_inner_edge(ns_a, state_a.l), _inner_edge(ns_b, state_b.l))

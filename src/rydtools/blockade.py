@@ -28,6 +28,7 @@ from typing import Optional
 import numpy as np
 from scipy import linalg
 
+from .angular import _twice
 from .constants import _frozen, _require_nonnegative, _require_positive
 from .ensemble import _positions_um, propagate
 from .pair import _driven_index, _pair_states, forster_eigensystem  # re-exports the last
@@ -81,26 +82,21 @@ class EnsembleGeometry:
 
 @dataclass(frozen=True)
 class ExcitationField:
-    """Per-atom excitation Rabi frequencies and polarization geometry.
+    """Per-atom excitation Rabi frequencies and the driven Zeeman component.
 
-    polarization is the net Zeeman quantum transferred to the Rydberg state,
-    a whole number; the driven Rydberg Zeeman component is ground_m +
-    polarization, ground_m finite. rabi_mhz is kept as a read-only copy.
+    Every atom is driven to the Rydberg Zeeman component target_m, a finite
+    half-integer; rabi_mhz is kept as a read-only copy.
     """
 
     rabi_mhz: np.ndarray
-    polarization: int = 0
-    ground_m: float = 0.5
+    target_m: float = 0.5
 
     def __post_init__(self):
         # a read-only copy: omega_rms_mhz and omega_n_mhz are computed once
         rabi = _frozen(np.atleast_1d(self.rabi_mhz), "rabi_mhz", complex)
         if rabi.ndim != 1 or rabi.size < 1:
             raise ValueError("need at least one single-atom Rabi frequency")
-        if not math.isfinite(self.ground_m):
-            raise ValueError("ground_m must be finite, got %r" % (self.ground_m,))
-        if not float(self.polarization).is_integer():
-            raise ValueError("polarization must be a whole number, got %r" % (self.polarization,))
+        _twice(self.target_m, "target_m")
         object.__setattr__(self, "rabi_mhz", rabi)
 
     @classmethod
@@ -119,10 +115,6 @@ class ExcitationField:
     def omega_n_mhz(self):
         """Collective Rabi frequency sqrt(N) x rms single-atom value."""
         return float(np.sqrt(np.sum(np.abs(self.rabi_mhz) ** 2)))
-
-    @property
-    def target_m(self):
-        return self.ground_m + self.polarization
 
 
 def pair_state_basis(eig, r_um):
@@ -156,10 +148,10 @@ def _laser_weights(field, k, l):
     return field.rabi_mhz[k] * field.rabi_mhz[l] / omega**2
 
 
-def _driven_states(eig, field, r_um, theta):
+def _driven_states(eig, target_m, r_um, theta):
     """(shifts, kappas) of _pair_states for pairs at r_um and theta, kappas
-    the driven product state's unweighted overlaps (the driven row)."""
-    shifts, turned = _pair_states(eig, r_um, theta, [_driven_index(eig, field.target_m)])
+    the unweighted overlaps of |target_m, target_m> (the driven row)."""
+    shifts, turned = _pair_states(eig, r_um, theta, [_driven_index(eig, target_m)])
     return shifts, turned[:, 0]
 
 
@@ -172,7 +164,8 @@ def overlap_kappa(eig, field, pair=None, *, r_um):
     so the weights satisfy sum |kappa|^2 = |Omega_k Omega_l|^2 / Omega^4
     (unity for uniform drive).
     """
-    kappas = _driven_states(eig, field, np.array([r_um], float), np.array([eig.theta]))[1][0]
+    r_um, theta = np.array([r_um], float), np.array([eig.theta])
+    kappas = _driven_states(eig, field.target_m, r_um, theta)[1][0]
     return kappas if pair is None else kappas * _laser_weights(field, [pair[0]], [pair[1]])[0]
 
 
@@ -185,7 +178,7 @@ def _pair_spectra(geometry, field, eig):
     Gram matrix.
     """
     k, l = geometry._pair_index
-    shifts, kappas = _driven_states(eig, field, *geometry._axes)
+    shifts, kappas = _driven_states(eig, field.target_m, *geometry._axes)
     pairs = list(zip(k.tolist(), l.tolist()))
     return pairs, shifts, kappas * _laser_weights(field, k, l)[:, None]
 
@@ -372,14 +365,14 @@ def integrate_amplitudes(state, geometry, field, eig, t_us, decay_tau_us=None):
     )
 
 
-def _grouped_spectra(field, eig, r_um, theta):
+def _grouped_spectra(eig, target_m, r_um, theta):
     """(delta, w), (R, G) arrays over R pairs at separations r_um and angles
     theta (arrays), from one _pair_states call: each row holds its pair's
-    _eigenspaces mean shifts and the driven state's summed overlap on each,
-    padded to the longest row with delta = 1, w = 0, which adds exact zeros
-    in _saturated_shift. field sets only the driven Zeeman component."""
+    _eigenspaces mean shifts and the summed overlap of the driven state
+    |target_m, target_m> on each, padded to the longest row with delta = 1,
+    w = 0, which adds exact zeros in _saturated_shift."""
     r_um = np.asarray(r_um, dtype=float)
-    spectra = _driven_states(eig, field, r_um, np.asarray(theta, dtype=float))
+    spectra = _driven_states(eig, target_m, r_um, np.asarray(theta, dtype=float))
     pair, _, delta, weight, _ = _eigenspaces(*spectra)
     column = np.arange(pair.size) - np.searchsorted(pair, pair)
     shape = (r_um.size, column.max(initial=-1) + 1)
@@ -418,4 +411,5 @@ def effective_interaction_mhz(field, eig, r_um):
     """
     omega = field.omega_rms_mhz
     _require_positive(omega, "field.omega_rms_mhz")
-    return float(_saturated_shift(_grouped_spectra(field, eig, [r_um], [eig.theta]), omega)[0][0])
+    spectrum = _grouped_spectra(eig, field.target_m, [r_um], [eig.theta])
+    return float(_saturated_shift(spectrum, omega)[0][0])

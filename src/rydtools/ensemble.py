@@ -362,10 +362,9 @@ class ExcitationModel:
         np.fill_diagonal(v, 0.0)
         v.flags.writeable = False
         object.__setattr__(self, "_couplings_mhz", v)
-        count = _require_whole(self.max_excitations, "max_excitations", 1)
-        object.__setattr__(self, "max_excitations", count)
+        for name in ("max_excitations", "basis_budget"):
+            object.__setattr__(self, name, _require_whole(getattr(self, name), name, 1))
         _require_positive(self.energy_cutoff_mhz, "energy_cutoff_mhz")
-        _require_positive(self.basis_budget, "basis_budget")
 
     @property
     def n_atoms(self):

@@ -30,13 +30,7 @@ import numpy as np
 from . import constants as cst
 from .angular import dipole_angular_factor, reduced_c1_lsj
 from .atoms import LifetimeModel, RydbergState, radial_matrix_element, radial_matrix_elements
-from .blockade import (
-    ExcitationField,
-    _driven_states,
-    _eigenspaces,
-    _grouped_spectra,
-    _saturated_shift,
-)
+from .blockade import _driven_states, _eigenspaces, _grouped_spectra, _saturated_shift
 from .constants import _require_finite_positive, _require_nonnegative, _require_positive
 from .pair import forster_eigensystem, s_state_channels
 
@@ -330,28 +324,26 @@ def optimize_interaction_gate(
     r_um,
     lifetime_us,
     qubit_splitting_mhz=cst.SPECIES_OMEGA10_MHZ["Rb87"],
-    polarization=0,
-    ground_m=0.5,
+    target_m=0.5,
     rabi_bounds_mhz=RABI_BOUNDS_MHZ,
 ):
     """Optimize the interaction gate with a drive-dependent pair shift.
 
-    The effective pair shift s saturates with drive strength. The grouped
-    pair spectrum is built once for this separation; only its saturation
-    follows the trial drive, so the optimization is self-consistent. The
-    budget and its slope in ln(drive), from the analytic s', are scored at
-    INTERACTION_SCAN_POINTS log-spaced drives over rabi_bounds_mhz in one
-    array expression. The slope at the best scanned drive points to the
-    neighbour that brackets the stationary point. Steps that keep the first
-    of INTERACTION_SCAN_POINTS even cells where the slope leaves its sign at
-    the lower end close it to adjacent floats (9 steps); the upper end is
-    returned. A slope out of the scan returns the bound, and neighbour
-    slopes of one sign the scanned drive; a best scanned drive at either end
-    gives interior_optimum=False. This is the one-row case of
-    interaction_gate_landscape's pass, bit for bit.
+    The effective pair shift s of the driven state |target_m, target_m>
+    saturates with drive strength. The grouped pair spectrum is built once
+    for this separation; only its saturation follows the trial drive, so the
+    optimization is self-consistent. The budget and its slope in ln(drive),
+    from the analytic s', are scored at INTERACTION_SCAN_POINTS log-spaced
+    drives over rabi_bounds_mhz in one array expression. The slope at the
+    best scanned drive points to the neighbour that brackets the stationary
+    point. Steps that keep the first of INTERACTION_SCAN_POINTS even cells
+    where the slope leaves its sign at the lower end close it to adjacent
+    floats (9 steps); the upper end is returned. A slope out of the scan
+    returns the bound, and neighbour slopes of one sign the scanned drive; a
+    best scanned drive at either end gives interior_optimum=False. This is
+    the one-row case of interaction_gate_landscape's pass, bit for bit.
     """
-    field = ExcitationField.uniform(2, 1.0, polarization=polarization, ground_m=ground_m)
-    spectra = _grouped_spectra(field, eig, [r_um], [eig.theta])
+    spectra = _grouped_spectra(eig, target_m, [r_um], [eig.theta])
     return _interaction_optima(spectra, lifetime_us, qubit_splitting_mhz, rabi_bounds_mhz)[0]
 
 
@@ -463,7 +455,7 @@ def _landscape(
         if n in lifetimes_us:
             tau = lifetimes_us[n]
         else:
-            tau = model.tau_us(RydbergState(n, 0, 0.5, species=table.species), temperature_k)
+            tau = model.tau_us(RydbergState(n, 0, 0.5), temperature_k)
         budgets = evaluate(eig, np.array(r_um), tau) if r_um else []
         rows.extend((n, r, budget) for r, budget in zip(r_um, budgets))
     return rows
@@ -492,10 +484,9 @@ def blockade_gate_landscape(
     channel construction. table may be None when both overrides cover every
     n. Returns deterministic (n, r_um, GateErrorBudget) rows in grid order.
     """
-    field = ExcitationField.uniform(2, 1.0)
 
     def evaluate(eig, r_um, tau):
-        spectra = _driven_states(eig, field, r_um, np.zeros(r_um.size))
+        spectra = _driven_states(eig, 0.5, r_um, np.zeros(r_um.size))
         pair, _, _, _, terms = _eigenspaces(*spectra)
         with np.errstate(divide="ignore"):
             b_mhz = np.sqrt(1.0 / np.bincount(pair, terms, r_um.size))
@@ -522,10 +513,9 @@ def interaction_gate_landscape(
     one batched pair-state call gives every separation's padded grouped
     spectrum, and one array scan and sectioning every optimum.
     """
-    field = ExcitationField.uniform(2, 1.0)
 
     def evaluate(eig, r_um, tau):
-        spectra = _grouped_spectra(field, eig, r_um, np.zeros(r_um.size))
+        spectra = _grouped_spectra(eig, 0.5, r_um, np.zeros(r_um.size))
         return _interaction_optima(spectra, tau, qubit_splitting_mhz, RABI_BOUNDS_MHZ)
 
     return _landscape(

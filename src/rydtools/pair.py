@@ -19,12 +19,13 @@ the atoms: the Gram matrices and the pair-state operators are all
 diagonalized by _m_block_states, per (M, exchange parity) sector as
 pairinteraction does per symmetry sector (Weber et al., J. Phys. B 50,
 133001 (2017)), so each eigenvector has a definite M and parity, and the
-sign rule fixes it: no sector of the 43d Gram matrices holds a degenerate
-pair, so a rounding-level change of the input moves their vectors by
-rounding. A magnetic field B along z changes only the defects, and only
-through B cos(theta), its part along the pair axis: the part across the
-axis changes M by 1 and has no expectation value on an M-definite state
-(_defects_mhz, at any array of angles).
+sign rule fixes it. Above FORSTER_ZERO_FLOOR no sector of the 43d Gram
+matrices holds a degenerate pair, so a rounding-level change of the input
+moves those vectors by rounding; the unshifted states below it differ by
+rounding alone and may turn in their sector. A magnetic field B along z
+changes only the defects, and only through B cos(theta), its part along the
+pair axis: the part across the axis changes M by 1 and has no expectation
+value on an M-definite state (_defects_mhz, at any array of angles).
 
 This module owns that layout: the Zeeman-product index and the sector
 layout built once per level pair (_m_blocks, _pair_rotation,
@@ -41,7 +42,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import constants as cst
-from .angular import clebsch_gordan, dipole_angular_factor, lande_g, wigner_small_d
+from .angular import _twice, clebsch_gordan, dipole_angular_factor, lande_g, wigner_small_d
 from .atoms import RydbergState, radial_matrix_element, radial_matrix_elements
 from .constants import _require_positive
 
@@ -130,10 +131,10 @@ def s_state_channels(n, table):
     These are the dominant dipole-coupled channels for a pair of atoms in the
     same s-state and drive both the van der Waals shift and the blockade.
     """
-    s = RydbergState(n, 0, 0.5, species=table.species)
+    s = RydbergState(n, 0, 0.5)
     # the four channels share four distinct <ns|r|n'p_j>, each on its
     # make_channel grid; both (n-1)p elements use the ns grid (7 solves)
-    p_states = [RydbergState(m, 1, j, species=s.species) for m in (n, n - 1) for j in (1.5, 0.5)]
+    p_states = [RydbergState(m, 1, j) for m in (n, n - 1) for j in (1.5, 0.5)]
     pairs = [(s, p) for p in p_states]
     radial = dict(zip(pairs, radial_matrix_elements(pairs, table)))
     return [
@@ -526,13 +527,13 @@ def _driven_index(eig, target_m):
             "the driven pair needs one initial level, got %s and %s"
             % (first.label, second.label)
         )
-    j = first.j
-    offset = round(target_m + j)
-    if abs(target_m) > j or abs(target_m + j - offset) > 1e-9:
+    tj, tm = round(2 * first.j), _twice(target_m, "target_m")
+    if abs(tm) > tj or (tj + tm) % 2:
         raise ValueError(
-            "drive targets m=%s outside the j=%s Zeeman manifold" % (target_m, j)
+            "drive targets m=%s outside the j=%s Zeeman manifold" % (target_m, first.j)
         )
-    return offset * (round(2 * j) + 1) + offset
+    offset = (tj + tm) // 2
+    return offset * (tj + 1) + offset
 
 
 def _channel_shifts_mhz(eig, r_um, defects_mhz):

@@ -134,6 +134,14 @@ class TestRydbergState:
             RydbergState(5, 1, 2.5)  # j must be l +/- 1/2
         with pytest.raises(ValueError):
             RydbergState(5, 1, 1.5, m=2.5)  # |m| <= j
+        # n and l are whole numbers: 43.5 was taken as the level "43d5/2",
+        # n = inf was accepted, and l = 1.0 failed only in the label
+        for n in (43.5, math.inf, math.nan):
+            with pytest.raises(ValueError, match="n must be a whole number"):
+                RydbergState(n, 2, 2.5)
+        with pytest.raises(ValueError, match="l must be a whole number"):
+            RydbergState(43, 1.5, 2.0)
+        assert RydbergState(43.0, 1.0, 1.5).label == "43p3/2"
 
     @pytest.mark.parametrize(
         "name, bad", [("j", 0.3), ("j", math.nan), ("j", math.inf), ("m", math.nan), ("m", -math.inf)]
@@ -181,7 +189,7 @@ class TestEnergies:
 
     def test_cs_table_loads(self, cs_table):
         assert cs_table.defect(100, 0, 0.5) == pytest.approx(4.0493532, abs=1e-3)
-        assert cs_table.energy_ghz(RydbergState(60, 0, 0.5, species="Cs133")) < 0
+        assert cs_table.energy_ghz(RydbergState(60, 0, 0.5)) < 0
 
 
 class TestDataFiles:
@@ -203,6 +211,11 @@ class TestDataFiles:
         )
         assert second_model.coeffs == first_model.coeffs
         assert second_model.coeffs is not first_model.coeffs
+
+    def test_unknown_species_rejected_when_loaded(self):
+        # the table keeps no list of its own: the data lookup raises
+        with pytest.raises(ValueError, match="unknown species 'K39'"):
+            QuantumDefectTable("K39")
 
     def test_unknown_kind_rejected(self):
         # any kind but "defects" returned the lifetimes file
@@ -371,7 +384,7 @@ class TestRadialSolver:
     ):
         table = rb_table if species == "Rb87" else cs_table
         j = l + 0.5 if upper_j or l == 0 else l - 0.5
-        n_star = table.n_star(RydbergState(n, l, j, species=species))
+        n_star = table.n_star(RydbergState(n, l, j))
         core = dict(core_charge=table.core_charge, core_screening=table.core_screening)
         if not screened:
             core = dict(core_charge=1.0, core_screening=0.0)
@@ -410,10 +423,10 @@ class TestRadialSolver:
         table = rb_table if species == "Rb87" else cs_table
         n_low = 5 if species == "Rb87" else 6  # the ground-state shell
         n = max(n, n_low)
-        a = RydbergState(n, l, l + 0.5, species=species)
+        a = RydbergState(n, l, l + 0.5)
         n_b = min(max(n + dn, n_low), 200)
-        b = RydbergState(n_b, l + 1, l + 1.5 if upper_j else l + 0.5, species=species)
-        c = RydbergState(n_b, l + 1, l + 0.5, species=species)
+        b = RydbergState(n_b, l + 1, l + 1.5 if upper_j else l + 0.5)
+        c = RydbergState(n_b, l + 1, l + 0.5)
         solves = []
 
         def recording(n_star, l, r_grid=None, **core):
@@ -550,27 +563,6 @@ class TestMatrixElements:
                 RydbergState(60, 0, 0.5), RydbergState(60, 2, 2.5), rb_table
             )
 
-    def test_species_mismatch_rejected(self, rb_table):
-        with pytest.raises(ValueError):
-            radial_matrix_element(
-                RydbergState(60, 0, 0.5),
-                RydbergState(60, 1, 1.5, species="Cs133"),
-                rb_table,
-            )
-
-    def test_table_species_mismatch_rejected(self, cs_table):
-        # two Rb87 states against the Cs133 table: no Cs defects for them
-        with pytest.raises(ValueError, match="Cs133"):
-            radial_matrix_element(
-                RydbergState(60, 0, 0.5),
-                RydbergState(60, 1, 1.5),
-                QuantumDefectTable("Cs133"),
-            )
-        with pytest.raises(ValueError, match="Rb87"):
-            cs_table.n_star(RydbergState(60, 0, 0.5))
-        cs_s = RydbergState(60, 0, 0.5, species="Cs133")
-        assert cs_table.n_star(cs_s) == 60 - cs_table.defect(60, 0, 0.5)
-
     @pytest.mark.filterwarnings("ignore:no defect series")
     @pytest.mark.parametrize("n, l", [(120, 100), (200, 150)])
     def test_high_l_matches_hydrogen(self, rb_table, n, l):
@@ -592,8 +584,8 @@ class TestMatrixElements:
         # pairs on shared and distinct grids, a repeat and a reversed pair:
         # each value is its own radial_matrix_element, bit for bit
         table = QuantumDefectTable(species)
-        s, d = RydbergState(40, 0, 0.5, species=species), RydbergState(38, 2, 2.5, species=species)
-        p = [RydbergState(n, 1, j, species=species) for n in (40, 39) for j in (1.5, 0.5)]
+        s, d = RydbergState(40, 0, 0.5), RydbergState(38, 2, 2.5)
+        p = [RydbergState(n, 1, j) for n in (40, 39) for j in (1.5, 0.5)]
         pairs = [(s, q) for q in p] + [(p[1], d), (s, p[2]), (p[3], s)]
         for accuracy in (1.0, 1.5):
             values = radial_matrix_elements(pairs, table, accuracy)
@@ -627,7 +619,7 @@ class TestNodeCheck:
         # of the pure Coulomb solution at the same n_star on the same grid
         table = rb_table if species == "Rb87" else cs_table
         j = l + 0.5 if upper_j or l == 0 else l - 0.5
-        n_star = table.n_star(RydbergState(n, l, j, species=species))
+        n_star = table.n_star(RydbergState(n, l, j))
         screened = radial_solution(
             n_star,
             l,

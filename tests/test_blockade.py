@@ -296,9 +296,14 @@ class TestField:
             )
 
     def test_target_m(self):
-        f = ExcitationField.uniform(2, 1.0, polarization=1, ground_m=0.5)
-        assert f.target_m == 1.5
+        # the drive names one Zeeman target, a finite half-integer: the
+        # former ground_m + polarization pair was read only as its sum
+        assert ExcitationField.uniform(2, 1.0, target_m=1.5).target_m == 1.5
+        assert ExcitationField.uniform(2, 1.0, target_m=-0.5).target_m == -0.5
         assert ExcitationField.uniform(2, 1.0).target_m == 0.5
+        for bad in (math.nan, math.inf, 0.7):
+            with pytest.raises(ValueError, match="target_m must be half-integer"):
+                ExcitationField.uniform(2, 1.0, target_m=bad)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -308,22 +313,6 @@ class TestField:
     def test_non_finite_rabi_rejected(self, bad):
         with pytest.raises(ValueError, match="finite"):
             ExcitationField(rabi_mhz=[bad, 1.0])
-
-    @pytest.mark.parametrize(
-        "kwargs, message",
-        [
-            ({"ground_m": math.nan}, "ground_m must be finite"),
-            ({"ground_m": math.inf}, "ground_m must be finite"),
-            ({"polarization": 0.5}, "polarization must be a whole number"),
-            ({"polarization": math.nan}, "polarization must be a whole number"),
-        ],
-    )
-    def test_non_finite_ground_m_or_fractional_polarization_rejected(self, kwargs, message):
-        # ground_m = nan failed only inside blockade_shift, with "cannot
-        # convert float NaN to integer"
-        with pytest.raises(ValueError, match=message):
-            ExcitationField.uniform(2, 1.0, **kwargs)
-        assert ExcitationField.uniform(2, 1.0, polarization=-1.0).target_m == -0.5
 
     def test_rabi_frequencies_are_a_read_only_copy(self):
         # the rms and collective drives are computed once, so a caller's
@@ -358,7 +347,7 @@ class TestOverlapKappa:
         assert np.sum(np.abs(k) ** 2) == pytest.approx(expected, rel=1e-12)
 
     def test_polarization_domain_error(self, rb_s60_eigensystem):
-        f = ExcitationField.uniform(2, 0.01, polarization=2)
+        f = ExcitationField.uniform(2, 0.01, target_m=2.5)
         with pytest.raises(ValueError):
             overlap_kappa(rb_s60_eigensystem, f, r_um=8.0)
 
@@ -502,7 +491,7 @@ class TestBlockadeShift:
         # stretched m=5/2 drive: the doubly-stretched pair state cannot
         # couple to p3/2+f5/2 along the axis, so its shift vanishes exactly
         one = forster_eigensystem(rb_43d_channels[:1])
-        f = ExcitationField.uniform(2, 0.01, polarization=2)
+        f = ExcitationField.uniform(2, 0.01, target_m=2.5)
         res = blockade_shift(two_atoms(10.0), f, one)
         assert res.b_mhz == 0.0
         assert not res.blockade_valid
@@ -553,7 +542,7 @@ class TestBlockadeShift:
         eig = forster_eigensystem(rb_43d_channels[:1], 0.0, 0.01)
         rng = np.random.default_rng(1)
         r_um, theta = rng.uniform(2.0, 20.0, 20), rng.uniform(0.0, math.pi, 20)
-        shifts, kappas = _driven_states(eig, ExcitationField.uniform(2, 1.0), r_um, theta)
+        shifts, kappas = _driven_states(eig, 0.5, r_um, theta)
         gaps = np.diff(shifts, axis=1)
         scale = np.maximum(1.0, np.abs(shifts).max(axis=1, keepdims=True))
         w = np.abs(kappas) ** 2
@@ -632,7 +621,7 @@ class TestBlockadeShift:
 
     def test_zero_term_matches_loop_oracle(self, rb_43d_channels):
         one = forster_eigensystem(rb_43d_channels[:1])
-        f = ExcitationField.uniform(3, 0.01, polarization=2)
+        f = ExcitationField.uniform(3, 0.01, target_m=2.5)
         geo = EnsembleGeometry(np.array([[0, 0, 0], [0, 0, 10.0], [0, 0, 17.0]]))
         _, rows, zero_term = loop_blockade_terms(zip(*_pair_spectra(geo, f, one)))
         res = blockade_shift(geo, f, one)
@@ -1119,7 +1108,7 @@ class TestMBlocks:
         pairs, shifts, kappas = _pair_spectra(geo, f, eig)
         for (k, l), row_shifts, row_kappas in zip(pairs, shifts, kappas):
             theta, r = geo.axis_theta_rad(k, l), geo.separation_um(k, l)
-            one = _driven_states(eig, f, np.array([r]), np.array([theta]))
+            one = _driven_states(eig, f.target_m, np.array([r]), np.array([theta]))
             assert np.array_equal(one[0][0], row_shifts)
             local = forster_eigensystem(rb_43d_channels, theta, b_field_t)
             assert np.array_equal(pair_state_basis(local, r)[0], row_shifts)
@@ -1188,11 +1177,14 @@ class TestMBlocks:
     def test_rounding_level_input_change_moves_no_state(
         self, rb_43d_channels, b_field_t, monkeypatch
     ):
-        # no sector holds a degenerate pair of 43d Gram states, so a relative
-        # change of 2^-52 in every coupling moves the vectors by rounding; in
-        # M-blocks alone it moved them by 1.43 of their largest entry. The
-        # triangle's pairs hold no degenerate pair-state eigenspace inside
-        # one sector either, so every amplitude holds as well
+        # above FORSTER_ZERO_FLOOR no sector holds a degenerate pair of 43d
+        # Gram states, so a relative change of 2^-52 in every coupling moves
+        # the vectors by rounding; in M-blocks alone it moved them by 1.43 of
+        # their largest entry. Below the floor two unshifted states of one
+        # sector differ by rounding of the 6j symbols alone: with exactly
+        # rounded 6j values the [0.0] case moved them by 1.36. The triangle's
+        # pairs hold no degenerate pair-state eigenspace inside one sector
+        # either, so every amplitude holds as well
         def solve():
             eig = forster_eigensystem(rb_43d_channels, 0.0, b_field_t)
             amplitudes = [
@@ -1236,13 +1228,13 @@ class TestMBlocks:
 class TestDrivenLevel:
     # 43d5/2 + 44s1/2 -> 44p3/2 + 44p3/2: a 12-dimensional initial space
     # whose two atoms hold different j
-    @pytest.mark.parametrize("ground_m", [0.5, -1.5])
-    def test_distinct_initial_levels_rejected(self, ground_m):
+    @pytest.mark.parametrize("target_m", [0.5, -1.5])
+    def test_distinct_initial_levels_rejected(self, target_m):
         d, s = RydbergState(43, 2, 2.5), RydbergState(44, 0, 0.5)
         p = RydbergState(44, 1, 1.5)
         eig = forster_eigensystem([ForsterChannel((d, s), (p, p), -100.0, 1.0)])
         assert eig.vectors[0].shape == (12, 12)
-        f = ExcitationField.uniform(2, 1.0, ground_m=ground_m)
+        f = ExcitationField.uniform(2, 1.0, target_m=target_m)
         with pytest.raises(ValueError, match="one initial level"):
             overlap_kappa(eig, f, r_um=5.0)
 
@@ -1253,7 +1245,7 @@ class TestDrivenLevel:
             _driven_index(rb_s60_eigensystem, 0.0)
         with pytest.raises(ValueError, match="outside"):
             overlap_kappa(
-                rb_s60_eigensystem, ExcitationField.uniform(2, 1.0, ground_m=0.0), r_um=8.0
+                rb_s60_eigensystem, ExcitationField.uniform(2, 1.0, target_m=0.0), r_um=8.0
             )
         for target_m in (1.0, 2.0):
             with pytest.raises(ValueError, match="outside"):
@@ -1599,10 +1591,12 @@ class TestEffectiveInteraction:
         # lies closer than 1e-9 MHz to the driven eigenspace yet is not in it
         eig = forster_eigensystem(s_state_channels(30, rb_table))
         rng = np.random.default_rng(seed)
-        for r_um, omega, polarization in zip(
-            rng.uniform(25.0, 40.0, 8), 10.0 ** rng.uniform(-8.0, 0.0, 8), rng.integers(-1, 1, 8)
+        for r_um, omega, target_m in zip(
+            rng.uniform(25.0, 40.0, 8),
+            10.0 ** rng.uniform(-8.0, 0.0, 8),
+            rng.integers(-1, 1, 8) + 0.5,
         ):
-            f = ExcitationField.uniform(2, omega, polarization=int(polarization))
+            f = ExcitationField.uniform(2, omega, target_m=target_m)
             shifts, _ = pair_state_basis(eig, r_um)
             w = np.abs(overlap_kappa(eig, f, r_um=r_um)) ** 2
             expected = 0.0

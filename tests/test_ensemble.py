@@ -361,8 +361,10 @@ class TestExcitationModel:
             ExcitationModel(**{**good, "max_excitations": 0})
         with pytest.raises(ValueError):
             ExcitationModel(**{**good, "energy_cutoff_mhz": 0.0})
-        with pytest.raises(ValueError):
-            ExcitationModel(**{**good, "basis_budget": 0})
+        # 2.5 was reported as "over the budget of 2", inf turned the guard off
+        for budget in (0, 2.5, math.inf):
+            with pytest.raises(ValueError, match="basis_budget must be a whole number >= 1"):
+                ExcitationModel(**{**good, "basis_budget": budget})
         # exactly one interaction source
         with pytest.raises(ValueError):
             ExcitationModel(

@@ -519,18 +519,18 @@ class TestOptimizeInteractionGate:
         )
 
     def test_driven_zeeman_component_sets_the_spectrum(self, rb_s100_eig, monkeypatch):
-        # only ground_m + polarization matters: both drive |1/2, 1/2>
+        # the drive names one Zeeman target, |1/2, 1/2> by default, which
+        # the former polarization=1, ground_m=-0.5 drove as well
         default = optimize_interaction_gate(rb_s100_eig, 17.0, 340.0)
-        shifted = optimize_interaction_gate(
-            rb_s100_eig, 17.0, 340.0, polarization=1, ground_m=-0.5
-        )
-        assert shifted == default
+        assert optimize_interaction_gate(rb_s100_eig, 17.0, 340.0, target_m=0.5) == default
         scored = []
         monkeypatch.setattr(
             gates, "interaction_gate_error", lambda params: scored.append(params)
         )
         with pytest.raises(ValueError, match="outside the j=0.5"):
-            optimize_interaction_gate(rb_s100_eig, 17.0, 340.0, polarization=1)
+            optimize_interaction_gate(rb_s100_eig, 17.0, 340.0, target_m=1.5)
+        with pytest.raises(ValueError, match="target_m must be half-integer"):
+            optimize_interaction_gate(rb_s100_eig, 17.0, 340.0, target_m=math.nan)
         assert scored == []
 
     @pytest.mark.parametrize("n", [50, 70, 100, 150])
@@ -652,7 +652,7 @@ class TestOptimizeInteractionGate:
         # same interior flag
         eig = forster_eigensystem(s_state_channels(n, rb_table))
         radii = np.geomspace(2.0, 20.0, 16)
-        spectra = blockade._grouped_spectra(ExcitationField.uniform(2, 1.0), eig, radii, np.zeros(16))
+        spectra = blockade._grouped_spectra(eig, 0.5, radii, np.zeros(16))
         for tau in (100.0, 300.0, 1000.0):
             rows = interaction_gate_landscape(
                 [n], radii, None, lifetimes_us={n: tau}, eigensystems={n: eig}
@@ -797,7 +797,7 @@ class TestBlockadeGateLandscape:
         # the lifetime state is labelled with the table species, so the
         # Cs133 table accepts it and the Cs133 lifetime is used
         tau = LifetimeModel(cs_table).tau_us(
-            RydbergState(60, 0, 0.5, species="Cs133"), 300.0
+            RydbergState(60, 0, 0.5), 300.0
         )
         rows = blockade_gate_landscape([60], [5.0], cs_table)
         pinned = blockade_gate_landscape(
@@ -963,9 +963,9 @@ class TestTwoPhotonBudget:
         # Cs133 6s -> 6p3/2 -> 80d5/2 at 10 uK against the hand formula
         # (dk v_rms / Omega)^2 with the Cs133 mass, not the Rb87 one
         budget = two_photon_budget(
-            RydbergState(6, 0, 0.5, species="Cs133"),
-            RydbergState(6, 1, 1.5, species="Cs133"),
-            RydbergState(80, 2, 2.5, species="Cs133"),
+            RydbergState(6, 0, 0.5),
+            RydbergState(6, 1, 1.5),
+            RydbergState(80, 2, 2.5),
             GaussianBeam(1e-6, 3.0, 852.0),
             GaussianBeam(0.3, 3.0, 509.0),
             20000.0,

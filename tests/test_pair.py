@@ -704,8 +704,3 @@ class TestScalingLaw:
         assert slope_eff == pytest.approx(11.393, abs=0.05)
         assert slope_raw == pytest.approx(12.028, abs=0.06)
 
-
-def test_s_state_channels_carry_the_table_species(cs_table):
-    for channel in s_state_channels(60, cs_table):
-        legs = channel.initial + channel.coupled
-        assert {state.species for state in legs} == {"Cs133"}
