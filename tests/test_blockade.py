@@ -301,9 +301,23 @@ class TestField:
         assert ExcitationField.uniform(2, 1.0, target_m=1.5).target_m == 1.5
         assert ExcitationField.uniform(2, 1.0, target_m=-0.5).target_m == -0.5
         assert ExcitationField.uniform(2, 1.0).target_m == 0.5
-        for bad in (math.nan, math.inf, 0.7):
-            with pytest.raises(ValueError, match="target_m must be half-integer"):
-                ExcitationField.uniform(2, 1.0, target_m=bad)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"target_m": math.nan}, "target_m must be half-integer"),
+            ({"target_m": math.inf}, "target_m must be half-integer"),
+            ({"target_m": 0.7}, "target_m must be half-integer"),
+            ({"target_m": -math.inf}, "target_m must be half-integer"),
+        ],
+    )
+    def test_non_finite_ground_m_or_fractional_polarization_rejected(self, kwargs, message):
+        # target_m replaces the ground_m + polarization pair; a non-finite or
+        # non-half-integer target is refused when the field is built, not
+        # later inside blockade_shift
+        with pytest.raises(ValueError, match=message):
+            ExcitationField.uniform(2, 1.0, **kwargs)
+        assert ExcitationField.uniform(2, 1.0, target_m=-0.5).target_m == -0.5
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
