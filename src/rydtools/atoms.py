@@ -285,8 +285,8 @@ def radial_solution(n_star, l, r_grid=None, core_charge=1.0, core_screening=0.0)
 
     Returns a RadialSolution on the supplied (or self-chosen) grid, which
     must be uniform in ln r; the self-chosen one starts at _inner_edge, so
-    that no l overflows; a prepared _LogGrid from radial_matrix_elements
-    brings its own core and skips the check. The Numerov recurrence from two
+    that no l overflows; a prepared _LogGrid from _grid_elements brings its
+    own core and skips the check. The Numerov recurrence from two
     small values at the outer edge is one banded triangular system, written
     into the grid's band buffer and back-substituted in place in y by one
     LAPACK ``dtbtrs`` call; a zero pivot, or an overflow through a high
@@ -417,23 +417,50 @@ def radial_matrix_elements(pairs, table, accuracy=1.0):
     """
     cst._require_finite_positive(accuracy, "accuracy")
     grids = {}
-    for index, (state_a, state_b) in enumerate(pairs):
-        if abs(state_a.l - state_b.l) != 1:
-            raise ValueError("radial dipole integral needs |l_a - l_b| = 1")
-        ns_a, ns_b = table.n_star(state_a), table.n_star(state_b)
-        h = min(_grid_step(ns_a, accuracy), _grid_step(ns_b, accuracy))
-        r_min = min(_inner_edge(ns_a, state_a.l), _inner_edge(ns_b, state_b.l))
-        grids.setdefault((r_min, _outer_radius(max(ns_a, ns_b)), h), []).append(index)
+    for index, pair in enumerate(pairs):
+        grids.setdefault(_grid_key([pair], table, accuracy), []).append(index)
     radii = {key: _log_grid(*key) for key in grids}
     workspace = _workspace(max(map(len, radii.values()), default=0))
     values = [0.0] * len(pairs)
-    for (r_min, r_max, h), members in grids.items():
-        r, solutions = radii[r_min, r_max, h], {}
-        grid = _LogGrid(r, table.core_charge, table.core_screening, workspace=workspace)
-        for state in dict.fromkeys(state for index in members for state in pairs[index]):
-            solutions[state] = radial_solution(table.n_star(state), state.l, r_grid=grid)
-            _check_nodes(solutions[state], state, table.defect(state.n, state.l, state.j))
-        for index in members:
-            p_a, p_b = (solutions[state].p for state in pairs[index])
-            values[index] = float(np.sum(p_a * p_b * r * r) * h)
+    for key, members in grids.items():
+        on_grid = _grid_elements([pairs[i] for i in members], radii[key], key[2], table, workspace)
+        for index, value in zip(members, on_grid):
+            values[index] = value
     return values
+
+
+def _covering_elements(pairs, table):
+    """radial_matrix_elements' integrals on one log grid that covers every
+    pair's own: the smallest inner edge, the largest outer radius and the
+    finest step that any of them needs. Each distinct state is solved once;
+    a pair whose own grid is the covering one keeps its bits, and any other
+    moves only by its discretization error at a finer or equal step.
+    """
+    r_min, r_max, h = _grid_key(pairs, table, 1.0)
+    return _grid_elements(pairs, _log_grid(r_min, r_max, h), h, table)
+
+
+def _grid_key(pairs, table, accuracy):
+    """(r_min, r_max, h) of one log grid for all states of the (a, b) pairs:
+    the smallest _inner_edge, the outer radius of the largest n_star and
+    the finest _grid_step."""
+    for state_a, state_b in pairs:
+        if abs(state_a.l - state_b.l) != 1:
+            raise ValueError("radial dipole integral needs |l_a - l_b| = 1")
+    states = [state for pair in pairs for state in pair]
+    n_stars = [table.n_star(state) for state in states]
+    h = min(_grid_step(n_star, accuracy) for n_star in n_stars)
+    r_min = min(_inner_edge(n_star, state.l) for n_star, state in zip(n_stars, states))
+    return r_min, _outer_radius(max(n_stars)), h
+
+
+def _grid_elements(pairs, r, h, table, workspace=None):
+    """<a| r |b> (a0) of the (a, b) pairs on the one log grid r of step h:
+    each distinct state solved once on one _LogGrid, its node count checked
+    against the quantum defect before any overlap."""
+    grid = _LogGrid(r, table.core_charge, table.core_screening, workspace=workspace)
+    solutions = {}
+    for state in dict.fromkeys(state for pair in pairs for state in pair):
+        solutions[state] = radial_solution(table.n_star(state), state.l, r_grid=grid)
+        _check_nodes(solutions[state], state, table.defect(state.n, state.l, state.j))
+    return [float(np.sum(solutions[a].p * solutions[b].p * r * r) * h) for a, b in pairs]

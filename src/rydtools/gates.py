@@ -431,11 +431,16 @@ def array_capacity(n, error_budget, dimension):
 
 
 def _landscape(
-    n_values, r_um_values, table, lifetimes_us, temperature_k, eigensystems, evaluate
+    n_values, r_um_values, table, lifetimes_us, qubit_splitting_mhz, temperature_k,
+    eigensystems, evaluate,
 ):
     """(n, r_um, budget) rows over the n x R grid, each n's budgets at
-    every R from one evaluate(eig, r_um array, tau) call, which puts the
-    pair axis along z (theta = 0) whatever eig.theta is."""
+    every R from one evaluate(eig, r_um array, tau, qubit splitting) call,
+    which puts the pair axis along z (theta = 0) whatever eig.theta is. A
+    qubit splitting of None is table.species' (Rb87's without a table)."""
+    if qubit_splitting_mhz is None:
+        species = table.species if table is not None else "Rb87"
+        qubit_splitting_mhz = cst.SPECIES_OMEGA10_MHZ[species]
     r_um = [float(r) for r in r_um_values]
     for r in r_um:
         _require_positive(r, "r_um")
@@ -456,7 +461,7 @@ def _landscape(
             tau = lifetimes_us[n]
         else:
             tau = model.tau_us(RydbergState(n, 0, 0.5), temperature_k)
-        budgets = evaluate(eig, np.array(r_um), tau) if r_um else []
+        budgets = evaluate(eig, np.array(r_um), tau, qubit_splitting_mhz) if r_um else []
         rows.extend((n, r, budget) for r, budget in zip(r_um, budgets))
     return rows
 
@@ -466,7 +471,7 @@ def blockade_gate_landscape(
     r_um_values,
     table,
     lifetimes_us=None,
-    qubit_splitting_mhz=cst.SPECIES_OMEGA10_MHZ["Rb87"],
+    qubit_splitting_mhz=None,
     temperature_k=300.0,
     eigensystems=None,
 ):
@@ -482,10 +487,12 @@ def blockade_gate_landscape(
     temperature_k unless overridden by the lifetimes_us mapping (n ->
     microseconds); prebuilt channel eigensystems (n -> value) skip the
     channel construction. table may be None when both overrides cover every
-    n. Returns deterministic (n, r_um, GateErrorBudget) rows in grid order.
+    n. The qubit splitting defaults to table.species' hyperfine splitting
+    (Rb87's when table is None, as in GateParams). Returns deterministic
+    (n, r_um, GateErrorBudget) rows in grid order.
     """
 
-    def evaluate(eig, r_um, tau):
+    def evaluate(eig, r_um, tau, qubit_splitting_mhz):
         spectra = _driven_states(eig, 0.5, r_um, np.zeros(r_um.size))
         pair, _, _, _, terms = _eigenspaces(*spectra)
         with np.errstate(divide="ignore"):
@@ -493,7 +500,8 @@ def blockade_gate_landscape(
         return _blockade_optima(b_mhz, tau, qubit_splitting_mhz)
 
     return _landscape(
-        n_values, r_um_values, table, lifetimes_us, temperature_k, eigensystems, evaluate
+        n_values, r_um_values, table, lifetimes_us, qubit_splitting_mhz, temperature_k,
+        eigensystems, evaluate,
     )
 
 
@@ -502,7 +510,7 @@ def interaction_gate_landscape(
     r_um_values,
     table,
     lifetimes_us=None,
-    qubit_splitting_mhz=cst.SPECIES_OMEGA10_MHZ["Rb87"],
+    qubit_splitting_mhz=None,
     temperature_k=300.0,
     eigensystems=None,
 ):
@@ -514,12 +522,13 @@ def interaction_gate_landscape(
     spectrum, and one array scan and sectioning every optimum.
     """
 
-    def evaluate(eig, r_um, tau):
+    def evaluate(eig, r_um, tau, qubit_splitting_mhz):
         spectra = _grouped_spectra(eig, 0.5, r_um, np.zeros(r_um.size))
         return _interaction_optima(spectra, tau, qubit_splitting_mhz, RABI_BOUNDS_MHZ)
 
     return _landscape(
-        n_values, r_um_values, table, lifetimes_us, temperature_k, eigensystems, evaluate
+        n_values, r_um_values, table, lifetimes_us, qubit_splitting_mhz, temperature_k,
+        eigensystems, evaluate,
     )
 
 
@@ -635,7 +644,9 @@ def two_photon_budget(
     dephasing uses the 1-D rms thermal velocity of table.species at
     temperature_k and the wavevector sum or difference of the two beams.
     The decay rate reuses the first drive's radial element, so one
-    radial_matrix_elements call solves each radial state once.
+    radial_matrix_elements call gives all three rates. It solves each state
+    once per element grid: the intermediate state is solved on both
+    elements' grids, so 5s -> 5p3/2 -> 100d5/2 takes 4 solves.
     """
     if not 0.0 < abs(detuning_mhz) < math.inf:
         raise ValueError("detuning_mhz must be finite and nonzero, got %r" % (detuning_mhz,))

@@ -43,7 +43,7 @@ import numpy as np
 
 from . import constants as cst
 from .angular import _twice, clebsch_gordan, dipole_angular_factor, lande_g, wigner_small_d
-from .atoms import RydbergState, radial_matrix_element, radial_matrix_elements
+from .atoms import RydbergState, _covering_elements, radial_matrix_element
 from .constants import _require_positive
 
 FORSTER_ZERO_FLOOR = 1e-8
@@ -130,13 +130,16 @@ def s_state_channels(n, table):
 
     These are the dominant dipole-coupled channels for a pair of atoms in the
     same s-state and drive both the van der Waals shift and the blockade.
+    Their four radial elements come from one log grid that covers each
+    element's own make_channel grid, so a C3 differs from make_channel's
+    by the grid's discretization error only (at most about 4e-8 relative).
     """
     s = RydbergState(n, 0, 0.5)
-    # the four channels share four distinct <ns|r|n'p_j>, each on its
-    # make_channel grid; both (n-1)p elements use the ns grid (7 solves)
+    # the four channels share four distinct <ns|r|n'p_j>, all on one
+    # covering grid: ns and the four p states are solved once each (5 solves)
     p_states = [RydbergState(m, 1, j) for m in (n, n - 1) for j in (1.5, 0.5)]
     pairs = [(s, p) for p in p_states]
-    radial = dict(zip(pairs, radial_matrix_elements(pairs, table)))
+    radial = dict(zip(pairs, _covering_elements(pairs, table)))
     return [
         make_channel((s, s), (pa, pb), table, _radial=lambda a, b, _: radial[a, b])
         for pa in p_states[:2]

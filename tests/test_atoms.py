@@ -592,6 +592,32 @@ class TestMatrixElements:
             assert values == [radial_matrix_element(a, b, table, accuracy) for a, b in pairs]
         assert radial_matrix_elements([], table) == []
 
+    @pytest.mark.parametrize("species", ["Rb87", "Cs133"])
+    def test_covering_grid_is_finer_and_no_less_accurate(self, species):
+        # the <ns|r|n'p_j> of s_state_channels on one covering grid: it is as
+        # fine and as wide as each element's own grid, no element is farther
+        # from its accuracy-8 value than on its own grid, and elements whose
+        # own grids are one grid keep radial_matrix_elements' bits
+        table = QuantumDefectTable(species)
+        for n in (20, 30, 45, 60, 80, 100, 130, 160, 200):
+            s = RydbergState(n, 0, 0.5)
+            pairs = [(s, RydbergState(m, 1, j)) for m in (n, n - 1) for j in (1.5, 0.5)]
+            r_min, r_max, h = atoms._grid_key(pairs, table, 1.0)
+            for pair in pairs:
+                own_min, own_max, own_h = atoms._grid_key([pair], table, 1.0)
+                assert h <= own_h and r_min <= own_min and r_max >= own_max, (n, pair)
+            covering = atoms._covering_elements(pairs, table)
+            own = radial_matrix_elements(pairs, table)
+            exact = radial_matrix_elements(pairs, table, accuracy=8.0)
+            for value, own_value, reference in zip(covering, own, exact):
+                own_error = abs(own_value - reference)
+                assert abs(value - reference) <= (1.0 + 1e-3) * own_error, (n, value)
+            shared = pairs[2:]  # both (n-1)p elements sit on the ns grid
+            assert len({atoms._grid_key([pair], table, 1.0) for pair in shared}) == 1
+            assert atoms._covering_elements(shared, table) == radial_matrix_elements(
+                shared, table
+            )
+
     @pytest.mark.parametrize("accuracy", [0.0, -1.0, math.nan, math.inf])
     def test_bad_accuracy_rejected(self, rb_table, accuracy):
         with pytest.raises(ValueError, match="accuracy"):

@@ -472,7 +472,7 @@ class TestOptimizeInteractionGate:
         plateau = effective_interaction_mhz(
             ExcitationField.uniform(2, 1e4), rb_s60_eigensystem, 12.6
         )
-        assert plateau == pytest.approx(0.034700105465427074, rel=1e-9)
+        assert plateau == pytest.approx(0.0347001062039537, rel=1e-9)
         # Dispersion coefficient in MHz um^6; literature ~1.39e5.
         assert plateau * 12.6**6 == pytest.approx(1.39e5, rel=0.02)
 
@@ -486,7 +486,7 @@ class TestOptimizeInteractionGate:
         budget = optimize_interaction_gate(rb_s100_eig, 17.0, 340.0)
         assert budget.rabi_opt_mhz == pytest.approx(150.46236, rel=1e-5)
         assert budget.total_error == pytest.approx(
-            0.0016052516420186277, rel=1e-9
+            0.00160525164613238, rel=1e-9
         )
         assert budget.interior_optimum
         # Independent of the search bracket as long as it contains the
@@ -804,6 +804,23 @@ class TestBlockadeGateLandscape:
             [60], [5.0], cs_table, lifetimes_us={60: tau}
         )
         assert rows == pinned
+
+    def test_qubit_splitting_defaults_to_the_table_species(self, cs_table, rb_s100_eig):
+        # Cs133's 9192.631770 MHz, not Rb87's 6834.68 MHz: the interaction
+        # drive is about 59.84 MHz, where Rb87's splitting gives 49.17 MHz
+        for landscape in (blockade_gate_landscape, interaction_gate_landscape):
+            rows = landscape([60], [12.0], cs_table)
+            explicit = landscape([60], [12.0], cs_table, qubit_splitting_mhz=9192.631770)
+            assert rows == explicit, landscape.__name__
+        (_, _, budget), = interaction_gate_landscape([60], [12.0], cs_table)
+        assert budget.rabi_opt_mhz == pytest.approx(59.84, abs=0.01)
+        # without a table the default stays Rb87's, as in GateParams
+        common = dict(lifetimes_us={100: 340.0}, eigensystems={100: rb_s100_eig})
+        rows = interaction_gate_landscape([100], [12.0], None, **common)
+        explicit = interaction_gate_landscape(
+            [100], [12.0], None, qubit_splitting_mhz=cst.SPECIES_OMEGA10_MHZ["Rb87"], **common
+        )
+        assert rows == explicit
 
     def test_low_excitation_crossing_near_one_micron(self, rb_table):
         radii = np.geomspace(0.5, 60.0, 49)

@@ -308,22 +308,28 @@ class TestChannelConstruction:
         assert by_jf[3.5] == pytest.approx(-8.33, abs=0.5)
 
     def test_s_state_channels_solve_each_element_once(self, rb_table, monkeypatch):
-        # four channels share four distinct <ns|r|n'p_j> on three grids (both
-        # (n-1)p elements use the ns grid): 7 solves, and the shared values
-        # are the ones make_channel computes on its own
-        calls = []
+        # four channels share four distinct <ns|r|n'p_j> on one covering
+        # grid: 5 solves, and each channel is make_channel's but for C3,
+        # which differs by discretization error only (4e-8 at most)
+        grids = []
         solve = atoms.radial_solution
 
         def counted(*args, **kwargs):
-            calls.append(args)
+            grids.append(kwargs["r_grid"])
             return solve(*args, **kwargs)
 
         monkeypatch.setattr(atoms, "radial_solution", counted)
         channels = s_state_channels(50, rb_table)
-        assert len(calls) == 7
+        assert len(grids) == 5
+        assert len({id(grid) for grid in grids}) == 1
+        monkeypatch.undo()
         s = RydbergState(50, 0, 0.5)
         for ch in channels:
-            assert ch == make_channel((s, s), ch.coupled, rb_table)
+            own = make_channel((s, s), ch.coupled, rb_table)
+            assert (ch.initial, ch.coupled, ch.defect_mhz) == (
+                own.initial, own.coupled, own.defect_mhz
+            )
+            assert ch.c3_mhz_um3 == pytest.approx(own.c3_mhz_um3, rel=1e-7, abs=0.0)
 
     def test_forbidden_channel_rejected(self, rb_table):
         s = RydbergState(60, 0, 0.5)
