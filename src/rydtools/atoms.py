@@ -5,9 +5,10 @@ from versioned data files, with measured term energies overriding the series
 formula for low-lying states. Radial wavefunctions are bound solutions of a
 core-screened Coulomb potential at the defect-shifted energy on a
 logarithmic grid, whose r-dependent arrays are formed once for all the
-states solved on it. The inward Numerov recurrence is solved as one banded
-upper-triangular system by LAPACK back-substitution, in place. Each
-solution's node count, taken in the allowed region outside the core
+states solved on it. The inward Numerov recurrence, in Johnson's
+renormalized form, is one banded upper-triangular system with a unit
+diagonal, solved in place by LAPACK back-substitution without a division.
+Each solution's node count, taken in the allowed region outside the core
 (r > 5 r_c), is checked against the quantum defect before a matrix element
 is formed. Data files are read once per process.
 """
@@ -258,26 +259,39 @@ _CORE_TERM_EXTENT = math.ceil(1.0 - math.log(np.finfo(float).smallest_subnormal)
 
 
 def _workspace(n_points):
-    """Scratch for solves on up to n_points: the Fortran band, three rows."""
-    return np.empty((3, n_points), order="F"), np.empty((3, n_points))
+    """Scratch for solves on up to n_points: the Fortran band and three rows.
+    Band row 0, the unit second superdiagonal, is set to ones here, once for
+    every grid that shares the workspace: a solve writes row 1 only and never
+    reads row 2, the unit diagonal."""
+    return np.ones((3, n_points), order="F"), np.empty((3, n_points))
 
 
 class _LogGrid:
     """One log grid's r-dependent arrays, formed once for all its states: r,
-    the step h (by default log r[1] - log r[0]), 2r, sqrt r, the start of the
-    node window r > 5 r_c and the core term. Grids solved one after another
-    may share one _workspace, which every solve overwrites."""
+    the step h (by default log r[1] - log r[0]), sqrt r, the start of the
+    node window r > 5 r_c, the core term 2 r (Z-1) exp(-r/r_c) on its
+    nonzero prefix, and the r-dependent parts of Numerov's t = g h^2 / 12:
+    the attraction 2 r Z_eff(r) h^2 / 12 = (2 r + core) h^2 / 12 and
+    r^2 h^2 / 12, which over n_star^2 is the energy term. Grids solved one
+    after another may share one _workspace; every solve overwrites its rows
+    and band row 1, and band row 0 stays as the workspace set it."""
 
     def __init__(self, r, core_charge, core_screening, h=None, workspace=None):
-        self.r, self.two_r, self.sqrt_r = r, 2.0 * r, np.sqrt(r)
+        self.r, self.sqrt_r = r, np.sqrt(r)
         self.h = math.log(r[1]) - math.log(r[0]) if h is None else h
+        self.h2_12 = self.h * self.h / 12.0
         self.i_window = int(np.searchsorted(r, NODE_WINDOW_CORE_RADII * core_screening, "right"))
         band, work = _workspace(len(r)) if workspace is None else workspace
-        self.band, (self.g, self.t, self.work) = band[:, : len(r)], work[:, : len(r)]
+        self.band, (self.bend, self.t, self.work) = band[:, : len(r)], work[:, : len(r)]
+        self.attraction = 2.0 * r
         self.core = r[:0]
         if core_screening > 0.0 and core_charge > 1.0:
             k = int(np.searchsorted(r, _CORE_TERM_EXTENT * core_screening))
-            self.core = self.two_r[:k] * (core_charge - 1.0) * np.exp(-r[:k] / core_screening)
+            self.core = self.attraction[:k] * (core_charge - 1.0) * np.exp(-r[:k] / core_screening)
+            self.attraction[:k] += self.core
+        self.attraction *= self.h2_12
+        self.energy = np.multiply(r, r)
+        self.energy *= self.h2_12
 
 
 def radial_solution(n_star, l, r_grid=None, core_charge=1.0, core_screening=0.0):
@@ -286,11 +300,13 @@ def radial_solution(n_star, l, r_grid=None, core_charge=1.0, core_screening=0.0)
     Returns a RadialSolution on the supplied (or self-chosen) grid, which
     must be uniform in ln r; the self-chosen one starts at _inner_edge, so
     that no l overflows; a prepared _LogGrid from _grid_elements brings its
-    own core and skips the check. The Numerov recurrence from two
-    small values at the outer edge is one banded triangular system, written
-    into the grid's band buffer and back-substituted in place in y by one
-    LAPACK ``dtbtrs`` call; a zero pivot, or an overflow through a high
-    centrifugal barrier, raises NumericsError.
+    own core and skips the check. The Numerov recurrence from two small
+    values at the outer edge, in Johnson's renormalized form, is one banded
+    triangular system with a unit diagonal, written into the grid's band
+    buffer and back-substituted in place by one LAPACK ``dtbtrs`` call that
+    never divides. A vanishing 1 - g h^2 / 12, or an overflow through a
+    high centrifugal barrier, gives a non-finite solution and raises
+    NumericsError.
 
     The solution is truncated at the divergence onset inside the inner
     classically forbidden region and normalized to unit norm. A screened
@@ -329,49 +345,56 @@ def radial_solution(n_star, l, r_grid=None, core_charge=1.0, core_screening=0.0)
     if i_max < 3:
         raise ValueError("radial grid does not cover the classical region")
 
-    # y(x) = P(r) / sqrt(r) obeys y'' = g(x) y on the log grid; y = 0 past
-    # i_max, so g is formed up to there only
+    # y(x) = P(r) / sqrt(r) obeys y'' = g(x) y on the log grid, with
+    # g = (l + 1/2)^2 - 2 r Z_eff(r) + (r / n_star)^2; the recurrence needs
+    # only t = g h^2 / 12, which has the sign of g. y = 0 past i_max, so t
+    # is formed up to there only
     top = i_max + 1
-    g = np.subtract((l + 0.5) ** 2, grid.two_r[:top], out=grid.g[:top])
-    t = np.divide(r[:top], n_star, out=grid.t[:top])  # r / n_star, then t
-    g += np.multiply(t, t, out=t)
-    n_core = min(len(grid.core), top)
-    g[:n_core] -= grid.core[:n_core]
+    t = np.multiply(grid.energy[:top], 1.0 / n_star**2, out=grid.t[:top])
+    t -= grid.attraction[:top]
+    t += (l + 0.5) ** 2 * grid.h2_12
 
     # (1 - t[k-1]) y[k-1] - 2 (1 + 5 t[k]) y[k] + (1 - t[k+1]) y[k+1] = 0 for
-    # k < i_max, with y[i_max - 1:i_max + 1] given, is upper banded in y[:m];
-    # its right-hand side sits in y[m - 2:m], solved in place
-    np.multiply(g, h * h / 12.0, out=t)
+    # k < i_max, with y[i_max - 1:i_max + 1] given, is in w = (1 - t) y
+    # w[k-1] - c[k] w[k] + w[k+1] = 0 with c = 2 (1 + 5 t) / (1 - t): upper
+    # banded in w[:m] with a unit diagonal and second superdiagonal. Its
+    # right-hand side sits in w[m - 2:m], solved in place; then y = w / (1 - t)
     m = i_max - 1
     y = np.zeros(len(r))
-    y[i_max] = 1e-18
-    y[m] = 1e-18 * math.exp(math.sqrt(max(g[i_max], 1e-12)) * h)
-    y[m - 1] = 2.0 * (1.0 + 5.0 * t[m]) * y[m] - (1.0 - t[i_max]) * y[i_max]
-    y[m - 2] = -(1.0 - t[m]) * y[m]
-    band = grid.band[:, :m]
-    band[0] = band[2] = np.subtract(1.0, t[:m], out=grid.work[:m])
-    band[1] = -2.0 * (1.0 + 5.0 * t[:m])
-    x, info = dtbtrs(band, y[:m], uplo="U", overwrite_b=1)
+    y[i_max] = (1.0 - t[i_max]) * 1e-18
+    y[m] = (1.0 - t[m]) * 1e-18 * math.exp(math.sqrt(max(t[i_max] / grid.h2_12, 1e-12)) * h)
+    inv = np.subtract(1.0, t, out=grid.work[:top])
+    np.divide(1.0, inv, out=inv)
+    # c = 2 + 12 t / (1 - t): only the last addition rounds at the size of
+    # c, where the literal 2 (1 + 5 t) / (1 - t) rounds three times and its
+    # solve strays further from a long-double loop. bend is -12 t / (1 - t);
+    # -c goes into band row 1, the only band row a solve writes
+    bend = np.multiply(t[: top - 1], -12.0, out=grid.bend[: top - 1])
+    bend *= inv[: top - 1]
+    np.subtract(bend[:m], 2.0, out=grid.band[1, :m])
+    y[m - 1] = (2.0 - bend[m]) * y[m] - y[i_max]
+    y[m - 2] = -y[m]
+    x, info = dtbtrs(grid.band[:, :m], y[:m], uplo="U", diag="U", overwrite_b=1)
     if info != 0:
         raise NumericsError("Numerov back-substitution failed, LAPACK info %d" % info)
     if not np.shares_memory(x, y):  # the wrapper solved a copy
         y[:m] = x
+    y[:top] *= inv
 
     # truncate below the divergence onset in the innermost forbidden region
-    inner = np.flatnonzero(g[: np.searchsorted(r, n_star**2)] > 0)
+    inner = np.flatnonzero(t[: np.searchsorted(r, n_star**2)] > 0)
     i_cut = 0
     if len(inner) > 0 and inner[-1] > 0:
         i_cut = int(np.argmin(np.abs(y[: inner[-1] + 1])))
     y[:i_cut] = 0.0
 
-    weight = np.multiply(y, y, out=grid.work)
-    weight *= r
-    weight *= r
+    weight = np.multiply(y, r, out=grid.work)
+    weight *= weight
     norm_sq = np.sum(weight) * h  # integral P^2 dr on the log grid
     if not 0.0 < norm_sq < math.inf:
         raise NumericsError("radial integration produced a null or non-finite solution")
     p = np.multiply(y, grid.sqrt_r, out=y)
-    p /= math.sqrt(norm_sq)
+    p *= 1.0 / math.sqrt(norm_sq)
     magnitude = np.abs(p, out=grid.work)
     i_peak = int(np.argmax(magnitude))
     if p[i_peak] < 0:
@@ -381,7 +404,7 @@ def radial_solution(n_star, l, r_grid=None, core_charge=1.0, core_screening=0.0)
     # the truncated divergent admixture near the cut can flip sign once
     # unphysically
     window = slice(max(i_cut, grid.i_window), top)
-    keep = g[window] < 0
+    keep = t[window] < 0
     keep &= magnitude[window] > 1e-12 * magnitude[i_peak]
     negative = np.signbit(p[window])[keep]  # kept values are nonzero
     nodes = int(np.count_nonzero(negative[1:] != negative[:-1]))
@@ -463,4 +486,11 @@ def _grid_elements(pairs, r, h, table, workspace=None):
     for state in dict.fromkeys(state for pair in pairs for state in pair):
         solutions[state] = radial_solution(table.n_star(state), state.l, r_grid=grid)
         _check_nodes(solutions[state], state, table.defect(state.n, state.l, state.j))
-    return [float(np.sum(solutions[a].p * solutions[b].p * r * r) * h) for a, b in pairs]
+    values = []
+    for a, b in pairs:
+        # P_a P_b r^2 in the grid's scratch, the same bits for (b, a)
+        integrand = np.multiply(solutions[a].p, solutions[b].p, out=grid.work)
+        integrand *= r
+        integrand *= r
+        values.append(float(np.sum(integrand) * h))
+    return values

@@ -285,11 +285,12 @@ class TestLifetimes:
         assert cst.thermal_velocity(0.0, cst.SPECIES_MASS_U["Rb87"]) == 0.0
 
 
-def parent_radial_solution(n_star, l, r_grid=None, core_charge=1.0, core_screening=0.0):
-    """Bit oracle: radial_solution as it was before grids were prepared.
+def renormalized_radial_solution(n_star, l, r_grid=None, core_charge=1.0, core_screening=0.0):
+    """Bit oracle: radial_solution's renormalized Numerov solve, nothing prepared.
 
-    Forms everything per call on the whole grid: the core term, the band from
-    one 1 - t array, a separate right-hand side, and the solve copied back.
+    Forms everything per call on the whole grid: the core term, t = g h^2/12,
+    1 / (1 - t), a fresh band whose never-read diagonal is nan, a separate
+    right-hand side in w = (1 - t) y, and the solve copied back.
     """
     r_max = atoms._outer_radius(n_star)
     if r_grid is None:
@@ -298,39 +299,72 @@ def parent_radial_solution(n_star, l, r_grid=None, core_charge=1.0, core_screeni
     else:
         r = np.asarray(r_grid, dtype=float)
         h = math.log(r[1]) - math.log(r[0])
-    g = (l + 0.5) ** 2 - 2.0 * r + (r / n_star) ** 2
+    h2_12 = h * h / 12.0
+    attraction = 2.0 * r
     if core_screening > 0.0 and core_charge > 1.0:
-        g = g - 2.0 * r * (core_charge - 1.0) * np.exp(-r / core_screening)
+        attraction = attraction + 2.0 * r * (core_charge - 1.0) * np.exp(-r / core_screening)
+    t = r * r * h2_12 * (1.0 / n_star**2) - attraction * h2_12 + (l + 0.5) ** 2 * h2_12
     i_max = min(int(np.searchsorted(r, r_max)), len(r) - 1)
-    t = g * (h * h / 12.0)
-    one_minus_t = 1.0 - t
+    inv = 1.0 / (1.0 - t)
+    minus_c = t * -12.0 * inv - 2.0  # -(2 + 12 t / (1 - t))
     m = i_max - 1
-    y = np.zeros(len(r))
-    y[i_max] = 1e-18
-    y[m] = 1e-18 * math.exp(math.sqrt(max(g[i_max], 1e-12)) * h)
+    w = np.zeros(len(r))
+    w[i_max] = (1.0 - t[i_max]) * 1e-18
+    w[m] = (1.0 - t[m]) * 1e-18 * math.exp(math.sqrt(max(t[i_max] / h2_12, 1e-12)) * h)
     ab = np.empty((3, m), order="F")
-    ab[0] = ab[2] = one_minus_t[:m]
-    ab[1] = -2.0 * (1.0 + 5.0 * t[:m])
+    ab[0] = 1.0
+    ab[1] = minus_c[:m]
+    ab[2] = np.nan
     rhs = np.zeros(m)
-    rhs[m - 1] = 2.0 * (1.0 + 5.0 * t[m]) * y[m] - one_minus_t[i_max] * y[i_max]
-    rhs[m - 2] = -one_minus_t[m] * y[m]
-    y[:m], info = dtbtrs(ab, rhs, uplo="U")
+    rhs[m - 1] = -minus_c[m] * w[m] - w[i_max]
+    rhs[m - 2] = -w[m]
+    w[:m], info = dtbtrs(ab, rhs, uplo="U", diag="U")
     assert info == 0
-    inner = np.where((g > 0) & (r < n_star**2))[0]
+    y = w
+    y[: i_max + 1] *= inv[: i_max + 1]
+    inner = np.where((t > 0) & (r < n_star**2))[0]
     i_cut = 0
     if len(inner) > 0 and inner[-1] > 0:
         i_cut = int(np.argmin(np.abs(y[: inner[-1] + 1])))
     y[:i_cut] = 0.0
-    p = y * np.sqrt(r)
-    p /= math.sqrt(np.sum(y * y * r * r) * h)
+    p = y * np.sqrt(r) * (1.0 / math.sqrt(np.sum((y * r) ** 2) * h))
     if p[int(np.argmax(np.abs(p)))] < 0:
         p = -p
     allowed = np.zeros(len(r), dtype=bool)
     allowed[i_cut : i_max + 1] = True
-    allowed &= (g < 0) & (r > atoms.NODE_WINDOW_CORE_RADII * core_screening)
+    allowed &= (t < 0) & (r > atoms.NODE_WINDOW_CORE_RADII * core_screening)
     body = p[allowed]
     signs = np.sign(body[np.abs(body) > 1e-12 * np.max(np.abs(p))])
     return RadialSolution(r=r, p=p, nodes=int(np.sum(signs[1:] * signs[:-1] < 0)))
+
+
+def longdouble_loop_solution(n_star, l, r_grid, core_charge=1.0, core_screening=0.0):
+    """Rounding reference: numerov_loop_solution's y-form recurrence, cut and
+    normalization in long double, on the same grid points and step.
+
+    Returns P(r) as a long double array.
+    """
+    r = np.asarray(r_grid, dtype=np.longdouble)
+    h = np.longdouble(math.log(r_grid[1]) - math.log(r_grid[0]))
+    g = (l + 0.5) ** 2 - 2 * r + (r / np.longdouble(n_star)) ** 2
+    if core_screening > 0.0 and core_charge > 1.0:
+        g -= 2 * r * (core_charge - 1.0) * np.exp(-r / np.longdouble(core_screening))
+    i_max = min(int(np.searchsorted(r_grid, atoms._outer_radius(n_star))), len(r) - 1)
+    t = g * (h * h / 12)
+    one_minus_t, two_one_plus_5t = list(1 - t), list(2 * (1 + 5 * t))
+    y = [np.longdouble(0)] * len(r)
+    y[i_max] = np.longdouble(1e-18)
+    y[i_max - 1] = y[i_max] * np.exp(np.sqrt(max(g[i_max], np.longdouble(1e-12))) * h)
+    for k in range(i_max - 1, 0, -1):
+        y[k - 1] = (two_one_plus_5t[k] * y[k] - one_minus_t[k + 1] * y[k + 1]) / one_minus_t[k - 1]
+    y = np.array(y, dtype=np.longdouble)
+    inner = np.flatnonzero((g > 0) & (r < np.longdouble(n_star) ** 2))
+    i_cut = 0
+    if len(inner) > 0 and inner[-1] > 0:
+        i_cut = int(np.argmin(np.abs(y[: inner[-1] + 1])))
+    y[:i_cut] = 0
+    p = y * np.sqrt(r) / np.sqrt(np.sum(y * y * r * r) * h)
+    return -p if p[np.argmax(np.abs(p))] < 0 else p
 
 
 def assert_same_bits(sol, oracle):
@@ -394,13 +428,13 @@ class TestRadialSolver:
         outside = sol.r > atoms.NODE_WINDOW_CORE_RADII * core["core_screening"]
         peak = np.max(np.abs(oracle.p))
         assert np.max(np.abs(sol.p - oracle.p)[outside]) <= 1e-10 * peak
-        # and the parent's whole-grid solve, bit for bit, on the self-chosen
-        # grid and on a supplied array grid (the public path)
-        assert_same_bits(sol, parent_radial_solution(n_star, l, **core))
+        # and the whole-grid oracle, bit for bit, on the self-chosen grid and
+        # on a supplied array grid (the public path)
+        assert_same_bits(sol, renormalized_radial_solution(n_star, l, **core))
         r = atoms._log_grid(0.5 * atoms.R_MIN_DEFAULT, atoms._outer_radius(n_star + 1.0), 4e-3)
         assert_same_bits(
             radial_solution(n_star, l, r_grid=r, **core),
-            parent_radial_solution(n_star, l, r_grid=r, **core),
+            renormalized_radial_solution(n_star, l, r_grid=r, **core),
         )
 
     @settings(max_examples=40, deadline=None)
@@ -441,13 +475,29 @@ class TestRadialSolver:
         z, r_c = table.core_charge, table.core_screening
         for n_star, l_solved, grid, sol in solves:
             assert isinstance(grid, atoms._LogGrid)
-            oracle = parent_radial_solution(
+            oracle = renormalized_radial_solution(
                 n_star, l_solved, grid.r, core_charge=z, core_screening=r_c
             )
             assert_same_bits(sol, oracle)
             full = 2.0 * grid.r * (z - 1.0) * np.exp(-grid.r / r_c)
             assert np.array_equal(grid.core, full[: len(grid.core)])
             assert not np.any(full[len(grid.core) :])
+
+    @pytest.mark.parametrize("label", ["5p3/2", "30p3/2", "43d5/2", "60s1/2", "100p1/2", "150s1/2"])
+    def test_rounding_against_long_double(self, rb_table, label):
+        # the renormalized solve rounds no worse than the y-form loop: both
+        # against the y-form recurrence in long double on the same grid
+        state = parse_level(label)
+        n_star = rb_table.n_star(state)
+        core = dict(core_charge=rb_table.core_charge, core_screening=rb_table.core_screening)
+        r = atoms._log_grid(
+            atoms._inner_edge(n_star, state.l), atoms._outer_radius(n_star), atoms._grid_step(n_star)
+        )
+        reference = longdouble_loop_solution(n_star, state.l, r, **core)
+        deviation = np.max(np.abs(radial_solution(n_star, state.l, r_grid=r, **core).p - reference))
+        loop_deviation = np.max(np.abs(numerov_loop_solution(n_star, state.l, r, **core).p - reference))
+        assert deviation <= 3e-11 * np.max(np.abs(reference))
+        assert deviation <= 1.5 * loop_deviation
 
     def test_core_term_extent_is_where_exp_underflows(self):
         # the first whole number of core radii past which exp(-r/r_c) is 0
@@ -469,7 +519,13 @@ class TestRadialSolver:
             radial_solution(n_star, l)
 
     def test_zero_pivot_raises(self, monkeypatch):
-        monkeypatch.setattr(atoms, "dtbtrs", lambda ab, rhs, uplo, overwrite_b=0: (rhs, 7))
+        # a LAPACK failure code raises; the solve asks for the unit-diagonal
+        # back-substitution, which never divides
+        def failing(ab, rhs, uplo, diag="N", overwrite_b=0):
+            assert diag == "U"
+            return rhs, 7
+
+        monkeypatch.setattr(atoms, "dtbtrs", failing)
         with pytest.raises(NumericsError, match="info 7"):
             radial_solution(30.0, 1)
 
@@ -551,11 +607,27 @@ class TestMatrixElements:
             assert abs(abs(v) - anchor) / anchor < 0.05, target
             assert abs(v) == pytest.approx(pins[target], abs=0.005)
 
-    def test_symmetry(self, rb_table):
-        a, b = RydbergState(60, 0, 0.5), RydbergState(60, 1, 1.5)
-        assert radial_matrix_element(a, b, rb_table) == pytest.approx(
-            radial_matrix_element(b, a, rb_table), rel=1e-12
-        )
+    @settings(max_examples=40, deadline=None)
+    @given(
+        species=st.sampled_from(["Rb87", "Cs133"]),
+        n=st.integers(min_value=5, max_value=200),
+        l=st.integers(min_value=0, max_value=2),
+        dn=st.integers(min_value=-4, max_value=4),
+        upper_j=st.booleans(),
+    )
+    @example(species="Rb87", n=5, l=0, dn=0, upper_j=True)  # the D2 line
+    @example(species="Cs133", n=200, l=2, dn=-4, upper_j=False)
+    def test_symmetry(self, rb_table, cs_table, species, n, l, dn, upper_j):
+        # <a|r|b> and <b|r|a> are the same float, on each pair's own grid
+        # and on one covering grid
+        table = rb_table if species == "Rb87" else cs_table
+        n_low = 5 if species == "Rb87" else 6  # the ground-state shell
+        a = RydbergState(max(n, n_low), l, l + 0.5)
+        b = RydbergState(min(max(n + dn, n_low), 200), l + 1, l + 1.5 if upper_j else l + 0.5)
+        forward, backward = radial_matrix_elements([(a, b), (b, a)], table)
+        assert forward == backward
+        forward, backward = atoms._covering_elements([(a, b), (b, a)], table)
+        assert forward == backward
 
     def test_forbidden_rejected(self, rb_table):
         with pytest.raises(ValueError):

@@ -941,10 +941,10 @@ def example(rb_table):
 
 class TestTwoPhotonBudget:
     def test_single_photon_rabi_spot_values(self, example):
-        assert example.rabi1_mhz == pytest.approx(228.11681522237745, rel=1e-9)
-        assert example.rabi2_mhz == pytest.approx(208.2089851611568, rel=1e-9)
+        assert example.rabi1_mhz == pytest.approx(228.1168152223695, rel=1e-9)
+        assert example.rabi2_mhz == pytest.approx(208.2089851614172, rel=1e-9)
         assert example.amplitude_ratio == pytest.approx(
-            208.2089851611568 / 228.11681522237745, rel=1e-12
+            208.2089851614172 / 228.1168152223695, rel=1e-12
         )
 
     def test_two_photon_rabi_near_published_operating_point(self, example):
