@@ -268,7 +268,8 @@ def _workspace(n_points):
 
 class _LogGrid:
     """One log grid's r-dependent arrays, formed once for all its states: r,
-    the step h (by default log r[1] - log r[0]), sqrt r, the start of the
+    the step h (by default log r[1] - log r[0]; the one step its solves,
+    their norms and _grid_elements' overlaps use), sqrt r, the start of the
     node window r > 5 r_c, the core term 2 r (Z-1) exp(-r/r_c) on its
     nonzero prefix, and the r-dependent parts of Numerov's t = g h^2 / 12:
     the attraction 2 r Z_eff(r) h^2 / 12 = (2 r + core) h^2 / 12 and
@@ -446,7 +447,7 @@ def radial_matrix_elements(pairs, table, accuracy=1.0):
     workspace = _workspace(max(map(len, radii.values()), default=0))
     values = [0.0] * len(pairs)
     for key, members in grids.items():
-        on_grid = _grid_elements([pairs[i] for i in members], radii[key], key[2], table, workspace)
+        on_grid = _grid_elements([pairs[i] for i in members], radii[key], table, workspace)
         for index, value in zip(members, on_grid):
             values[index] = value
     return values
@@ -459,8 +460,7 @@ def _covering_elements(pairs, table):
     a pair whose own grid is the covering one keeps its bits, and any other
     moves only by its discretization error at a finer or equal step.
     """
-    r_min, r_max, h = _grid_key(pairs, table, 1.0)
-    return _grid_elements(pairs, _log_grid(r_min, r_max, h), h, table)
+    return _grid_elements(pairs, _log_grid(*_grid_key(pairs, table, 1.0)), table)
 
 
 def _grid_key(pairs, table, accuracy):
@@ -477,10 +477,10 @@ def _grid_key(pairs, table, accuracy):
     return r_min, _outer_radius(max(n_stars)), h
 
 
-def _grid_elements(pairs, r, h, table, workspace=None):
-    """<a| r |b> (a0) of the (a, b) pairs on the one log grid r of step h:
-    each distinct state solved once on one _LogGrid, its node count checked
-    against the quantum defect before any overlap."""
+def _grid_elements(pairs, r, table, workspace=None):
+    """<a| r |b> (a0) of the (a, b) pairs on the one log grid r: each
+    distinct state solved once on one _LogGrid, its nodes checked against
+    the quantum defect, then each overlap summed with the grid's step h."""
     grid = _LogGrid(r, table.core_charge, table.core_screening, workspace=workspace)
     solutions = {}
     for state in dict.fromkeys(state for pair in pairs for state in pair):
@@ -492,5 +492,5 @@ def _grid_elements(pairs, r, h, table, workspace=None):
         integrand = np.multiply(solutions[a].p, solutions[b].p, out=grid.work)
         integrand *= r
         integrand *= r
-        values.append(float(np.sum(integrand) * h))
+        values.append(float(np.sum(integrand) * grid.h))
     return values

@@ -30,14 +30,14 @@ value on an M-definite state (_defects_mhz, at any array of angles).
 This module owns that layout: the Zeeman-product index and the sector
 layout built once per level pair (_m_blocks, _pair_rotation,
 _driven_index), the solver's stacked arrays (ForsterEigensystem, which also
-keeps the vectors' sector coordinates as a stack) and the pair-state solve
-(_pair_states), which forms each pair's shift operator sector by sector
-from that stack and never as a whole matrix.
+keeps the sector coordinates its Gram solve returns, as a stack) and the
+pair-state solve (_pair_states), which forms each pair's shift operator
+sector by sector from that stack and never as a whole matrix.
 """
 
 import math
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -226,8 +226,11 @@ class ForsterEigensystem:
     field); _pair_states takes them from _defects_mhz at each pair's own
     angle, not from defects_mhz.
 
-    block_stack holds the vectors' sector coordinates, the stack that
-    _pair_states forms W_0 from.
+    block_stack (stack, columns), the Gram solve's own sector coordinates,
+    is what _pair_states forms W_0 from: column c L + a of stack (K, L, C L)
+    holds in block k of _m_blocks channel c's eigenvector a of that block,
+    zero off its sector and in padding; columns (K, C L) holds its index
+    c N + n in vectors[c]. repr and == skip this field; replace carries it.
     """
 
     channels: list
@@ -237,34 +240,7 @@ class ForsterEigensystem:
     vectors: np.ndarray
     forster_zero_count: int
     defects_mhz: np.ndarray = None
-
-    @cached_property
-    def block_stack(self):
-        """(stack, columns), built once from vectors, which must each lie
-        in one sector (forster_eigensystem's). stack (K, L, C L): block k
-        of the K blocks of _m_blocks holds, in its L slots, the coordinates
-        basis[k] @ v on the slots of its own sector of the columns v of all
-        channels that lie in block k, channel by channel and in column order
-        within a channel, zero elsewhere. columns (K, C L): the index c N +
-        n of each stack column's vectors[c][:, n], 0 in padding. Not a
-        dataclass field: fields(), repr and == see only the solver's
-        arrays."""
-        layout = _layout(self.channels[0].initial, True)
-        coords = layout.basis @ self.vectors[:, None]  # (C, K, L, N)
-        c, k, size, n = coords.shape
-        slot = np.abs(coords).reshape(c, k * size, n).argmax(axis=1).ravel()  # of each column
-        block, sector = slot // size, layout.sector.ravel()[slot]
-        count = np.bincount(block, minlength=k)
-        by_block = np.argsort(block, kind="stable")  # in column order within a block
-        place = np.arange(c * n) - np.repeat(np.cumsum(count) - count, count)
-        columns = np.zeros((k, c * size), int)
-        filled = np.zeros(columns.shape, bool)
-        columns[block[by_block], place] = by_block
-        filled[block[by_block], place] = True
-        side_by_side = coords.transpose(1, 2, 0, 3).reshape(k, size, c * n)
-        stack = np.take_along_axis(side_by_side, columns[:, None, :], axis=2)
-        own = filled[:, None, :] & (layout.sector[:, :, None] == sector[columns][:, None, :])
-        return np.where(own, stack, 0.0), columns
+    block_stack: tuple = field(default=None, repr=False, compare=False)
 
 
 def _zeeman_diagonal(pair_states):
@@ -288,10 +264,11 @@ class _MBlocks:
     block, the first of M = 0 when only the blocks of M >= 0 are solved,
     else 0. live (K - low, L, L): the slot pairs of one sector in a solved
     block. pad: the (block, slot) index arrays of the solved blocks'
-    padding. signs (L,): the sign rule's weights 2^-a.
+    padding. slots: the (block, slot) index arrays of each solver column,
+    by block, then by slot. signs (L,): the sign rule's weights 2^-a.
     gather (N,): each solver column's eigenpair among the solved blocks'
     eigenpairs, flattened by (block, slot), a block of -M taking those of
-    its mirror block of M when only M >= 0 is solved. pick (1, L, N): the
+    its mirror block of M when only M >= 0 is solved. pick (L, N): the
     index of each component of each solver column's eigenvector among the
     solved blocks' eigenvector arrays, flattened by (block, row, column).
     """
@@ -303,6 +280,7 @@ class _MBlocks:
     low: int
     live: np.ndarray
     pad: tuple
+    slots: tuple
     signs: np.ndarray
     gather: np.ndarray
     pick: np.ndarray
@@ -398,12 +376,13 @@ def _m_blocks(tj1, tj2, mirrored, exchange):
         low=low,
         live=valid[low:, :, None] & (sector[low:, :, None] == sector[low:, None, :]),
         pad=np.nonzero(~valid[low:]),
+        slots=(column_block, slot),
         signs=0.5 ** np.arange(size),
         gather=solved[column_block] * size + slot,
-        pick=((solved[column_block] * size + np.arange(size)[:, None]) * size + slot)[None],
+        pick=(solved[column_block] * size + np.arange(size)[:, None]) * size + slot,
     )
     arrays = (basis, sector, layout.turn_rows, layout.turn_coefs, layout.live, layout.signs)
-    for array in arrays + (layout.gather, layout.pick) + layout.pad:
+    for array in arrays + (layout.gather, layout.pick) + layout.pad + layout.slots:
         array.flags.writeable = False
     return layout
 
@@ -427,8 +406,9 @@ def _m_block_states(blocks, turn, layout):
     identity the two states of a slot get the same bits, of opposite sign
     in an odd slot.
 
-    Returns (values (..., N), turned (..., R, N)), columns by block (-M,
-    M = 0, M > 0), then ascending within a block.
+    Returns (values (..., N), turned (..., R, N), coords (..., L, N)),
+    columns by block (-M, M = 0, M > 0), then ascending within a block;
+    coords holds each x on its block's slots (layout.slots), as a column.
     """
     pad_k, pad_a = layout.pad
     if pad_k.size:
@@ -438,10 +418,10 @@ def _m_block_states(blocks, turn, layout):
     vectors *= np.where(layout.signs @ vectors < 0.0, -1.0, 1.0)[..., None, :]
     stacked = values.shape[:-2]
     values = values.reshape(stacked + (-1,))[..., layout.gather]
-    columns = vectors.reshape(stacked + (-1,))[..., layout.pick]  # (..., 1, L, N)
+    columns = vectors.reshape(stacked + (-1,))[..., layout.pick]  # (..., L, N)
     # padding slots of the vectors are zero, and so are their weights
     basis = (turn[..., layout.turn_rows] * layout.turn_coefs).sum(axis=-3)  # (..., R, L, N)
-    return values, (basis * columns).sum(axis=-2)
+    return values, (basis * columns[..., None, :, :]).sum(axis=-2), columns
 
 
 def _pair_rotation(initial, theta, rows):
@@ -508,13 +488,22 @@ def forster_eigensystem(channels, theta=0.0, b_field_t=0.0):
     layout = _layout(channels[0].initial, True)
     basis = layout.basis[layout.low :]
     blocks = np.where(layout.live, basis @ grams[:, None] @ basis.swapaxes(1, 2), 0.0)
-    vals, vecs = _m_block_states(blocks, np.eye(grams.shape[-1]), layout)
+    vals, vecs, coords = _m_block_states(blocks, np.eye(grams.shape[-1]), layout)
     vals = np.clip(vals, 0.0, None)
     order = np.argsort(vals, axis=-1, kind="stable")
     vals = np.take_along_axis(vals, order, -1)
     vecs = np.take_along_axis(vecs, order[:, None, :], -1)
     zeros = int(np.sum(vals < FORSTER_ZERO_FLOOR))
-    eig = ForsterEigensystem(list(channels), theta, b_field_t, vals, vecs, zeros)
+    # channel c's solver column at (k, a): column c L + a of block k, index c N + n once sorted
+    (k, a), (c, size, n) = layout.slots, coords.shape
+    at = np.arange(c)[:, None] * size + a
+    stack = np.zeros((len(layout.basis), size, c * size))
+    stack[k, :, at] = coords.swapaxes(1, 2)
+    columns = np.zeros((len(stack), c * size), int)
+    columns[k, at] = at // size * n + np.argsort(order, axis=-1)
+    eig = ForsterEigensystem(
+        list(channels), theta, b_field_t, vals, vecs, zeros, block_stack=(stack, columns)
+    )
     eig.defects_mhz = _defects_mhz(eig, theta)
     return eig
 
@@ -555,15 +544,14 @@ def _pair_states(eig, r_um, theta, lab_rows):
     each.
 
     W_0 = V diag(s) V^T, s the channels' shifts (_channel_shifts_mhz) at
-    the defects _defects_mhz gives at each pair's angle, is formed block by
-    block of _m_blocks from eig.block_stack: block k is (stack[k] * s) @
-    stack[k]^T over the channel columns of block k alone, a (P, K, L, L)
-    stack, only the blocks of M >= 0 in zero field. Each column is zero off
-    its own sector, so the sectors sharing a block stay exactly apart. One
-    _m_block_states call solves them, with the rows lab_rows of D(theta)
-    (_pair_rotation) as the turn. The columns of other blocks are zero in
-    block k, so leaving them out drops only exact zeros from each sum, and
-    a pair alone gets the bits it gets in a batch, in a field too.
+    the defects _defects_mhz gives at each pair's angle, is formed per
+    block k of _m_blocks from eig.block_stack as (stack[k] * s) @ stack[k]^T,
+    a (P, K, L, L) stack, only the blocks of M >= 0 in zero field. Each
+    column is zero off its own sector, so the sectors sharing a block stay
+    exactly apart, and other blocks' columns, zero in block k, are left out.
+    One _m_block_states call solves the blocks, with the rows lab_rows of
+    D(theta) (_pair_rotation) as the turn; a pair alone gets the bits it
+    gets in a batch, in a field too.
 
     Returns (shifts, turned): shifts (P, N) in stable ascending order per
     pair and turned (P, len(lab_rows), N) the rows lab_rows of each pair's
@@ -577,7 +565,7 @@ def _pair_states(eig, r_um, theta, lab_rows):
     # (P, K, 1, C L) in C order, so that matmul sums a pair alone as in a batch
     s = np.take(s.reshape(len(s), -1), columns, axis=1)[:, :, None, :]
     blocks = (stack * s) @ stack.swapaxes(1, 2)
-    values, turned = _m_block_states(blocks, _pair_rotation(initial, theta, lab_rows), layout)
+    values, turned, _ = _m_block_states(blocks, _pair_rotation(initial, theta, lab_rows), layout)
     order = np.argsort(values, axis=-1, kind="stable")
     p = np.arange(len(order))[:, None]
     rows = np.arange(turned.shape[1])[:, None]

@@ -665,6 +665,33 @@ class TestMatrixElements:
         assert radial_matrix_elements([], table) == []
 
     @pytest.mark.parametrize("species", ["Rb87", "Cs133"])
+    def test_overlaps_use_the_step_of_the_solved_grid(self, rb_table, cs_table, species):
+        # the overlap is summed with the step that the solve and the norm
+        # use, log r[1] - log r[0] of the grid, not the grid key's h (the two
+        # differ by up to 2e-13 here): two public solves on the pair's grid
+        # give each element bit for bit
+        table = rb_table if species == "Rb87" else cs_table
+        pairs = [
+            (RydbergState(40, 0, 0.5), RydbergState(40, 1, 1.5)),
+            (RydbergState(70, 1, 1.5), RydbergState(69, 0, 0.5)),
+            (RydbergState(150, 2, 2.5), RydbergState(151, 1, 1.5)),
+        ]
+        for a, b in pairs:
+            r = atoms._log_grid(*atoms._grid_key([(a, b)], table, 1.0))
+            p_a, p_b = (
+                radial_solution(
+                    table.n_star(state),
+                    state.l,
+                    r_grid=r,
+                    core_charge=table.core_charge,
+                    core_screening=table.core_screening,
+                ).p
+                for state in (a, b)
+            )
+            step = math.log(r[1]) - math.log(r[0])
+            assert radial_matrix_element(a, b, table) == float(np.sum(p_a * p_b * r * r) * step)
+
+    @pytest.mark.parametrize("species", ["Rb87", "Cs133"])
     def test_covering_grid_is_finer_and_no_less_accurate(self, species):
         # the <ns|r|n'p_j> of s_state_channels on one covering grid: it is as
         # fine and as wide as each element's own grid, no element is farther

@@ -1101,6 +1101,17 @@ class TestMBlocks:
         turn = np.kron(wigner_small_d(2.5, theta), wigner_small_d(2.5, theta))
         assert np.max(np.abs(vectors - turn @ pair_frame)) < 1e-15
 
+    @pytest.mark.parametrize("theta", [0.7, 2.1])
+    def test_replaced_angle_keeps_the_pair_states(self, rb_s60_channels, rb_43d_channels, theta):
+        # in zero field an eigensystem differs from one at another angle in
+        # theta alone, so dataclasses.replace, which carries the sector
+        # stack, gives the pair states of the one solved there, bit for bit
+        for channels in (rb_s60_channels, rb_43d_channels):
+            replaced = dataclasses.replace(forster_eigensystem(channels), theta=theta)
+            solved = forster_eigensystem(channels, theta)
+            for ours, theirs in zip(pair_state_basis(replaced, 7.0), pair_state_basis(solved, 7.0)):
+                assert np.array_equal(ours, theirs)
+
     def test_states_follow_the_separation_continuously(self, rb_43d_channels):
         # a canonical basis: a relative change of 1e-12 in R moves no state
         # by more than rounding, although 30 of the 36 states come in
@@ -1139,7 +1150,7 @@ class TestMBlocks:
         for b_field_t in (0.0, 0.01):
             eig = forster_eigensystem(rb_43d_channels, 0.0, b_field_t)
             rows = [_driven_index(eig, 0.5)]
-            pair_module._pair_states(eig, r_um, theta, rows)  # fill the caches and eig.block_stack
+            pair_module._pair_states(eig, r_um, theta, rows)  # fill the caches
             tracemalloc.start()
             try:
                 base = tracemalloc.get_traced_memory()[0]

@@ -2,8 +2,8 @@
 scripts resolve, and the version matches pyproject.toml. Importing the
 package loads no scipy subpackage beyond constants, linalg and sparse, and
 its modules import each other in one layer order and nothing beyond numpy,
-scipy and the standard library, and every private module-level name has a
-use."""
+scipy and the standard library, every private module-level name has a
+use, and every module-level import is read."""
 
 import ast
 import importlib
@@ -166,3 +166,21 @@ def test_no_dead_private_names():
         if uses[name] == list(_references(node)).count(name)
     ]
     assert not dead
+
+
+def test_no_unused_imports():
+    # every name a module imports at module level is read in that module.
+    # The one exception is blockade's forster_eigensystem, a re-export that
+    # the benchmark tracer's tests patch there
+    package = Path(rydtools.__file__).resolve().parent
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read:
+                        unused.append("%s: %s" % (path.stem, name))
+    assert unused == ["blockade: forster_eigensystem"]

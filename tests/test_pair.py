@@ -6,6 +6,7 @@ coupling matrices have Clebsch-Gordan entries); channel defects and C3
 values are frozen regression pins from the bundled quantum-defect data.
 """
 
+import dataclasses
 import math
 import warnings
 
@@ -15,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import linalg
 
 from rydtools import atoms, constants as cst, pair
-from rydtools.angular import dipole_angular_factor, wigner_small_d
+from rydtools.angular import _small_d_table, dipole_angular_factor, wigner_small_d
 from rydtools.atoms import RydbergState
 from rydtools.pair import (
     ForsterChannel,
@@ -385,8 +386,10 @@ class TestEigensystem:
         self, rb_table, rb_s60_channels, rb_43d_channels, channel_set, b_field_t
     ):
         # the sector stack _pair_states solves in holds every column once, in
-        # its own (M, exchange) sector: scattered back through the sector
-        # basis its coordinates are the vectors to rounding
+        # its own (M, exchange) sector and zero elsewhere: column c L + a of
+        # block k is channel c's solver column at slot a of block k, a zero
+        # column where that slot is padding, and scattered back through the
+        # sector basis its coordinates are the vectors to rounding
         d, s = RydbergState(43, 2, 2.5), RydbergState(44, 0, 0.5)
         channels = {
             "60s": rb_s60_channels,
@@ -398,21 +401,23 @@ class TestEigensystem:
         }[channel_set]
         eig = forster_eigensystem(channels, 0.3, b_field_t)
         c, n = eig.d_values.shape
-        basis = pair._layout(channels[0].initial, False).basis
+        layout = pair._layout(channels[0].initial, False)
+        k, size = layout.sector.shape
         stack, columns = eig.block_stack
-        assert stack.shape == (len(basis), basis.shape[1], c * basis.shape[1])
+        assert stack.shape == (k, size, c * size) and columns.shape == (k, c * size)
+        padding = np.tile(layout.sector, c) < 0  # slot a's, for column c L + a
+        assert np.all(stack.swapaxes(1, 2)[padding] == 0.0) and np.all(columns[padding] == 0)
+        home = np.take_along_axis(layout.sector, np.abs(stack).argmax(axis=1), axis=1)
+        assert np.all(stack[layout.sector[:, :, None] != home[:, None, :]] == 0.0)
+        assert sorted(columns[~padding]) == list(range(c * n))
+        assert np.array_equal((columns // n)[~padding], np.nonzero(~padding)[1] // size)
         side_by_side = eig.vectors.swapaxes(0, 1).reshape(n, c * n)
         scattered = np.zeros_like(side_by_side)
-        stored = []
-        for slots, block, block_columns in zip(basis, stack, columns):
-            size = np.any(slots != 0.0, axis=1).sum()
-            filled = block_columns[: c * size]
-            assert np.all(block[size:] == 0.0) and np.all(block[:, c * size :] == 0.0)
-            coordinates = slots[:size] @ side_by_side[:, filled]
-            assert np.all(np.abs(coordinates - block[:size, : c * size]) < 1e-15)
-            scattered[:, filled] = slots[:size].T @ block[:size, : c * size]
-            stored.extend(filled.tolist())
-        assert sorted(stored) == list(range(c * n))
+        for slots, block, block_columns, free in zip(layout.basis, stack, columns, padding):
+            filled = block_columns[~free]
+            coordinates = slots @ side_by_side[:, filled]
+            assert np.all(np.abs(coordinates - block[:, ~free]) < 1e-15)
+            scattered[:, filled] = slots.T @ block[:, ~free]
         assert np.max(np.abs(scattered - side_by_side)) < 1e-15
 
     @pytest.mark.parametrize(
@@ -439,7 +444,7 @@ class TestEigensystem:
             layout = pair._m_blocks(tj1, tj2, mirrored, exchange)
             basis = layout.basis[layout.low :]
             blocks = np.where(layout.live, basis @ h @ basis.swapaxes(1, 2), 0.0)
-            vals, vecs = pair._m_block_states(blocks, np.eye(n), layout)
+            vals, vecs, _ = pair._m_block_states(blocks, np.eye(n), layout)
             scale = np.abs(h).max()
             assert np.max(np.abs(np.sort(vals) - np.linalg.eigvalsh(h))) < 1e-14 * scale
             assert np.max(np.abs(h @ vecs - vecs * vals)) < 1e-14 * scale
@@ -447,6 +452,22 @@ class TestEigensystem:
             if exchange:
                 parity = np.sign(np.sum(swap @ vecs * vecs, axis=0))
                 assert np.array_equal(swap @ vecs, vecs * parity)
+
+    @pytest.mark.parametrize("mirrored", [True, False])
+    @pytest.mark.parametrize("tj1, tj2, exchange", [(1, 1, True), (5, 5, True), (5, 1, False)])
+    def test_cached_arrays_are_read_only(self, tj1, tj2, exchange, mirrored):
+        # _m_blocks, _ordering_amplitudes and _small_d_table are cached and
+        # shared by every later call: writing into any of their arrays raises
+        layout = pair._m_blocks(tj1, tj2, mirrored, exchange)
+        fields = [getattr(layout, f.name) for f in dataclasses.fields(layout)]
+        arrays = [a for f in fields for a in (f if isinstance(f, tuple) else (f,))]
+        arrays = [a for a in arrays if isinstance(a, np.ndarray)]
+        assert len(arrays) == 12  # pad and slots hold two index arrays each
+        arrays += pair._ordering_amplitudes(((2, 2.5),) * 2, ((1, 1.5), (3, 3.5)))
+        arrays.append(_small_d_table(tj1))
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
 
     @pytest.mark.parametrize("b_field_t", [0.0, 0.01])
     def test_stacked_layout(self, rb_s60_channels, rb_43d_channels, b_field_t):
